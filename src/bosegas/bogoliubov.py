@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .lattice import Mode, SumResult, lattice_sum
+from .lattice import SumResult, lattice_sum
 
 __all__ = [
     "Variant",
@@ -121,9 +121,9 @@ def pairing_coeff(p_sq: float, a: float, beta: float, variant: Variant) -> float
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """All per-mode coefficients evaluated at one momentum."""
+    """All coefficients of a mode, evaluated at its squared momentum."""
 
-    mode: Mode
+    p_sq: float
     eps: float
     mu_sq: float
     theta_sq_A: float
@@ -133,10 +133,9 @@ class ModeCoefficients:
     pairing_B: float
 
 
-def mode_coefficients(mode: Mode, a: float, beta: float) -> ModeCoefficients:
-    p_sq = mode.p_sq
+def mode_coefficients(p_sq: float, a: float, beta: float) -> ModeCoefficients:
     return ModeCoefficients(
-        mode=mode,
+        p_sq=p_sq,
         eps=dispersion(p_sq, a),
         mu_sq=mu_sq(p_sq, a),
         theta_sq_A=theta_sq(p_sq, a, beta, Variant.A),
@@ -159,9 +158,9 @@ def depletion_sums(cfg: ThermalConfig, max_norm_sq: int) -> dict[str, SumResult]
     """
     if max_norm_sq < 1:
         raise ValueError("cutoff must be >= 1")
-    sum_mu = lattice_sum(lambda m: mu_sq(m.p_sq, cfg.a), max_norm_sq, tail_exponent=2.0)
+    sum_mu = lattice_sum(lambda p_sq: mu_sq(p_sq, cfg.a), max_norm_sq, tail_exponent=2.0)
     sum_theta = lattice_sum(
-        lambda m: theta_sq(m.p_sq, cfg.a, cfg.beta, cfg.variant),
+        lambda p_sq: theta_sq(p_sq, cfg.a, cfg.beta, cfg.variant),
         max_norm_sq,
         tail_exponent=2.0,
     )

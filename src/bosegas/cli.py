@@ -8,7 +8,7 @@ lives in the separate ``provenance.json``.
 
 Exit statuses: 0 success, 2 usage error, 3 numerical-guard refusal,
 4 solver failure.  Failures also leave a machine-readable ``error.json``
-in the output directory.
+in the output directory whenever one is known.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bogoliubov import (
+    COEFFICIENT_CSV_HEADER,
     ThermalConfig,
     Variant,
     depletion_sums,
@@ -40,7 +41,7 @@ from .errors import (
     SolverError,
 )
 from .fock import build_basis
-from .lattice import enumerate_shells, modes_up_to
+from .lattice import enumerate_shells, modes_up_to, shell_table
 from .oracles import adjudicate_variants, partition_product_check, toy_gibbs_experiment
 from .scattering import (
     RadialPotential,
@@ -218,14 +219,14 @@ def cmd_coeffs(config: dict, out_dir: Path) -> ResultBundle:
     a = _scattering_length(config)
     beta = float(config["beta"])
     cutoff = int(config["cutoff_norm_sq"])
-    shells = enumerate_shells(cutoff)
+    norm_sq, _, p_sq = shell_table(cutoff)
 
     lines = [f"# {c}" for c in _csv_comments(config)]
-    lines.append("norm_sq,eps,mu_sq,theta_sq_A,theta_sq_B,nu,pairing_A,pairing_B")
-    for shell in shells:
-        c = mode_coefficients(shell.members[0], a, beta)
+    lines.append(COEFFICIENT_CSV_HEADER)
+    for j, p in zip(norm_sq.tolist(), p_sq.tolist()):
+        c = mode_coefficients(p, a, beta)
         lines.append(
-            f"{shell.norm_sq},{c.eps!r},{c.mu_sq!r},{c.theta_sq_A!r},"
+            f"{j},{c.eps!r},{c.mu_sq!r},{c.theta_sq_A!r},"
             f"{c.theta_sq_B!r},{c.nu!r},{c.pairing_A!r},{c.pairing_B!r}"
         )
     bundle = ResultBundle()
@@ -406,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    out_dir = None if args.output_dir is None else Path(args.output_dir)
     try:
         config = load_config(
             args.config,
@@ -416,14 +418,15 @@ def main(argv: list[str] | None = None) -> int:
         runner = cmd_all if args.command == "all" else COMMANDS[args.command]
         bundle = runner(config, out_dir)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+        _record_error(out_dir, exc)
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (GuardError, ModelValidityError, BasisSizeError) as exc:
-        _record_error(config, exc)
+        _record_error(out_dir, exc)
         print(f"numerical guard refused: {exc}", file=sys.stderr)
         return GUARD_EXIT
     except (SolverError, BosegasError, np.linalg.LinAlgError) as exc:
-        _record_error(config, exc)
+        _record_error(out_dir, exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_EXIT
 
@@ -439,9 +442,10 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _record_error(config: dict, exc: Exception):
+def _record_error(out_dir: Path | None, exc: Exception):
+    if out_dir is None:
+        return
     try:
-        out_dir = Path(config["output_dir"])
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "error.json").write_text(
             json.dumps(
@@ -451,8 +455,8 @@ def _record_error(config: dict, exc: Exception):
             )
             + "\n"
         )
-    except Exception:
-        pass
+    except OSError:
+        pass  # an unwritable output directory must not mask the original failure
 
 
 if __name__ == "__main__":

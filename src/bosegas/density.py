@@ -1,10 +1,10 @@
 """Structured second-order models of the one- and two-particle density matrices.
 
 Both models are stored structurally rather than as dense matrices: a
-condensate scalar, per-mode diagonal weights, and (for the two-particle
-model) the anomalous block coupling the doubly-condensed vector to each
-zero-total-momentum pair.  Traces are the structural identities
-``N = condensate + sum(weights)``; no dense algebra is involved.
+condensate scalar, per-shell diagonal weights, and (for the two-particle
+model) the per-shell anomalous block coupling the doubly-condensed vector
+to each zero-total-momentum pair.  Traces are the structural identities
+``N = condensate + sum(weights)`` over all modes; no dense algebra is involved.
 
 The two-particle model need not be positive at finite N; its minimum
 eigenvalue is available as a diagnostic in closed form.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .bogoliubov import ThermalConfig, Variant, mu_sq, pairing_coeff, theta_sq
 from .errors import ModelValidityError
-from .lattice import Mode, modes_up_to
+from .lattice import shell_table
 
 __all__ = [
     "SecondOrderDM1",
@@ -34,66 +34,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SecondOrderDM1:
-    """Model of N * rho^(1): condensate weight plus a plane-wave diagonal."""
+    """Model of N * rho^(1): condensate weight plus a plane-wave diagonal.
 
-    N: int
-    cutoff: int
-    variant: Variant
-    condensate_weight: float
-    modes: tuple[Mode, ...]
-    excited_weights: np.ndarray
-
-    def trace(self) -> float:
-        return math.fsum([self.condensate_weight, *self.excited_weights.tolist()])
-
-    def to_json(self, provenance: dict | None = None) -> str:
-        return _dm_json(self, pairing=None, provenance=provenance)
-
-
-@dataclass(frozen=True)
-class SecondOrderDM2:
-    """Model of N * rho^(2): condensed weight, pair-diagonal, anomalous block.
-
-    ``pairing`` holds, per mode p, the coefficient of the ordered basis
-    element |phi_0 phi_0><phi_p phi_-p| (its adjoint is implied, the block
-    is traceless).  The factor 4 of the symmetrized condensate-excited
-    sector is absorbed into ``excited_weights``.
+    ``excited_weights`` holds the weight of every mode of each shell
+    ``norm_sq``, which has ``multiplicity`` modes.
     """
 
     N: int
     cutoff: int
     variant: Variant
     condensate_weight: float
-    modes: tuple[Mode, ...]
+    norm_sq: np.ndarray
+    multiplicity: np.ndarray
     excited_weights: np.ndarray
-    pairing: np.ndarray
 
     def trace(self) -> float:
-        return math.fsum([self.condensate_weight, *self.excited_weights.tolist()])
+        return _mode_sum([self.condensate_weight], self.multiplicity, self.excited_weights)
+
+    def to_json(self, provenance: dict | None = None) -> str:
+        return _dm_json(self, pairing=None, provenance=provenance)
+
+
+@dataclass(frozen=True)
+class SecondOrderDM2(SecondOrderDM1):
+    """Model of N * rho^(2): condensed weight, pair-diagonal, anomalous block.
+
+    ``pairing`` holds, per shell, the coefficient of the ordered basis
+    element |phi_0 phi_0><phi_p phi_-p| of each of its modes p (its adjoint
+    is implied, the block is traceless).  The factor 4 of the symmetrized
+    condensate-excited sector is absorbed into ``excited_weights``.
+    """
+
+    pairing: np.ndarray
 
     def to_json(self, provenance: dict | None = None) -> str:
         return _dm_json(self, pairing=self.pairing, provenance=provenance)
 
 
+def _mode_sum(extra: list[float], multiplicity: np.ndarray, *columns: np.ndarray) -> float:
+    """Exactly rounded sum of ``extra`` and of each column entry once per mode.
+
+    Veltkamp's split writes every entry exactly as hi + lo, each of at most
+    26 significant bits; their products with a multiplicity below 2**26 are
+    exact, so ``math.fsum`` rounds the exact per-mode sum once.
+    """
+    parts = list(extra)
+    for values in columns:
+        c = 134217729.0 * values
+        hi = c - (c - values)
+        parts += (multiplicity * hi).tolist() + (multiplicity * (values - hi)).tolist()
+    return math.fsum(parts)
+
+
 def _dm_json(dm, pairing, provenance) -> str:
-    counts: dict[int, int] = {}
-    for mode in dm.modes:
-        counts[mode.norm_sq] = counts.get(mode.norm_sq, 0) + 1
-    rows = []
-    seen = set()
-    for i, mode in enumerate(dm.modes):
-        key = mode.norm_sq
-        if key in seen:
-            continue
-        seen.add(key)
-        row = {
-            "norm_sq": key,
-            "multiplicity": counts[key],
-            "weight": float(dm.excited_weights[i]),
-        }
-        if pairing is not None:
-            row["pairing"] = float(pairing[i])
-        rows.append(row)
+    columns = dict(norm_sq=dm.norm_sq, multiplicity=dm.multiplicity, weight=dm.excited_weights)
+    if pairing is not None:
+        columns["pairing"] = pairing
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     payload = {
         "N": dm.N,
         "cutoff": dm.cutoff,
@@ -107,8 +104,13 @@ def _dm_json(dm, pairing, provenance) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _excited_weights(cfg: ThermalConfig, p_sq: list[float]) -> np.ndarray:
+    """mu^2 + theta^2 per shell."""
+    return np.array([mu_sq(p, cfg.a) + theta_sq(p, cfg.a, cfg.beta, cfg.variant) for p in p_sq])
+
+
 def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
-    """Assemble the one-particle model with weights mu^2 + theta^2 per mode.
+    """Assemble the one-particle model with weight mu^2 + theta^2 on every mode.
 
     Valid only while the depletion stays below N; otherwise the condensate
     weight would be non-positive and the asymptotic model meaningless, so a
@@ -116,14 +118,9 @@ def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
     """
     if N < 1:
         raise ValueError("particle number must be >= 1")
-    modes = modes_up_to(cutoff)
-    weights = np.array(
-        [
-            mu_sq(m.p_sq, cfg.a) + theta_sq(m.p_sq, cfg.a, cfg.beta, cfg.variant)
-            for m in modes
-        ]
-    )
-    depletion = math.fsum(weights.tolist())
+    norm_sq, multiplicity, p_sq = shell_table(cutoff)
+    weights = _excited_weights(cfg, p_sq.tolist())
+    depletion = _mode_sum([], multiplicity, weights)
     if depletion >= N:
         raise ModelValidityError(
             f"second-order model invalid at this N: depletion {depletion:g} >= N = {N}"
@@ -133,7 +130,8 @@ def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
         cutoff=cutoff,
         variant=cfg.variant,
         condensate_weight=N - depletion,
-        modes=modes,
+        norm_sq=norm_sq,
+        multiplicity=multiplicity,
         excited_weights=weights,
     )
 
@@ -142,27 +140,21 @@ def build_rho2(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM2:
     """Assemble the two-particle model: weights 4(mu^2+theta^2) and the pairing block."""
     if N < 1:
         raise ValueError("particle number must be >= 1")
-    modes = modes_up_to(cutoff)
-    weights = np.array(
-        [
-            4.0 * (mu_sq(m.p_sq, cfg.a) + theta_sq(m.p_sq, cfg.a, cfg.beta, cfg.variant))
-            for m in modes
-        ]
-    )
-    depletion4 = math.fsum(weights.tolist())
+    norm_sq, multiplicity, p_sq = shell_table(cutoff)
+    weights = 4.0 * _excited_weights(cfg, p_sq.tolist())
+    depletion4 = _mode_sum([], multiplicity, weights)
     if depletion4 >= N:
         raise ModelValidityError(
             f"second-order model invalid at this N: 4*depletion {depletion4:g} >= N = {N}"
         )
-    pairing = np.array(
-        [pairing_coeff(m.p_sq, cfg.a, cfg.beta, cfg.variant) for m in modes]
-    )
+    pairing = np.array([pairing_coeff(p, cfg.a, cfg.beta, cfg.variant) for p in p_sq.tolist()])
     return SecondOrderDM2(
         N=N,
         cutoff=cutoff,
         variant=cfg.variant,
         condensate_weight=N - depletion4,
-        modes=modes,
+        norm_sq=norm_sq,
+        multiplicity=multiplicity,
         excited_weights=weights,
         pairing=pairing,
     )
@@ -171,7 +163,7 @@ def build_rho2(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM2:
 def _check_same_shape(x, y):
     if type(x) is not type(y):
         raise ValueError("density-matrix models of different kinds cannot be compared")
-    if x.cutoff != y.cutoff or len(x.modes) != len(y.modes):
+    if x.cutoff != y.cutoff or not np.array_equal(x.norm_sq, y.norm_sq):
         raise ValueError("density-matrix models must share cutoff and mode basis")
 
 
@@ -184,11 +176,10 @@ def dm_trace_norm_diff(x, y) -> float:
     contribute 2|delta| per +-p pair of modes.
     """
     _check_same_shape(x, y)
-    parts = [abs(x.condensate_weight - y.condensate_weight)]
-    parts.extend(np.abs(x.excited_weights - y.excited_weights).tolist())
+    gaps = [np.abs(x.excited_weights - y.excited_weights)]
     if isinstance(x, SecondOrderDM2):
-        parts.extend(np.abs(x.pairing - y.pairing).tolist())
-    return math.fsum(parts)
+        gaps.append(np.abs(x.pairing - y.pairing))
+    return _mode_sum([abs(x.condensate_weight - y.condensate_weight)], x.multiplicity, *gaps)
 
 
 def dm2_min_eigenvalue(dm: SecondOrderDM2) -> float:
@@ -200,10 +191,11 @@ def dm2_min_eigenvalue(dm: SecondOrderDM2) -> float:
     spectrum is the non-negative diagonal.  Negative values are expected at
     finite N and merely reported.
     """
-    c_sq = float(np.dot(dm.pairing, dm.pairing))
+    pairing = np.repeat(dm.pairing, dm.multiplicity)  # one entry per mode
+    c_sq = float(np.dot(pairing, pairing))
     w00 = dm.condensate_weight
     arrow_min = 0.5 * (w00 - math.sqrt(w00 * w00 + 4.0 * c_sq))
     candidates = [arrow_min, float(np.min(dm.excited_weights))]
-    if len(dm.pairing) > 1:
+    if len(pairing) > 1:
         candidates.append(0.0)  # null space of the arrow block
     return min(candidates)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "Mode",
     "Shell",
     "SumResult",
+    "shell_table",
     "enumerate_shells",
     "modes_up_to",
     "lattice_sum",
@@ -117,21 +118,32 @@ def modes_up_to(max_norm_sq: int, momentum_scale: float = TWO_PI) -> tuple[Mode,
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _multiplicities(limit: int) -> tuple[int, ...]:
-    """r3(j) (number of integer triples of squared norm j) for 0 <= j <= limit."""
-    m = math.isqrt(limit)
-    counts = [0] * (limit + 1)
-    for a in range(-m, m + 1):
-        for b in range(-m, m + 1):
-            base = a * a + b * b
-            if base > limit:
-                continue
-            for c in range(-m, m + 1):
-                j = base + c * c
-                if j <= limit:
-                    counts[j] += 1
-    return tuple(counts)
+@lru_cache(maxsize=32)
+def shell_table(max_norm_sq: int, momentum_scale: float = TWO_PI) -> tuple[np.ndarray, ...]:
+    """Read-only (norm_sq, multiplicity, p_sq) of the shells 1 <= |n|^2 <= max_norm_sq.
+
+    The multiplicity r3(j) > 0 of norm j is the q^j coefficient of theta_3(q)^3
+    (Grosswald, *Representations of Integers as Sums of Squares*, 1985): the
+    1-D square indicator convolved three times, here by shift-adding over the
+    sqrt(L) squares, O(L sqrt(L)).  p_sq is rounded exactly as ``Mode.p_sq``.
+    """
+    if max_norm_sq < 1:
+        raise ValueError("max_norm_sq must be >= 1")
+    squares = [k * k for k in range(math.isqrt(max_norm_sq) + 1)]
+    r1 = np.zeros(max_norm_sq + 1, dtype=np.int64)
+    r1[squares] = 2
+    r1[0] = 1
+    counts = r1
+    for _ in range(2):
+        acc = np.zeros_like(r1)
+        for k2 in squares:
+            acc[k2:] += r1[k2] * counts[: max_norm_sq + 1 - k2]
+        counts = acc
+    norm_sq = np.flatnonzero(counts[1:]) + 1
+    table = (norm_sq, counts[norm_sq], momentum_scale * momentum_scale * norm_sq)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def tail_norm_bound(cutoff_norm_sq: int, s: float) -> float:
@@ -144,10 +156,9 @@ def tail_norm_bound(cutoff_norm_sq: int, s: float) -> float:
     if s <= 1.5:
         raise ValueError("tail exponent must exceed 3/2 for a summable tail")
     switch = max(cutoff_norm_sq, 64)
-    counts = _multiplicities(switch)
-    exact = math.fsum(
-        counts[j] * j ** (-s) for j in range(cutoff_norm_sq + 1, switch + 1) if counts[j]
-    )
+    norm_sq, multiplicity, _ = shell_table(switch)
+    shells = zip(norm_sq.tolist(), multiplicity.tolist())
+    exact = math.fsum(m * j ** (-s) for j, m in shells if j > cutoff_norm_sq)
     t0 = math.sqrt(switch) - math.sqrt(3.0)
     geometry = (1.0 + math.sqrt(3.0) / (2.0 * t0)) ** 2
     integral = geometry * 4.0 * math.pi * t0 ** (3.0 - 2.0 * s) / (2.0 * s - 3.0)
@@ -155,31 +166,24 @@ def tail_norm_bound(cutoff_norm_sq: int, s: float) -> float:
 
 
 def lattice_sum(
-    f: Callable[[Mode], float],
+    f: Callable[[float], float],
     max_norm_sq: int,
     tail_exponent: float,
     momentum_scale: float = TWO_PI,
 ) -> SumResult:
-    """Shell-ordered compensated sum of ``f`` over modes with |n|^2 <= cutoff.
+    """Shell-ordered compensated sum of ``f(p_sq)`` over modes with |n|^2 <= cutoff.
 
+    ``f`` is evaluated once per shell, whose r3 equal terms sum to r3 * f.
     ``tail_exponent`` s > 3/2 models the decay |f| <= C * |n|^(-2s) beyond
-    the cutoff; C is estimated from the outermost evaluated shell, which
-    presumes |f(n)| * |n|^(2s) is non-increasing past the cutoff.
+    the cutoff; C is estimated from the outermost shell, which presumes
+    |f| * |n|^(2s) is non-increasing past the cutoff.
     """
     if tail_exponent <= 1.5:
         raise ValueError("tail exponent must exceed 3/2 for a summable tail")
-    shells = enumerate_shells(max_norm_sq, momentum_scale)
-    shell_sums = [math.fsum(f(mode) for mode in shell.members) for shell in shells]
-    value = math.fsum(shell_sums)
+    norm_sq, multiplicity, p_sq = shell_table(max_norm_sq, momentum_scale)
+    values = [f(p) for p in p_sq.tolist()]
+    value = math.fsum(m * v for m, v in zip(multiplicity.tolist(), values))
 
-    outer = shells[-1]
-    c_tail = max(abs(f(mode)) for mode in outer.members) * outer.norm_sq**tail_exponent
+    c_tail = abs(values[-1]) * int(norm_sq[-1]) ** tail_exponent
     bound = c_tail * tail_norm_bound(max_norm_sq, tail_exponent)
     return SumResult(value=value, tail_bound=bound, cutoff_norm_sq=max_norm_sq)
-
-
-def shell_values(
-    fn: Callable[[float], float], shells: Sequence[Shell]
-) -> "np.ndarray":
-    """Evaluate a function of p_sq once per shell (shell-constant quantities)."""
-    return np.array([fn(shell.members[0].p_sq) for shell in shells])

@@ -656,8 +656,9 @@ def kernel_table(
     """
     if not (0.0 < ell < 0.5):
         raise ValueError("ell must lie in (0, 1/2) so the ball fits the torus")
-    r_max = scattering_r_max or max(20.0 * potential.support_radius, 10.0)
-    scat = scattering or solve_scattering(potential, r_max=r_max, tol=tol)
+    if scattering_r_max is None:
+        scattering_r_max = max(20.0 * potential.support_radius, 10.0)
+    scat = scattering or solve_scattering(potential, r_max=scattering_r_max, tol=tol)
     if neumann is None:
         neumann = solve_neumann(potential, R=N * ell, tol=tol)
     if abs(neumann.R - N * ell) > 1e-9 * max(1.0, N * ell):

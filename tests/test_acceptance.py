@@ -228,14 +228,13 @@ def test_criterion_10_density_model_bookkeeping():
 
         cold = ThermalConfig(a=1.0, beta=1e3, variant=variant)
         dm1 = build_rho1(cold, N, cutoff=50)
-        smallest = [i for i, m in enumerate(dm1.modes) if m.norm_sq == 1]
-        for i in smallest:
-            assert abs(dm1.excited_weights[i] - mu_sq(dm1.modes[i].p_sq, 1.0)) <= 1e-30
+        assert dm1.norm_sq[0] == 1  # the smallest shell
+        assert abs(dm1.excited_weights[0] - mu_sq(TWO_PI * TWO_PI, 1.0)) <= 1e-30
 
         dm2 = build_rho2(cold, N, cutoff=50)
-        for i, mode in enumerate(dm2.modes):
-            expected = -4.0 * math.pi * 1.0 / dispersion(mode.p_sq, 1.0)
-            assert abs(dm2.pairing[i] / expected - 1.0) <= 1e-6
+        for j, pairing in zip(dm2.norm_sq.tolist(), dm2.pairing.tolist()):
+            expected = -4.0 * math.pi * 1.0 / dispersion(TWO_PI * TWO_PI * j, 1.0)
+            assert abs(pairing / expected - 1.0) <= 1e-6
     _report(10, "model traces equal N exactly; cold weights reduce to mu^2 (<=1e-30) "
                 "and the pairing block to -4 pi a/eps (1e-6) in both conventions", started)
 

@@ -154,7 +154,7 @@ def test_theta_identities_per_convention(beta):
 
 def test_coefficients_decrease_along_shells():
     a, beta = 1.0, 1.0
-    rows = [mode_coefficients(s.members[0], a, beta) for s in enumerate_shells(30)]
+    rows = [mode_coefficients(s.members[0].p_sq, a, beta) for s in enumerate_shells(30)]
     for prev, cur in zip(rows[:-1], rows[1:]):
         assert cur.mu_sq < prev.mu_sq
         # theta saturates at exact 0 once the Bose factor underflows
@@ -166,7 +166,7 @@ def test_coefficients_decrease_along_shells():
 
 def test_mode_coefficients_internal_consistency():
     shell = enumerate_shells(3)[1]
-    c = mode_coefficients(shell.members[0], 0.5, 0.7)
+    c = mode_coefficients(shell.members[0].p_sq, 0.5, 0.7)
     assert c.theta_sq_A == pytest.approx(c.theta_sq_B * c.eps, rel=1e-14)
     assert c.mu_sq >= 0.0 and c.nu <= 0.0
 

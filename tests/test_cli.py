@@ -169,15 +169,26 @@ def test_every_emitted_file_carries_provenance(tmp_path):
 
 
 def test_usage_error_exit_code(tmp_path):
+    out = tmp_path / "x"
     code = main([
-        "scatter", "--output-dir", str(tmp_path / "x"),
+        "scatter", "--output-dir", str(out),
         "--set", "potential={\"kind\": \"unknown\"}",
     ])
     assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "unknown potential kind" in record["message"]
 
 
-def test_missing_config_file_is_usage_error(tmp_path):
+def test_missing_config_file_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["scatter", "--config", str(tmp_path / "nope.json")]) == 2
+    assert list(tmp_path.iterdir()) == []  # no output directory is known
+    out = tmp_path / "named"
+    assert main(["scatter", "--config", str(tmp_path / "nope.json"),
+                 "--output-dir", str(out)]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "FileNotFoundError"
 
 
 def test_guard_refusal_exit_code_and_error_record(tmp_path):

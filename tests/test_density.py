@@ -12,7 +12,7 @@ from bosegas.density import (
     dm_trace_norm_diff,
 )
 from bosegas.errors import ModelValidityError
-from bosegas.lattice import modes_up_to
+from bosegas.lattice import TWO_PI
 
 
 CFG = ThermalConfig(a=1.0, beta=1.0, variant=Variant.B)
@@ -22,7 +22,8 @@ def test_rho1_trace_is_exactly_N():
     for N in (100, 10**6):
         dm = build_rho1(CFG, N, cutoff=50)
         assert dm.trace() == float(N)
-        assert dm.condensate_weight + math.fsum(dm.excited_weights.tolist()) == pytest.approx(N, rel=0)
+        per_mode = np.repeat(dm.excited_weights, dm.multiplicity)
+        assert dm.condensate_weight + math.fsum(per_mode.tolist()) == pytest.approx(N, rel=0)
 
 
 def test_rho2_trace_is_exactly_N():
@@ -40,7 +41,7 @@ def test_pure_condensate_limit():
 def test_zero_temperature_weights_reduce_to_quantum_depletion():
     cfg = ThermalConfig(a=1.0, beta=1e3, variant=Variant.B)
     dm = build_rho1(cfg, 10**6, cutoff=30)
-    expected = np.array([mu_sq(m.p_sq, 1.0) for m in dm.modes])
+    expected = np.array([mu_sq(TWO_PI * TWO_PI * j, 1.0) for j in dm.norm_sq.tolist()])
     assert np.max(np.abs(dm.excited_weights - expected)) <= 1e-30
 
 
@@ -68,7 +69,9 @@ def test_rho2_pairing_zero_temperature_limit():
     for variant in Variant:
         cfg = ThermalConfig(a=1.0, beta=1e3, variant=variant)
         dm = build_rho2(cfg, 10**6, cutoff=20)
-        expected = np.array([-4.0 * math.pi * 1.0 / dispersion(m.p_sq, 1.0) for m in dm.modes])
+        expected = np.array(
+            [-4.0 * math.pi * 1.0 / dispersion(TWO_PI * TWO_PI * j, 1.0) for j in dm.norm_sq.tolist()]
+        )
         assert np.max(np.abs(dm.pairing / expected - 1.0)) < 1e-6
 
 
@@ -87,7 +90,7 @@ class TestTraceNormDiff:
         x = build_rho1(CFG, 10**6, cutoff=20)
         y = build_rho1(ThermalConfig(a=1.0, beta=2.0, variant=Variant.B), 10**6, cutoff=20)
         direct = abs(x.condensate_weight - y.condensate_weight) + float(
-            np.sum(np.abs(x.excited_weights - y.excited_weights))
+            np.sum(x.multiplicity * np.abs(x.excited_weights - y.excited_weights))
         )
         assert dm_trace_norm_diff(x, y) == pytest.approx(direct, rel=1e-14)
 
@@ -95,13 +98,12 @@ class TestTraceNormDiff:
         x = build_rho2(CFG, 10**6, cutoff=4)
         delta = 1e-3
         pairing = x.pairing.copy()
-        # perturb the block of one +-p pair (two ordered legs)
-        pair_n = x.modes[0].n
-        for i, m in enumerate(x.modes):
-            if m.n == pair_n or m.n == (-pair_n[0], -pair_n[1], -pair_n[2]):
-                pairing[i] += delta
+        # perturb the blocks of shell 1: its 6 modes are 3 +-p pairs, each
+        # with two ordered legs
+        assert x.norm_sq[0] == 1 and x.multiplicity[0] == 6
+        pairing[0] += delta
         y = dataclasses.replace(x, pairing=pairing)
-        assert dm_trace_norm_diff(x, y) == pytest.approx(2.0 * delta, rel=1e-12)
+        assert dm_trace_norm_diff(x, y) == pytest.approx(3 * 2.0 * delta, rel=1e-12)
 
     def test_metric_axioms_on_sample_triples(self):
         cfgs = [
@@ -139,11 +141,12 @@ class TestMinEigenvalue:
 
     def test_closed_form_matches_dense_arrow_matrix(self):
         dm = build_rho2(CFG, 1000, cutoff=4)
-        m = len(dm.pairing)
+        pairing = np.repeat(dm.pairing, dm.multiplicity)  # one entry per mode
+        m = len(pairing)
         arrow = np.zeros((m + 1, m + 1))
         arrow[0, 0] = dm.condensate_weight
-        arrow[0, 1:] = dm.pairing
-        arrow[1:, 0] = dm.pairing
+        arrow[0, 1:] = pairing
+        arrow[1:, 0] = pairing
         dense_min = float(np.linalg.eigvalsh(arrow).min())
         expected = min(dense_min, float(np.min(dm.excited_weights)))
         assert dm2_min_eigenvalue(dm) == pytest.approx(expected, rel=1e-12)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bosegas.lattice import (
@@ -7,6 +8,7 @@ from bosegas.lattice import (
     enumerate_shells,
     lattice_sum,
     modes_up_to,
+    shell_table,
     tail_norm_bound,
 )
 from bosegas.bogoliubov import mu_sq
@@ -45,6 +47,31 @@ def test_multiplicities_match_brute_force_up_to_100():
     assert {s.norm_sq: s.multiplicity for s in shells} == brute_multiplicities(100)
 
 
+def test_shell_table_matches_brute_force_triple_count_up_to_2000():
+    m = math.isqrt(2000)
+    axis = np.arange(-m, m + 1) ** 2
+    norms = (axis[:, None, None] + axis[None, :, None] + axis[None, None, :]).ravel()
+    r3 = np.bincount(norms[norms <= 2000], minlength=2001)
+    norm_sq, multiplicity, _ = shell_table(2000)
+    assert norm_sq.tolist() == (np.flatnonzero(r3[1:]) + 1).tolist()
+    assert multiplicity.tolist() == r3[norm_sq].tolist()
+
+
+def test_shell_table_is_read_only_and_agrees_with_explicit_shells():
+    shells = enumerate_shells(100)
+    for scale in (TWO_PI, 1.0):
+        norm_sq, multiplicity, p_sq = shell_table(100, scale)
+        explicit = enumerate_shells(100, momentum_scale=scale)
+        assert norm_sq.tolist() == [s.norm_sq for s in shells]
+        assert multiplicity.tolist() == [s.multiplicity for s in shells]
+        assert p_sq.tolist() == [s.members[0].p_sq for s in explicit]
+        for column in (norm_sq, multiplicity, p_sq):
+            with pytest.raises(ValueError):
+                column[0] = 7
+    with pytest.raises(ValueError):
+        shell_table(0)
+
+
 def test_unrepresentable_norms_are_absent():
     norms = {s.norm_sq for s in enumerate_shells(16)}
     assert 7 not in norms and 15 not in norms
@@ -76,24 +103,24 @@ def test_zero_mode_is_rejected():
 
 
 def test_lattice_sum_of_zero_is_zero():
-    res = lattice_sum(lambda m: 0.0, 30, tail_exponent=2.0)
+    res = lattice_sum(lambda p_sq: 0.0, 30, tail_exponent=2.0)
     assert res.value == 0.0
     assert res.tail_bound == 0.0
     assert res.cutoff_norm_sq == 30
 
 
 def test_lattice_sum_of_mu_sq_vanishes_for_zero_scattering_length():
-    res = lattice_sum(lambda m: mu_sq(m.p_sq, 0.0), 20, tail_exponent=2.0)
+    res = lattice_sum(lambda p_sq: mu_sq(p_sq, 0.0), 20, tail_exponent=2.0)
     assert res.value == 0.0
 
 
 def test_lattice_sum_rejects_non_summable_tail():
     with pytest.raises(ValueError):
-        lattice_sum(lambda m: m.p_sq**-2, 10, tail_exponent=1.5)
+        lattice_sum(lambda p_sq: p_sq**-2, 10, tail_exponent=1.5)
 
 
 def test_inverse_quartic_sum_cutoff_consistency():
-    f = lambda m: m.p_sq**-2  # noqa: E731
+    f = lambda p_sq: p_sq**-2  # noqa: E731
     small = lattice_sum(f, 30, tail_exponent=2.0)
     large = lattice_sum(f, 120, tail_exponent=2.0)
     assert abs(large.value - small.value) <= small.tail_bound
@@ -101,14 +128,14 @@ def test_inverse_quartic_sum_cutoff_consistency():
 
 
 def test_mu_sq_sum_tail_bound_covers_quadrupled_cutoff():
-    f = lambda m: mu_sq(m.p_sq, 1.0)  # noqa: E731
+    f = lambda p_sq: mu_sq(p_sq, 1.0)  # noqa: E731
     small = lattice_sum(f, 100, tail_exponent=2.0)
     large = lattice_sum(f, 400, tail_exponent=2.0)
     assert abs(large.value - small.value) <= small.tail_bound
 
 
 def test_lattice_sum_is_bit_reproducible():
-    f = lambda m: mu_sq(m.p_sq, 0.7)  # noqa: E731
+    f = lambda p_sq: mu_sq(p_sq, 0.7)  # noqa: E731
     first = lattice_sum(f, 50, tail_exponent=2.0)
     second = lattice_sum(f, 50, tail_exponent=2.0)
     assert first.value == second.value

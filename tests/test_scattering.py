@@ -236,6 +236,10 @@ class TestKernels:
         res, tol = kernel_identity_residuals(neumann, N, modes)
         assert np.all(np.abs(res) <= tol)
 
+    def test_kernel_table_passes_explicit_zero_r_max_to_the_guard(self):
+        with pytest.raises(SolverError):
+            kernel_table(SOFT, N=20, ell=0.495, modes=modes_up_to(3), scattering_r_max=0.0)
+
     def test_kernel_sum_approaches_nu_at_larger_N(self):
         modes = modes_up_to(12)
         gaps = {}
