@@ -14,6 +14,7 @@ generators); hermiticity therefore means symmetry.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -26,7 +27,6 @@ from .errors import BasisSizeError, GuardError
 from .lattice import Mode
 
 __all__ = [
-    "OccupationState",
     "FockBasis",
     "HermitianOperator",
     "build_basis",
@@ -45,15 +45,6 @@ __all__ = [
 
 DEFAULT_STATE_LIMIT = 200_000
 DEFAULT_DENSE_LIMIT = 6_000
-
-
-@dataclass(frozen=True)
-class OccupationState:
-    """One basis state: per-mode occupations with their derived bookkeeping."""
-
-    occ: tuple[int, ...]
-    total: int
-    momentum: tuple[int, int, int]
 
 
 class FockBasis:
@@ -97,7 +88,13 @@ class FockBasis:
         self.states = tuple(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.totals = np.array([sum(s) for s in self.states], dtype=np.int64)
+        self.momentum_filtered = total_momentum_zero
         self._occ_array: np.ndarray | None = None
+        # _stars[s, k] = C(s + k, k): compositions of s into k + 1 parts
+        self._stars = np.array(
+            [[comb(s + k, k) for k in range(len(modes) + 1)] for s in range(cap + 1)],
+            dtype=np.int64,
+        )
 
     def __len__(self) -> int:
         return len(self.states)
@@ -107,16 +104,27 @@ class FockBasis:
         triples = {m.n for m in self.modes}
         return all(m.negated() in triples for m in self.modes)
 
-    def state(self, i: int) -> OccupationState:
-        occ = self.states[i]
-        momentum = np.asarray(occ, dtype=np.int64) @ self._n_vectors
-        return OccupationState(occ=occ, total=int(self.totals[i]), momentum=tuple(int(c) for c in momentum))
-
     def occupations(self) -> np.ndarray:
         """All occupation vectors as an (n_states, n_modes) integer array."""
         if self._occ_array is None:
             self._occ_array = np.array(self.states, dtype=np.int64)
         return self._occ_array
+
+    def rank(self, occ: np.ndarray) -> np.ndarray:
+        """Position of each occupation row in the unfiltered (total, lex) order.
+
+        The combinatorial index of capped compositions: the states of lower
+        total come first, then, slot by slot, those whose slot holds fewer
+        quanta at the same prefix, counted in closed form by the hockey
+        stick identity.  Rows must have total at most the cap.
+        """
+        n = occ.shape[1]
+        suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+        total = suffix[:, 0]
+        lower = self._stars[total, n] - self._stars[total, n - 1]  # C(total - 1 + n, n)
+        k = np.arange(n - 1, 0, -1)
+        within = self._stars[suffix[:, :-1], k] - self._stars[suffix[:, 1:], k]
+        return lower + within.sum(axis=1)
 
 
 def _compositions(total: int, parts: int):
@@ -189,46 +197,47 @@ def ladder(
     weighted kinds need the particle number N >= cap and carry the factor
     sqrt(1 - total/N) with the total excitation number of the state the
     factor acts on, which keeps them inside the capped space.
+
+    This is the one place that moves an occupation: every other operator
+    on the basis is a product of these matrices.  All states move at once
+    and the targets are ranked in closed form, so a ladder move may not
+    leave the basis; momentum-filtered bases are therefore refused.
     """
     if mode.n not in basis.mode_index:
         raise ValueError(f"mode {mode.n} not in basis")
+    if kind not in ("create", "annihilate", "b_create", "b_annihilate"):
+        raise ValueError(f"unknown ladder kind {kind!r}")
     if kind.startswith("b_"):
         if N is None:
             raise ValueError("weighted ladder operators need N")
         if N < basis.cap:
             raise ValueError("weighted ladder operators need N >= cap")
+    if basis.momentum_filtered:
+        raise ValueError("ladder operators leave a momentum-filtered basis")
     j = basis.mode_index[mode.n]
+    occ = basis.occupations()
+    totals = basis.totals
 
-    rows, cols, data = [], [], []
-    creating = kind in ("create", "b_create")
-    for col, occ in enumerate(basis.states):
-        n_j = occ[j]
-        total = basis.totals[col]
-        if creating:
-            if total + 1 > basis.cap:
-                continue
-            target = occ[:j] + (n_j + 1,) + occ[j + 1:]
-            amp = math.sqrt(n_j + 1)
-            if kind == "b_create":
-                amp *= math.sqrt(1.0 - total / N)
-        else:
-            if n_j == 0:
-                continue
-            target = occ[:j] + (n_j - 1,) + occ[j + 1:]
-            amp = math.sqrt(n_j)
-            if kind == "b_annihilate":
-                amp *= math.sqrt(1.0 - (total - 1) / N)
-        rows.append(basis.index[target])
-        cols.append(col)
-        data.append(amp)
+    if kind.endswith("create"):
+        cols = np.flatnonzero(totals < basis.cap)
+        amp = np.sqrt(occ[cols, j] + 1.0)
+        weighted_total = totals[cols]
+        step = 1
+    else:
+        cols = np.flatnonzero(occ[:, j])
+        amp = np.sqrt(occ[cols, j].astype(float))
+        weighted_total = totals[cols] - 1
+        step = -1
+    if kind.startswith("b_"):
+        amp *= np.sqrt(1.0 - weighted_total / N)
+    targets = occ[cols]
+    targets[:, j] += step
     dim = len(basis)
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    return sp.csr_matrix((amp, (basis.rank(targets), cols)), shape=(dim, dim))
 
 
 def number_operator(basis: FockBasis, mode: Mode) -> sp.csr_matrix:
-    j = basis.mode_index[mode.n]
-    diag = np.array([occ[j] for occ in basis.states], dtype=float)
-    return sp.diags(diag).tocsr()
+    return ladder(basis, mode, "create") @ ladder(basis, mode, "annihilate")
 
 
 def total_number(basis: FockBasis) -> sp.csr_matrix:
@@ -275,58 +284,42 @@ def build_K(basis: FockBasis) -> HermitianOperator:
 # excitation Hamiltonian
 # ---------------------------------------------------------------------------
 
-class _SparseBuilder:
-    def __init__(self, dim: int):
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.data: list[float] = []
-        self.dim = dim
-
-    def add(self, row: int, col: int, value: float):
-        if value != 0.0:
-            self.rows.append(row)
-            self.cols.append(col)
-            self.data.append(value)
-
-    def tocsr(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.data, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        )
+def _ladders(basis: FockBasis, kind: str, N: int | None = None) -> list[sp.csr_matrix]:
+    return [ladder(basis, m, kind, N) for m in basis.modes]
 
 
 def build_LN(
     basis: FockBasis,
     N: int,
     v_hat: Callable[[float], float],
-    momentum_scale: float | None = None,
 ) -> HermitianOperator:
     """Excitation Hamiltonian on the capped basis, all interaction legs inside the mode set.
 
     ``v_hat`` is the radial Fourier transform of the interaction; it is
-    sampled at |p|/N on the physical momenta of the basis modes.  Assembles
-    the kinetic part plus the scalar/number block, the quadratic block with
-    its anomalous pairs, the cubic block and the quartic block, keeping
-    exactly the momentum-conserving terms whose every leg lies in the mode
-    set.  The result commutes with total momentum and is exactly symmetric.
+    sampled at |p|/N on the physical momenta of the basis modes, once per
+    integer |p|^2.  Assembles the kinetic part plus the scalar/number
+    block, the quadratic block with its anomalous pairs, the cubic block
+    and the quartic block, keeping exactly the momentum-conserving terms
+    whose every leg lies in the mode set.  The result commutes with total
+    momentum and is symmetric up to roundoff.
     """
     if N < basis.cap:
         raise ValueError("build_LN needs N >= cap")
     if not basis.negation_closed:
         raise ValueError("build_LN needs a negation-closed mode set")
     modes = basis.modes
-    scale = momentum_scale if momentum_scale is not None else math.sqrt(modes[0].p_sq / modes[0].norm_sq)
+    scale = math.sqrt(modes[0].p_sq / modes[0].norm_sq)
     index = basis.mode_index
-    dim = len(basis)
-    n_modes = len(modes)
 
-    def khat(n_triple) -> float:
-        norm = math.sqrt(sum(c * c for c in n_triple))
-        return v_hat(scale * norm / N)
+    @functools.cache
+    def khat(norm_sq: int) -> float:
+        return v_hat(scale * math.sqrt(norm_sq) / N)
 
-    v0 = v_hat(0.0)
-    vp = np.array([khat(m.n) for m in modes])
-
-    builder = _SparseBuilder(dim)
+    v0 = khat(0)
+    vp = np.array([khat(m.norm_sq) for m in modes])
+    neg = [index[m.negated()] for m in modes]
+    a_up, a_down = _ladders(basis, "create"), _ladders(basis, "annihilate")
+    b_up = _ladders(basis, "b_create", N)
 
     # diagonal blocks: kinetic + scalar/number + direct quadratic
     p_sq = np.array([m.p_sq for m in modes])
@@ -335,89 +328,42 @@ def build_LN(
     kinetic = occs @ p_sq
     direct = (occs @ vp) * (N - totals) / N
     scalar = 0.5 * N * v0 - 0.5 * v0 * (1.0 - totals / N) - 0.5 * v0 * totals**2 / N
-    for i in range(dim):
-        builder.add(i, i, kinetic[i] + scalar[i] + direct[i])
+    H = sp.diags(kinetic + scalar + direct).tocsr()
 
-    # anomalous quadratic block: (1/2) sum_p vp [b*_p b*_-p + b_p b_-p]
-    neg_index = [index[modes[i].negated()] for i in range(n_modes)]
-    active = [i for i in range(n_modes) if vp[i] != 0.0]
-    for col, occ in enumerate(basis.states):
-        total = int(totals[col])
-        for i in active:
-            j = neg_index[i]
-            # b*_p b*_-p: create at -p then at p, weights on intermediate totals
-            if total + 2 <= basis.cap:
-                amp = math.sqrt(occ[j] + 1) * math.sqrt(1.0 - total / N)
-                mid = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
-                amp *= math.sqrt(mid[i] + 1) * math.sqrt(1.0 - (total + 1) / N)
-                target = mid[:i] + (mid[i] + 1,) + mid[i + 1:]
-                builder.add(basis.index[target], col, 0.5 * vp[i] * amp)
-            # b_p b_-p: annihilate at -p then at p
-            if occ[j] >= 1:
-                mid = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
-                if mid[i] >= 1:
-                    amp = math.sqrt(occ[j]) * math.sqrt(1.0 - (total - 1) / N)
-                    amp *= math.sqrt(mid[i]) * math.sqrt(1.0 - (total - 2) / N)
-                    target = mid[:i] + (mid[i] - 1,) + mid[i + 1:]
-                    builder.add(basis.index[target], col, 0.5 * vp[i] * amp)
+    # anomalous quadratic block: (1/2) sum_p vp [b*_p b*_-p + b_-p b_p]
+    for i, j in enumerate(neg):
+        if vp[i] != 0.0:
+            pair = b_up[i] @ b_up[j]
+            H += (0.5 * vp[i]) * (pair + pair.T)
 
     # cubic block: N^{-1/2} sum vp [b*_{p+q} a*_{-p} a_q + h.c.], all legs in the set
-    cubic_terms = []
+    inv_sqrt_n = 1.0 / math.sqrt(N)
+    cubic = sp.csr_matrix(H.shape)
     for ip, mp_ in enumerate(modes):
         for iq, mq in enumerate(modes):
             s = tuple(a + b for a, b in zip(mp_.n, mq.n))
             if s == (0, 0, 0) or s not in index or vp[ip] == 0.0:
                 continue
-            cubic_terms.append((index[s], neg_index[ip], iq, vp[ip]))
-    inv_sqrt_n = 1.0 / math.sqrt(N)
-    for col, occ in enumerate(basis.states):
-        total = int(totals[col])
-        for i_s, i_mp, i_q, v in cubic_terms:
-            # b*_{p+q} a*_{-p} a_q
-            if occ[i_q] >= 1:
-                amp = math.sqrt(occ[i_q])
-                st1 = occ[:i_q] + (occ[i_q] - 1,) + occ[i_q + 1:]
-                amp *= math.sqrt(st1[i_mp] + 1)
-                st2 = st1[:i_mp] + (st1[i_mp] + 1,) + st1[i_mp + 1:]
-                if total + 1 <= basis.cap:
-                    amp3 = amp * math.sqrt(st2[i_s] + 1) * math.sqrt(1.0 - total / N)
-                    target = st2[:i_s] + (st2[i_s] + 1,) + st2[i_s + 1:]
-                    row = basis.index[target]
-                    value = inv_sqrt_n * v * amp3
-                    builder.add(row, col, value)
-                    builder.add(col, row, value)  # + h.c.
+            cubic += (inv_sqrt_n * vp[ip]) * (b_up[index[s]] @ a_up[neg[ip]] @ a_down[iq])
+    H += cubic + cubic.T
 
-    # quartic block: (2N)^{-1} sum vhat(r/N) a*_{p+r} a*_q a_p a_{q+r}
-    quartic_terms = []
-    for ip, mp_ in enumerate(modes):
-        for iq, mq in enumerate(modes):
-            for is_, ms in enumerate(modes):
-                r = tuple(a - b for a, b in zip(ms.n, mp_.n))
-                t = tuple(a + b for a, b in zip(mq.n, r))
-                if t not in index:
-                    continue
-                v_r = khat(r)
-                if v_r == 0.0:
-                    continue
-                quartic_terms.append((is_, iq, ip, index[t], v_r))
+    # quartic block: (2N)^{-1} sum vhat(r/N) a*_{p+r} a*_q a_p a_{q+r}, grouped
+    # as a*_{p+r} M_r a_p with the hop M_r = sum_q a*_q a_{q+r}
+    hops: dict[tuple[int, ...], sp.csr_matrix] = {}
+    for iq, mq in enumerate(modes):
+        for it, mt in enumerate(modes):
+            r = tuple(b - a for a, b in zip(mq.n, mt.n))
+            hop = a_up[iq] @ a_down[it]
+            hops[r] = hops[r] + hop if r in hops else hop
     half_inv_n = 0.5 / N
-    for col, occ in enumerate(basis.states):
-        for i_s, i_q, i_p, i_t, v in quartic_terms:
-            if occ[i_t] == 0:
-                continue
-            amp = math.sqrt(occ[i_t])
-            st1 = occ[:i_t] + (occ[i_t] - 1,) + occ[i_t + 1:]
-            if st1[i_p] == 0:
-                continue
-            amp *= math.sqrt(st1[i_p])
-            st2 = st1[:i_p] + (st1[i_p] - 1,) + st1[i_p + 1:]
-            amp *= math.sqrt(st2[i_q] + 1)
-            st3 = st2[:i_q] + (st2[i_q] + 1,) + st2[i_q + 1:]
-            amp *= math.sqrt(st3[i_s] + 1)
-            target = st3[:i_s] + (st3[i_s] + 1,) + st3[i_s + 1:]
-            builder.add(basis.index[target], col, half_inv_n * v * amp)
+    for ip, mp_ in enumerate(modes):
+        for is_, ms in enumerate(modes):
+            r = tuple(a - b for a, b in zip(ms.n, mp_.n))
+            v_r = khat(sum(c * c for c in r))
+            if v_r != 0.0:
+                H += (half_inv_n * v_r) * (a_up[is_] @ hops[r] @ a_down[ip])
 
-    return HermitianOperator(basis, builder.tocsr())
+    return HermitianOperator(basis, H)
 
 
 # ---------------------------------------------------------------------------
@@ -464,36 +410,19 @@ def build_quadratic_generator(
             raise ValueError("b_type generator needs N >= cap")
     _check_shell_consistent(basis, c, "generator coefficient")
 
-    builder = _SparseBuilder(len(basis))
     pairs = pair_partners(basis)
     for i, j in pairs:
         if c[i] != c[j]:
             raise ValueError("generator coefficient must match on +-p pairs")
-    for col, occ in enumerate(basis.states):
-        total = sum(occ)
-        for i, j in pairs:
-            coeff = c[i]
-            if coeff == 0.0:
-                continue
-            # raising part X*_p X*_-p
-            if total + 2 <= basis.cap:
-                amp = math.sqrt(occ[j] + 1)
-                mid = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
-                amp *= math.sqrt(mid[i] + 1)
-                if kind == "b_type":
-                    amp *= math.sqrt(1.0 - total / N) * math.sqrt(1.0 - (total + 1) / N)
-                target = mid[:i] + (mid[i] + 1,) + mid[i + 1:]
-                builder.add(basis.index[target], col, coeff * amp)
-            # lowering part -X_p X_-p
-            if occ[j] >= 1:
-                mid = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
-                if mid[i] >= 1:
-                    amp = math.sqrt(occ[j]) * math.sqrt(mid[i])
-                    if kind == "b_type":
-                        amp *= math.sqrt(1.0 - (total - 1) / N) * math.sqrt(1.0 - (total - 2) / N)
-                    target = mid[:i] + (mid[i] - 1,) + mid[i + 1:]
-                    builder.add(basis.index[target], col, -coeff * amp)
-    return builder.tocsr()
+    up = _ladders(basis, "b_create" if kind == "b_type" else "create", N)
+    dim = len(basis)
+    G = sp.csr_matrix((dim, dim))
+    for i, j in pairs:
+        if c[i] != 0.0:
+            # X_-p X_p is the exact transpose of X*_p X*_-p
+            pair = up[i] @ up[j]
+            G += c[i] * (pair - pair.T)
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,74 @@ def _pair_arrays(basis: FockBasis, nu, eps):
     return pairs, nu_pairs, eps_pairs, nu, eps
 
 
+def _rotated_expectations(
+    basis: FockBasis, nu, eps, beta: float, mode: Mode
+) -> tuple[RotatedExpectation, RotatedExpectation]:
+    """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one sector pass.
+
+    Both traces and Z are accumulated with one exponential per sector.
+    """
+    pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(basis, nu, eps)
+    _rotation_guard(nu, eps, beta, basis.cap)
+    mode_pos = basis.mode_index[mode.n]
+    target_pair = next(
+        pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
+    )
+
+    number_sum = 0.0
+    pair_sum = 0.0
+    z_sum = 0.0
+    for sector in _iter_sectors(len(pairs), basis.cap):
+        nplus, energy, G, raises = _sector_matrices(
+            sector, nu_pairs, eps_pairs, basis.cap
+        )
+        weights = np.exp(-beta * energy)
+        if not weights.any():
+            continue
+        U = _orthogonal_expm(G)
+        conj_diag = (U * U).T @ nplus  # diag of U^T diag(nplus) U
+        number_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
+        dim = len(sector.kvecs)
+        R = np.zeros((dim, dim))
+        for pi, i, j, amp in raises:
+            if pi == target_pair:
+                R[i, j] = amp
+        conj_diag = np.einsum("ij,ij->j", U, R @ U)
+        pair_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
+        z_sum += sector.multiplicity * float(np.sum(weights))
+
+    sinh_sq = np.sinh(nu) ** 2
+    occs = _convention_occupations(eps, beta)
+    n_cap = _capped_occupations(eps, beta, basis.cap)
+    number = RotatedExpectation(
+        value=number_sum / z_sum,
+        candidates={
+            key: float(np.sum(sinh_sq * (1.0 + 2.0 * occ) + occ))
+            for key, occ in occs.items()
+        },
+        candidates_capped={
+            "A": float(np.sum(sinh_sq * (1.0 + 2.0 * eps * n_cap) + eps * n_cap)),
+            "B": float(np.sum(sinh_sq * (1.0 + 2.0 * n_cap) + n_cap)),
+        },
+        Z=z_sum,
+    )
+
+    j = mode_pos
+    half_sinh2 = 0.5 * math.sinh(2.0 * nu[j])
+    pairing = RotatedExpectation(
+        value=pair_sum / z_sum,
+        candidates={
+            key: float(half_sinh2 * (1.0 + 2.0 * occ[j])) for key, occ in occs.items()
+        },
+        candidates_capped={
+            "A": float(half_sinh2 * (1.0 + 2.0 * eps[j] * n_cap[j])),
+            "B": float(half_sinh2 * (1.0 + 2.0 * n_cap[j])),
+        },
+        Z=z_sum,
+    )
+    return number, pairing
+
+
 def rotated_number_expectation(
     basis: FockBasis, nu, eps, beta: float
 ) -> RotatedExpectation:
@@ -313,35 +381,7 @@ def rotated_number_expectation(
     returned, once with the uncapped thermal occupations and once with the
     capped closed-form ones.
     """
-    pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(basis, nu, eps)
-    _rotation_guard(nu, eps, beta, basis.cap)
-
-    value_sum = 0.0
-    z_sum = 0.0
-    for sector in _iter_sectors(len(pairs), basis.cap):
-        nplus, energy, G, _ = _sector_matrices(sector, nu_pairs, eps_pairs, basis.cap)
-        weights = np.exp(-beta * energy)
-        if not weights.any():
-            continue
-        U = _orthogonal_expm(G)
-        conj_diag = (U * U).T @ nplus  # diag of U^T diag(nplus) U
-        value_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
-        z_sum += sector.multiplicity * float(np.sum(weights))
-    value = value_sum / z_sum
-
-    sinh_sq = np.sinh(nu) ** 2
-    candidates = {
-        key: float(np.sum(sinh_sq * (1.0 + 2.0 * occ) + occ))
-        for key, occ in _convention_occupations(eps, beta).items()
-    }
-    n_cap = _capped_occupations(eps, beta, basis.cap)
-    candidates_capped = {
-        "A": float(np.sum(sinh_sq * (1.0 + 2.0 * eps * n_cap) + eps * n_cap)),
-        "B": float(np.sum(sinh_sq * (1.0 + 2.0 * n_cap) + n_cap)),
-    }
-    return RotatedExpectation(
-        value=value, candidates=candidates, candidates_capped=candidates_capped, Z=z_sum
-    )
+    return _rotated_expectations(basis, nu, eps, beta, basis.modes[0])[0]
 
 
 def pairing_expectation(
@@ -353,47 +393,7 @@ def pairing_expectation(
     number expectation.  Candidates are sinh(2 nu_p)/2 * (1 + 2 n) with the
     per-convention occupation proxies.
     """
-    pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(basis, nu, eps)
-    _rotation_guard(nu, eps, beta, basis.cap)
-    mode_pos = basis.mode_index[mode.n]
-    target_pair = next(
-        pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
-    )
-
-    value_sum = 0.0
-    z_sum = 0.0
-    for sector in _iter_sectors(len(pairs), basis.cap):
-        nplus, energy, G, raises = _sector_matrices(
-            sector, nu_pairs, eps_pairs, basis.cap
-        )
-        weights = np.exp(-beta * energy)
-        if not weights.any():
-            continue
-        U = _orthogonal_expm(G)
-        dim = len(sector.kvecs)
-        R = np.zeros((dim, dim))
-        for pi, i, j, amp in raises:
-            if pi == target_pair:
-                R[i, j] = amp
-        conj_diag = np.einsum("ij,ij->j", U, R @ U)
-        value_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
-        z_sum += sector.multiplicity * float(np.sum(weights))
-    value = value_sum / z_sum
-
-    j = mode_pos
-    half_sinh2 = 0.5 * math.sinh(2.0 * nu[j])
-    occs = _convention_occupations(eps, beta)
-    candidates = {
-        key: float(half_sinh2 * (1.0 + 2.0 * occ[j])) for key, occ in occs.items()
-    }
-    n_cap_j = occupation_closed_form(eps, beta, basis.cap, mode=j)[0]
-    candidates_capped = {
-        "A": float(half_sinh2 * (1.0 + 2.0 * eps[j] * n_cap_j)),
-        "B": float(half_sinh2 * (1.0 + 2.0 * n_cap_j)),
-    }
-    return RotatedExpectation(
-        value=value, candidates=candidates, candidates_capped=candidates_capped, Z=z_sum
-    )
+    return _rotated_expectations(basis, nu, eps, beta, mode)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +523,8 @@ def adjudicate_variants(
     nu = np.array([nu_coefficient(m.p_sq, a) for m in modes])
     basis = build_basis(modes, cap, state_limit=state_limit)
 
-    rot = rotated_number_expectation(basis, nu, eps, beta)
+    rot, pair = _rotated_expectations(basis, nu, eps, beta, modes[0])
     number_detail, theta_winner = _judge(rot.value, rot.candidates)
-
-    pair = pairing_expectation(basis, nu, eps, beta, modes[0])
     pairing_detail, pairing_winner = _judge(pair.value, pair.candidates)
 
     return AdjudicationReport(

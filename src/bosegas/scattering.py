@@ -231,6 +231,17 @@ def _integrate_radial(
 # zero-energy scattering
 # ---------------------------------------------------------------------------
 
+def _profile(dense: _PiecewiseSolution, r, length: float) -> np.ndarray:
+    """f = u/r, with the limit u'(0) below 1e-12 of the problem's ``length``."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    small = r < 1e-12 * length
+    out[~small] = dense.u(r[~small]) / r[~small]
+    if small.any():
+        out[small] = dense.u_prime(np.zeros(small.sum()))
+    return out
+
+
 @dataclass(frozen=True)
 class ScatteringSolution:
     """Zero-energy scattering solution, normalized so u(r) = r - a outside the support."""
@@ -245,13 +256,7 @@ class ScatteringSolution:
 
     def f(self, r):
         """The scattering profile f = u/r (f(0) is the limit u'(0))."""
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r < 1e-12 * self.r_max
-        out[~small] = self.dense.u(r[~small]) / r[~small]
-        if small.any():
-            out[small] = self.dense.u_prime(np.zeros(small.sum()))
-        return out
+        return _profile(self.dense, r, self.r_max)
 
 
 def solve_scattering(
@@ -340,13 +345,8 @@ class NeumannSolution:
     dense: _PiecewiseSolution = field(repr=False)
 
     def f(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r < 1e-12 * self.R
-        out[~small] = self.dense.u(r[~small]) / r[~small]
-        if small.any():
-            out[small] = self.dense.u_prime(np.zeros(small.sum()))
-        return out
+        """The ball profile f = u/r (f(0) is the limit u'(0))."""
+        return _profile(self.dense, r, self.R)
 
 
 def _interior_nodes(dense: _PiecewiseSolution, R: float, lam: float) -> int:
@@ -611,14 +611,13 @@ def kernel_identity_residuals(
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Per-mode kernel values together with the transform they came from."""
+    """Per-mode kernel values."""
 
     N: int
     modes: tuple[Mode, ...]
     eta: np.ndarray
     tau: np.ndarray
     nu: np.ndarray
-    w_check_hat: Callable = field(repr=False)
 
     def shell_rows(self) -> list[tuple[int, float, float, float, float]]:
         """One (norm_sq, |p|, eta, tau, nu) row per shell, ascending."""
@@ -666,12 +665,4 @@ def kernel_table(
     eta = eta_coefficients(neumann, N, modes)
     tau = tau_coefficients(eta, neumann, N, modes)
     nu = nu_coefficients(scat.a, modes)
-    transform = _ball_w_transform(neumann)
-    return KernelTable(
-        N=N,
-        modes=tuple(modes),
-        eta=eta,
-        tau=tau,
-        nu=nu,
-        w_check_hat=lambda k: transform(abs(k), neumann.R)[0],
-    )
+    return KernelTable(N=N, modes=tuple(modes), eta=eta, tau=tau, nu=nu)

@@ -51,14 +51,18 @@ class TestBasis:
         basis = build_basis(SHELL1, 2, total_momentum_zero=True)
         # vacuum plus the three +-pair doublets
         assert len(basis) == 4
+        momenta = basis.occupations() @ basis._n_vectors
         for i in range(len(basis)):
-            assert basis.state(i).momentum == (0, 0, 0)
+            assert tuple(momenta[i]) == (0, 0, 0)
+        # a single ladder move changes the momentum, so it leaves the basis
+        with pytest.raises(ValueError):
+            ladder(basis, SHELL1[0], "create")
 
     def test_state_accessor(self):
         basis = build_basis(single_pair(), 3)
-        st = basis.state(1)
-        assert st.total == 1
-        assert st.momentum in ((1, 0, 0), (-1, 0, 0))
+        assert basis.totals[1] == 1
+        momentum = tuple(basis.occupations()[1] @ basis._n_vectors)
+        assert momentum in ((1, 0, 0), (-1, 0, 0))
 
 
 class TestLadder:
