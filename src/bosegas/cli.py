@@ -44,7 +44,9 @@ from .fock import build_basis
 from .lattice import enumerate_shells, modes_up_to, shell_table
 from .oracles import adjudicate_variants, partition_product_check, toy_gibbs_experiment
 from .scattering import (
+    R_MAX_FACTOR,
     RadialPotential,
+    default_r_max,
     energy_functional,
     kernel_table,
     solve_neumann,
@@ -65,7 +67,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "ell": 0.495,
     "variant": "both",
     "tol": 1e-10,
-    "scatter_r_max_factor": 20.0,
+    "scatter_r_max_factor": R_MAX_FACTOR,
     "oracle": {
         "shells": [1],
         "cap": 12,
@@ -180,14 +182,14 @@ def _scattering_length(config: dict) -> float:
     potential = _potential_from_config(config)
     if potential.is_zero:
         return 0.0
-    r_max = config["scatter_r_max_factor"] * potential.support_radius
+    r_max = default_r_max(potential, config["scatter_r_max_factor"])
     return solve_scattering(potential, r_max=r_max, tol=config["tol"]).a
 
 
 def cmd_scatter(config: dict, out_dir: Path) -> ResultBundle:
     potential = _potential_from_config(config)
     tol = float(config["tol"])
-    r_max = float(config["scatter_r_max_factor"]) * potential.support_radius
+    r_max = default_r_max(potential, float(config["scatter_r_max_factor"]))
     sol = solve_scattering(potential, r_max=r_max, tol=tol)
     a_functional = energy_functional(sol)
     N = int(config["N"])

@@ -482,8 +482,12 @@ def expect(state, O) -> float:
     if isinstance(O, HermitianOperator):
         _check_same_basis(rho_op, O)
     r = rho_op.matrix
-    if sp.issparse(r) and sp.issparse(o_mat):
-        return float(r.multiply(o_mat.T).sum())
+    if sp.issparse(o_mat):
+        if sp.issparse(r):
+            return float(r.multiply(o_mat.T).sum())
+        # sum_ij rho_ji O_ij over the nonzeros of O, without densifying O
+        o = o_mat.tocoo()
+        return float(np.asarray(r)[o.col, o.row] @ o.data)
     r_arr = r.toarray() if sp.issparse(r) else np.asarray(r)
     o_arr = o_mat.toarray() if sp.issparse(o_mat) else np.asarray(o_mat)
     return float(np.tensordot(r_arr, o_arr.T, axes=2))

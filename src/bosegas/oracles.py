@@ -53,7 +53,12 @@ from .fock import (
     total_number,
 )
 from .lattice import Mode, enumerate_shells
-from .scattering import RadialPotential, potential_fourier, solve_scattering
+from .scattering import (
+    RadialPotential,
+    default_r_max,
+    potential_fourier,
+    solve_scattering,
+)
 
 __all__ = [
     "occupation_closed_form",
@@ -610,8 +615,7 @@ def toy_gibbs_experiment(
         v_hat = (lambda k: coupling * base(k)) if coupling != 1.0 else base
         if a is None:
             scaled = potential if coupling == 1.0 else _scaled_potential(potential, coupling)
-            r_max = max(20.0 * potential.support_radius, 10.0)
-            a_model = solve_scattering(scaled, r_max=r_max).a
+            a_model = solve_scattering(scaled, r_max=default_r_max(potential)).a
         else:
             a_model = a
 

@@ -9,10 +9,22 @@ turns the three-dimensional problems into regular one-dimensional ODEs:
   reflecting boundary condition u'(R) = u(R)/R and normalization u(R) = R,
   lambda being the smallest such eigenvalue.
 
+Only the support [0, b] of V is integrated numerically (DOP853, split at the
+potential's breakpoints).  Past b the equation is free, so the solution
+continues in closed form, u(b) cos(kappa s) + u'(b) sin(kappa s)/kappa with
+s = r - b and kappa = sqrt(lambda), affine at lambda = 0.  The ground
+eigenvalue is the root of the boundary defect g(lambda) = u'(R) - u(R)/R,
+found by Brent's method (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973) inside a bracket whose upper end comes from the
+Rayleigh quotient of the trial profile f = 1.
+
 From the ball solution the correlation kernels are obtained as radial
-Fourier transforms evaluated by composite Simpson quadrature on uniform
-grids (two resolutions, so every transform carries its own error
-estimate):
+Fourier transforms.  On [0, b] they use composite Simpson quadrature at two
+resolutions, so every transform carries its own error estimate.  The part
+over [b, R] is exact: in closed form from d/dr[G' sin(kr) - k G cos(kr)] =
+(G'' + k^2 G) sin(kr) with G'' = -kappa^2 u there, and below
+k (R - b) = 2 pi, where that form cancels, by a Gauss-Legendre rule whose
+error is far below roundoff for these short sinusoidal arcs:
 
 * eta_p = -w_hat(|p|/N) / N^2 with w = 1 - f on the ball,
 * tau_p = -log(1 + 2 (V f)_hat(|p|/N) / |p|^2)/4 - eta_p,
@@ -29,6 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .bogoliubov import nu_coefficient
 from .errors import BracketFailure, KernelError, QuadratureError, SolverError
@@ -48,6 +61,7 @@ __all__ = [
     "kernel_identity_residuals",
     "kernel_table",
     "potential_fourier",
+    "default_r_max",
 ]
 
 _FOUR_PI = 4.0 * math.pi
@@ -154,10 +168,10 @@ def zero_potential(support_radius: float = 0.5) -> RadialPotential:
 # ---------------------------------------------------------------------------
 
 class _PiecewiseSolution:
-    """Dense evaluator for u, u' assembled from per-segment IVP solutions."""
+    """Dense evaluator for u, u' assembled from per-segment solutions."""
 
     def __init__(self, segments, scale: float = 1.0):
-        self._segments = segments  # list of (lo, hi, OdeSolution)
+        self._segments = segments  # list of (lo, hi, OdeSolution or _FreeSegment)
         self._scale = scale
 
     def rescaled(self, scale: float) -> "_PiecewiseSolution":
@@ -177,6 +191,28 @@ class _PiecewiseSolution:
 
     def u_prime(self, r):
         return self._eval(r, 1)
+
+
+class _FreeSegment:
+    """Closed form of u'' = -lam u from (u, u') = (u0, du0) at ``start``.
+
+    Called like an ``OdeSolution``: it returns the rows (u, u') at the given
+    radii.  Affine at lam = 0.
+    """
+
+    def __init__(self, start: float, u0: float, du0: float, lam: float):
+        self.start = start
+        self.u0 = u0
+        self.du0 = du0
+        self.kappa = math.sqrt(lam)
+
+    def __call__(self, r):
+        s = np.asarray(r, dtype=float) - self.start
+        k = self.kappa
+        if k == 0.0:
+            return np.array([self.u0 + self.du0 * s, np.full_like(s, self.du0)])
+        c, sn = np.cos(k * s), np.sin(k * s)
+        return np.array([self.u0 * c + self.du0 * sn / k, self.du0 * c - self.u0 * k * sn])
 
 
 def _segment_potential(potential: RadialPotential, lo: float, hi: float):
@@ -201,8 +237,13 @@ def _integrate_radial(
     lam: float,
     tol: float,
 ) -> _PiecewiseSolution:
-    """Integrate u'' = (V/2 - lam) u from u(0)=0, u'(0)=1, split at breakpoints."""
-    cuts = [0.0] + [b for b in potential.breakpoints() if b < r_end] + [r_end]
+    """Solve u'' = (V/2 - lam) u, u(0)=0, u'(0)=1 on [0, r_end], r_end past the support.
+
+    DOP853 runs over the support only, split at the breakpoints (the last
+    one is the support radius); beyond it the solution continues in closed
+    form.
+    """
+    cuts = [0.0, *potential.breakpoints()]
     y = [0.0, 1.0]
     segments = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -224,12 +265,26 @@ def _integrate_radial(
             raise SolverError(f"radial integration failed on [{lo}, {hi}]: {res.message}")
         segments.append((lo, hi, res.sol))
         y = [res.y[0][-1], res.y[1][-1]]
+    segments.append((cuts[-1], r_end, _FreeSegment(cuts[-1], y[0], y[1], lam)))
     return _PiecewiseSolution(segments)
 
 
 # ---------------------------------------------------------------------------
 # zero-energy scattering
 # ---------------------------------------------------------------------------
+
+R_MAX_FACTOR = 20.0
+
+
+def default_r_max(potential: RadialPotential, factor: float = R_MAX_FACTOR) -> float:
+    """Outer radius of the scattering solve: ``factor`` support radii.
+
+    Past the support u is affine in closed form, so a does not depend on
+    this radius beyond roundoff; it sets the span of the profile grid and
+    of ``energy_functional``.
+    """
+    return factor * potential.support_radius
+
 
 def _profile(dense: _PiecewiseSolution, r, length: float) -> np.ndarray:
     """f = u/r, with the limit u'(0) below 1e-12 of the problem's ``length``."""
@@ -264,11 +319,11 @@ def solve_scattering(
 ) -> ScatteringSolution:
     """Solve the zero-energy radial problem and read off the scattering length.
 
-    Integrates u'' = (V/2) u outward from u(0) = 0 with an adaptive
-    high-order explicit scheme at local tolerance ``tol`` (integration is
-    split at potential breakpoints, so discontinuous potentials such as the
-    soft sphere lose no accuracy).  Outside the support u is affine,
-    u = c (r - a); the solution is rescaled so c = 1.
+    Integrates u'' = (V/2) u outward from u(0) = 0 across the support with
+    an adaptive high-order explicit scheme at local tolerance ``tol``
+    (split at potential breakpoints, so discontinuous potentials such as
+    the soft sphere lose no accuracy).  Outside the support u is affine,
+    u = c (r - a), in closed form; the solution is rescaled so c = 1.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -357,6 +412,25 @@ def _interior_nodes(dense: _PiecewiseSolution, R: float, lam: float) -> int:
     return int(np.count_nonzero(sign[1:] != sign[:-1]))
 
 
+def _rayleigh_bound(potential: RadialPotential, R: float) -> float:
+    """Rayleigh quotient (3/R^3) int_0^b (V/2) r^2 dr of the trial profile f = 1.
+
+    f = 1 meets the reflecting condition f'(R) = 0, so the quotient bounds
+    the ground eigenvalue from above.  Simpson's rule per breakpoint
+    segment is exact for the soft-sphere and tabulated kinds.
+    """
+    cuts = [0.0, *potential.breakpoints()]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        r, w = _simpson_rule(lo, hi, 16)
+        total += float(w @ (_segment_potential(potential, lo, hi)(r) * r * r))
+    return 1.5 * total / R**3
+
+
+def _boundary_defect(dense: _PiecewiseSolution, R: float) -> float:
+    return float(dense.u_prime(R)[0] - dense.u(R)[0] / R)
+
+
 def solve_neumann(
     potential: RadialPotential, R: float, tol: float = 1e-10
 ) -> NeumannSolution:
@@ -366,8 +440,12 @@ def solve_neumann(
     boundary defect g(lambda) = u'(R) - u(R)/R is evaluated.  Below the
     ground eigenvalue g > 0 and u has no interior zero; above it either
     g < 0 or a node has entered.  That predicate is monotone, so bisection
-    on the bracket [0, pi^2/R^2 + max(V)/2] converges to the ground
-    eigenvalue; bracket failure is reported, never silent.
+    on it shrinks the bracket [0, twice the Rayleigh quotient of f = 1]
+    until g(hi) < 0 with no node at hi; there g changes sign at the ground
+    eigenvalue only, and Brent's method finds it.  The factor 2 keeps the
+    upper end clear of the eigenvalue where a weak potential makes the
+    quotient and the eigenvalue nearly equal.  Bracket failure is
+    reported, never silent.
     """
     if R <= potential.support_radius:
         raise SolverError("ball radius must exceed the potential support")
@@ -379,30 +457,35 @@ def solve_neumann(
             boundary_residual=0.0, dense=dense,
         )
 
-    def boundary_defect(dense: _PiecewiseSolution) -> float:
-        return float(dense.u_prime(R)[0] - dense.u(R)[0] / R)
-
-    def above_ground(lam: float) -> bool:
+    def shoot(lam: float) -> tuple[float, int]:
         dense = _integrate_radial(potential, R, lam, tol)
-        return boundary_defect(dense) < 0.0 or _interior_nodes(dense, R, lam) > 0
+        return _boundary_defect(dense, R), _interior_nodes(dense, R, lam)
 
-    lo, hi = 0.0, math.pi**2 / (R * R) + 0.5 * potential.max_value
-    if above_ground(lo):
+    lo, hi = 0.0, 2.0 * _rayleigh_bound(potential, R)
+    g, nodes = shoot(lo)
+    if g < 0.0 or nodes > 0:
         raise BracketFailure("boundary defect not positive at lambda = 0")
-    if not above_ground(hi):
-        raise BracketFailure("no eigenvalue below pi^2/R^2 + max(V)/2")
+    g, nodes = shoot(hi)
+    if g >= 0.0 and nodes == 0:
+        raise BracketFailure("no eigenvalue below twice the Rayleigh quotient of f = 1")
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if g < 0.0 and nodes == 0:
             break
-        if above_ground(mid):
-            hi = mid
+        mid = 0.5 * (lo + hi)
+        g_mid, nodes_mid = shoot(mid)
+        if g_mid < 0.0 or nodes_mid > 0:
+            hi, g, nodes = mid, g_mid, nodes_mid
         else:
             lo = mid
-    lam = 0.5 * (lo + hi)
+    else:
+        raise BracketFailure("bisection found no node-free upper end with g < 0")
+    lam = brentq(
+        lambda x: _boundary_defect(_integrate_radial(potential, R, x, tol), R),
+        lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,
+    )
 
     dense = _integrate_radial(potential, R, lam, tol)
-    residual = float(dense.u_prime(R)[0] - dense.u(R)[0] / R)
+    residual = _boundary_defect(dense, R)
     if abs(residual) > 1e-5 * max(1.0, abs(dense.u(R)[0]) / R):
         raise BracketFailure(f"shooting residual {residual:.3e} did not close")
     if _interior_nodes(dense, R, lam) > 0:
@@ -428,35 +511,89 @@ def _simpson_rule(lo: float, hi: float, n_intervals: int):
     return r, w
 
 
-class _RadialTransform:
-    """Sine transform (4 pi / k) * int G(r) sin(k r) dr with an error estimate.
+class _Exterior:
+    """Exact part over [b, R] of the profile G = c_r r + c_u u of a ball solution.
 
-    The profile G is sampled once on composite Simpson grids split at the
-    given breakpoints; each evaluation also returns the difference against
-    the half-resolution rule, which bounds the quadrature error.
+    Past the support u'' = -kappa^2 u, so G'' = -c_u kappa^2 u and
+    d/dr[G' sin(kr) - k G cos(kr)] = (k^2 G - c_u kappa^2 u) sin(kr); the
+    same identity for u alone makes (k^2 - kappa^2) int u sin(kr) dr a
+    boundary term too.  That closed form cancels about (k (R - b))^-2 of
+    its digits, and its denominator vanishes at k = kappa.  So below
+    k (R - b) = 2 pi, and for the moments, the integral is taken by
+    32-point Gauss-Legendre instead.  A ground state has no node, so
+    kappa (R - b) < pi: the integrand there is a polynomial of degree at
+    most 8 times sinusoids of frequency below 3 pi / (R - b), for which
+    the rule's remainder is under 1e-40 of max|G| (R - b).  Above 2 pi,
+    k > 2 kappa and the closed form is well conditioned.
     """
 
-    def __init__(self, profile: Callable, lo: float, hi: float,
-                 inner_breaks: Iterable[float], points_per_unit: float):
-        cuts = [lo] + sorted(b for b in inner_breaks if lo < b < hi) + [hi]
+    def __init__(self, neumann: NeumannSolution, c_r: float, c_u: float):
+        self.ends = np.array([neumann.potential.support_radius, neumann.R])
+        self.kappa = math.sqrt(neumann.lam)
+        self._c_u = c_u
+        self._u = neumann.dense.u(self.ends)
+        self._du = neumann.dense.u_prime(self.ends)
+        self._g = c_r * self.ends + c_u * self._u
+        self._dg = c_r + c_u * self._du
+        x, w = np.polynomial.legendre.leggauss(32)
+        half = 0.5 * (self.ends[1] - self.ends[0])
+        self._nodes = self.ends[0] + half * (x + 1.0)
+        self._weighted_g = half * w * (c_r * self._nodes + c_u * neumann.dense.u(self._nodes))
+
+    def _boundary(self, k: float, value, slope) -> float:
+        """[G' sin(kr) - k G cos(kr)] between the ends for G = value, G' = slope."""
+        t = slope * np.sin(k * self.ends) - k * value * np.cos(k * self.ends)
+        return float(t[1] - t[0])
+
+    def sine(self, k: float) -> float:
+        """int_b^R G sin(kr) dr."""
+        if k * (self.ends[1] - self.ends[0]) < 2.0 * math.pi:
+            return float(self._weighted_g @ np.sin(k * self._nodes))
+        kappa_sq = self.kappa * self.kappa
+        u_sine = self._boundary(k, self._u, self._du) / (k * k - kappa_sq)
+        return (self._boundary(k, self._g, self._dg) + self._c_u * kappa_sq * u_sine) / (k * k)
+
+    def moment(self, power: int) -> float:
+        """int_b^R G r^power dr."""
+        return float(self._weighted_g @ self._nodes**power)
+
+
+class _RadialTransform:
+    """Sine transform (4 pi / k) * int_0^span G(r) sin(k r) dr with an error estimate.
+
+    The profile G is sampled once on composite Simpson grids over [0, hi],
+    split at the given breakpoints; each evaluation also returns the
+    difference against the half-resolution rule (which reuses every second
+    sine of the fine one), and that bounds the quadrature error.  An
+    optional ``exterior`` carries G exactly from hi on to the span.
+    """
+
+    def __init__(self, profile: Callable, hi: float, breaks: Iterable[float],
+                 points_per_unit: float, exterior: _Exterior | None = None):
+        cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < hi) + [hi]
         self._pieces = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             n = max(64, int((b - a) * points_per_unit))
             n += (-n) % 4  # divisible by 4 so the coarse rule is Simpson too
             r, w = _simpson_rule(a, b, n)
-            rc, wc = _simpson_rule(a, b, n // 2)
+            _, wc = _simpson_rule(a, b, n // 2)
             g = np.asarray(profile(r), dtype=float)
             self._pieces.append((r, w, g, wc, g[::2]))
         self.h = max((p[0][1] - p[0][0]) for p in self._pieces)
+        self._exterior = exterior
+        self.span = hi if exterior is None else float(exterior.ends[1])
 
     def moments(self, powers: Sequence[int]) -> list[float]:
         out = []
         for q in powers:
-            out.append(math.fsum(float(w @ (g * r**q)) for r, w, g, _, _ in self._pieces))
+            parts = [float(w @ (g * r**q)) for r, w, g, _, _ in self._pieces]
+            if self._exterior is not None:
+                parts.append(self._exterior.moment(q))
+            out.append(math.fsum(parts))
         return out
 
-    def __call__(self, k: float, r_span: float) -> tuple[float, float]:
-        if k * r_span < 1e-3:
+    def __call__(self, k: float) -> tuple[float, float]:
+        if k * self.span < 1e-3:
             m1, m3, m5 = self.moments([1, 3, 5])
             value = _FOUR_PI * (m1 - k * k * m3 / 6.0 + k**4 * m5 / 120.0)
             return value, abs(_FOUR_PI * k**6 * self.moments([7])[0] / 5040.0)
@@ -467,58 +604,50 @@ class _RadialTransform:
         fine = 0.0
         coarse = 0.0
         for r, w, g, wc, gc in self._pieces:
-            fine += float(w @ (g * np.sin(k * r)))
-            coarse += float(wc @ (gc * np.sin(k * r[::2])))
-        value = _FOUR_PI / k * fine
-        return value, abs(_FOUR_PI / k * (fine - coarse))
+            s = np.sin(k * r)
+            fine += float(w @ (g * s))
+            coarse += float(wc @ (gc * s[::2]))
+        error = abs(_FOUR_PI / k * (fine - coarse))
+        if self._exterior is not None:
+            fine += self._exterior.sine(k)
+        return _FOUR_PI / k * fine, error
 
 
-def _ball_w_transform(neumann: NeumannSolution, points_per_unit: float = 4000.0):
-    """Transform of w = 1 - f on the ball; the profile r*w equals r - u."""
-    return _RadialTransform(
-        lambda r: r - neumann.dense.u(r),
-        0.0,
-        neumann.R,
-        neumann.potential.breakpoints(),
-        points_per_unit,
-    )
+def _radial_transform(
+    potential: RadialPotential,
+    c_r: float,
+    c_u: float = 0.0,
+    neumann: NeumannSolution | None = None,
+    times_v: bool = False,
+    points_per_unit: float | None = None,
+) -> _RadialTransform:
+    """Transform of the profile G = (c_r r + c_u u) V^times_v, u from ``neumann``.
 
+    The function transformed is G/r.  With a ball solution, (c_r, c_u) =
+    (1, -1) gives w = 1 - f and (0, 1) gives f on the ball; with times_v,
+    (0, 1) gives V f and, without a ball solution, (1, 0) gives V.
+    Profiles with the factor V vanish past the support and are sampled ten
+    times finer; the others run on exactly over the ball.
+    """
+    if points_per_unit is None:
+        points_per_unit = 40000.0 if times_v else 4000.0
 
-def _ball_u_transform(neumann: NeumannSolution, points_per_unit: float = 4000.0):
-    """Transform of f restricted to the ball; the profile r*f equals u."""
-    return _RadialTransform(
-        lambda r: neumann.dense.u(r),
-        0.0,
-        neumann.R,
-        neumann.potential.breakpoints(),
-        points_per_unit,
-    )
+    def profile(r):
+        g = c_r * r if neumann is None else c_r * r + c_u * neumann.dense.u(r)
+        return g * potential(r) if times_v else g
 
-
-def _vf_transform(neumann: NeumannSolution, points_per_unit: float = 40000.0):
-    """Transform of V*f on the support; the profile r*V*f equals V*u."""
-    support = neumann.potential.support_radius
-    inner = [b for b in neumann.potential.breakpoints() if b < support]
-    return _RadialTransform(
-        lambda r: neumann.potential(r) * neumann.dense.u(r),
-        0.0,
-        support,
-        inner,
-        points_per_unit,
-    )
+    exterior = None if neumann is None or times_v else _Exterior(neumann, c_r, c_u)
+    return _RadialTransform(profile, potential.support_radius, potential.breakpoints(),
+                            points_per_unit, exterior)
 
 
 def potential_fourier(potential: RadialPotential, points_per_unit: float = 40000.0):
     """Radial Fourier transform of the bare potential as a callable of k >= 0."""
-    support = potential.support_radius
-    inner = [b for b in potential.breakpoints() if b < support]
-    transform = _RadialTransform(
-        lambda r: r * np.asarray(potential(r), dtype=float),
-        0.0, support, inner, points_per_unit,
-    )
+    transform = _radial_transform(potential, 1.0, times_v=True,
+                                  points_per_unit=points_per_unit)
 
     def v_hat(k: float) -> float:
-        return transform(abs(k), support)[0]
+        return transform(abs(k))[0]
 
     return v_hat
 
@@ -540,15 +669,16 @@ def eta_coefficients(
     """Pair-correlation kernel eta_p = -w_hat(|p|/N)/N^2, equal on every shell.
 
     w = 1 - f is the ball solution's defect from 1, extended by zero; its
-    radial transform is evaluated by quadrature on the solver grid, with
-    the small-k series branch below |k| r_max < 1e-3.
+    radial transform is taken by Simpson quadrature on the support and
+    exactly over the rest of the ball, with the small-k series branch
+    below k R < 1e-3.
     """
-    transform = _ball_w_transform(neumann)
+    transform = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
     uniq, inverse = _unique_shells(modes)
     values = np.empty(len(uniq))
     for i, p_sq in enumerate(uniq):
         k = math.sqrt(p_sq) / N
-        values[i] = -transform(k, neumann.R)[0] / (N * N)
+        values[i] = -transform(k)[0] / (N * N)
     return values[inverse]
 
 
@@ -559,12 +689,12 @@ def tau_coefficients(
     modes: Sequence[Mode],
 ) -> np.ndarray:
     """Residual kernel tau_p = -log(1 + 2 (Vf)_hat(|p|/N)/|p|^2)/4 - eta_p."""
-    transform = _vf_transform(neumann)
+    transform = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
     uniq, inverse = _unique_shells(modes)
     log_part = np.empty(len(uniq))
     for i, p_sq in enumerate(uniq):
         k = math.sqrt(p_sq) / N
-        vf = transform(k, neumann.potential.support_radius)[0]
+        vf = transform(k)[0]
         arg = 2.0 * vf / p_sq
         if 1.0 + arg <= 0.0:
             raise KernelError(
@@ -592,17 +722,17 @@ def kernel_identity_residuals(
     value is the accumulated quadrature tolerance against which the
     residual should be judged.
     """
-    w_tr = _ball_w_transform(neumann)
-    u_tr = _ball_u_transform(neumann)
-    vf_tr = _vf_transform(neumann)
+    w_tr = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
+    u_tr = _radial_transform(neumann.potential, 0.0, 1.0, neumann)
+    vf_tr = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
     uniq, inverse = _unique_shells(modes)
     res = np.empty(len(uniq))
     tol = np.empty(len(uniq))
     for i, p_sq in enumerate(uniq):
         k = math.sqrt(p_sq) / N
-        w_hat, w_err = w_tr(k, neumann.R)
-        vf_hat, vf_err = vf_tr(k, neumann.potential.support_radius)
-        chif_hat, chif_err = u_tr(k, neumann.R)
+        w_hat, w_err = w_tr(k)
+        vf_hat, vf_err = vf_tr(k)
+        chif_hat, chif_err = u_tr(k)
         res[i] = -k * k * w_hat + 0.5 * vf_hat - neumann.lam * chif_hat
         tol[i] = 10.0 * (k * k * w_err + 0.5 * vf_err + neumann.lam * chif_err)
         tol[i] += 1e-9 * abs(0.5 * vf_hat)
@@ -656,7 +786,7 @@ def kernel_table(
     if not (0.0 < ell < 0.5):
         raise ValueError("ell must lie in (0, 1/2) so the ball fits the torus")
     if scattering_r_max is None:
-        scattering_r_max = max(20.0 * potential.support_radius, 10.0)
+        scattering_r_max = default_r_max(potential)
     scat = scattering or solve_scattering(potential, r_max=scattering_r_max, tol=tol)
     if neumann is None:
         neumann = solve_neumann(potential, R=N * ell, tol=tol)

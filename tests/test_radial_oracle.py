@@ -1,0 +1,331 @@
+"""The full-domain radial solvers as the reference for the closed-form exterior.
+
+The package integrates the radial equation numerically only across the
+support of V and continues it in closed form beyond; it finds the ball
+eigenvalue by Brent's method and takes the exterior part of every ball
+transform exactly.  The reference below is the previous path: DOP853 over
+the whole domain, 80 steps of bisection on the monotone shooting predicate
+and composite Simpson quadrature over the whole ball.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+
+import bosegas.scattering as scattering
+from bosegas.errors import BracketFailure, QuadratureError
+from bosegas.lattice import modes_up_to
+from bosegas.scattering import (
+    RadialPotential,
+    _boundary_defect,
+    _integrate_radial,
+    _interior_nodes,
+    _PiecewiseSolution,
+    _radial_transform,
+    _segment_potential,
+    _simpson_rule,
+    eta_coefficients,
+    solve_neumann,
+    solve_scattering,
+    zero_potential,
+)
+
+SOFT = RadialPotential.soft_sphere(100.0, 0.5)
+FOUR_PI = 4.0 * math.pi
+EPS = np.finfo(float).eps
+
+
+# ---------------------------------------------------------------------------
+# reference: the full-domain path
+# ---------------------------------------------------------------------------
+
+def ref_integrate_radial(potential, r_end, lam, tol):
+    """DOP853 from u(0)=0, u'(0)=1 to r_end, split at the breakpoints."""
+    cuts = [0.0] + [b for b in potential.breakpoints() if b < r_end] + [r_end]
+    y = [0.0, 1.0]
+    segments = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        v_seg = _segment_potential(potential, lo, hi)
+
+        def rhs(r, y, v_seg=v_seg):
+            return [y[1], (0.5 * v_seg(r) - lam) * y[0]]
+
+        res = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=tol,
+                        atol=tol * 1e-3, dense_output=True)
+        assert res.success
+        segments.append((lo, hi, res.sol))
+        y = [res.y[0][-1], res.y[1][-1]]
+    return _PiecewiseSolution(segments)
+
+
+def ref_scattering_length(potential, r_max, tol):
+    dense = ref_integrate_radial(potential, r_max, 0.0, tol)
+    c = float(dense.u_prime(r_max)[0])
+    return r_max - float(dense.u(r_max)[0]) / c
+
+
+def ref_solve_neumann(potential, R, tol):
+    """(lambda, dense u normalized to u(R) = R) by 80 steps of bisection."""
+
+    def above_ground(lam):
+        dense = ref_integrate_radial(potential, R, lam, tol)
+        return _boundary_defect(dense, R) < 0.0 or _interior_nodes(dense, R, lam) > 0
+
+    lo, hi = 0.0, math.pi**2 / (R * R) + 0.5 * potential.max_value
+    assert not above_ground(lo) and above_ground(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above_ground(mid):
+            hi = mid
+        else:
+            lo = mid
+    lam = 0.5 * (lo + hi)
+    dense = ref_integrate_radial(potential, R, lam, tol)
+    return lam, dense.rescaled(R / float(dense.u(R)[0]))
+
+
+def ref_transform(profile, R, breaks, k, points_per_unit=4000.0):
+    """(4 pi / k) int_0^R G sin(kr) dr by Simpson over the whole ball, with
+    the fine-minus-coarse estimate; the moment series below k R = 1e-3."""
+    cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < R) + [R]
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = max(64, int((b - a) * points_per_unit))
+        n += (-n) % 4
+        r, w = _simpson_rule(a, b, n)
+        _, wc = _simpson_rule(a, b, n // 2)
+        pieces.append((r, w, np.asarray(profile(r), dtype=float), wc))
+
+    def moment(q):
+        return math.fsum(float(w @ (g * r**q)) for r, w, g, _ in pieces)
+
+    if k * R < 1e-3:
+        value = FOUR_PI * (moment(1) - k * k * moment(3) / 6.0 + k**4 * moment(5) / 120.0)
+        return value, abs(FOUR_PI * k**6 * moment(7) / 5040.0)
+    fine = sum(float(w @ (g * np.sin(k * r))) for r, w, g, _ in pieces)
+    coarse = sum(float(wc @ (g[::2] * np.sin(k * r[::2]))) for r, _, g, wc in pieces)
+    return FOUR_PI / k * fine, abs(FOUR_PI / k * (fine - coarse))
+
+
+def ref_eta(dense, potential, R, N, modes):
+    """eta per shell with its quadrature estimate, ascending |n|^2."""
+    out = []
+    for p_sq in sorted({m.p_sq for m in modes}):
+        k = math.sqrt(p_sq) / N
+        value, err = ref_transform(lambda r: r - dense.u(r), R, potential.breakpoints(), k)
+        out.append((-value / (N * N), err / (N * N)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# properties: closed-form exterior + Brent against the full-domain path
+# ---------------------------------------------------------------------------
+
+@st.composite
+def potentials(draw):
+    kind = draw(st.sampled_from(["soft_sphere", "gaussian_truncated", "tabulated"]))
+    height = draw(st.floats(1.0, 200.0))
+    radius = draw(st.floats(0.2, 1.0))
+    if kind == "soft_sphere":
+        return RadialPotential.soft_sphere(height, radius)
+    if kind == "gaussian_truncated":
+        width = draw(st.floats(0.1, 1.0))
+        return RadialPotential.gaussian_truncated(height, width, radius)
+    n = draw(st.integers(2, 6))
+    first = draw(st.floats(0.1, 1.0))  # keeps the potential well away from zero
+    rest = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    values = height * np.array([first, *rest])
+    return RadialPotential.tabulated(np.linspace(0.0, radius, n), values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(potential=potentials(), r_factor=st.floats(2.0, 20.0))
+def test_scattering_length_matches_full_domain(potential, r_factor):
+    r_max = r_factor * potential.support_radius
+    a = solve_scattering(potential, r_max=r_max, tol=1e-10).a
+    ref = ref_scattering_length(potential, r_max, 1e-10)
+    assert a == pytest.approx(ref, rel=1e-9, abs=1e-13)
+
+
+@settings(max_examples=10, deadline=None)
+@given(potential=potentials(), R=st.floats(2.0, 10.0), N=st.integers(10, 60))
+def test_eigenvalue_and_eta_match_full_domain(potential, R, N):
+    ours = solve_neumann(potential, R=R, tol=1e-12)
+    lam, dense = ref_solve_neumann(potential, R, 1e-12)
+    assert ours.lam == pytest.approx(lam, rel=1e-9)
+
+    modes = modes_up_to(6)
+    eta = eta_coefficients(ours, N, modes)
+    by_shell = dict(zip((m.p_sq for m in modes), eta))
+    # the exact exterior against Simpson over the whole ball, both on this
+    # ball solution: within the quadrature estimate, plus the roundoff of
+    # w = r - u itself (eps r pointwise, up to eps R^2 / 2 integrated),
+    # which dominates when a weak potential leaves u close to r
+    same_ball = ref_eta(ours.dense, potential, R, N, modes)
+    for p_sq, (value, err) in zip(sorted(by_shell), same_ball):
+        roundoff = FOUR_PI * N / math.sqrt(p_sq) * EPS * R * R / 2.0 / (N * N)
+        assert abs(by_shell[p_sq] - value) <= err + roundoff + 1e-12 * abs(value)
+    # end to end: the full-domain solution also carries the DOP853 error of
+    # the exterior, up to 5e-12 relative in eta at tol 1e-12 (measured
+    # against the 40-digit soft-sphere solution)
+    reference = ref_eta(dense, potential, R, N, modes)
+    for p_sq, (value, err) in zip(sorted(by_shell), reference):
+        assert abs(by_shell[p_sq] - value) <= err + 1e-10 * abs(value)
+
+
+# ---------------------------------------------------------------------------
+# explicit cases of the exterior transform
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def soft_ball():
+    return solve_neumann(SOFT, R=10.0, tol=1e-12)
+
+
+def simpson_over_ball(neumann, c_r, c_u, k):
+    """The same profile transformed by Simpson over the whole ball."""
+    return ref_transform(lambda r: c_r * r + c_u * neumann.dense.u(r), neumann.R,
+                         neumann.potential.breakpoints(), k)
+
+
+@pytest.mark.parametrize("c_r, c_u", [(1.0, -1.0), (0.0, 1.0)])
+@pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-9, 1.0 - 1e-7, 1.3, 0.75])
+def test_transform_near_resonance_matches_simpson(soft_ball, c_r, c_u, ratio):
+    # at k = kappa = sqrt(lambda) the closed form's denominator vanishes;
+    # there k (R - b) < 2 pi, and the exterior is taken by Gauss-Legendre
+    k = ratio * math.sqrt(soft_ball.lam)
+    assert k * soft_ball.R > 1e-3
+    ours, _ = _radial_transform(SOFT, c_r, c_u, soft_ball)(k)
+    ref, err = simpson_over_ball(soft_ball, c_r, c_u, k)
+    assert abs(ours - ref) <= err + 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("c_r, c_u", [(1.0, -1.0), (0.0, 1.0)])
+@pytest.mark.parametrize("k", [0.8, 2.0, 7.5])
+def test_closed_form_exterior_matches_simpson(soft_ball, c_r, c_u, k):
+    assert k * (soft_ball.R - SOFT.support_radius) > 2.0 * math.pi
+    ours, _ = _radial_transform(SOFT, c_r, c_u, soft_ball)(k)
+    ref, err = simpson_over_ball(soft_ball, c_r, c_u, k)
+    assert abs(ours - ref) <= err + 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("c_r, c_u", [(1.0, -1.0), (0.0, 1.0)])
+def test_gauss_and_closed_form_exterior_agree(soft_ball, c_r, c_u):
+    # on either side of k (R - b) = 2 pi, where the exterior switches from
+    # Gauss-Legendre to the closed form, both rules give the same integral
+    exterior = _radial_transform(SOFT, c_r, c_u, soft_ball)._exterior
+    span = exterior.ends[1] - exterior.ends[0]
+    for kL in (3.0, 2.0 * math.pi, 9.0):
+        k = kL / span
+        gauss = float(exterior._weighted_g @ np.sin(k * exterior._nodes))
+        kappa_sq = exterior.kappa**2
+        closed = exterior._boundary(k, exterior._g, exterior._dg) + c_u * kappa_sq * (
+            exterior._boundary(k, exterior._u, exterior._du) / (k * k - kappa_sq)
+        )
+        assert closed / (k * k) == pytest.approx(gauss, rel=1e-12, abs=1e-14)
+
+
+def test_affine_exterior_at_zero_energy():
+    # lambda = 0: the continuation is u(b) + u'(b) (r - b), and the
+    # scattering profile matches the full-domain integration
+    sol = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
+    dense = ref_integrate_radial(SOFT, 10.0, 0.0, 1e-10)
+    r = np.linspace(0.5, 10.0, 50)
+    c = float(dense.u_prime(10.0)[0])
+    assert np.allclose(sol.dense.u(r), dense.u(r) / c, rtol=1e-12, atol=1e-13)
+    b = SOFT.support_radius
+    affine = sol.dense.u(b) + sol.dense.u_prime(b) * (r - b)
+    assert np.allclose(sol.dense.u(r), affine, rtol=1e-14, atol=0.0)
+    assert np.all(sol.dense.u_prime(r) == sol.dense.u_prime(b))
+
+
+def test_free_ball_transforms_are_closed_form():
+    # zero potential: lambda = 0, u = r on the ball, so w = 0 and f = 1
+    neumann = solve_neumann(zero_potential(0.5), R=6.0)
+    R = neumann.R
+    for k in (0.05, 0.7, 3.0):
+        w_hat, _ = _radial_transform(neumann.potential, 1.0, -1.0, neumann)(k)
+        f_hat, _ = _radial_transform(neumann.potential, 0.0, 1.0, neumann)(k)
+        exact = FOUR_PI / k * (math.sin(k * R) / k**2 - R * math.cos(k * R) / k)
+        assert abs(w_hat) < 1e-12
+        assert f_hat == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("c_r, c_u", [(1.0, -1.0), (0.0, 1.0)])
+def test_small_k_series_branch_matches_simpson(soft_ball, c_r, c_u):
+    transform = _radial_transform(SOFT, c_r, c_u, soft_ball)
+    for kR in (1e-6, 5e-4, 0.999e-3):
+        k = kR / soft_ball.R
+        ours, trunc = transform(k)
+        ref, _ = simpson_over_ball(soft_ball, c_r, c_u, k)
+        assert abs(ours - ref) <= trunc + 1e-12 * abs(ref)
+
+
+def test_transform_is_continuous_across_the_series_threshold(soft_ball):
+    transform = _radial_transform(SOFT, 1.0, -1.0, soft_ball)
+    below, _ = transform(0.9999e-3 / soft_ball.R)
+    above, _ = transform(1.0001e-3 / soft_ball.R)
+    assert above == pytest.approx(below, rel=1e-9)
+
+
+def test_resolution_guard_still_applies(soft_ball):
+    transform = _radial_transform(SOFT, 1.0, -1.0, soft_ball)
+    with pytest.raises(QuadratureError):
+        transform(0.61 / transform.h)
+
+
+# ---------------------------------------------------------------------------
+# every BracketFailure path of solve_neumann
+# ---------------------------------------------------------------------------
+
+def test_attractive_potential_fails_at_lambda_zero():
+    # direct construction skips the sign check; V < 0 makes g(0) < 0
+    attractive = RadialPotential(kind="soft_sphere", support_radius=0.5, params=(-100.0, 0.5))
+    with pytest.raises(BracketFailure, match="not positive at lambda = 0"):
+        solve_neumann(attractive, R=10.0)
+
+
+def test_upper_end_below_the_eigenvalue_is_reported(monkeypatch):
+    lam = solve_neumann(SOFT, R=10.0).lam
+    monkeypatch.setattr(scattering, "_rayleigh_bound", lambda potential, R: 0.25 * lam)
+    with pytest.raises(BracketFailure, match="no eigenvalue below"):
+        solve_neumann(SOFT, R=10.0)
+
+
+def test_bisection_without_a_node_free_upper_end_is_reported(monkeypatch):
+    monkeypatch.setattr(scattering, "_interior_nodes",
+                        lambda dense, R, lam: 1 if lam > 0.0 else 0)
+    with pytest.raises(BracketFailure, match="no node-free upper end"):
+        solve_neumann(SOFT, R=10.0)
+
+
+def test_unclosed_shooting_residual_is_reported(monkeypatch):
+    monkeypatch.setattr(scattering, "brentq", lambda f, lo, hi, **kwargs: lo)
+    with pytest.raises(BracketFailure, match="did not close"):
+        solve_neumann(SOFT, R=10.0)
+
+
+def test_excited_state_root_is_rejected(monkeypatch):
+    # find a bracket of the first excited state (one node, g changes sign)
+    R = 10.0
+    grid = np.linspace(0.05, 0.5, 46)
+    shots = []
+    for lam in grid:
+        dense = _integrate_radial(SOFT, R, lam, 1e-10)
+        shots.append((_boundary_defect(dense, R), _interior_nodes(dense, R, lam)))
+    bracket = next(
+        (grid[i], grid[i + 1])
+        for i in range(len(grid) - 1)
+        if shots[i][1] == shots[i + 1][1] == 1 and shots[i][0] * shots[i + 1][0] < 0.0
+    )
+    real_brentq = scattering.brentq
+    monkeypatch.setattr(scattering, "brentq",
+                        lambda f, lo, hi, **kwargs: real_brentq(f, *bracket, **kwargs))
+    with pytest.raises(BracketFailure, match="excited state"):
+        solve_neumann(SOFT, R=R)

@@ -274,11 +274,11 @@ class TestKernels:
             r = mp.mpf(r)
             return c_in * mp.sinh(kt * r) if r <= a0 else c_out * mp.sin(sl * r + phi)
 
-        from bosegas.scattering import _ball_w_transform
+        from bosegas.scattering import _radial_transform
 
-        transform = _ball_w_transform(neumann)
+        transform = _radial_transform(SOFT, 1.0, -1.0, neumann)
         for k in (0.12566370614359174, 1.2566370614359172):
-            ours, _ = transform(k, R)
+            ours, _ = transform(k)
             exact = float(
                 4 * mp.pi / k
                 * mp.quad(lambda r: (r - u_exact(r)) * mp.sin(k * r), [0, a0, Rm])
@@ -289,9 +289,9 @@ class TestKernels:
         from bosegas.errors import QuadratureError
         from bosegas.scattering import _RadialTransform
 
-        coarse = _RadialTransform(lambda r: np.asarray(r), 0.0, 1.0, [], points_per_unit=70)
+        coarse = _RadialTransform(lambda r: np.asarray(r), 1.0, [], points_per_unit=70)
         with pytest.raises(QuadratureError):
-            coarse(50.0, 1.0)
+            coarse(50.0)
 
     def test_kernel_table_csv_layout(self, small_kernel_setup):
         N, modes, neumann, scat = small_kernel_setup
