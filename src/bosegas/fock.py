@@ -27,6 +27,8 @@ from .errors import BasisSizeError, GuardError
 from .lattice import Mode
 
 __all__ = [
+    "compositions",
+    "composition_rank",
     "FockBasis",
     "HermitianOperator",
     "build_basis",
@@ -50,9 +52,9 @@ DEFAULT_DENSE_LIMIT = 6_000
 class FockBasis:
     """Occupation-number basis with a total-excitation cap.
 
-    Without momentum filtering the state count is the stars-and-bars value
-    C(cap + n_modes, n_modes); the optional ``total_momentum_zero`` flag
-    restricts to states whose integer momenta sum to zero.
+    The state count is the stars-and-bars value C(cap + n_modes, n_modes).
+    The occupation vectors are held once, as a read-only integer array;
+    positions are computed by ``rank``, so no per-state index is kept.
     """
 
     def __init__(
@@ -60,7 +62,6 @@ class FockBasis:
         modes: Sequence[Mode],
         cap: int,
         state_limit: int = DEFAULT_STATE_LIMIT,
-        total_momentum_zero: bool = False,
     ):
         if cap < 0:
             raise ValueError("cap must be >= 0")
@@ -77,27 +78,14 @@ class FockBasis:
         self.mode_index = {m.n: i for i, m in enumerate(modes)}
         self._n_vectors = np.array([m.n for m in modes], dtype=np.int64)
 
-        states: list[tuple[int, ...]] = []
-        for total in range(cap + 1):
-            states.extend(_compositions(total, len(modes)))
-        if total_momentum_zero:
-            states = [
-                s for s in states
-                if not np.any(np.asarray(s, dtype=np.int64) @ self._n_vectors)
-            ]
-        self.states = tuple(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.totals = np.array([sum(s) for s in self.states], dtype=np.int64)
-        self.momentum_filtered = total_momentum_zero
-        self._occ_array: np.ndarray | None = None
-        # _stars[s, k] = C(s + k, k): compositions of s into k + 1 parts
-        self._stars = np.array(
-            [[comb(s + k, k) for k in range(len(modes) + 1)] for s in range(cap + 1)],
-            dtype=np.int64,
+        self._occupations = np.concatenate(
+            [compositions(total, len(modes)) for total in range(cap + 1)]
         )
+        self._occupations.flags.writeable = False
+        self.totals = self._occupations.sum(axis=1)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._occupations)
 
     @property
     def negation_closed(self) -> bool:
@@ -105,45 +93,65 @@ class FockBasis:
         return all(m.negated() in triples for m in self.modes)
 
     def occupations(self) -> np.ndarray:
-        """All occupation vectors as an (n_states, n_modes) integer array."""
-        if self._occ_array is None:
-            self._occ_array = np.array(self.states, dtype=np.int64)
-        return self._occ_array
+        """All occupation vectors as a read-only (n_states, n_modes) integer array."""
+        return self._occupations
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
-        """Position of each occupation row in the unfiltered (total, lex) order.
+        """Position of each occupation row in the (total, lex) order of the basis.
 
-        The combinatorial index of capped compositions: the states of lower
-        total come first, then, slot by slot, those whose slot holds fewer
-        quanta at the same prefix, counted in closed form by the hockey
-        stick identity.  Rows must have total at most the cap.
+        The count of states with a lower total plus the row's position among
+        the compositions of its own total.  Rows must have total at most the
+        cap.
         """
-        n = occ.shape[1]
-        suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-        total = suffix[:, 0]
-        lower = self._stars[total, n] - self._stars[total, n - 1]  # C(total - 1 + n, n)
-        k = np.arange(n - 1, 0, -1)
-        within = self._stars[suffix[:, :-1], k] - self._stars[suffix[:, 1:], k]
-        return lower + within.sum(axis=1)
+        return np.searchsorted(self.totals, occ.sum(axis=1)) + composition_rank(occ)
 
 
-def _compositions(total: int, parts: int):
-    """Occupation vectors summing to ``total``, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def compositions(total: int, parts: int) -> np.ndarray:
+    """The compositions of ``total`` into ``parts`` non-negative parts.
+
+    A read-only (C(total + parts - 1, parts - 1), parts) int64 array in
+    lexicographic order.  Built slot by slot: every row so far is followed
+    by each value from 0 to what is left of the total, and the last slot
+    takes the rest.
+    """
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    heads = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(parts - 1):
+        counts = total - heads.sum(axis=1) + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        nxt = np.arange(len(starts), dtype=np.int64) - starts
+        heads = np.column_stack((np.repeat(heads, counts, axis=0), nxt))
+    out = np.column_stack((heads, total - heads.sum(axis=1)))
+    out.flags.writeable = False
+    return out
+
+
+def composition_rank(occ: np.ndarray) -> np.ndarray:
+    """Lexicographic position of each row among the compositions of its own total.
+
+    The combinatorial index of capped compositions (Zhang & Dong, Eur. J.
+    Phys. 31, 591 (2010)): slot by slot, the rows with the same prefix and
+    fewer quanta in the slot come first, counted in closed form by the
+    hockey stick identity.
+    """
+    n = occ.shape[1]
+    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    # stars[s, k] = C(s + k, k), the compositions of s into k + 1 parts
+    stars = np.array(
+        [[comb(s + k, k) for k in range(n)] for s in range(suffix[:, 0].max(initial=0) + 1)],
+        dtype=np.int64,
+    )
+    k = np.arange(n - 1, 0, -1)
+    return (stars[suffix[:, :-1], k] - stars[suffix[:, 1:], k]).sum(axis=1)
 
 
 def build_basis(
     modes: Sequence[Mode],
     cap: int,
     state_limit: int = DEFAULT_STATE_LIMIT,
-    total_momentum_zero: bool = False,
 ) -> FockBasis:
-    return FockBasis(modes, cap, state_limit, total_momentum_zero)
+    return FockBasis(modes, cap, state_limit)
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,7 @@ def ladder(
 
     This is the one place that moves an occupation: every other operator
     on the basis is a product of these matrices.  All states move at once
-    and the targets are ranked in closed form, so a ladder move may not
-    leave the basis; momentum-filtered bases are therefore refused.
+    and the targets are ranked in closed form.
     """
     if mode.n not in basis.mode_index:
         raise ValueError(f"mode {mode.n} not in basis")
@@ -212,8 +219,6 @@ def ladder(
             raise ValueError("weighted ladder operators need N")
         if N < basis.cap:
             raise ValueError("weighted ladder operators need N >= cap")
-    if basis.momentum_filtered:
-        raise ValueError("ladder operators leave a momentum-filtered basis")
     j = basis.mode_index[mode.n]
     occ = basis.occupations()
     totals = basis.totals

@@ -11,6 +11,12 @@ every +-p pair, the occupation difference n_p - n_-p.  The capped basis
 therefore splits into sectors labelled by those differences, inside which
 everything is small and dense; the per-sector computation is exactly the
 restriction of the full capped-space computation, not an approximation.
+Pair i of the sector |d| holds 2 k_i + |d_i| quanta, so the sector states
+are the compositions of the budget B = (cap - sum |d|) // 2 into the pairs
+plus a slack slot, and a pair raise moves one unit from the slack slot to
+the pair; the labels |d| are the compositions of the cap with a slack slot.
+``fock.compositions`` and ``fock.composition_rank`` enumerate and rank both,
+as they do the Fock basis; states and raises are built once per budget.
 
 Coefficient-convention candidates are assembled directly from the rotation
 angles nu and energies eps: both the occupation and the pairing candidate
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +51,8 @@ from .fock import (
     HermitianOperator,
     build_basis,
     build_LN,
+    composition_rank,
+    compositions,
     gibbs,
     expect,
     ladder,
@@ -179,79 +187,49 @@ def partition_product_check(
 # pair-difference sectors
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Sector:
-    abs_d: tuple[int, ...]
-    multiplicity: int
-    kvecs: list[tuple[int, ...]]
-    index: dict
+def _sectors(n_pairs: int, cap: int):
+    """(|d|, multiplicity 2^(nonzero entries), pattern) of every sector, labels in lex order."""
+    patterns = {}
+    for abs_d in compositions(cap, n_pairs + 1)[:, :-1].tolist():
+        budget = (cap - sum(abs_d)) // 2
+        if budget not in patterns:
+            patterns[budget] = _sector_pattern(budget, n_pairs)
+        yield abs_d, 2 ** sum(1 for d in abs_d if d), patterns[budget]
 
 
-def _sector_kvecs(abs_d: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
-    base = sum(abs_d)
-    budget = (cap - base) // 2
-    out: list[tuple[int, ...]] = []
+def _sector_pattern(budget: int, n_pairs: int):
+    """Pair numbers k and pair raises of every sector with pair budget ``budget``.
 
-    def rec(prefix: tuple[int, ...], remaining: int, parts: int):
-        if parts == 1:
-            for k in range(remaining + 1):
-                out.append(prefix + (k,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, parts - 1)
-
-    rec((), budget, len(abs_d))
-    return out
-
-
-def _iter_sectors(n_pairs: int, cap: int):
-    """Absolute pair differences with multiplicity 2^(number of nonzero entries)."""
-
-    def rec(prefix: tuple[int, ...], remaining: int, parts: int):
-        if parts == 0:
-            yield prefix
-            return
-        for d in range(remaining + 1):
-            yield from rec(prefix + (d,), remaining - d, parts - 1)
-
-    for abs_d in rec((), cap, n_pairs):
-        mult = 1
-        for d in abs_d:
-            if d:
-                mult *= 2
-        kvecs = _sector_kvecs(abs_d, cap)
-        yield _Sector(
-            abs_d=abs_d,
-            multiplicity=mult,
-            kvecs=kvecs,
-            index={kv: i for i, kv in enumerate(kvecs)},
-        )
+    The states are the compositions of the budget into the pairs plus a
+    slack slot; raising pair i moves one unit from the slack slot to slot
+    i, and the composition rank locates the target.  Returns the pair
+    numbers (one row per state) and the raises as (pair, target, source)
+    arrays in (source, pair) order.
+    """
+    comps = compositions(budget, n_pairs + 1)
+    has_slack = np.repeat(comps[:, -1:] > 0, n_pairs, axis=1)
+    source, pair = np.nonzero(has_slack)
+    moved = comps[source]
+    moved[np.arange(len(source)), pair] += 1
+    moved[:, -1] -= 1
+    return comps[:, :-1], pair, composition_rank(moved), source
 
 
-def _sector_matrices(sector: _Sector, nu_pairs, eps_pairs, cap: int):
-    """Diagonals of N_+ and energy, and the generator, inside one sector."""
-    kvecs = sector.kvecs
-    dim = len(kvecs)
-    occ = np.array(
-        [[2 * k + d for k, d in zip(kv, sector.abs_d)] for kv in kvecs], dtype=float
-    )
+def _sector_matrices(abs_d, pattern, nu_pairs: np.ndarray, eps_pairs: np.ndarray):
+    """Diagonals of N_+ and energy, the generator and the raise amplitudes of one sector."""
+    kvecs, pair, target, source = pattern
+    d = np.asarray(abs_d, dtype=np.int64)
+    occ = (2 * kvecs + d).astype(float)
     nplus = occ.sum(axis=1)
-    energy = occ @ np.asarray(eps_pairs, dtype=float)
+    energy = occ @ eps_pairs
 
-    G = np.zeros((dim, dim))
-    raises = []
-    base = sum(sector.abs_d)
-    for j, kv in enumerate(kvecs):
-        total = 2 * sum(kv) + base
-        for pi, (k, d) in enumerate(zip(kv, sector.abs_d)):
-            if total + 2 <= cap:
-                target = kv[:pi] + (k + 1,) + kv[pi + 1:]
-                i = sector.index[target]
-                amp = math.sqrt((k + 1) * (k + d + 1))
-                G[i, j] += nu_pairs[pi] * amp
-                G[j, i] -= nu_pairs[pi] * amp
-                raises.append((pi, i, j, amp))
-    return nplus, energy, G, raises
+    k = kvecs[source, pair]
+    amp = np.sqrt((k + 1) * (k + d[pair] + 1))
+    value = nu_pairs[pair] * amp
+    G = np.zeros((len(kvecs), len(kvecs)))
+    G[target, source] += value
+    G[source, target] -= value
+    return nplus, energy, G, amp
 
 
 def _orthogonal_expm(G: np.ndarray) -> np.ndarray:
@@ -301,8 +279,8 @@ def _pair_arrays(basis: FockBasis, nu, eps):
     for i, j in pairs:
         if nu[i] != nu[j] or eps[i] != eps[j]:
             raise ValueError("nu and eps must match on +-p pairs")
-    nu_pairs = [nu[i] for i, _ in pairs]
-    eps_pairs = [eps[i] for i, _ in pairs]
+    nu_pairs = nu[[i for i, _ in pairs]]
+    eps_pairs = eps[[i for i, _ in pairs]]
     return pairs, nu_pairs, eps_pairs, nu, eps
 
 
@@ -323,24 +301,21 @@ def _rotated_expectations(
     number_sum = 0.0
     pair_sum = 0.0
     z_sum = 0.0
-    for sector in _iter_sectors(len(pairs), basis.cap):
-        nplus, energy, G, raises = _sector_matrices(
-            sector, nu_pairs, eps_pairs, basis.cap
-        )
+    for abs_d, multiplicity, pattern in _sectors(len(pairs), basis.cap):
+        nplus, energy, G, amp = _sector_matrices(abs_d, pattern, nu_pairs, eps_pairs)
         weights = np.exp(-beta * energy)
         if not weights.any():
             continue
         U = _orthogonal_expm(G)
         conj_diag = (U * U).T @ nplus  # diag of U^T diag(nplus) U
-        number_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
-        dim = len(sector.kvecs)
-        R = np.zeros((dim, dim))
-        for pi, i, j, amp in raises:
-            if pi == target_pair:
-                R[i, j] = amp
+        number_sum += multiplicity * float(np.dot(weights, conj_diag))
+        _, pair, target, source = pattern
+        mine = pair == target_pair
+        R = np.zeros_like(G)
+        R[target[mine], source[mine]] = amp[mine]
         conj_diag = np.einsum("ij,ij->j", U, R @ U)
-        pair_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
-        z_sum += sector.multiplicity * float(np.sum(weights))
+        pair_sum += multiplicity * float(np.dot(weights, conj_diag))
+        z_sum += multiplicity * float(np.sum(weights))
 
     sinh_sq = np.sinh(nu) ** 2
     occs = _convention_occupations(eps, beta)

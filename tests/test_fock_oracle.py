@@ -4,11 +4,11 @@
 and composes every other operator as a sum of sparse products of ladder
 matrices.  The functions below are the loops the package used before: they
 visit every basis state, copy its occupation tuple, change one slot at a
-time and look the target up in ``basis.index``.  Ladders and the plain pair
-generator multiply the same factors, so they must agree bit for bit; the
-weighted generator and the excitation Hamiltonian group their products
-differently and agree to a few units in the last place of the largest
-entry.
+time and look the target up in a tuple-to-position dict built from
+``basis.occupations()``.  Ladders and the plain pair generator multiply the
+same factors, so they must agree bit for bit; the weighted generator and
+the excitation Hamiltonian group their products differently and agree to a
+few units in the last place of the largest entry.
 """
 
 import math
@@ -46,6 +46,12 @@ def soft_sphere_v_hat(v0, radius):
     return v_hat
 
 
+def state_tuples(basis):
+    """The basis states as tuples and the dict from tuple to position."""
+    states = [tuple(occ) for occ in basis.occupations().tolist()]
+    return states, {occ: i for i, occ in enumerate(states)}
+
+
 class _SparseBuilder:
     def __init__(self, dim: int):
         self.rows: list[int] = []
@@ -67,10 +73,11 @@ class _SparseBuilder:
 
 def reference_ladder(basis, mode, kind, N=None):
     j = basis.mode_index[mode.n]
+    states, index_of = state_tuples(basis)
 
     rows, cols, data = [], [], []
     creating = kind in ("create", "b_create")
-    for col, occ in enumerate(basis.states):
+    for col, occ in enumerate(states):
         n_j = occ[j]
         total = basis.totals[col]
         if creating:
@@ -87,7 +94,7 @@ def reference_ladder(basis, mode, kind, N=None):
             amp = math.sqrt(n_j)
             if kind == "b_annihilate":
                 amp *= math.sqrt(1.0 - (total - 1) / N)
-        rows.append(basis.index[target])
+        rows.append(index_of[target])
         cols.append(col)
         data.append(amp)
     dim = len(basis)
@@ -98,6 +105,7 @@ def reference_build_LN(basis, N, v_hat):
     modes = basis.modes
     scale = math.sqrt(modes[0].p_sq / modes[0].norm_sq)
     index = basis.mode_index
+    states, index_of = state_tuples(basis)
     dim = len(basis)
     n_modes = len(modes)
 
@@ -123,7 +131,7 @@ def reference_build_LN(basis, N, v_hat):
     # anomalous quadratic block: (1/2) sum_p vp [b*_p b*_-p + b_p b_-p]
     neg_index = [index[modes[i].negated()] for i in range(n_modes)]
     active = [i for i in range(n_modes) if vp[i] != 0.0]
-    for col, occ in enumerate(basis.states):
+    for col, occ in enumerate(states):
         total = int(totals[col])
         for i in active:
             j = neg_index[i]
@@ -133,7 +141,7 @@ def reference_build_LN(basis, N, v_hat):
                 mid = occ[:j] + (occ[j] + 1,) + occ[j + 1:]
                 amp *= math.sqrt(mid[i] + 1) * math.sqrt(1.0 - (total + 1) / N)
                 target = mid[:i] + (mid[i] + 1,) + mid[i + 1:]
-                builder.add(basis.index[target], col, 0.5 * vp[i] * amp)
+                builder.add(index_of[target], col, 0.5 * vp[i] * amp)
             # b_p b_-p: annihilate at -p then at p
             if occ[j] >= 1:
                 mid = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
@@ -141,7 +149,7 @@ def reference_build_LN(basis, N, v_hat):
                     amp = math.sqrt(occ[j]) * math.sqrt(1.0 - (total - 1) / N)
                     amp *= math.sqrt(mid[i]) * math.sqrt(1.0 - (total - 2) / N)
                     target = mid[:i] + (mid[i] - 1,) + mid[i + 1:]
-                    builder.add(basis.index[target], col, 0.5 * vp[i] * amp)
+                    builder.add(index_of[target], col, 0.5 * vp[i] * amp)
 
     # cubic block: N^{-1/2} sum vp [b*_{p+q} a*_{-p} a_q + h.c.], all legs in the set
     cubic_terms = []
@@ -152,7 +160,7 @@ def reference_build_LN(basis, N, v_hat):
                 continue
             cubic_terms.append((index[s], neg_index[ip], iq, vp[ip]))
     inv_sqrt_n = 1.0 / math.sqrt(N)
-    for col, occ in enumerate(basis.states):
+    for col, occ in enumerate(states):
         total = int(totals[col])
         for i_s, i_mp, i_q, v in cubic_terms:
             # b*_{p+q} a*_{-p} a_q
@@ -164,7 +172,7 @@ def reference_build_LN(basis, N, v_hat):
                 if total + 1 <= basis.cap:
                     amp3 = amp * math.sqrt(st2[i_s] + 1) * math.sqrt(1.0 - total / N)
                     target = st2[:i_s] + (st2[i_s] + 1,) + st2[i_s + 1:]
-                    row = basis.index[target]
+                    row = index_of[target]
                     value = inv_sqrt_n * v * amp3
                     builder.add(row, col, value)
                     builder.add(col, row, value)  # + h.c.
@@ -183,7 +191,7 @@ def reference_build_LN(basis, N, v_hat):
                     continue
                 quartic_terms.append((is_, iq, ip, index[t], v_r))
     half_inv_n = 0.5 / N
-    for col, occ in enumerate(basis.states):
+    for col, occ in enumerate(states):
         for i_s, i_q, i_p, i_t, v in quartic_terms:
             if occ[i_t] == 0:
                 continue
@@ -197,7 +205,7 @@ def reference_build_LN(basis, N, v_hat):
             st3 = st2[:i_q] + (st2[i_q] + 1,) + st2[i_q + 1:]
             amp *= math.sqrt(st3[i_s] + 1)
             target = st3[:i_s] + (st3[i_s] + 1,) + st3[i_s + 1:]
-            builder.add(basis.index[target], col, half_inv_n * v * amp)
+            builder.add(index_of[target], col, half_inv_n * v * amp)
 
     return builder.tocsr()
 
@@ -206,7 +214,8 @@ def reference_generator(basis, c, kind="a_type", N=None):
     c = np.asarray(c, dtype=float)
     builder = _SparseBuilder(len(basis))
     pairs = pair_partners(basis)
-    for col, occ in enumerate(basis.states):
+    states, index_of = state_tuples(basis)
+    for col, occ in enumerate(states):
         total = sum(occ)
         for i, j in pairs:
             coeff = c[i]
@@ -220,7 +229,7 @@ def reference_generator(basis, c, kind="a_type", N=None):
                 if kind == "b_type":
                     amp *= math.sqrt(1.0 - total / N) * math.sqrt(1.0 - (total + 1) / N)
                 target = mid[:i] + (mid[i] + 1,) + mid[i + 1:]
-                builder.add(basis.index[target], col, coeff * amp)
+                builder.add(index_of[target], col, coeff * amp)
             # lowering part -X_p X_-p
             if occ[j] >= 1:
                 mid = occ[:j] + (occ[j] - 1,) + occ[j + 1:]
@@ -229,7 +238,7 @@ def reference_generator(basis, c, kind="a_type", N=None):
                     if kind == "b_type":
                         amp *= math.sqrt(1.0 - (total - 1) / N) * math.sqrt(1.0 - (total - 2) / N)
                     target = mid[:i] + (mid[i] - 1,) + mid[i + 1:]
-                    builder.add(basis.index[target], col, -coeff * amp)
+                    builder.add(index_of[target], col, -coeff * amp)
     return builder.tocsr()
 
 
