@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import BasisSizeError, GuardError
 from .lattice import Mode
@@ -156,32 +157,20 @@ def build_basis(
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A real matrix over a FockBasis (sparse CSR or dense ndarray)."""
+    """A real sparse CSR matrix over a FockBasis."""
 
     basis: FockBasis
-    matrix: object
+    matrix: sp.csr_matrix
 
     def toarray(self) -> np.ndarray:
-        m = self.matrix
-        return m.toarray() if sp.issparse(m) else np.asarray(m)
+        return self.matrix.toarray()
 
     def hermiticity_defect(self) -> float:
-        m = self.matrix
-        if sp.issparse(m):
-            d = m - m.T
-            return float(abs(d).max()) if d.nnz else 0.0
-        return float(np.max(np.abs(m - m.T)))
-
-    def is_diagonal(self) -> bool:
-        m = self.matrix
-        if sp.issparse(m):
-            coo = m.tocoo()
-            return bool(np.all(coo.row == coo.col))
-        return bool(np.count_nonzero(m - np.diag(np.diag(m))) == 0)
+        d = self.matrix - self.matrix.T
+        return float(abs(d).max()) if d.nnz else 0.0
 
     def diagonal(self) -> np.ndarray:
-        m = self.matrix
-        return np.asarray(m.diagonal()) if sp.issparse(m) else np.diag(m).copy()
+        return np.asarray(self.matrix.diagonal())
 
 
 def _check_same_basis(x: HermitianOperator, y: HermitianOperator):
@@ -447,52 +436,78 @@ class GibbsState:
 def gibbs(
     H: HermitianOperator, beta: float, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> GibbsState:
-    """Thermal state of H.  Energies are shifted by the ground energy before
-    exponentiation, which leaves all weight ratios invariant and cannot
-    overflow; Z refers to the shifted convention.
+    """Thermal state of H, diagonalized one connected component at a time.
 
-    Diagonal operators avoid the eigensolver entirely; anything else is
-    densely diagonalized, guarded by ``dense_limit``.
+    The states that H connects, directly or through other states, form
+    its blocks; for ``build_LN`` these are the total-momentum sectors, and
+    a diagonal H has one block per state.  Blocks of equal size go through
+    one batched ``eigh``, and ``dense_limit`` caps the size of the largest
+    block.  Energies are shifted by the global ground energy before
+    exponentiation, which leaves all weight ratios invariant and cannot
+    overflow; Z refers to the shifted convention and is the exactly
+    rounded sum of all weights.  rho is a CSR matrix in basis order whose
+    entries all lie inside the blocks.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     basis = H.basis
-    if H.is_diagonal():
-        energies = H.diagonal()
-        e0 = float(np.min(energies))
-        weights = np.exp(-beta * (energies - e0))
-        Z = float(math.fsum(weights.tolist()))
-        rho = HermitianOperator(basis, sp.diags(weights / Z).tocsr())
-        return GibbsState(rho=rho, Z=Z, beta=beta, ground_energy=e0)
     dim = len(basis)
-    if dim > dense_limit:
+    _, labels = connected_components(H.matrix, connection="weak")
+    sizes = np.bincount(labels)
+    largest = int(sizes.max())
+    if largest > dense_limit:
         raise GuardError(
-            f"dense eigendecomposition of a {dim}-state operator exceeds the limit {dense_limit}"
+            f"dense eigendecomposition of a {largest}-state block exceeds the limit {dense_limit}"
         )
-    matrix = H.toarray()
-    energies, vectors = np.linalg.eigh(matrix)
-    e0 = float(energies[0])
-    weights = np.exp(-beta * (energies - e0))
-    Z = float(math.fsum(weights.tolist()))
-    rho_dense = (vectors * (weights / Z)) @ vectors.T
+
+    # Lay the blocks out by (size, label), each with its states in basis
+    # order: the blocks of one size then fill one contiguous (k, s, s) stack
+    # of a flat buffer.  slot is a state's position inside its block.
+    blocks = np.argsort(sizes, kind="stable")
+    states = np.lexsort((labels, sizes[labels]))
+    ordered = sizes[blocks]
+    first_state = np.repeat(np.cumsum(ordered) - ordered, ordered)
+    slot = np.empty(dim, dtype=np.int64)
+    slot[states] = np.arange(dim) - first_state
+    first_entry = np.empty_like(ordered)
+    first_entry[blocks] = np.cumsum(ordered**2) - ordered**2
+
+    h = H.matrix.tocoo()
+    block = labels[h.row]
+    stacked = np.zeros(int(np.sum(ordered**2)))
+    stacked[first_entry[block] + slot[h.row] * sizes[block] + slot[h.col]] = h.data
+
+    groups = []
+    state_at = entry_at = 0
+    for s, k in zip(*np.unique(ordered, return_counts=True)):
+        members = states[state_at : state_at + k * s].reshape(k, s)
+        stack = stacked[entry_at : entry_at + k * s * s].reshape(k, s, s)
+        groups.append((members, *np.linalg.eigh(stack)))
+        state_at += k * s
+        entry_at += k * s * s
+
+    e0 = float(min(energies.min() for _, energies, _ in groups))
+    weights = [np.exp(-beta * (energies - e0)) for _, energies, _ in groups]
+    Z = float(math.fsum(np.concatenate([w.ravel() for w in weights]).tolist()))
+    rows, cols, values = [], [], []
+    for (members, _, vectors), w in zip(groups, weights):
+        k, s = members.shape
+        values.append(((vectors * (w / Z)[:, None, :]) @ vectors.transpose(0, 2, 1)).ravel())
+        rows.append(np.broadcast_to(members[:, :, None], (k, s, s)).ravel())
+        cols.append(np.broadcast_to(members[:, None, :], (k, s, s)).ravel())
+    rho = sp.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
     return GibbsState(
-        rho=HermitianOperator(basis, rho_dense), Z=Z, beta=beta, ground_energy=e0
+        rho=HermitianOperator(basis, rho), Z=Z, beta=beta, ground_energy=e0
     )
 
 
 def expect(state, O) -> float:
-    """tr(rho O) for a GibbsState (or bare HermitianOperator rho) and operator O."""
+    """tr(rho O) for a GibbsState (or bare HermitianOperator rho) and a sparse operator O."""
     rho_op = state.rho if isinstance(state, GibbsState) else state
-    o_mat = O.matrix if isinstance(O, HermitianOperator) else O
     if isinstance(O, HermitianOperator):
         _check_same_basis(rho_op, O)
-    r = rho_op.matrix
-    if sp.issparse(o_mat):
-        if sp.issparse(r):
-            return float(r.multiply(o_mat.T).sum())
-        # sum_ij rho_ji O_ij over the nonzeros of O, without densifying O
-        o = o_mat.tocoo()
-        return float(np.asarray(r)[o.col, o.row] @ o.data)
-    r_arr = r.toarray() if sp.issparse(r) else np.asarray(r)
-    o_arr = o_mat.toarray() if sp.issparse(o_mat) else np.asarray(o_mat)
-    return float(np.tensordot(r_arr, o_arr.T, axes=2))
+        O = O.matrix
+    return float(rho_op.matrix.multiply(O.T).sum())

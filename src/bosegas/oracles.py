@@ -481,7 +481,6 @@ def adjudicate_variants(
     shells: Sequence[int],
     cap: int,
     momentum_scale: float = 1.0,
-    state_limit: int = 200_000,
 ) -> AdjudicationReport:
     """Run both rotation oracles and report the convention with smaller residual.
 
@@ -501,7 +500,7 @@ def adjudicate_variants(
         raise ValueError("no modes in the requested shells")
     eps = np.array([dispersion(m.p_sq, a) for m in modes])
     nu = np.array([nu_coefficient(m.p_sq, a) for m in modes])
-    basis = build_basis(modes, cap, state_limit=state_limit)
+    basis = build_basis(modes, cap)
 
     rot, pair = _rotated_expectations(basis, nu, eps, beta, modes[0])
     number_detail, theta_winner = _judge(rot.value, rot.candidates)
@@ -559,8 +558,6 @@ def toy_gibbs_experiment(
     beta: float,
     coupling: float = 1.0,
     a: float | None = None,
-    state_limit: int = 200_000,
-    dense_limit: int = 6_000,
 ) -> tuple[GibbsReport, list[dict]]:
     """Gibbs state of the capped excitation Hamiltonian, against the model table.
 
@@ -578,7 +575,7 @@ def toy_gibbs_experiment(
         if shell.norm_sq in wanted
         for m in shell.members
     ]
-    basis = build_basis(modes, cap, state_limit=state_limit)
+    basis = build_basis(modes, cap)
     if N < cap:
         raise ValueError("toy experiment needs N >= cap")
 
@@ -595,7 +592,7 @@ def toy_gibbs_experiment(
             a_model = a
 
     ln = build_LN(basis, N, v_hat)
-    state = gibbs(ln, beta, dense_limit=dense_limit)
+    state = gibbs(ln, beta)
 
     occupations = {}
     pairings = {}

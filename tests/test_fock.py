@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from bosegas.bogoliubov import dispersion
 from bosegas.errors import BasisSizeError, GuardError
@@ -286,11 +287,30 @@ class TestGibbs:
         assert float(np.sum(diag)) == pytest.approx(1.0)
 
     def test_dense_guard(self):
-        basis = build_basis(SHELL1, 4)
+        basis = build_basis(SHELL1, 6)
         G = build_quadratic_generator(basis, np.full(6, 0.1))
         H = HermitianOperator(basis, build_K(basis).matrix + (G - G.T))
         with pytest.raises(GuardError):
             gibbs(H, beta=1.0, dense_limit=10)
+
+    def test_trace_one_past_the_old_whole_basis_limit(self):
+        basis = build_basis(SHELL1, 12)
+        assert len(basis) == 18_564
+        ln = build_LN(basis, N=16, v_hat=potential_fourier(RadialPotential.soft_sphere(100.0, 0.5)))
+        gs = gibbs(ln, beta=0.03)
+        assert abs(float(gs.rho.diagonal().sum()) - 1.0) <= 1e-12
+
+    def test_each_component_of_LN_has_one_total_momentum(self):
+        # gibbs diagonalizes per component; a term of L_N that broke momentum
+        # conservation would merge momentum sectors into one component
+        modes = [m for s in enumerate_shells(2) for m in s.members]
+        basis = build_basis(modes, 4)
+        ln = build_LN(basis, N=16, v_hat=potential_fourier(RadialPotential.soft_sphere(100.0, 0.5)))
+        n_components, labels = connected_components(ln.matrix, connection="weak")
+        momenta = np.column_stack(
+            [labels] + [momentum_operator(basis, c).diagonal() for c in range(3)]
+        )
+        assert len(np.unique(momenta, axis=0)) == n_components
 
     def test_expect_on_vacuum_projector(self):
         basis = build_basis(single_pair(), 2)
