@@ -3,8 +3,9 @@
 Subcommands ``scatter``, ``coeffs``, ``rho``, ``oracle`` and ``all`` drive
 the library modules and write CSV tables and JSON reports into the output
 directory.  Runs are fully deterministic: identical configuration produces
-byte-identical numeric payloads; the only volatile quantity (wall time)
-lives in the separate ``provenance.json``.
+byte-identical numeric payloads, whatever the caller's BLAS thread count,
+because every command runs with BLAS pinned to one thread; the only
+volatile quantity (wall time) lives in the separate ``provenance.json``.
 
 Exit statuses: 0 success, 2 usage error, 3 numerical-guard refusal,
 4 solver failure.  Failures also leave a machine-readable ``error.json``
@@ -23,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .bogoliubov import (
     COEFFICIENT_CSV_HEADER,
     ThermalConfig,
@@ -413,7 +414,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         out_dir = Path(config["output_dir"])
         runner = cmd_all if args.command == "all" else COMMANDS[args.command]
-        bundle = runner(config, out_dir)
+        with _blas.single_thread() as blas_threads:
+            bundle = runner(config, out_dir)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         _record_error(out_dir, exc)
         print(f"usage error: {exc}", file=sys.stderr)
@@ -429,6 +431,7 @@ def main(argv: list[str] | None = None) -> int:
 
     provenance = _provenance(config)
     provenance["wall_time_s"] = time.monotonic() - started
+    provenance["blas_threads"] = blas_threads
     provenance["files"] = bundle.files
     _write(
         out_dir / "provenance.json",

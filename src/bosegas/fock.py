@@ -30,6 +30,7 @@ from .lattice import Mode
 __all__ = [
     "compositions",
     "composition_rank",
+    "check_basis_size",
     "FockBasis",
     "HermitianOperator",
     "build_basis",
@@ -64,15 +65,11 @@ class FockBasis:
         cap: int,
         state_limit: int = DEFAULT_STATE_LIMIT,
     ):
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
         modes = tuple(modes)
         triples = {m.n for m in modes}
         if len(triples) != len(modes):
             raise ValueError("duplicate modes in basis")
-        full_count = comb(cap + len(modes), len(modes))
-        if full_count > state_limit:
-            raise BasisSizeError(full_count, state_limit)
+        check_basis_size(len(modes), cap, state_limit)
 
         self.modes = modes
         self.cap = cap
@@ -105,6 +102,19 @@ class FockBasis:
         cap.
         """
         return np.searchsorted(self.totals, occ.sum(axis=1)) + composition_rank(occ)
+
+
+def check_basis_size(n_modes: int, cap: int, state_limit: int = DEFAULT_STATE_LIMIT):
+    """Refuse a capped basis of more than ``state_limit`` states, or a negative cap.
+
+    The count is C(cap + n_modes, n_modes); raises BasisSizeError above the
+    limit and ValueError for a negative cap.
+    """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    full_count = comb(cap + n_modes, n_modes)
+    if full_count > state_limit:
+        raise BasisSizeError(full_count, state_limit)
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -364,16 +374,22 @@ def build_LN(
 # quadratic generators
 # ---------------------------------------------------------------------------
 
-def pair_partners(basis: FockBasis) -> list[tuple[int, int]]:
-    """Mode-index pairs (i, j) with modes[j] = -modes[i], each pair once."""
-    if not basis.negation_closed:
+def pair_partners(modes: FockBasis | Sequence[Mode]) -> list[tuple[int, int]]:
+    """Mode-index pairs (i, j) with modes[j] = -modes[i], each pair once.
+
+    Takes the mode list, or a basis for its modes.
+    """
+    if isinstance(modes, FockBasis):
+        modes = modes.modes
+    index = {m.n: i for i, m in enumerate(modes)}
+    if any(m.negated() not in index for m in modes):
         raise ValueError("mode set is not closed under negation")
     pairs = []
     seen = set()
-    for i, m in enumerate(basis.modes):
+    for i, m in enumerate(modes):
         if i in seen:
             continue
-        j = basis.mode_index[m.negated()]
+        j = index[m.negated()]
         seen.update((i, j))
         pairs.append((i, j))
     return pairs

@@ -51,6 +51,7 @@ from .fock import (
     HermitianOperator,
     build_basis,
     build_LN,
+    check_basis_size,
     composition_rank,
     compositions,
     gibbs,
@@ -272,10 +273,10 @@ def _rotation_guard(nu: np.ndarray, eps: np.ndarray, beta: float, cap: int):
         )
 
 
-def _pair_arrays(basis: FockBasis, nu, eps):
+def _pair_arrays(modes: Sequence[Mode], nu, eps):
     nu = np.asarray(nu, dtype=float)
     eps = np.asarray(eps, dtype=float)
-    pairs = pair_partners(basis)
+    pairs = pair_partners(modes)
     for i, j in pairs:
         if nu[i] != nu[j] or eps[i] != eps[j]:
             raise ValueError("nu and eps must match on +-p pairs")
@@ -285,15 +286,16 @@ def _pair_arrays(basis: FockBasis, nu, eps):
 
 
 def _rotated_expectations(
-    basis: FockBasis, nu, eps, beta: float, mode: Mode
+    modes: Sequence[Mode], cap: int, nu, eps, beta: float, mode: Mode
 ) -> tuple[RotatedExpectation, RotatedExpectation]:
     """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one sector pass.
 
-    Both traces and Z are accumulated with one exponential per sector.
+    The capped basis over ``modes`` is never built: the sectors enumerate
+    it.  Both traces and Z are accumulated with one exponential per sector.
     """
-    pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(basis, nu, eps)
-    _rotation_guard(nu, eps, beta, basis.cap)
-    mode_pos = basis.mode_index[mode.n]
+    pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(modes, nu, eps)
+    _rotation_guard(nu, eps, beta, cap)
+    mode_pos = [m.n for m in modes].index(mode.n)
     target_pair = next(
         pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
     )
@@ -301,7 +303,7 @@ def _rotated_expectations(
     number_sum = 0.0
     pair_sum = 0.0
     z_sum = 0.0
-    for abs_d, multiplicity, pattern in _sectors(len(pairs), basis.cap):
+    for abs_d, multiplicity, pattern in _sectors(len(pairs), cap):
         nplus, energy, G, amp = _sector_matrices(abs_d, pattern, nu_pairs, eps_pairs)
         weights = np.exp(-beta * energy)
         if not weights.any():
@@ -319,7 +321,7 @@ def _rotated_expectations(
 
     sinh_sq = np.sinh(nu) ** 2
     occs = _convention_occupations(eps, beta)
-    n_cap = _capped_occupations(eps, beta, basis.cap)
+    n_cap = _capped_occupations(eps, beta, cap)
     number = RotatedExpectation(
         value=number_sum / z_sum,
         candidates={
@@ -361,7 +363,7 @@ def rotated_number_expectation(
     returned, once with the uncapped thermal occupations and once with the
     capped closed-form ones.
     """
-    return _rotated_expectations(basis, nu, eps, beta, basis.modes[0])[0]
+    return _rotated_expectations(basis.modes, basis.cap, nu, eps, beta, basis.modes[0])[0]
 
 
 def pairing_expectation(
@@ -373,7 +375,7 @@ def pairing_expectation(
     number expectation.  Candidates are sinh(2 nu_p)/2 * (1 + 2 n) with the
     per-convention occupation proxies.
     """
-    return _rotated_expectations(basis, nu, eps, beta, mode)[1]
+    return _rotated_expectations(basis.modes, basis.cap, nu, eps, beta, mode)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +502,9 @@ def adjudicate_variants(
         raise ValueError("no modes in the requested shells")
     eps = np.array([dispersion(m.p_sq, a) for m in modes])
     nu = np.array([nu_coefficient(m.p_sq, a) for m in modes])
-    basis = build_basis(modes, cap)
+    check_basis_size(len(modes), cap)
 
-    rot, pair = _rotated_expectations(basis, nu, eps, beta, modes[0])
+    rot, pair = _rotated_expectations(modes, cap, nu, eps, beta, modes[0])
     number_detail, theta_winner = _judge(rot.value, rot.candidates)
     pairing_detail, pairing_winner = _judge(pair.value, pair.candidates)
 

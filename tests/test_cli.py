@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bosegas
 from bosegas.cli import main
 
 FAST_SETS = [
@@ -243,3 +247,27 @@ def test_config_file_round_trip(tmp_path):
     payload = read_json_payload(out / "depletion.json")
     assert payload["a"] == 0.5
     assert payload["cutoff_norm_sq"] == 12
+
+
+def test_all_is_independent_of_the_blas_thread_count(tmp_path):
+    # fresh interpreters started under 1 and 2 OpenBLAS threads, the same
+    # relative output directory (the config is part of every payload)
+    src = Path(bosegas.__file__).resolve().parent.parent
+    runs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "bosegas.cli", "all", "--output-dir", "out", *FAST_SETS],
+            cwd=cwd, env=env, check=True, capture_output=True, timeout=300,
+        )
+        runs.append(cwd / "out")
+    for out in runs:
+        assert json.loads((out / "provenance.json").read_text())["blas_threads"] == 1
+    names = sorted(p.name for p in runs[0].iterdir() if p.name != "provenance.json")
+    assert names == sorted(p.name for p in runs[1].iterdir() if p.name != "provenance.json")
+    assert len(names) >= 8
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name

@@ -216,7 +216,7 @@ def rotation_cases(draw):
 @settings(max_examples=15, deadline=None)
 def test_rotated_expectations_bit_equal_reference(case):
     basis, nu, eps, beta, mode = case
-    number, pairing = oracles._rotated_expectations(basis, nu, eps, beta, mode)
+    number, pairing = oracles._rotated_expectations(basis.modes, basis.cap, nu, eps, beta, mode)
     pairs = oracles.pair_partners(basis)
     position = basis.mode_index[mode.n]
     target_pair = next(pi for pi, pair in enumerate(pairs) if position in pair)
