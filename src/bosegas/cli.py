@@ -42,8 +42,14 @@ from .errors import (
     SolverError,
 )
 from .fock import build_basis
-from .lattice import enumerate_shells, modes_up_to, shell_table
-from .oracles import adjudicate_variants, partition_product_check, toy_gibbs_experiment
+# enumerate_shells is looked up here by name by the benchmark's tracer
+from .lattice import enumerate_shells, modes_up_to, shell_modes, shell_table  # noqa: F401
+from .oracles import (
+    adjudicate_variants,
+    partition_product_check,
+    toy_gibbs_experiment,
+    toy_scattering_length,
+)
 from .scattering import (
     R_MAX_FACTOR,
     RadialPotential,
@@ -309,13 +315,7 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
     )
 
     scale = float(oracle_cfg.get("momentum_scale", 1.0))
-    shell_set = {int(s) for s in oracle_cfg["shells"]}
-    modes = [
-        m
-        for shell in enumerate_shells(max(shell_set), momentum_scale=scale)
-        if shell.norm_sq in shell_set
-        for m in shell.members
-    ]
+    modes = shell_modes((int(s) for s in oracle_cfg["shells"]), momentum_scale=scale)
     eps = [dispersion(m.p_sq, float(oracle_cfg["a"])) for m in modes]
     basis = build_basis(modes, int(oracle_cfg["cap"]))
     sandwich = partition_product_check(basis, eps, beta=float(oracle_cfg["beta"]))
@@ -327,6 +327,8 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
     toy_cfg = oracle_cfg.get("toy", {})
     if toy_cfg.get("enabled", False):
         potential = _potential_from_config(config)
+        coupling = float(toy_cfg.get("coupling", 1.0))
+        a_model = toy_scattering_length(potential, coupling)
         toy_n = int(toy_cfg["N"])
         runs = {
             n: toy_gibbs_experiment(
@@ -335,7 +337,8 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
                 shells=[int(s) for s in oracle_cfg["shells"]],
                 cap=int(toy_cfg["cap"]),
                 beta=float(toy_cfg.get("beta", config["beta"])),
-                coupling=float(toy_cfg.get("coupling", 1.0)),
+                coupling=coupling,
+                a=a_model,
             )
             for n in (toy_n, 2 * toy_n)
         }
@@ -365,19 +368,13 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
     return bundle
 
 
+# ``all`` runs every command, in this order
 COMMANDS = {
     "scatter": cmd_scatter,
     "coeffs": cmd_coeffs,
     "rho": cmd_rho,
     "oracle": cmd_oracle,
 }
-
-
-def cmd_all(config: dict, out_dir: Path) -> ResultBundle:
-    bundle = ResultBundle()
-    for name in ("scatter", "coeffs", "rho", "oracle"):
-        bundle.merge(COMMANDS[name](config, out_dir))
-    return bundle
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,9 +410,14 @@ def main(argv: list[str] | None = None) -> int:
             {"output_dir": args.output_dir, "variant": args.variant},
         )
         out_dir = Path(config["output_dir"])
-        runner = cmd_all if args.command == "all" else COMMANDS[args.command]
+        names = tuple(COMMANDS) if args.command == "all" else (args.command,)
+        bundle = ResultBundle()
+        stage_seconds = {}
         with _blas.single_thread() as blas_threads:
-            bundle = runner(config, out_dir)
+            for name in names:
+                stage_started = time.monotonic()
+                bundle.merge(COMMANDS[name](config, out_dir))
+                stage_seconds[name] = time.monotonic() - stage_started
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         _record_error(out_dir, exc)
         print(f"usage error: {exc}", file=sys.stderr)
@@ -431,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
 
     provenance = _provenance(config)
     provenance["wall_time_s"] = time.monotonic() - started
+    provenance["stage_seconds"] = stage_seconds
     provenance["blas_threads"] = blas_threads
     provenance["files"] = bundle.files
     _write(

@@ -6,7 +6,10 @@ all downstream results deterministic.  Operators are real sparse matrices
 in that basis; every creation amplitude is sqrt(n+1) truncated at the cap,
 and the weighted variants carry the extra factor sqrt(1 - total/N)
 evaluated on the state to the right of the square root, so that creation
-and annihilation are exact float adjoints of each other.
+and annihilation are exact float adjoints of each other.  Every operator
+is a sum of words of these ladder letters: a word acts on all basis states
+at once, and the words of one operator are summed per net occupation shift
+before the shifted states are ranked.
 
 All matrices here are real symmetric (anti-symmetric for the quadratic
 generators); hermiticity therefore means symmetry.
@@ -18,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -192,6 +195,111 @@ def _check_same_basis(x: HermitianOperator, y: HermitianOperator):
 # ladder operators
 # ---------------------------------------------------------------------------
 
+# A letter (slot, step, weighted) is a creation (step +1) or annihilation
+# (step -1) at one mode slot, optionally carrying the factor sqrt(1 - t/N);
+# a word is a tuple of letters in operator order, so its last letter acts
+# first.
+Letter = tuple[int, int, bool]
+
+
+class _Letters:
+    """The ladder letters on one basis, applied to every state at once.
+
+    A letter contributes sqrt(n) (annihilation) or sqrt(n + 1) times the
+    cap mask (creation) of the occupation n it meets, and a weighted letter
+    also sqrt(1 - t/N) with t the smaller of the totals before and after
+    it.  These per-state columns depend only on the slot and on how far the
+    letters before moved its occupation and the total, so each is built
+    once per instance.  Square roots read arguments clipped at 0: a state
+    the word annihilates or lifts past the cap gets amplitude 0, never NaN,
+    however far its later occupations and totals stray.
+    """
+
+    def __init__(self, basis: FockBasis, N: int | None = None):
+        self.basis = basis
+        self.N = N
+        self._columns: dict[tuple, np.ndarray] = {}
+
+    def _column(self, *key) -> np.ndarray:
+        """The column ("root", j, offset), ("below_cap", offset) or ("weight", offset)."""
+        column = self._columns.get(key)
+        if column is None:
+            basis = self.basis
+            kind, offset = key[0], key[-1]
+            if kind == "root":  # sqrt(n_j + offset)
+                n = np.maximum(basis.occupations()[:, key[1]] + offset, 0)
+                column = np.sqrt(n.astype(float))
+            elif kind == "below_cap":  # creation allowed at total + offset
+                column = (basis.totals + offset < basis.cap).astype(float)
+            else:  # sqrt(1 - (total + offset)/N)
+                column = np.sqrt(np.maximum(1.0 - (basis.totals + offset) / self.N, 0.0))
+            self._columns[key] = column
+        return column
+
+    def word(self, word: Sequence[Letter]) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitude of ``word`` on every basis state, and its net occupation shift."""
+        amp = None
+        shift = [0] * len(self.basis.modes)
+        moved = 0  # the shift of the total
+        for j, step, weighted in reversed(word):
+            if step > 0:
+                factor = self._column("root", j, shift[j] + 1) * self._column("below_cap", moved)
+                weighted_total = moved
+            else:
+                factor = self._column("root", j, shift[j])
+                weighted_total = moved - 1
+            if weighted:
+                factor = factor * self._column("weight", weighted_total)
+            amp = factor if amp is None else amp * factor
+            shift[j] += step
+            moved += step
+        return amp, np.array(shift, dtype=np.int64)
+
+    def entries(
+        self,
+        terms: Iterable[tuple[float, Sequence[Letter]]],
+        diagonal: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nonzero (rows, cols, values) of sum coefficient * word over (coefficient, word) terms.
+
+        The terms are grouped by net shift: each group is summed as one
+        dense column over the states, whose nonzero targets are ranked
+        once.  ``diagonal`` starts the zero-shift group.
+        """
+        basis = self.basis
+        n_modes = len(basis.modes)
+        groups: dict[tuple[int, ...], list] = {}
+        if diagonal is not None:
+            groups[(0,) * n_modes] = []
+        for coefficient, word in terms:
+            shift = [0] * n_modes
+            for j, step, _ in word:
+                shift[j] += step
+            groups.setdefault(tuple(shift), []).append((coefficient, word))
+        if not groups:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+
+        occ = basis.occupations()
+        rows, cols, values = [], [], []
+        for shift, members in groups.items():
+            if diagonal is not None and not any(shift):
+                column = diagonal.copy()
+            else:
+                column = np.zeros(len(basis))
+            for coefficient, word in members:
+                column += coefficient * self.word(word)[0]
+            states = np.flatnonzero(column)
+            rows.append(basis.rank(occ[states] + np.array(shift, dtype=np.int64)))
+            cols.append(states)
+            values.append(column[states])
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _from_entries(basis: FockBasis, rows, cols, values) -> sp.csr_matrix:
+    dim = len(basis)
+    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+
+
 def ladder(
     basis: FockBasis,
     mode: Mode,
@@ -205,43 +313,30 @@ def ladder(
     sqrt(1 - total/N) with the total excitation number of the state the
     factor acts on, which keeps them inside the capped space.
 
-    This is the one place that moves an occupation: every other operator
-    on the basis is a product of these matrices.  All states move at once
-    and the targets are ranked in closed form.
+    This is the one-letter word.  ``_Letters`` is the one place that moves
+    an occupation, and every operator on the basis is a sum of its words:
+    all states move at once and the targets are ranked in closed form.
     """
     if mode.n not in basis.mode_index:
         raise ValueError(f"mode {mode.n} not in basis")
     if kind not in ("create", "annihilate", "b_create", "b_annihilate"):
         raise ValueError(f"unknown ladder kind {kind!r}")
-    if kind.startswith("b_"):
+    weighted = kind.startswith("b_")
+    if weighted:
         if N is None:
             raise ValueError("weighted ladder operators need N")
         if N < basis.cap:
             raise ValueError("weighted ladder operators need N >= cap")
-    j = basis.mode_index[mode.n]
-    occ = basis.occupations()
-    totals = basis.totals
-
-    if kind.endswith("create"):
-        cols = np.flatnonzero(totals < basis.cap)
-        amp = np.sqrt(occ[cols, j] + 1.0)
-        weighted_total = totals[cols]
-        step = 1
-    else:
-        cols = np.flatnonzero(occ[:, j])
-        amp = np.sqrt(occ[cols, j].astype(float))
-        weighted_total = totals[cols] - 1
-        step = -1
-    if kind.startswith("b_"):
-        amp *= np.sqrt(1.0 - weighted_total / N)
-    targets = occ[cols]
-    targets[:, j] += step
-    dim = len(basis)
-    return sp.csr_matrix((amp, (basis.rank(targets), cols)), shape=(dim, dim))
+    letter = (basis.mode_index[mode.n], 1 if kind.endswith("create") else -1, weighted)
+    amp, shift = _Letters(basis, N).word((letter,))
+    cols = np.flatnonzero(amp)
+    rows = basis.rank(basis.occupations()[cols] + shift)
+    return _from_entries(basis, rows, cols, amp[cols])
 
 
 def number_operator(basis: FockBasis, mode: Mode) -> sp.csr_matrix:
-    return ladder(basis, mode, "create") @ ladder(basis, mode, "annihilate")
+    j = basis.mode_index[mode.n]
+    return _from_entries(basis, *_Letters(basis).entries([(1.0, ((j, 1, False), (j, -1, False)))]))
 
 
 def total_number(basis: FockBasis) -> sp.csr_matrix:
@@ -288,10 +383,6 @@ def build_K(basis: FockBasis) -> HermitianOperator:
 # excitation Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _ladders(basis: FockBasis, kind: str, N: int | None = None) -> list[sp.csr_matrix]:
-    return [ladder(basis, m, kind, N) for m in basis.modes]
-
-
 def build_LN(
     basis: FockBasis,
     N: int,
@@ -304,8 +395,11 @@ def build_LN(
     integer |p|^2.  Assembles the kinetic part plus the scalar/number
     block, the quadratic block with its anomalous pairs, the cubic block
     and the quartic block, keeping exactly the momentum-conserving terms
-    whose every leg lies in the mode set.  The result commutes with total
-    momentum and is symmetric up to roundoff.
+    whose every leg lies in the mode set.  Every anomalous, cubic and
+    quartic term is a word of ladder letters; the words are summed per net
+    occupation shift and the whole matrix is built from one triplet list.
+    The result commutes with total momentum and is symmetric up to
+    roundoff.
     """
     if N < basis.cap:
         raise ValueError("build_LN needs N >= cap")
@@ -322,8 +416,6 @@ def build_LN(
     v0 = khat(0)
     vp = np.array([khat(m.norm_sq) for m in modes])
     neg = [index[m.negated()] for m in modes]
-    a_up, a_down = _ladders(basis, "create"), _ladders(basis, "annihilate")
-    b_up = _ladders(basis, "b_create", N)
 
     # diagonal blocks: kinetic + scalar/number + direct quadratic
     p_sq = np.array([m.p_sq for m in modes])
@@ -332,41 +424,48 @@ def build_LN(
     kinetic = occs @ p_sq
     direct = (occs @ vp) * (N - totals) / N
     scalar = 0.5 * N * v0 - 0.5 * v0 * (1.0 - totals / N) - 0.5 * v0 * totals**2 / N
-    H = sp.diags(kinetic + scalar + direct).tocsr()
 
-    # anomalous quadratic block: (1/2) sum_p vp [b*_p b*_-p + b_-p b_p]
-    for i, j in enumerate(neg):
-        if vp[i] != 0.0:
-            pair = b_up[i] @ b_up[j]
-            H += (0.5 * vp[i]) * (pair + pair.T)
-
-    # cubic block: N^{-1/2} sum vp [b*_{p+q} a*_{-p} a_q + h.c.], all legs in the set
+    # anomalous quadratic block: (1/2) sum_p vp b*_p b*_-p, and
+    # cubic block: N^{-1/2} sum vp b*_{p+q} a*_{-p} a_q, all legs in the set;
+    # each is added with its adjoint, the exact transpose
+    raising = [
+        (0.5 * vp[i], ((i, 1, True), (j, 1, True)))
+        for i, j in enumerate(neg)
+        if vp[i] != 0.0
+    ]
     inv_sqrt_n = 1.0 / math.sqrt(N)
-    cubic = sp.csr_matrix(H.shape)
     for ip, mp_ in enumerate(modes):
         for iq, mq in enumerate(modes):
             s = tuple(a + b for a, b in zip(mp_.n, mq.n))
             if s == (0, 0, 0) or s not in index or vp[ip] == 0.0:
                 continue
-            cubic += (inv_sqrt_n * vp[ip]) * (b_up[index[s]] @ a_up[neg[ip]] @ a_down[iq])
-    H += cubic + cubic.T
+            word = ((index[s], 1, True), (neg[ip], 1, False), (iq, -1, False))
+            raising.append((inv_sqrt_n * vp[ip], word))
 
-    # quartic block: (2N)^{-1} sum vhat(r/N) a*_{p+r} a*_q a_p a_{q+r}, grouped
-    # as a*_{p+r} M_r a_p with the hop M_r = sum_q a*_q a_{q+r}
-    hops: dict[tuple[int, ...], sp.csr_matrix] = {}
-    for iq, mq in enumerate(modes):
-        for it, mt in enumerate(modes):
-            r = tuple(b - a for a, b in zip(mq.n, mt.n))
-            hop = a_up[iq] @ a_down[it]
-            hops[r] = hops[r] + hop if r in hops else hop
+    # quartic block: (2N)^{-1} sum vhat(r/N) a*_{p+r} a*_q a_{q+r} a_p
+    quartic = []
     half_inv_n = 0.5 / N
     for ip, mp_ in enumerate(modes):
         for is_, ms in enumerate(modes):
             r = tuple(a - b for a, b in zip(ms.n, mp_.n))
             v_r = khat(sum(c * c for c in r))
-            if v_r != 0.0:
-                H += (half_inv_n * v_r) * (a_up[is_] @ hops[r] @ a_down[ip])
+            if v_r == 0.0:
+                continue
+            for iq, mq in enumerate(modes):
+                t = tuple(a + b for a, b in zip(mq.n, r))
+                if t in index:
+                    word = ((is_, 1, False), (iq, 1, False), (index[t], -1, False), (ip, -1, False))
+                    quartic.append((half_inv_n * v_r, word))
 
+    letters = _Letters(basis, N)
+    up_rows, up_cols, up_values = letters.entries(raising)
+    rows, cols, values = letters.entries(quartic, diagonal=kinetic + scalar + direct)
+    H = _from_entries(
+        basis,
+        np.concatenate((rows, up_rows, up_cols)),
+        np.concatenate((cols, up_cols, up_rows)),
+        np.concatenate((values, up_values, up_values)),
+    )
     return HermitianOperator(basis, H)
 
 
@@ -424,15 +523,18 @@ def build_quadratic_generator(
     for i, j in pairs:
         if c[i] != c[j]:
             raise ValueError("generator coefficient must match on +-p pairs")
-    up = _ladders(basis, "b_create" if kind == "b_type" else "create", N)
-    dim = len(basis)
-    G = sp.csr_matrix((dim, dim))
-    for i, j in pairs:
-        if c[i] != 0.0:
-            # X_-p X_p is the exact transpose of X*_p X*_-p
-            pair = up[i] @ up[j]
-            G += c[i] * (pair - pair.T)
-    return G
+    weighted = kind == "b_type"
+    raising = [
+        (c[i], ((i, 1, weighted), (j, 1, weighted))) for i, j in pairs if c[i] != 0.0
+    ]
+    rows, cols, values = _Letters(basis, N).entries(raising)
+    # X_-p X_p is the exact transpose of X*_p X*_-p
+    return _from_entries(
+        basis,
+        np.concatenate((rows, cols)),
+        np.concatenate((cols, rows)),
+        np.concatenate((values, -values)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "shell_table",
     "enumerate_shells",
     "modes_up_to",
+    "shell_modes",
     "lattice_sum",
     "tail_norm_bound",
 ]
@@ -116,6 +117,21 @@ def modes_up_to(max_norm_sq: int, momentum_scale: float = TWO_PI) -> tuple[Mode,
     for shell in enumerate_shells(max_norm_sq, momentum_scale):
         out.extend(shell.members)
     return tuple(out)
+
+
+def shell_modes(norm_sqs: Iterable[int], momentum_scale: float = TWO_PI) -> tuple[Mode, ...]:
+    """The modes of the shells |n|^2 in ``norm_sqs``, in shell order.
+
+    Repeated norms count once; a norm no integer triple represents adds no
+    mode.
+    """
+    wanted = set(norm_sqs)
+    return tuple(
+        m
+        for shell in enumerate_shells(max(wanted), momentum_scale)
+        if shell.norm_sq in wanted
+        for m in shell.members
+    )
 
 
 @lru_cache(maxsize=32)

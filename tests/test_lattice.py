@@ -8,6 +8,7 @@ from bosegas.lattice import (
     enumerate_shells,
     lattice_sum,
     modes_up_to,
+    shell_modes,
     shell_table,
     tail_norm_bound,
 )
@@ -24,6 +25,16 @@ def brute_multiplicities(max_norm_sq):
                 if 1 <= j <= max_norm_sq:
                     counts[j] = counts.get(j, 0) + 1
     return counts
+
+
+def test_shell_modes_lists_the_requested_shells_in_order():
+    # repeated norms count once, and 7 is no sum of three squares
+    modes = shell_modes([3, 1, 3, 7], momentum_scale=1.0)
+    assert [m.norm_sq for m in modes] == [1] * 6 + [3] * 8
+    assert modes[:6] == enumerate_shells(1, 1.0)[0].members
+    assert [m.n for m in modes[6:]] == sorted(m.n for m in modes[6:])
+    assert all(m.p_sq == m.norm_sq for m in modes)
+    assert shell_modes([2]) == enumerate_shells(2)[1].members
 
 
 def test_first_shell_is_the_six_unit_vectors():

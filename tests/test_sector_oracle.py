@@ -5,11 +5,14 @@ and ``bosegas.fock.composition_rank`` ranks them in closed form; the Fock
 basis and the adjudication sectors of ``bosegas.oracles`` both use them.
 The functions below are what the package used before: a recursive tuple
 generator for the basis, and for the sectors two recursive generators, a
-per-sector tuple-to-position dict and a loop that moves one pair number at
-a time by tuple slicing.  Lexicographic order over the pair numbers k with
-sum k <= B is the lexicographic order of the compositions of B with a
-slack slot, and likewise for the sector labels, so every state order and
-every accumulation order is unchanged: the new path must agree bit for bit.
+per-sector tuple-to-position dict, a loop that moves one pair number at
+a time by tuple slicing, and one exponential per sector.  Lexicographic
+order over the pair numbers k with sum k <= B is the lexicographic order of
+the compositions of B with a slack slot, and likewise for the sector
+labels, so every state order is unchanged.  The package now stacks the
+sectors of one pair budget and exponentiates the stack in one call, which
+runs the same code on every slice, and still adds the sector terms in label
+order: the new path must agree bit for bit.
 """
 
 import itertools
@@ -20,10 +23,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bosegas import oracles
+from bosegas.bogoliubov import dispersion, nu_coefficient
+from bosegas.errors import GuardError
 from bosegas.fock import build_basis, composition_rank, compositions
-from bosegas.lattice import enumerate_shells
+from bosegas.lattice import enumerate_shells, shell_modes
 
 SHELLS_1_2 = [m for s in enumerate_shells(2) for m in s.members]
 MODE_BY_TRIPLE = {m.n: m for m in SHELLS_1_2}
@@ -116,6 +122,15 @@ def _sector_matrices(sector: _Sector, nu_pairs, eps_pairs, cap: int):
     return nplus, energy, G, raises
 
 
+def _orthogonal_expm(G: np.ndarray) -> np.ndarray:
+    """Exponential of an anti-symmetric block, orthogonality checked a posteriori."""
+    U = expm(G)
+    defect = float(np.max(np.abs(U.T @ U - np.eye(U.shape[0]))))
+    if defect > 1e-10:
+        raise GuardError(f"generator exponential lost orthogonality ({defect:.3e})")
+    return U
+
+
 def reference_sums(n_pairs, cap, nu_pairs, eps_pairs, beta, target_pair):
     """The sector loop of the rotated expectations: number, pairing and Z sums."""
     number_sum = 0.0
@@ -126,7 +141,7 @@ def reference_sums(n_pairs, cap, nu_pairs, eps_pairs, beta, target_pair):
         weights = np.exp(-beta * energy)
         if not weights.any():
             continue
-        U = oracles._orthogonal_expm(G)
+        U = _orthogonal_expm(G)
         conj_diag = (U * U).T @ nplus
         number_sum += sector.multiplicity * float(np.dot(weights, conj_diag))
         dim = len(sector.kvecs)
@@ -178,23 +193,32 @@ def sector_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_sectors_bit_equal_reference(case):
     n_pairs, cap, nu_pairs, eps_pairs = case
-    new = list(oracles._sectors(n_pairs, cap))
     ref = list(_iter_sectors(n_pairs, cap))
-    assert [(tuple(d), m) for d, m, _ in new] == [(s.abs_d, s.multiplicity) for s in ref]
-    for (abs_d, _, pattern), sector in zip(new, ref):
-        assert [tuple(k) for k in pattern[0].tolist()] == sector.kvecs
-        nplus, energy, G, amp = oracles._sector_matrices(
+    seen = np.zeros(len(ref), dtype=bool)
+    for positions, abs_d, multiplicity, pattern in oracles._sectors(n_pairs, cap):
+        stack = oracles._sector_matrices(
             abs_d, pattern, np.array(nu_pairs), np.array(eps_pairs)
         )
-        ref_nplus, ref_energy, ref_G, ref_raises = _sector_matrices(
-            sector, nu_pairs, eps_pairs, cap
-        )
-        assert_bits_equal(nplus, ref_nplus)
-        assert_bits_equal(energy, ref_energy)
-        assert_bits_equal(G, ref_G)
         _, pair, target, source = pattern
-        raises = list(zip(pair.tolist(), target.tolist(), source.tolist(), amp.tolist()))
-        assert raises == ref_raises
+        for k, position in enumerate(positions.tolist()):
+            sector = ref[position]
+            assert not seen[position]
+            seen[position] = True
+            assert (tuple(abs_d[k].tolist()), int(multiplicity[k])) == (
+                sector.abs_d,
+                sector.multiplicity,
+            )
+            assert [tuple(kv) for kv in pattern[0].tolist()] == sector.kvecs
+            nplus, energy, G, amp = (part[k] for part in stack)
+            ref_nplus, ref_energy, ref_G, ref_raises = _sector_matrices(
+                sector, nu_pairs, eps_pairs, cap
+            )
+            assert_bits_equal(nplus, ref_nplus)
+            assert_bits_equal(energy, ref_energy)
+            assert_bits_equal(G, ref_G)
+            raises = list(zip(pair.tolist(), target.tolist(), source.tolist(), amp.tolist()))
+            assert raises == ref_raises
+    assert seen.all()
 
 
 @st.composite
@@ -212,17 +236,14 @@ def rotation_cases(draw):
     return build_basis(modes, cap), nu, eps, beta, mode
 
 
-@given(case=rotation_cases())
-@settings(max_examples=15, deadline=None)
-def test_rotated_expectations_bit_equal_reference(case):
-    basis, nu, eps, beta, mode = case
-    number, pairing = oracles._rotated_expectations(basis.modes, basis.cap, nu, eps, beta, mode)
-    pairs = oracles.pair_partners(basis)
-    position = basis.mode_index[mode.n]
+def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
+    number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+    pairs = oracles.pair_partners(modes)
+    position = [m.n for m in modes].index(mode.n)
     target_pair = next(pi for pi, pair in enumerate(pairs) if position in pair)
     number_sum, pair_sum, z_sum = reference_sums(
         len(pairs),
-        basis.cap,
+        cap,
         [nu[i] for i, _ in pairs],
         [eps[i] for i, _ in pairs],
         beta,
@@ -231,6 +252,47 @@ def test_rotated_expectations_bit_equal_reference(case):
     assert number.Z == z_sum and pairing.Z == z_sum
     assert number.value == number_sum / z_sum
     assert pairing.value == pair_sum / z_sum
+
+
+@given(case=rotation_cases())
+@settings(max_examples=15, deadline=None)
+def test_rotated_expectations_bit_equal_reference(case):
+    basis, nu, eps, beta, mode = case
+    assert_rotations_bit_equal(basis.modes, basis.cap, nu, eps, beta, mode)
+
+
+def workload_rotation(beta=2.0):
+    """Shell 1 at cap 14 and a = 0.045 on the unit lattice: 680 sectors.
+
+    At beta = 2 the configuration of the ``oracle`` workload in
+    perfbench/workloads.py, past the caps the property draws.
+    """
+    modes = shell_modes([1], momentum_scale=1.0)
+    a = 0.045
+    nu = [nu_coefficient(m.p_sq, a) for m in modes]
+    eps = [dispersion(m.p_sq, a) for m in modes]
+    return modes, 14, nu, eps, beta, modes[0]
+
+
+# at beta = 60 every weight of the sectors with sum |d| >= 7 underflows
+# (eps = 1.80), so part of most pair budgets stays out of the sums
+@pytest.mark.parametrize("beta", [2.0, 60.0])
+def test_rotated_expectations_bit_equal_reference_at_cap_14(beta):
+    assert_rotations_bit_equal(*workload_rotation(beta))
+
+
+def test_a_non_orthogonal_exponential_is_refused(monkeypatch):
+    exact = oracles.expm
+
+    def spoiled(G):
+        U = exact(G)
+        if len(G) > 1:
+            U[-1] *= 1.0 + 1e-9  # the last of several slices: |U^T U - 1| = 2e-9
+        return U
+
+    monkeypatch.setattr(oracles, "expm", spoiled)
+    with pytest.raises(GuardError, match="lost orthogonality"):
+        oracles._rotated_expectations(*workload_rotation())
 
 
 @pytest.mark.parametrize("parts", range(1, 8))
