@@ -10,6 +10,7 @@ coefficient conventions.
 
 __version__ = "0.1.0"
 
+from . import _blas  # noqa: F401  (first: it loads scipy's OpenBLAS early)
 from .bogoliubov import (
     ModeCoefficients,
     ThermalConfig,

@@ -9,6 +9,12 @@ sets both libraries to one thread through their exported setters (the calls
 threadpoolctl makes) and restores the previous counts on exit.  Where the
 symbols are not found, for instance with a BLAS other than the bundled
 OpenBLAS, it changes nothing and reports ``"unpinned"``.
+
+Importing this module loads scipy's OpenBLAS (through ``scipy.linalg``),
+and the package imports it first.  A freshly loaded OpenBLAS starts a
+worker thread that busy-waits for about 0.1 s before it sleeps; loaded
+this early, that wait overlaps the rest of the imports instead of the
+first command.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Callable, Iterator
 
 import numpy
 import scipy
+import scipy.linalg  # noqa: F401  (see the module docstring)
 
 # (package, directory of its bundled libraries, library pattern, setter, getter)
 _OPENBLAS = (

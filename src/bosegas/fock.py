@@ -141,6 +141,20 @@ def compositions(total: int, parts: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _stars(max_total: int, slots: int) -> np.ndarray:
+    """Read-only stars[s, k] = C(s + k, k), the compositions of s into k + 1 parts.
+
+    For s <= max_total and k < slots, built once per pair of sizes.
+    """
+    stars = np.array(
+        [[comb(s + k, k) for k in range(slots)] for s in range(max_total + 1)],
+        dtype=np.int64,
+    )
+    stars.flags.writeable = False
+    return stars
+
+
 def composition_rank(occ: np.ndarray) -> np.ndarray:
     """Lexicographic position of each row among the compositions of its own total.
 
@@ -151,11 +165,7 @@ def composition_rank(occ: np.ndarray) -> np.ndarray:
     """
     n = occ.shape[1]
     suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
-    # stars[s, k] = C(s + k, k), the compositions of s into k + 1 parts
-    stars = np.array(
-        [[comb(s + k, k) for k in range(n)] for s in range(suffix[:, 0].max(initial=0) + 1)],
-        dtype=np.int64,
-    )
+    stars = _stars(int(suffix[:, 0].max(initial=0)), n)
     k = np.arange(n - 1, 0, -1)
     return (stars[suffix[:, :-1], k] - stars[suffix[:, 1:], k]).sum(axis=1)
 

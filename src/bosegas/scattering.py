@@ -9,14 +9,20 @@ turns the three-dimensional problems into regular one-dimensional ODEs:
   reflecting boundary condition u'(R) = u(R)/R and normalization u(R) = R,
   lambda being the smallest such eigenvalue.
 
-Only the support [0, b] of V is integrated numerically (DOP853, split at the
-potential's breakpoints).  Past b the equation is free, so the solution
-continues in closed form, u(b) cos(kappa s) + u'(b) sin(kappa s)/kappa with
-s = r - b and kappa = sqrt(lambda), affine at lambda = 0.  The ground
-eigenvalue is the root of the boundary defect g(lambda) = u'(R) - u(R)/R,
-found by Brent's method (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973) inside a bracket whose upper end comes from the
-Rayleigh quotient of the trial profile f = 1.
+Across the support [0, b] of V, (u, u') is propagated by 2x2 transfer
+matrices: one 4th-order Magnus step (Iserles, Munthe-Kaas, Norsett & Zanna,
+*Acta Numerica* 9 (2000)) per step, whose traceless generator has a
+closed-form exponential (cosh/sinh, or cos/sin).  Each breakpoint piece
+starts as one step, which is exact where V is constant (the soft sphere);
+other pieces are halved until a step-doubling estimate meets the tolerance,
+and that estimate is kept on the solution (``dense.error_estimate``).  Past b the equation is free,
+so the solution continues in closed form, u(b) cos(kappa s) +
+u'(b) sin(kappa s)/kappa with s = r - b and kappa = sqrt(lambda), affine at
+lambda = 0.  The ground eigenvalue is the root of the boundary defect
+g(lambda) = u'(R) - u(R)/R, found by Brent's method (R. P. Brent,
+*Algorithms for Minimization without Derivatives*, 1973; ``brentq`` follows
+scipy's zeroin step for step) inside a bracket whose upper end comes from
+the Rayleigh quotient of the trial profile f = 1.  Only numpy is needed.
 
 From the ball solution the correlation kernels are obtained as radial
 Fourier transforms.  On [0, b] they use composite Simpson quadrature at two
@@ -40,8 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .bogoliubov import nu_coefficient
 from .errors import BracketFailure, KernelError, QuadratureError, SolverError
@@ -168,14 +172,20 @@ def zero_potential(support_radius: float = 0.5) -> RadialPotential:
 # ---------------------------------------------------------------------------
 
 class _PiecewiseSolution:
-    """Dense evaluator for u, u' assembled from per-segment solutions."""
+    """Dense evaluator for u, u' assembled from per-segment solutions.
 
-    def __init__(self, segments, scale: float = 1.0):
-        self._segments = segments  # list of (lo, hi, OdeSolution or _FreeSegment)
+    Each segment is ``(lo, hi, sol)`` with ``sol(r)`` returning the rows
+    (u, u') at radii in [lo, hi].  ``error_estimate`` is the propagation's
+    relative error estimate, when it has one.
+    """
+
+    def __init__(self, segments, scale: float = 1.0, error_estimate: float | None = None):
+        self._segments = segments
         self._scale = scale
+        self.error_estimate = error_estimate
 
     def rescaled(self, scale: float) -> "_PiecewiseSolution":
-        return _PiecewiseSolution(self._segments, self._scale * scale)
+        return _PiecewiseSolution(self._segments, self._scale * scale, self.error_estimate)
 
     def _eval(self, r, row: int):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -231,6 +241,90 @@ def _segment_potential(potential: RadialPotential, lo: float, hi: float):
     return v
 
 
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_MAX_HALVINGS = 24
+# roundoff allowance of one Magnus step, relative to its largest entry
+_ROUNDOFF = 64.0 * np.finfo(float).eps
+
+
+def _norm(m: np.ndarray, length: float = 1.0) -> np.ndarray:
+    """Largest absolute entry of each matrix of an (n, 2, 2) stack acting on
+    (u, length u'): the u' -> u entry divided by ``length``, the u -> u'
+    entry multiplied by it."""
+    scale = np.array([[1.0, 1.0 / length], [length, 1.0]])
+    return np.abs(m * scale).max(axis=(1, 2))
+
+
+def _expm_traceless(d, h, c) -> np.ndarray:
+    """(n, 2, 2) stack exp([[d, h], [c, -d]]).
+
+    The matrix is traceless, so its square is s^2 I with s^2 = d^2 + h c,
+    and its exponential is cosh(s) I + (sinh(s)/s) Omega (cos and sin of
+    |s| when s^2 < 0).
+    """
+    s_sq = d * d + h * c
+    s = np.sqrt(np.abs(s_sq))
+    grow = s_sq > 0.0
+    even = np.cos(s)
+    odd = np.sin(s)
+    even[grow] = np.cosh(s[grow])
+    odd[grow] = np.sinh(s[grow])
+    nonzero = s > 0.0
+    odd[nonzero] /= s[nonzero]
+    odd[~nonzero] = 1.0
+    out = np.empty((len(s), 2, 2))
+    out[:, 0, 0] = even + odd * d
+    out[:, 0, 1] = odd * h
+    out[:, 1, 0] = odd * c
+    out[:, 1, 1] = even - odd * d
+    return out
+
+
+def _magnus_steps(potential, lam, left, right, lo_in, hi_in) -> np.ndarray:
+    """(n, 2, 2) stack: the transfer matrix of (u, u') over each [left, right].
+
+    The 4th-order Magnus generator of y' = A y, A = [[0, 1], [q, 0]] with
+    q = V/2 - lam sampled at the two Gauss points (V clipped into the
+    piece [lo_in, hi_in] of the step), is
+    h/2 (A1 + A2) + (sqrt(3) h^2/12) [A2, A1] = [[d, h], [c, -d]] with
+    c = h (q1 + q2)/2 and d = sqrt(3) h^2 (q1 - q2)/12.  Where V is
+    constant, d = 0 and the step is exact.
+    """
+    h = right - left
+    q1 = 0.5 * potential(np.clip(left + _GAUSS[0] * h, lo_in, hi_in)) - lam
+    q2 = 0.5 * potential(np.clip(left + _GAUSS[1] * h, lo_in, hi_in)) - lam
+    return _expm_traceless(math.sqrt(3.0) / 12.0 * h * h * (q1 - q2), h, 0.5 * h * (q1 + q2))
+
+
+def _compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """second @ first for (n, 2, 2) stacks, by elementwise products."""
+    return (second[:, :, :, None] * first[:, None, :, :]).sum(axis=2)
+
+
+class _MagnusSteps:
+    """u, u' inside the support from the state at the start of each Magnus step.
+
+    A radius in step j is reached by one Magnus step from the step's start,
+    so at a step's end it reproduces the propagated state bit for bit.
+    """
+
+    def __init__(self, potential, lam, starts, states, lo_in, hi_in):
+        self._potential = potential
+        self._lam = lam
+        self._starts = starts  # n + 1 radii, the last one the support radius
+        self._states = states  # (n + 1, 2): (u, u') at each radius
+        self._lo_in = lo_in
+        self._hi_in = hi_in
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        j = np.clip(np.searchsorted(self._starts, r, side="right") - 1, 0, len(self._lo_in) - 1)
+        m = _magnus_steps(self._potential, self._lam, self._starts[j], r,
+                          self._lo_in[j], self._hi_in[j])
+        u, du = self._states[j, 0], self._states[j, 1]
+        return np.array([m[:, 0, 0] * u + m[:, 0, 1] * du, m[:, 1, 0] * u + m[:, 1, 1] * du])
+
+
 def _integrate_radial(
     potential: RadialPotential,
     r_end: float,
@@ -239,34 +333,68 @@ def _integrate_radial(
 ) -> _PiecewiseSolution:
     """Solve u'' = (V/2 - lam) u, u(0)=0, u'(0)=1 on [0, r_end], r_end past the support.
 
-    DOP853 runs over the support only, split at the breakpoints (the last
-    one is the support radius); beyond it the solution continues in closed
-    form.
+    Across the support (u, u') is carried by one 4th-order Magnus transfer
+    matrix per step (Iserles, Munthe-Kaas, Norsett & Zanna,
+    *Acta Numerica* 9 (2000)).  Every breakpoint piece starts as one step,
+    so a piece where V is constant is crossed exactly.  A piece is halved
+    until on each of its steps the step-doubling defect
+    M_h - M_{h/2} M_{h/2} is below ``tol`` times the step's departure
+    M_h - F from the free transfer matrix F (a and lambda are set by that
+    departure, however weak V is), plus 64 eps |M_h| for roundoff; the
+    matrices are compared acting on (u, b u'), b the support radius, so
+    that the test does not depend on the unit of length.  All
+    steps are built by array operations; one sequential pass multiplies
+    the state through them.  Beyond the support the solution continues in
+    closed form.
+
+    The returned ``error_estimate`` bounds the error of u and u' on the
+    support relative to the largest |u|, |u'| reached so far: twice the
+    defect applied to each step's start state, relative to its end state,
+    summed over the steps, plus 64 eps per step.
     """
-    cuts = [0.0, *potential.breakpoints()]
-    y = [0.0, 1.0]
-    segments = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v_seg = _segment_potential(potential, lo, hi)
-
-        def rhs(r, y, v_seg=v_seg):
-            return [y[1], (0.5 * v_seg(r) - lam) * y[0]]
-
-        res = solve_ivp(
-            rhs,
-            (lo, hi),
-            y,
-            method="DOP853",
-            rtol=tol,
-            atol=tol * 1e-3,
-            dense_output=True,
-        )
-        if not res.success:  # pragma: no cover
-            raise SolverError(f"radial integration failed on [{lo}, {hi}]: {res.message}")
-        segments.append((lo, hi, res.sol))
-        y = [res.y[0][-1], res.y[1][-1]]
-    segments.append((cuts[-1], r_end, _FreeSegment(cuts[-1], y[0], y[1], lam)))
-    return _PiecewiseSolution(segments)
+    cuts = np.array([0.0, *potential.breakpoints()])
+    lo_in, hi_in = np.nextafter(cuts[:-1], cuts[1:]), np.nextafter(cuts[1:], cuts[:-1])
+    left, right, piece = cuts[:-1], cuts[1:], np.arange(len(lo_in))
+    full = _magnus_steps(potential, lam, left, right, lo_in, hi_in)
+    done = []
+    for _ in range(_MAX_HALVINGS):
+        mid = 0.5 * (left + right)
+        first = _magnus_steps(potential, lam, left, mid, lo_in[piece], hi_in[piece])
+        second = _magnus_steps(potential, lam, mid, right, lo_in[piece], hi_in[piece])
+        defect = full - _compose(second, first)
+        h = right - left
+        free = _expm_traceless(np.zeros_like(h), h, -lam * h)
+        rough = (_norm(defect, cuts[-1])
+                 > tol * _norm(full - free, cuts[-1]) + _ROUNDOFF * _norm(full, cuts[-1]))
+        failed = np.zeros(len(lo_in), dtype=bool)
+        failed[piece[rough]] = True
+        redo = failed[piece]
+        done.append((left[~redo], piece[~redo], full[~redo], defect[~redo]))
+        if not redo.any():
+            break
+        left = np.column_stack((left[redo], mid[redo])).ravel()
+        right = np.column_stack((mid[redo], right[redo])).ravel()
+        piece = np.repeat(piece[redo], 2)
+        full = np.stack((first[redo], second[redo]), axis=1).reshape(-1, 2, 2)
+    else:
+        raise SolverError(f"Magnus steps did not reach tol {tol:g} in {_MAX_HALVINGS} halvings")
+    left, piece, full, defect = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(left, kind="stable")
+    u, du = 0.0, 1.0
+    states = [(u, du)]
+    for m00, m01, m10, m11 in full[order].reshape(-1, 4).tolist():
+        u, du = m00 * u + m01 * du, m10 * u + m11 * du
+        states.append((u, du))
+    states = np.array(states)
+    if not np.all(np.isfinite(states[-1])):
+        raise SolverError(f"radial solution overflowed at lambda = {lam:g}")
+    local = 2.0 * _norm(_compose(defect[order], states[:-1, :, None]))
+    error = float(np.sum(local / np.abs(states[1:]).max(axis=1))) + _ROUNDOFF * len(order)
+    steps = _MagnusSteps(potential, lam, np.append(left[order], cuts[-1]), states,
+                         lo_in[piece[order]], hi_in[piece[order]])
+    free = _FreeSegment(cuts[-1], states[-1, 0], states[-1, 1], lam)
+    return _PiecewiseSolution([(0.0, cuts[-1], steps), (cuts[-1], r_end, free)],
+                              error_estimate=error)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +447,10 @@ def solve_scattering(
 ) -> ScatteringSolution:
     """Solve the zero-energy radial problem and read off the scattering length.
 
-    Integrates u'' = (V/2) u outward from u(0) = 0 across the support with
-    an adaptive high-order explicit scheme at local tolerance ``tol``
-    (split at potential breakpoints, so discontinuous potentials such as
-    the soft sphere lose no accuracy).  Outside the support u is affine,
+    Propagates u'' = (V/2) u outward from u(0) = 0 across the support by
+    Magnus transfer matrices at step tolerance ``tol`` (split at potential
+    breakpoints, so discontinuous potentials such as the soft sphere lose
+    no accuracy).  Outside the support u is affine,
     u = c (r - a), in closed form; the solution is rescaled so c = 1.
     """
     if tol <= 0:
@@ -416,15 +544,67 @@ def _rayleigh_bound(potential: RadialPotential, R: float) -> float:
     """Rayleigh quotient (3/R^3) int_0^b (V/2) r^2 dr of the trial profile f = 1.
 
     f = 1 meets the reflecting condition f'(R) = 0, so the quotient bounds
-    the ground eigenvalue from above.  Simpson's rule per breakpoint
-    segment is exact for the soft-sphere and tabulated kinds.
+    the ground eigenvalue from above.  Simpson's rule on every breakpoint
+    piece at once (V clipped into the piece) is exact for the soft-sphere
+    and tabulated kinds.
     """
-    cuts = [0.0, *potential.breakpoints()]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        r, w = _simpson_rule(lo, hi, 16)
-        total += float(w @ (_segment_potential(potential, lo, hi)(r) * r * r))
-    return 1.5 * total / R**3
+    cuts = np.array([0.0, *potential.breakpoints()])
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    t, w = _simpson_rule(0.0, 1.0, 16)
+    r = np.clip(lo + (hi - lo) * t, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    per_piece = (potential(r) * r * r * w).sum(axis=1) * (hi - lo)[:, 0]
+    return 1.5 * math.fsum(per_piece) / R**3
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4.0 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's zeroin, step for step as ``scipy.optimize.brentq``.
+
+    The iterate xcur and the contrapoint xblk keep a sign change between
+    them; each step tries inverse quadratic (or secant) interpolation and
+    falls back to bisection when that step is not short enough.  Stops
+    when half the bracket is below (xtol + rtol |xcur|)/2.  Raises
+    ValueError without a sign change and RuntimeError after ``maxiter``
+    steps.
+    """
+    if xtol <= 0.0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * np.finfo(float).eps:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * np.finfo(float).eps:g})")
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def _boundary_defect(dense: _PiecewiseSolution, R: float) -> float:

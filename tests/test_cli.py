@@ -287,3 +287,23 @@ def test_all_is_independent_of_the_blas_thread_count(tmp_path):
     assert len(names) >= 8
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_all_imports_neither_scipy_integrate_nor_scipy_optimize(tmp_path):
+    # the radial solvers need numpy only; either module would add ~0.25 s
+    # to every command's start-up
+    src = Path(bosegas.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import json, sys\n"
+        "from bosegas.cli import main\n"
+        f"code = main(['all', '--output-dir', 'out', *{FAST_SETS!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "    if m.startswith(('scipy.integrate', 'scipy.optimize')))]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         check=True, capture_output=True, text=True, timeout=300)
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []

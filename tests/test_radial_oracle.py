@@ -1,18 +1,21 @@
 """The full-domain radial solvers as the reference for the closed-form exterior.
 
-The package integrates the radial equation numerically only across the
-support of V and continues it in closed form beyond; it finds the ball
-eigenvalue by Brent's method and takes the exterior part of every ball
-transform exactly.  The reference below is the previous path: DOP853 over
-the whole domain, 80 steps of bisection on the monotone shooting predicate
-and composite Simpson quadrature over the whole ball.
+The package propagates the radial equation by Magnus transfer matrices
+only across the support of V and continues it in closed form beyond; it
+finds the ball eigenvalue by its own port of Brent's method and takes the
+exterior part of every ball transform exactly.  The references below are
+the earlier paths: DOP853 over the whole domain (split at the breakpoints),
+80 steps of bisection on the monotone shooting predicate, composite Simpson
+quadrature over the whole ball, and ``scipy.optimize.brentq``.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -128,7 +131,7 @@ def ref_eta(dense, potential, R, N, modes):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def potentials(draw):
+def potentials(draw, max_points=6):
     kind = draw(st.sampled_from(["soft_sphere", "gaussian_truncated", "tabulated"]))
     height = draw(st.floats(1.0, 200.0))
     radius = draw(st.floats(0.2, 1.0))
@@ -137,7 +140,7 @@ def potentials(draw):
     if kind == "gaussian_truncated":
         width = draw(st.floats(0.1, 1.0))
         return RadialPotential.gaussian_truncated(height, width, radius)
-    n = draw(st.integers(2, 6))
+    n = draw(st.integers(2, max_points))
     first = draw(st.floats(0.1, 1.0))  # keeps the potential well away from zero
     rest = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
     values = height * np.array([first, *rest])
@@ -149,7 +152,10 @@ def potentials(draw):
 def test_scattering_length_matches_full_domain(potential, r_factor):
     r_max = r_factor * potential.support_radius
     a = solve_scattering(potential, r_max=r_max, tol=1e-10).a
-    ref = ref_scattering_length(potential, r_max, 1e-10)
+    # the reference runs at tol 1e-12: at tol 1e-10 DOP853 misses the
+    # 30-digit length of a weak Gaussian by 1.3e-9 relative (see
+    # test_weak_gaussian_length_matches_30_digit_solution)
+    ref = ref_scattering_length(potential, r_max, 1e-12)
     assert a == pytest.approx(ref, rel=1e-9, abs=1e-13)
 
 
@@ -177,6 +183,109 @@ def test_eigenvalue_and_eta_match_full_domain(potential, R, N):
     reference = ref_eta(dense, potential, R, N, modes)
     for p_sq, (value, err) in zip(sorted(by_shell), reference):
         assert abs(by_shell[p_sq] - value) <= err + 1e-10 * abs(value)
+
+
+# ---------------------------------------------------------------------------
+# the Magnus propagation against DOP853 and closed forms
+# ---------------------------------------------------------------------------
+
+# DOP853's dense output at tol 1e-13 is off a 25-digit solution by up to
+# 6.9e-12 of the amplitude between its steps (weak Gaussian, v0 = width = 1)
+REF_ERROR = 1e-11
+
+
+def error_against(dense, exact, r):
+    """Largest error of (u, u') on the ascending radii r, relative to the
+    largest |u|, |u'| of ``exact`` (rows u, u') reached so far."""
+    ours = np.array([dense.u(r), dense.u_prime(r)])
+    amplitude = np.maximum.accumulate(np.abs(exact).max(axis=0))
+    return float((np.abs(ours - exact).max(axis=0) / amplitude).max())
+
+
+def soft_sphere_state(q, r):
+    """(u, u') of u'' = q u, u(0) = 0, u'(0) = 1, to 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(q)
+        k = mpmath.sqrt(abs(q))
+        rows = []
+        for x in map(mpmath.mpf, r):
+            if q > 0:
+                rows.append((mpmath.sinh(k * x) / k, mpmath.cosh(k * x)))
+            elif q < 0:
+                rows.append((mpmath.sin(k * x) / k, mpmath.cos(k * x)))
+            else:
+                rows.append((x, mpmath.mpf(1)))
+        return np.array(rows, dtype=float).T
+
+
+@settings(max_examples=20, deadline=None)
+@given(potential=potentials(max_points=200), lam_share=st.floats(0.0, 1.0))
+def test_propagation_matches_dop853_within_its_estimate(potential, lam_share):
+    # lambda up to max(V)/2 covers growing and oscillating stretches
+    lam = lam_share * 0.5 * potential.max_value
+    b = potential.support_radius
+    dense = _integrate_radial(potential, 2.0 * b, lam, 1e-10)
+    ref = ref_integrate_radial(potential, 2.0 * b, lam, 1e-13)
+    r = np.linspace(0.0, b, 401)
+    exact = np.array([ref.u(r), ref.u_prime(r)])
+    assert error_against(dense, exact, r) <= dense.error_estimate + REF_ERROR
+    # the closed-form exterior carries the state at b on: over s <= b it
+    # grows an error of (u, u') by at most 1 + s + lambda s, and so the
+    # amplitude the reference's error is relative to
+    outside = np.linspace(b, 2.0 * b, 51)
+    growth = 1.0 + b * (1.0 + lam)
+    bound = (dense.error_estimate + 2.0 * REF_ERROR) * np.abs(exact).max() * growth
+    for ours, theirs in ((dense.u, ref.u), (dense.u_prime, ref.u_prime)):
+        assert np.max(np.abs(ours(outside) - theirs(outside))) <= bound
+
+
+@pytest.mark.parametrize("v0, radius", [(100.0, 0.5), (200.0, 1.0), (1.0, 0.2)])
+@pytest.mark.parametrize("lam_share", [0.0, 0.5, 1.0, 2.0])
+def test_estimate_bounds_the_soft_sphere_error(v0, radius, lam_share):
+    # one exact step across a constant potential leaves only roundoff
+    lam = lam_share * 0.5 * v0
+    dense = _integrate_radial(RadialPotential.soft_sphere(v0, radius), 2.0 * radius, lam, 1e-10)
+    r = np.linspace(0.0, radius, 501)
+    exact = soft_sphere_state(0.5 * v0 - lam, r)
+    assert error_against(dense, exact, r) <= dense.error_estimate < 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("v0, width, lam", [
+    (1.0, 1.0, 0.0), (200.0, 1.0, 0.0), (50.0, 0.3, 25.0), (200.0, 0.1, 30.0),
+])
+def test_estimate_bounds_the_gaussian_error(v0, width, lam, tol):
+    potential = RadialPotential.gaussian_truncated(v0, width, 0.8)
+    dense = _integrate_radial(potential, 1.6, lam, tol)
+    ref = ref_integrate_radial(potential, 1.6, lam, 1e-13)
+    r = np.linspace(0.0, 0.8, 401)
+    error = error_against(dense, np.array([ref.u(r), ref.u_prime(r)]), r)
+    assert error <= dense.error_estimate + REF_ERROR
+    # and it is an estimate, not just a bound
+    assert dense.error_estimate <= 100.0 * max(error, REF_ERROR)
+
+
+def test_weak_gaussian_length_matches_30_digit_solution():
+    # a = 0.018 against a support of 0.5: the step test relative to the
+    # departure from free motion keeps a to 8e-11 here, where DOP853 at
+    # tol 1e-10 misses it by 1.3e-9
+    potential = RadialPotential.gaussian_truncated(1.0, 1.0, 0.5)
+    with mpmath.workdps(30):
+        exact = mpmath.odefun(lambda r, y: [y[1], mpmath.exp(-r * r / 2) / 2 * y[0]], 0, [0, 1])
+        u, du = exact(mpmath.mpf("0.5"))
+        a = float(mpmath.mpf("0.5") - u / du)
+    assert solve_scattering(potential, r_max=1.0, tol=1e-10).a == pytest.approx(a, rel=1e-9)
+
+
+def test_tabulated_constant_potential_is_crossed_exactly():
+    # every piece of a constant table is one exact step, so the estimate is
+    # the roundoff allowance, 64 eps per step: 2.8e-12 for 200 steps
+    grid = np.linspace(0.0, 0.5, 201)
+    table = _integrate_radial(RadialPotential.tabulated(grid, np.full_like(grid, 100.0)),
+                              1.0, 0.0, 1e-10)
+    r = np.linspace(0.0, 0.5, 301)
+    exact = soft_sphere_state(50.0, r)
+    assert error_against(table, exact, r) <= table.error_estimate < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +438,78 @@ def test_excited_state_root_is_rejected(monkeypatch):
                         lambda f, lo, hi, **kwargs: real_brentq(f, *bracket, **kwargs))
     with pytest.raises(BracketFailure, match="excited state"):
         solve_neumann(SOFT, R=R)
+
+
+# ---------------------------------------------------------------------------
+# Brent's method against scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+
+TINY = np.finfo(float).tiny
+
+
+@st.composite
+def monotone_functions(draw):
+    """A monotone f with one sign change at ``root``, as (f, root)."""
+    root = draw(st.floats(-10.0, 10.0))
+    scale = draw(st.floats(1e-6, 1e6)) * draw(st.sampled_from([1.0, -1.0]))
+    shape = draw(st.sampled_from(["linear", "cubic", "tanh", "exp", "knots"]))
+    if shape == "knots":
+        # piecewise linear through (root, 0), flat beyond its outer knots
+        below = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+        above = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+        rises = draw(st.lists(st.floats(1e-3, 10.0), min_size=len(below) + len(above),
+                              max_size=len(below) + len(above)))
+        knots = np.concatenate((-np.cumsum(below)[::-1], [0.0], np.cumsum(above)))
+        values = np.concatenate(([0.0], np.cumsum(rises)))
+        values -= values[len(below)]
+
+        def g(t):
+            return float(np.interp(t, knots, values))
+    else:
+        g = {
+            "linear": lambda t: t,
+            "cubic": lambda t: t**3 + 0.1 * t,
+            "tanh": math.tanh,
+            "exp": math.expm1,
+        }[shape]
+        if shape == "exp":
+            assume(root < 5.0)  # expm1 of the bracket stays finite
+
+    def f(x):
+        return scale * g(x - root)
+
+    return f, root
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=monotone_functions(), below=st.floats(1e-9, 20.0), above=st.floats(1e-9, 20.0),
+       swap=st.booleans(),
+       tols=st.sampled_from([(2e-12, 4.0 * EPS), (TINY, 4.0 * EPS), (1e-6, 1e-3)]))
+def test_brent_port_is_bit_identical_to_scipy(problem, below, above, swap, tols):
+    # (TINY, 4 eps) is the call solve_neumann makes
+    f, root = problem
+    a, b = root - below, root + above
+    if swap:
+        a, b = b, a
+    xtol, rtol = tols
+    try:
+        theirs = scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            scattering.brentq(f, a, b, xtol=xtol, rtol=rtol)
+        return
+    ours = scattering.brentq(f, a, b, xtol=xtol, rtol=rtol)
+    assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=monotone_functions(), start=st.floats(1e-6, 10.0), width=st.floats(1e-6, 10.0),
+       side=st.sampled_from([1.0, -1.0]))
+def test_brent_port_refuses_a_bracket_without_a_sign_change(problem, start, width, side):
+    f, root = problem
+    a, b = root + side * start, root + side * (start + width)
+    assume(f(a) != 0.0 and f(b) != 0.0)
+    with pytest.raises(ValueError):
+        scipy.optimize.brentq(f, a, b)
+    with pytest.raises(ValueError, match="different signs"):
+        scattering.brentq(f, a, b)

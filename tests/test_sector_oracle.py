@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from bosegas import oracles
+from bosegas import fock, oracles
 from bosegas.bogoliubov import dispersion, nu_coefficient
 from bosegas.errors import GuardError
 from bosegas.fock import build_basis, composition_rank, compositions
@@ -304,6 +304,34 @@ def test_compositions_match_generator(parts):
         assert comps.shape == (math.comb(total + parts - 1, parts - 1), parts)
         assert [tuple(c) for c in comps.tolist()] == list(_compositions(total, parts))
         assert composition_rank(comps).tolist() == list(range(len(comps)))
+
+
+def reference_composition_rank(occ):
+    """The rank with the stars table rebuilt by the double loop on every call."""
+    n = occ.shape[1]
+    suffix = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]
+    stars = np.array(
+        [[math.comb(s + k, k) for k in range(n)] for s in range(suffix[:, 0].max(initial=0) + 1)],
+        dtype=np.int64,
+    )
+    k = np.arange(n - 1, 0, -1)
+    return (stars[suffix[:, :-1], k] - stars[suffix[:, 1:], k]).sum(axis=1)
+
+
+@given(
+    rows=st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                           min_size=1, max_size=40)
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_cached_stars_give_the_double_loop_ranks(rows):
+    occ = np.array(rows, dtype=np.int64)
+    assert composition_rank(occ).tolist() == reference_composition_rank(occ).tolist()
+    # the cached table is shared between calls, so nobody may write to it
+    stars = fock._stars(int(occ.sum(axis=1).max()), occ.shape[1])
+    assert not stars.flags.writeable
+    assert stars is fock._stars(int(occ.sum(axis=1).max()), occ.shape[1])
 
 
 def test_compositions_need_a_part():
