@@ -5,16 +5,24 @@ thread, OpenBLAS splits long dot products and the eigensolvers' inner
 products across threads, so the summation order, and with it the last bits
 of the results, depend on the thread count; on the small matrices this
 package builds the threads also cost more than they save.  ``single_thread``
-sets both libraries to one thread through their exported setters (the calls
+sets each library to one thread through its exported setters (the calls
 threadpoolctl makes) and restores the previous counts on exit.  Where the
 symbols are not found, for instance with a BLAS other than the bundled
 OpenBLAS, it changes nothing and reports ``"unpinned"``.
 
-Importing this module loads scipy's OpenBLAS (through ``scipy.linalg``),
-and the package imports it first.  A freshly loaded OpenBLAS starts a
-worker thread that busy-waits for about 0.1 s before it sleeps; loaded
-this early, that wait overlaps the rest of the imports instead of the
-first command.
+The package itself needs numpy only, so numpy's OpenBLAS is always pinned.
+scipy's is pinned only when the caller has already loaded it (by importing
+``scipy.linalg``, say): it is looked up with ``RTLD_NOLOAD``, which finds a
+loaded library and never loads one, because loading OpenBLAS starts its
+worker threads.  The lookup runs on every entry, so a library the caller
+loads later is pinned from then on.
+
+A worker thread busy-waits for about 0.1 s after it starts, and numpy's
+start when numpy is imported, so a command that begins right after the
+imports would share the CPU with them.  On entry the workers of every
+pinned library are therefore stopped (``blas_thread_shutdown_``, the call
+OpenBLAS makes before a fork); restoring the caller's count on exit starts
+them again.
 """
 
 from __future__ import annotations
@@ -23,54 +31,69 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 from typing import Callable, Iterator
 
-import numpy
-import scipy
-import scipy.linalg  # noqa: F401  (see the module docstring)
-
-# (package, directory of its bundled libraries, library pattern, setter, getter)
+# (package, directory of its bundled libraries, library pattern, setter, getter);
+# both libraries export the worker shutdown under the same name
+_SHUTDOWN = "blas_thread_shutdown_"
 _OPENBLAS = (
-    (numpy, "numpy.libs", "libscipy_openblas64_*.so",
+    ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
      "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    (scipy, "scipy.libs", "libscipy_openblas*.so",
+    ("scipy", "scipy.libs", "libscipy_openblas*.so",
      "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
 
 
-@functools.cache
-def _controls() -> tuple[tuple[Callable, Callable], ...]:
-    """(setter, getter) of every bundled OpenBLAS found, looked up once per process."""
+def _controls() -> tuple[tuple[Callable, Callable, Callable], ...]:
+    """(setter, getter, worker shutdown) of every bundled OpenBLAS this process has loaded."""
     found = []
     for package, libs, pattern, set_name, get_name in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(package.__file__))
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        site = os.path.dirname(os.path.dirname(spec.origin))
         for path in sorted(glob.glob(os.path.join(site, libs, pattern))):
             try:
-                lib = ctypes.CDLL(path)
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                found.append(_loaded(path, set_name, get_name))
             except (OSError, AttributeError):
                 continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            found.append((setter, getter))
     return tuple(found)
+
+
+@functools.cache
+def _loaded(path: str, set_name: str, get_name: str) -> tuple[Callable, Callable, Callable]:
+    """(setter, getter, worker shutdown) of the library at ``path``.
+
+    Raises OSError when the library is not loaded; a raising call is not
+    cached, and a loaded library stays loaded, so only found ones are kept.
+    """
+    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    setter, getter, shutdown = (getattr(lib, name) for name in (set_name, get_name, _SHUTDOWN))
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return setter, getter, shutdown
 
 
 @contextlib.contextmanager
 def single_thread() -> Iterator[int | str]:
-    """Run the block with every bundled OpenBLAS on one thread.
+    """Run the block with every loaded bundled OpenBLAS on one thread.
 
     Yields the thread count read back after pinning, or ``"unpinned"``
     when no library was found.  The previous counts come back on exit,
-    also when the block raises.
+    also when the block raises.  Not for use while another thread is
+    inside a BLAS call: the counts and the workers are global to the
+    process.
     """
     controls = _controls()
-    previous = [getter() for _, getter in controls]
+    previous = [getter() for _, getter, _ in controls]
     try:
-        for setter, _ in controls:
+        for setter, _, shutdown in controls:
             setter(1)
-        yield max((getter() for _, getter in controls), default="unpinned")
+            shutdown()
+        yield max((getter() for _, getter, _ in controls), default="unpinned")
     finally:
-        for (setter, _), count in zip(controls, previous):
+        for (setter, _, _), count in zip(controls, previous):
             setter(count)

@@ -3,13 +3,20 @@
 The basis enumerates every occupation vector with total excitation number
 at most the cap, ordered by (total, lexicographic occupation), which makes
 all downstream results deterministic.  Operators are real sparse matrices
-in that basis; every creation amplitude is sqrt(n+1) truncated at the cap,
-and the weighted variants carry the extra factor sqrt(1 - total/N)
-evaluated on the state to the right of the square root, so that creation
-and annihilation are exact float adjoints of each other.  Every operator
-is a sum of words of these ladder letters: a word acts on all basis states
-at once, and the words of one operator are summed per net occupation shift
-before the shifted states are ranked.
+in that basis, held in one read-only form, ``Triplets``: their nonzero
+entries as (rows, cols, values) arrays in row-major order.  Every creation
+amplitude is sqrt(n+1) truncated at the cap, and the weighted variants
+carry the extra factor sqrt(1 - total/N) evaluated on the state to the
+right of the square root, so that creation and annihilation are exact float
+adjoints of each other.  Every operator is a sum of words of these ladder
+letters: a word acts on all basis states at once, and the words of one
+operator are summed per net occupation shift before the shifted states are
+ranked.
+
+Gibbs states are built one connected component of H at a time; the
+components come from min-label propagation over H's entries, and
+expectations look the entries of rho up by their sorted (row, col) keys.
+The module needs numpy only.
 
 All matrices here are real symmetric (anti-symmetric for the quadratic
 generators); hermiticity therefore means symmetry.
@@ -24,8 +31,6 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BasisSizeError, GuardError
 from .lattice import Mode
@@ -35,9 +40,12 @@ __all__ = [
     "composition_rank",
     "check_basis_size",
     "FockBasis",
+    "Triplets",
     "HermitianOperator",
     "build_basis",
     "ladder",
+    "ladder_word",
+    "diagonal_operator",
     "number_operator",
     "total_number",
     "momentum_operator",
@@ -178,22 +186,85 @@ def build_basis(
     return FockBasis(modes, cap, state_limit)
 
 
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A real square sparse matrix: its nonzero entries in row-major order.
+
+    ``rows``, ``cols`` and ``values`` are read-only arrays, one element per
+    entry, sorted by (row, col) with no pair twice.  Built by
+    ``_from_entries`` only.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.values)
+
+    @property
+    def T(self) -> Triplets:
+        return _from_entries(self.shape[0], self.cols, self.rows, self.values)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(self.shape[0])
+        on = self.rows == self.cols
+        out[self.rows[on]] = self.values[on]
+        return out
+
+    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries at (rows[i], cols[i]), 0 where the matrix has none."""
+        wanted = np.asarray(rows) * self.shape[1] + np.asarray(cols)
+        if not self.nnz:
+            return np.zeros(wanted.shape)
+        keys = self.rows * self.shape[1] + self.cols
+        at = np.minimum(np.searchsorted(keys, wanted), self.nnz - 1)
+        return np.where(keys[at] == wanted, self.values[at], 0.0)
+
+
+def _from_entries(dim: int, rows, cols, values) -> Triplets:
+    """The dim x dim ``Triplets`` of the given entries, zeros dropped.
+
+    Each (row, col) pair may appear once; the entries are put in row-major
+    order.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    keys = rows * dim + cols
+    order = np.argsort(keys, kind="stable")
+    order = order[values[order] != 0.0]
+    if np.any(np.diff(keys[order]) == 0):
+        raise ValueError("an entry is given twice")
+    parts = [part[order] for part in (rows, cols, values)]
+    for part in parts:
+        part.flags.writeable = False
+    return Triplets((dim, dim), *parts)
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A real sparse CSR matrix over a FockBasis."""
+    """A real sparse matrix (``Triplets``) over a FockBasis."""
 
     basis: FockBasis
-    matrix: sp.csr_matrix
+    matrix: Triplets
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
     def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.T
-        return float(abs(d).max()) if d.nnz else 0.0
+        m = self.matrix
+        return float(np.max(np.abs(m.values - m.lookup(m.cols, m.rows)), initial=0.0))
 
     def diagonal(self) -> np.ndarray:
-        return np.asarray(self.matrix.diagonal())
+        return self.matrix.diagonal()
 
 
 def _check_same_basis(x: HermitianOperator, y: HermitianOperator):
@@ -305,9 +376,33 @@ class _Letters:
         return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
-def _from_entries(basis: FockBasis, rows, cols, values) -> sp.csr_matrix:
-    dim = len(basis)
-    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
+def _letter(basis: FockBasis, mode: Mode, kind: str, N: int | None) -> Letter:
+    if mode.n not in basis.mode_index:
+        raise ValueError(f"mode {mode.n} not in basis")
+    if kind not in ("create", "annihilate", "b_create", "b_annihilate"):
+        raise ValueError(f"unknown ladder kind {kind!r}")
+    weighted = kind.startswith("b_")
+    if weighted:
+        if N is None:
+            raise ValueError("weighted ladder operators need N")
+        if N < basis.cap:
+            raise ValueError("weighted ladder operators need N >= cap")
+    return basis.mode_index[mode.n], 1 if kind.endswith("create") else -1, weighted
+
+
+def ladder_word(
+    basis: FockBasis,
+    factors: Sequence[tuple[Mode, str]],
+    N: int | None = None,
+) -> Triplets:
+    """Product of ladder operators, given as (mode, kind) factors in operator order.
+
+    The last factor acts first; each kind is one of ``ladder``'s.  The
+    product is applied to every state at once as one word, so an entry is
+    the product of its factors' amplitudes.
+    """
+    word = tuple(_letter(basis, mode, kind, N) for mode, kind in factors)
+    return _from_entries(len(basis), *_Letters(basis, N).entries([(1.0, word)]))
 
 
 def ladder(
@@ -315,7 +410,7 @@ def ladder(
     mode: Mode,
     kind: str,
     N: int | None = None,
-) -> sp.csr_matrix:
+) -> Triplets:
     """Sparse matrix of a (possibly weighted) creation or annihilation operator.
 
     kind is one of 'create', 'annihilate', 'b_create', 'b_annihilate'.  The
@@ -327,37 +422,27 @@ def ladder(
     an occupation, and every operator on the basis is a sum of its words:
     all states move at once and the targets are ranked in closed form.
     """
-    if mode.n not in basis.mode_index:
-        raise ValueError(f"mode {mode.n} not in basis")
-    if kind not in ("create", "annihilate", "b_create", "b_annihilate"):
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    weighted = kind.startswith("b_")
-    if weighted:
-        if N is None:
-            raise ValueError("weighted ladder operators need N")
-        if N < basis.cap:
-            raise ValueError("weighted ladder operators need N >= cap")
-    letter = (basis.mode_index[mode.n], 1 if kind.endswith("create") else -1, weighted)
-    amp, shift = _Letters(basis, N).word((letter,))
-    cols = np.flatnonzero(amp)
-    rows = basis.rank(basis.occupations()[cols] + shift)
-    return _from_entries(basis, rows, cols, amp[cols])
+    return ladder_word(basis, [(mode, kind)], N)
 
 
-def number_operator(basis: FockBasis, mode: Mode) -> sp.csr_matrix:
-    j = basis.mode_index[mode.n]
-    return _from_entries(basis, *_Letters(basis).entries([(1.0, ((j, 1, False), (j, -1, False)))]))
+def number_operator(basis: FockBasis, mode: Mode) -> Triplets:
+    return ladder_word(basis, [(mode, "create"), (mode, "annihilate")])
 
 
-def total_number(basis: FockBasis) -> sp.csr_matrix:
-    return sp.diags(basis.totals.astype(float)).tocsr()
+def diagonal_operator(basis: FockBasis, values: np.ndarray) -> Triplets:
+    """The operator that multiplies basis state i by values[i]."""
+    states = np.arange(len(basis))
+    return _from_entries(len(basis), states, states, values)
 
 
-def momentum_operator(basis: FockBasis, component: int) -> sp.csr_matrix:
+def total_number(basis: FockBasis) -> Triplets:
+    return diagonal_operator(basis, basis.totals.astype(float))
+
+
+def momentum_operator(basis: FockBasis, component: int) -> Triplets:
     """Diagonal total-momentum component (integer lattice units)."""
     n_comp = np.array([m.n[component] for m in basis.modes], dtype=np.int64)
-    diag = basis.occupations() @ n_comp
-    return sp.diags(diag.astype(float)).tocsr()
+    return diagonal_operator(basis, (basis.occupations() @ n_comp).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +464,7 @@ def build_D(basis: FockBasis, eps: Sequence[float]) -> HermitianOperator:
     if eps.shape != (len(basis.modes),):
         raise ValueError("eps must give one energy per mode")
     _check_shell_consistent(basis, eps, "eps")
-    diag = basis.occupations() @ eps
-    return HermitianOperator(basis, sp.diags(diag).tocsr())
+    return HermitianOperator(basis, diagonal_operator(basis, basis.occupations() @ eps))
 
 
 def build_K(basis: FockBasis) -> HermitianOperator:
@@ -471,7 +555,7 @@ def build_LN(
     up_rows, up_cols, up_values = letters.entries(raising)
     rows, cols, values = letters.entries(quartic, diagonal=kinetic + scalar + direct)
     H = _from_entries(
-        basis,
+        len(basis),
         np.concatenate((rows, up_rows, up_cols)),
         np.concatenate((cols, up_cols, up_rows)),
         np.concatenate((values, up_values, up_values)),
@@ -509,7 +593,7 @@ def build_quadratic_generator(
     c: Sequence[float],
     kind: str = "a_type",
     N: int | None = None,
-) -> sp.csr_matrix:
+) -> Triplets:
     """Anti-symmetric generator (1/2) sum_p c_p (X*_p X*_-p - X_p X_-p).
 
     With X the plain ladder operators ('a_type') this is the standard
@@ -540,7 +624,7 @@ def build_quadratic_generator(
     rows, cols, values = _Letters(basis, N).entries(raising)
     # X_-p X_p is the exact transpose of X*_p X*_-p
     return _from_entries(
-        basis,
+        len(basis),
         np.concatenate((rows, cols)),
         np.concatenate((cols, rows)),
         np.concatenate((values, -values)),
@@ -573,14 +657,15 @@ def gibbs(
     block.  Energies are shifted by the global ground energy before
     exponentiation, which leaves all weight ratios invariant and cannot
     overflow; Z refers to the shifted convention and is the exactly
-    rounded sum of all weights.  rho is a CSR matrix in basis order whose
-    entries all lie inside the blocks.
+    rounded sum of all weights.  rho is a ``Triplets`` matrix in basis
+    order whose entries all lie inside the blocks.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     basis = H.basis
     dim = len(basis)
-    _, labels = connected_components(H.matrix, connection="weak")
+    h = H.matrix
+    labels = _components(dim, h.rows, h.cols)
     sizes = np.bincount(labels)
     largest = int(sizes.max())
     if largest > dense_limit:
@@ -600,10 +685,9 @@ def gibbs(
     first_entry = np.empty_like(ordered)
     first_entry[blocks] = np.cumsum(ordered**2) - ordered**2
 
-    h = H.matrix.tocoo()
-    block = labels[h.row]
+    block = labels[h.rows]
     stacked = np.zeros(int(np.sum(ordered**2)))
-    stacked[first_entry[block] + slot[h.row] * sizes[block] + slot[h.col]] = h.data
+    stacked[first_entry[block] + slot[h.rows] * sizes[block] + slot[h.cols]] = h.values
 
     groups = []
     state_at = entry_at = 0
@@ -623,19 +707,44 @@ def gibbs(
         values.append(((vectors * (w / Z)[:, None, :]) @ vectors.transpose(0, 2, 1)).ravel())
         rows.append(np.broadcast_to(members[:, :, None], (k, s, s)).ravel())
         cols.append(np.broadcast_to(members[:, None, :], (k, s, s)).ravel())
-    rho = sp.csr_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+    rho = _from_entries(dim, *(np.concatenate(part) for part in (rows, cols, values)))
     return GibbsState(
         rho=HermitianOperator(basis, rho), Z=Z, beta=beta, ground_energy=e0
     )
 
 
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component label of every state, the edges being the entries (rows, cols).
+
+    Min-label propagation with pointer jumping: every state starts with
+    its own index as label, each round gives both ends of every edge the
+    smaller of their labels and then replaces each label by its label's
+    label until that changes nothing.  Labels only fall and always name a
+    state of the same component, so at the fixed point every state holds
+    the smallest state of its component.  The components are numbered in
+    the order of their smallest states.
+    """
+    label = np.arange(dim)
+    while True:
+        hooked = label.copy()
+        low = np.minimum(label[rows], label[cols])
+        np.minimum.at(hooked, rows, low)
+        np.minimum.at(hooked, cols, low)
+        while not np.array_equal(jumped := hooked[hooked], hooked):
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = hooked
+
+
 def expect(state, O) -> float:
-    """tr(rho O) for a GibbsState (or bare HermitianOperator rho) and a sparse operator O."""
+    """tr(rho O) for a GibbsState (or bare HermitianOperator rho) and a ``Triplets`` operator O.
+
+    The sum of rho[c, r] O[r, c] over the entries of O, each entry of rho
+    looked up by its (row, col) key.
+    """
     rho_op = state.rho if isinstance(state, GibbsState) else state
     if isinstance(O, HermitianOperator):
         _check_same_basis(rho_op, O)
         O = O.matrix
-    return float(rho_op.matrix.multiply(O.T).sum())
+    return float(np.sum(rho_op.matrix.lookup(O.cols, O.rows) * O.values))

@@ -101,7 +101,8 @@ def enumerate_shells(max_norm_sq: int, momentum_scale: float = TWO_PI) -> tuple[
     norms = norms[keep]
 
     shells: list[Shell] = []
-    for norm in np.unique(norms):
+    # not np.unique: its first flag-free call imports numpy.ma, ~10 ms
+    for norm in sorted(set(norms.tolist())):
         rows = triples[norms == norm]
         rows = rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))]
         members = tuple(

@@ -19,12 +19,15 @@ the pair; the labels |d| are the compositions of the cap with a slack slot.
 as they do the Fock basis; states and raises are built once per budget.
 All sectors of one budget therefore have the same shape, and they pass
 through the computation as one (k, s, s) stack: one generator write, one
-``scipy.linalg.expm`` call (scaling and squaring with Pade approximants,
-Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009), which runs the
-same code on every slice), one orthogonality guard over all slices and
-batched matrix products for the traces.  The sector terms are then added
-in label order, which keeps every sum bit for bit that of a loop over the
-sectors one at a time.
+``expm`` call, one orthogonality guard over all slices and batched matrix
+products for the traces.  The sector terms are then added in label order,
+as a loop over the sectors one at a time would add them.
+
+``expm`` is scaling and squaring with diagonal Pade approximants (Higham,
+SIAM J. Matrix Anal. Appl. 26 (2005)) in numpy, batched over the stack:
+the degree, and the scaling when the largest 1-norm of the stack exceeds
+what degree 13 covers, are chosen once per stack, from the bounds on the
+1-norm up to which each degree meets double-precision unit roundoff.
 
 Coefficient-convention candidates are assembled directly from the rotation
 angles nu and energies eps: both the occupation and the pairing candidate
@@ -41,8 +44,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .bogoliubov import (
     Variant,
@@ -62,9 +63,11 @@ from .fock import (
     check_basis_size,
     composition_rank,
     compositions,
+    diagonal_operator,
     gibbs,
     expect,
-    ladder,
+    ladder,  # noqa: F401  (looked up here by name by the benchmark's tracer)
+    ladder_word,
     number_operator,
     pair_partners,
     total_number,
@@ -210,7 +213,8 @@ def _sectors(n_pairs: int, cap: int):
     abs_d = labels[:, :-1]
     budgets = labels[:, -1] // 2
     multiplicity = 2 ** np.count_nonzero(abs_d, axis=1)
-    for budget in np.unique(budgets).tolist():
+    # not np.unique: its first flag-free call imports numpy.ma, ~10 ms
+    for budget in sorted(set(budgets.tolist())):
         positions = np.flatnonzero(budgets == budget)
         pattern = _sector_pattern(budget, n_pairs)
         yield positions, abs_d[positions], multiplicity[positions], pattern
@@ -253,6 +257,62 @@ def _sector_matrices(abs_d, pattern, nu_pairs: np.ndarray, eps_pairs: np.ndarray
     G[:, target, source] += value
     G[:, source, target] -= value
     return nplus, energy, G, amp
+
+
+# (degree m, largest 1-norm at which the degree's backward error stays
+# below unit roundoff, numerator coefficients b_0 .. b_m) of the diagonal
+# Pade approximants; the denominator has the same coefficients with
+# alternating signs (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)).
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+      2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0,
+     (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+      1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every slice of a (k, s, s) stack.
+
+    The smallest Pade degree whose bound covers the largest 1-norm of the
+    stack; past degree 13's bound the stack is scaled by 2^-j into it and
+    the result squared j times.  The odd and even parts U, V of the
+    numerator are built from the even powers of A (degree 13 by Higham's
+    nested scheme, which needs A^2, A^4 and A^6 only), and exp(A) is
+    (V - U)^-1 (V + U), solved per slice.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = float(np.abs(A).sum(axis=-2).max(initial=0.0))
+    degree, theta, b = next((row for row in _PADE if norm <= row[1]), _PADE[-1])
+    squarings = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    A = A / 2.0**squarings
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    if degree < 13:
+        powers = [eye, A2]
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ A2)
+        odd = sum(b[2 * i + 1] * P for i, P in enumerate(powers))
+        V = sum(b[2 * i] * P for i, P in enumerate(powers))
+    else:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        odd = (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+               + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    U = A @ odd
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
+        R = R @ R
+    return R
 
 
 def _orthogonal_expms(G: np.ndarray) -> np.ndarray:
@@ -622,7 +682,7 @@ def toy_gibbs_experiment(
     for norm_sq, m in sorted(first_by_shell.items()):
         occ = expect(state, HermitianOperator(basis, number_operator(basis, m)))
         neg = next(mm for mm in modes if mm.n == m.negated())
-        pair_op = ladder(basis, m, "create") @ ladder(basis, neg, "create")
+        pair_op = ladder_word(basis, [(m, "create"), (neg, "create")])
         pair_val = expect(state, HermitianOperator(basis, pair_op))
         occupations[norm_sq] = occ
         pairings[norm_sq] = pair_val
@@ -643,14 +703,14 @@ def toy_gibbs_experiment(
     # translation invariance: <a*_p a_q> must vanish for p != q
     probe = modes[0]
     for other in modes[1:3]:
-        cross = ladder(basis, probe, "create") @ ladder(basis, other, "annihilate")
+        cross = ladder_word(basis, [(probe, "create"), (other, "annihilate")])
         offdiag_max = max(
             offdiag_max, abs(expect(state, HermitianOperator(basis, cross)))
         )
 
     totals = basis.totals.astype(float)
     n_plus = expect(state, HermitianOperator(basis, total_number(basis)))
-    pair_moment = sp.diags(totals * (totals - 1.0)).tocsr()
+    pair_moment = diagonal_operator(basis, totals * (totals - 1.0))
     n_plus_sq = expect(state, HermitianOperator(basis, pair_moment))
 
     report = GibbsReport(

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .bogoliubov import nu_coefficient
 from .errors import BracketFailure, KernelError, QuadratureError, SolverError
@@ -88,6 +89,16 @@ class RadialPotential:
     params: tuple = ()
     grid: tuple = ()
     values: tuple = ()
+    # the table as read-only arrays, built once: np.interp would otherwise
+    # convert the tuples on every call
+    _grid: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, table in (("_grid", self.grid), ("_values", self.values)):
+            array = np.array(table, dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def soft_sphere(cls, v0: float, radius: float) -> "RadialPotential":
@@ -137,7 +148,7 @@ class RadialPotential:
             v0, width, support = self.params
             out = np.where(r <= support, v0 * np.exp(-(r * r) / (2.0 * width * width)), 0.0)
         elif self.kind == "tabulated":
-            out = np.interp(r, self.grid, self.values, left=self.values[0], right=0.0)
+            out = np.interp(r, self._grid, self._values, left=self.values[0], right=0.0)
             out = np.where(r <= self.support_radius, out, 0.0)
         else:  # pragma: no cover
             raise ValueError(f"unknown potential kind {self.kind!r}")
@@ -715,7 +726,7 @@ class _Exterior:
         self._du = neumann.dense.u_prime(self.ends)
         self._g = c_r * self.ends + c_u * self._u
         self._dg = c_r + c_u * self._du
-        x, w = np.polynomial.legendre.leggauss(32)
+        x, w = leggauss(32)
         half = 0.5 * (self.ends[1] - self.ends[0])
         self._nodes = self.ends[0] + half * (x + 1.0)
         self._weighted_g = half * w * (c_r * self._nodes + c_u * neumann.dense.u(self._nodes))

@@ -1,9 +1,14 @@
 """The BLAS pin: one thread inside the block, the caller's counts restored after."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bosegas
 from bosegas import _blas
 from bosegas.cli import main
 
@@ -11,7 +16,7 @@ COEFFS = ["coeffs", "--set", "cutoff_norm_sq=20", "--set", "a_override=0.1"]
 
 
 def counts() -> list[int]:
-    return [getter() for _, getter in _blas._controls()]
+    return [getter() for _, getter, _ in _blas._controls()]
 
 
 @pytest.fixture
@@ -21,10 +26,10 @@ def two_threads():
     if not controls:
         pytest.skip("no bundled OpenBLAS found")
     before = counts()
-    for setter, _ in controls:
+    for setter, _, _ in controls:
         setter(2)
     yield
-    for (setter, _), count in zip(controls, before):
+    for (setter, _, _), count in zip(controls, before):
         setter(count)
 
 
@@ -53,20 +58,16 @@ def test_nested_use_restores_the_outer_state(two_threads):
 
 def test_missing_symbols_change_nothing(two_threads, monkeypatch):
     real = counts()
-    getters = [getter for _, getter in _blas._controls()]
+    getters = [getter for _, getter, _ in _blas._controls()]
     monkeypatch.setattr(
         _blas,
         "_OPENBLAS",
         tuple(entry[:3] + ("no_such_setter", "no_such_getter") for entry in _blas._OPENBLAS),
     )
-    _blas._controls.cache_clear()
-    try:
-        assert _blas._controls() == ()
-        with _blas.single_thread() as threads:
-            assert threads == "unpinned"
-            assert [getter() for getter in getters] == real
-    finally:
-        _blas._controls.cache_clear()
+    assert _blas._controls() == ()
+    with _blas.single_thread() as threads:
+        assert threads == "unpinned"
+        assert [getter() for getter in getters] == real
 
 
 def test_main_leaves_the_callers_count(two_threads, tmp_path):
@@ -74,3 +75,68 @@ def test_main_leaves_the_callers_count(two_threads, tmp_path):
     assert main([*COEFFS, "--output-dir", str(out)]) == 0
     assert set(counts()) == {2}
     assert json.loads((out / "provenance.json").read_text())["blas_threads"] == 1
+
+
+def _fresh(script: str) -> list:
+    """Run ``script`` in a fresh interpreter at two OpenBLAS threads; its last line as JSON."""
+    src = Path(bosegas.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_without_scipy_only_numpys_library_is_pinned():
+    # loading scipy's OpenBLAS would start its worker thread, so the pin
+    # must not load it when the caller has not
+    threads, inside, after, controls, loaded = _fresh(
+        "import json, sys\n"
+        "from bosegas import _blas\n"
+        "with _blas.single_thread() as threads:\n"
+        "    inside = [g() for _, g, _ in _blas._controls()]\n"
+        "after = [g() for _, g, _ in _blas._controls()]\n"
+        "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([threads, inside, after, len(_blas._controls()),\n"
+        "                  loaded + (['scipy.libs'] if 'scipy.libs' in maps else [])]))\n"
+    )
+    assert threads == 1
+    assert (inside, after, controls) == ([1], [2], 1)
+    assert loaded == []
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/self/task and two CPUs for a second BLAS thread",
+)
+def test_the_block_runs_without_blas_workers_and_they_come_back():
+    # numpy's workers start at its import and busy-wait for about 0.1 s;
+    # inside the block the process runs its main thread only, and after it
+    # the caller's two threads run BLAS again
+    before, inside, after, product = _fresh(
+        "import json, os\n"
+        "import numpy\n"
+        "from bosegas import _blas\n"
+        "before = len(os.listdir('/proc/self/task'))\n"
+        "with _blas.single_thread():\n"
+        "    inside = len(os.listdir('/proc/self/task'))\n"
+        "after = len(os.listdir('/proc/self/task'))\n"
+        "big = numpy.ones((400, 400))\n"
+        "print(json.dumps([before, inside, after, float((big @ big)[0, 0])]))\n"
+    )
+    assert (before, inside, after) == (2, 1, 2)
+    assert product == 400.0
+
+
+def test_with_scipy_loaded_both_libraries_are_pinned_and_restored():
+    threads, inside, after = _fresh(
+        "import json\n"
+        "import scipy.linalg\n"
+        "from bosegas import _blas\n"
+        "with _blas.single_thread() as threads:\n"
+        "    inside = [g() for _, g, _ in _blas._controls()]\n"
+        "print(json.dumps([threads, inside, [g() for _, g, _ in _blas._controls()]]))\n"
+    )
+    assert threads == 1
+    assert (inside, after) == ([1, 1], [2, 2])

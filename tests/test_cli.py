@@ -307,3 +307,23 @@ def test_all_imports_neither_scipy_integrate_nor_scipy_optimize(tmp_path):
     code, loaded = json.loads(run.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
+
+
+def test_all_imports_no_scipy_module(tmp_path):
+    # the package needs numpy only; importing scipy.linalg or scipy.sparse
+    # alone would add ~0.35 s to every command's start-up
+    src = Path(bosegas.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    script = (
+        "import json, sys\n"
+        "from bosegas.cli import main\n"
+        f"code = main(['all', '--output-dir', 'out', *{FAST_SETS!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "    if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         check=True, capture_output=True, text=True, timeout=300)
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []

@@ -24,6 +24,7 @@ from bosegas.fock import (
 )
 from bosegas.lattice import TWO_PI, enumerate_shells
 from bosegas.scattering import RadialPotential, potential_fourier
+from sparse_reference import csr, triplets
 
 SHELL1 = [m for s in enumerate_shells(1) for m in s.members]
 
@@ -64,7 +65,7 @@ class TestLadder:
     def test_creation_amplitudes(self):
         pair = single_pair()
         basis = build_basis(pair, 3)
-        aplus = ladder(basis, pair[0], "create")
+        aplus = csr(ladder(basis, pair[0], "create"))
         ground = position(basis, (0, 0))
         one = position(basis, (0, 1)) if pair[0].n == (0, 0, 1) else position(basis, (1, 0))
         assert aplus[one, ground] == pytest.approx(1.0)
@@ -75,7 +76,7 @@ class TestLadder:
         pair = single_pair()
         basis = build_basis(pair, 4)
         N = 10
-        bplus = ladder(basis, pair[0], "b_create", N=N)
+        bplus = csr(ladder(basis, pair[0], "b_create", N=N))
         src = position(basis, (1, 2))  # N_+ = 3
         dst = position(basis, (2, 2))
         assert bplus[dst, src] == pytest.approx(math.sqrt(2.0) * math.sqrt(1.0 - 3.0 / N))
@@ -83,13 +84,13 @@ class TestLadder:
     def test_adjoint_consistency_is_exact(self):
         basis = build_basis(SHELL1, 3)
         for kind_c, kind_a, N in (("create", "annihilate", None), ("b_create", "b_annihilate", 5)):
-            up = ladder(basis, SHELL1[0], kind_c, N=N)
-            down = ladder(basis, SHELL1[0], kind_a, N=N)
+            up = csr(ladder(basis, SHELL1[0], kind_c, N=N))
+            down = csr(ladder(basis, SHELL1[0], kind_a, N=N))
             assert (up.T != down).nnz == 0
 
     def test_ccr_on_interior_states(self):
         basis = build_basis(single_pair(), 4)
-        a_op = ladder(basis, single_pair()[0], "annihilate")
+        a_op = csr(ladder(basis, single_pair()[0], "annihilate"))
         comm = (a_op @ a_op.T - a_op.T @ a_op).diagonal()
         for i in range(len(basis)):
             if basis.totals[i] < basis.cap:
@@ -149,19 +150,19 @@ class TestExcitationHamiltonian:
         basis = build_basis(SHELL1, 4)
         ln = build_LN(basis, N=16, v_hat=lambda k: 0.0)
         K = build_K(basis)
-        assert (ln.matrix - K.matrix).nnz == 0
+        assert (csr(ln) - csr(K)).nnz == 0
 
     def test_vacuum_expectation(self, ln_setup):
         basis, v_hat, ln = ln_setup
         vac = position(basis, (0,) * 6)
-        assert ln.matrix[vac, vac] == pytest.approx(15.0 / 2.0 * v_hat(0.0), rel=1e-13)
+        assert csr(ln)[vac, vac] == pytest.approx(15.0 / 2.0 * v_hat(0.0), rel=1e-13)
 
     def test_exactly_hermitian_and_momentum_conserving(self, ln_setup):
         basis, _, ln = ln_setup
         assert ln.hermiticity_defect() <= 1e-12
         for c in range(3):
-            P = momentum_operator(basis, c)
-            comm = ln.matrix @ P - P @ ln.matrix
+            P = csr(momentum_operator(basis, c))
+            comm = csr(ln) @ P - P @ csr(ln)
             assert (abs(comm).max() if comm.nnz else 0.0) <= 1e-10
 
     def test_two_mode_hamiltonian_matches_hand_formula(self):
@@ -216,7 +217,7 @@ class TestQuadraticGenerator:
     @pytest.mark.parametrize("kind,N", [("a_type", None), ("b_type", 12)])
     def test_antisymmetry_is_exact(self, kind, N):
         basis = build_basis(SHELL1, 4)
-        G = build_quadratic_generator(basis, np.full(6, 0.2), kind, N=N)
+        G = csr(build_quadratic_generator(basis, np.full(6, 0.2), kind, N=N))
         assert (G.T != -G).nnz == 0
 
     def test_two_mode_squeezed_occupation(self):
@@ -254,10 +255,11 @@ class TestQuadraticGenerator:
 class TestGibbs:
     def test_zero_hamiltonian_gives_uniform_state(self):
         basis = build_basis(single_pair(), 2)
-        H = HermitianOperator(basis, sp.csr_matrix((6, 6)))
+        H = HermitianOperator(basis, triplets(sp.csr_matrix((6, 6))))
         gs = gibbs(H, beta=1.0)
         assert np.allclose(gs.rho.diagonal(), 1.0 / 6.0, rtol=1e-14)
-        assert expect(gs, HermitianOperator(basis, sp.identity(6, format="csr"))) == pytest.approx(1.0)
+        identity = triplets(sp.identity(6, format="csr"))
+        assert expect(gs, HermitianOperator(basis, identity)) == pytest.approx(1.0)
 
     def test_diagonal_hamiltonian_boltzmann_weights(self):
         basis = build_basis(single_pair(), 3)
@@ -270,8 +272,8 @@ class TestGibbs:
 
     def test_trace_one_and_positivity_dense_route(self):
         basis = build_basis(single_pair(), 6)
-        G = build_quadratic_generator(basis, [0.2, 0.2])
-        H = HermitianOperator(basis, build_D(basis, [1.0, 1.0]).matrix + 0.3 * (G @ G))
+        G = csr(build_quadratic_generator(basis, [0.2, 0.2]))
+        H = HermitianOperator(basis, triplets(csr(build_D(basis, [1.0, 1.0])) + 0.3 * (G @ G)))
         gs = gibbs(H, beta=0.9)
         rho = gs.rho.toarray()
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
@@ -288,8 +290,8 @@ class TestGibbs:
 
     def test_dense_guard(self):
         basis = build_basis(SHELL1, 6)
-        G = build_quadratic_generator(basis, np.full(6, 0.1))
-        H = HermitianOperator(basis, build_K(basis).matrix + (G - G.T))
+        G = csr(build_quadratic_generator(basis, np.full(6, 0.1)))
+        H = HermitianOperator(basis, triplets(csr(build_K(basis)) + (G - G.T)))
         with pytest.raises(GuardError):
             gibbs(H, beta=1.0, dense_limit=10)
 
@@ -306,7 +308,7 @@ class TestGibbs:
         modes = [m for s in enumerate_shells(2) for m in s.members]
         basis = build_basis(modes, 4)
         ln = build_LN(basis, N=16, v_hat=potential_fourier(RadialPotential.soft_sphere(100.0, 0.5)))
-        n_components, labels = connected_components(ln.matrix, connection="weak")
+        n_components, labels = connected_components(csr(ln), connection="weak")
         momenta = np.column_stack(
             [labels] + [momentum_operator(basis, c).diagonal() for c in range(3)]
         )
@@ -315,7 +317,7 @@ class TestGibbs:
     def test_expect_on_vacuum_projector(self):
         basis = build_basis(single_pair(), 2)
         vac = position(basis, (0, 0))
-        rho = sp.csr_matrix(([1.0], ([vac], [vac])), shape=(6, 6))
+        rho = triplets(sp.csr_matrix(([1.0], ([vac], [vac])), shape=(6, 6)))
         val = expect(HermitianOperator(basis, rho), HermitianOperator(basis, total_number(basis)))
         assert val == 0.0
 
@@ -324,6 +326,6 @@ class TestGibbs:
         b2 = build_basis(single_pair(), 3)
         with pytest.raises(ValueError):
             expect(
-                HermitianOperator(b1, sp.identity(6, format="csr") / 6),
+                HermitianOperator(b1, triplets(sp.identity(6, format="csr") / 6)),
                 HermitianOperator(b2, total_number(b2)),
             )

@@ -41,6 +41,7 @@ from bosegas.fock import (
     _check_shell_consistent,
 )
 from bosegas.lattice import enumerate_shells
+from sparse_reference import csr
 
 SHELLS_1_2 = [m for s in enumerate_shells(2) for m in s.members]
 MODE_BY_TRIPLE = {m.n: m for m in SHELLS_1_2}
@@ -258,7 +259,7 @@ def reference_generator(basis, c, kind="a_type", N=None):
 
 
 def _ladders(basis: FockBasis, kind: str, N: int | None = None) -> list[sp.csr_matrix]:
-    return [ladder(basis, m, kind, N) for m in basis.modes]
+    return [csr(ladder(basis, m, kind, N)) for m in basis.modes]
 
 
 def sparse_product_build_LN(
@@ -397,6 +398,7 @@ def fock_cases(draw):
 
 
 def assert_bit_equal(new, ref):
+    new = csr(new)
     assert new.shape == ref.shape
     assert new.nnz == ref.nnz
     assert (new != ref).nnz == 0
@@ -422,7 +424,7 @@ def test_quadratic_generator_matches_reference(case, shell_coeffs):
     c = [shell_coeffs[m.norm_sq - 1] for m in basis.modes]
     assert_bit_equal(build_quadratic_generator(basis, c), reference_generator(basis, c))
 
-    new = build_quadratic_generator(basis, c, "b_type", N)
+    new = csr(build_quadratic_generator(basis, c, "b_type", N))
     ref = reference_generator(basis, c, "b_type", N)
     assert new.nnz == ref.nnz
     scale = abs(ref).max() if ref.nnz else 0.0
@@ -438,7 +440,7 @@ def test_quadratic_generator_matches_reference(case, shell_coeffs):
 def test_build_LN_matches_reference(case, v0, radius):
     basis, N = case
     v_hat = soft_sphere_v_hat(v0, radius)
-    new = build_LN(basis, N, v_hat).matrix
+    new = csr(build_LN(basis, N, v_hat))
     ref = reference_build_LN(basis, N, v_hat)
     assert ((new != 0) != (ref != 0)).nnz == 0
     assert abs(new - ref).max() <= 1e-14 * abs(ref).max()
@@ -448,6 +450,7 @@ EPS = np.finfo(float).eps
 
 
 def assert_same_pattern_close(new, ref, rtol):
+    new = csr(new)
     assert new.nnz == ref.nnz
     assert ((new != 0) != (ref != 0)).nnz == 0
     assert np.isfinite(new.data).all()
@@ -499,7 +502,7 @@ def test_build_LN_at_N_equal_to_the_cap(cap):
 def test_number_operator_and_generators_bit_equal_sparse_products(case, shell_coeffs):
     basis, N = case
     for mode in basis.modes:
-        product = ladder(basis, mode, "create") @ ladder(basis, mode, "annihilate")
+        product = csr(ladder(basis, mode, "create")) @ csr(ladder(basis, mode, "annihilate"))
         assert_bit_equal(number_operator(basis, mode), product)
     c = [shell_coeffs[m.norm_sq - 1] for m in basis.modes]
     assert_bit_equal(build_quadratic_generator(basis, c), sparse_product_generator(basis, c))

@@ -1,8 +1,10 @@
 """The dense Gibbs state as the reference for the block-by-block one.
 
 ``fock.gibbs`` diagonalizes H one connected component of its sparsity
-graph at a time and returns rho as a CSR matrix that is nonzero only inside
-the components.  ``reference_gibbs`` and ``reference_expect`` are the
+graph at a time and returns rho as ``Triplets`` that are nonzero only
+inside the components.  The components come from min-label propagation;
+``scipy.sparse.csgraph.connected_components``, which the package used
+before, is their reference here.  ``reference_gibbs`` and ``reference_expect`` are the
 routes the package used before: a diagonal operator takes its Boltzmann
 weights straight from the diagonal, anything else goes through one dense
 ``eigh`` of the whole basis and a dense V diag(w) V^T.
@@ -19,10 +21,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from bosegas import fock
 from bosegas.fock import (
     HermitianOperator,
     build_basis,
@@ -34,6 +39,8 @@ from bosegas.fock import (
     number_operator,
     total_number,
 )
+from bosegas.lattice import enumerate_shells
+from sparse_reference import csr, triplets
 from test_fock_oracle import PAIRS, soft_sphere_v_hat
 
 MAX_STATES = 2_000
@@ -56,7 +63,7 @@ def _is_diagonal(m) -> bool:
 
 
 def reference_gibbs(H, beta):
-    if _is_diagonal(H.matrix):
+    if _is_diagonal(csr(H)):
         energies = H.diagonal()
         e0 = float(np.min(energies))
         weights = np.exp(-beta * (energies - e0))
@@ -118,23 +125,23 @@ def test_block_gibbs_matches_dense_on_LN(basis, n_over_cap, beta, v0, radius):
     # each scale is the largest the quantity can reach: |H| for energies,
     # beta |H| relative to Z (weights are exponentials of beta E), and |O|
     # for the expectation of O
-    scale = norm(H.matrix)
+    scale = norm(csr(H))
     assert abs(new.ground_energy - ref.ground_energy) <= 16 * EPS * scale
     assert abs(new.Z - ref.Z) <= 16 * EPS * beta * scale * ref.Z
 
     p, minus_p = basis.modes[0], basis.modes[1]
     operators = {
-        "number": number_operator(basis, p),
-        "pair": ladder(basis, p, "create") @ ladder(basis, minus_p, "create"),
-        "n_plus": total_number(basis),
-        "cross": ladder(basis, p, "create") @ ladder(basis, minus_p, "annihilate"),
+        "number": csr(number_operator(basis, p)),
+        "pair": csr(ladder(basis, p, "create")) @ csr(ladder(basis, minus_p, "create")),
+        "n_plus": csr(total_number(basis)),
+        "cross": csr(ladder(basis, p, "create")) @ csr(ladder(basis, minus_p, "annihilate")),
     }
     for name, O in operators.items():
-        value = expect(new, HermitianOperator(basis, O))
+        value = expect(new, HermitianOperator(basis, triplets(O)))
         ref_value = reference_expect(ref.rho, O)
         assert abs(value - ref_value) <= 16 * EPS * norm(O), name
     # a*_p a_-p moves momentum 2p, so rho has no entry where it acts
-    assert expect(new, HermitianOperator(basis, operators["cross"])) == 0.0
+    assert expect(new, HermitianOperator(basis, triplets(operators["cross"]))) == 0.0
 
 
 @given(
@@ -150,5 +157,32 @@ def test_block_gibbs_bit_equal_dense_on_diagonal(basis, shell_eps, beta):
     assert new.Z == ref.Z
     assert new.ground_energy == ref.ground_energy
     assert np.array_equal(new.rho.diagonal(), ref.rho.diagonal())
-    rho = new.rho.matrix.tocoo()
-    assert np.all(rho.row == rho.col)
+    rho = new.rho.matrix
+    assert np.all(rho.rows == rho.cols)
+
+
+@given(
+    dim=st.integers(min_value=1, max_value=60),
+    edges=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=80),
+)
+@settings(max_examples=100, deadline=None)
+def test_components_match_csgraph_on_symmetric_patterns(dim, edges):
+    edges = [(i, j) for i, j in edges if i < dim and j < dim]
+    rows = np.array([i for i, j in edges] + [j for i, j in edges], dtype=np.int64)
+    cols = np.array([j for i, j in edges] + [i for i, j in edges], dtype=np.int64)
+    pattern = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    n_components, labels = connected_components(pattern, connection="weak")
+    found = fock._components(dim, rows, cols)
+    assert found.tolist() == labels.tolist()
+    assert int(found.max()) + 1 == n_components
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_components_match_csgraph_on_LN_of_shells_1_2(cap):
+    modes = [m for s in enumerate_shells(2) for m in s.members]
+    basis = build_basis(modes, cap)
+    H = build_LN(basis, 16, soft_sphere_v_hat(100.0, 0.5)).matrix
+    n_components, labels = connected_components(csr(H), connection="weak")
+    found = fock._components(len(basis), H.rows, H.cols)
+    assert found.tolist() == labels.tolist()
+    assert int(found.max()) + 1 == n_components

@@ -28,6 +28,7 @@ from bosegas.oracles import (
     toy_gibbs_experiment,
 )
 from bosegas.scattering import RadialPotential, zero_potential
+from sparse_reference import csr
 
 UNIT_SHELL1 = [m for s in enumerate_shells(1, momentum_scale=1.0) for m in s.members]
 PHYS_SHELL1 = [m for s in enumerate_shells(1) for m in s.members]
@@ -119,7 +120,7 @@ class TestRotatedExpectations:
 
         pair_mode = UNIT_SHELL1[0]
         neg = next(m for m in UNIT_SHELL1 if m.n == pair_mode.negated())
-        P = (ladder(basis, pair_mode, "create") @ ladder(basis, neg, "create")).toarray()
+        P = (csr(ladder(basis, pair_mode, "create")) @ csr(ladder(basis, neg, "create"))).toarray()
         p_dense = float(np.trace(U.T @ P @ U @ rho))
         pres = pairing_expectation(basis, nu, eps, beta, pair_mode)
         assert pres.value == pytest.approx(p_dense, abs=1e-13)
@@ -145,7 +146,7 @@ class TestRotatedExpectations:
 
         probe = next(m for m in modes if m.norm_sq == 2)
         neg = next(m for m in modes if m.n == probe.negated())
-        P = (ladder(basis, probe, "create") @ ladder(basis, neg, "create")).toarray()
+        P = (csr(ladder(basis, probe, "create")) @ csr(ladder(basis, neg, "create"))).toarray()
         dense_pair = float(np.trace(U.T @ P @ U @ rho))
         pres = pairing_expectation(basis, nu, eps, beta, probe)
         assert pres.value == pytest.approx(dense_pair, abs=1e-13)

@@ -51,6 +51,19 @@ class TestPotentials:
         assert pot(2.0) == 0.0
         assert pot.support_radius == 1.0
 
+    def test_tabulated_table_is_converted_once_and_read_only(self):
+        grid = np.linspace(0.0, 0.5, 37)
+        values = 100.0 * np.exp(-grid)
+        pot = RadialPotential.tabulated(grid, values)
+        r = np.linspace(-0.1, 0.6, 301)
+        expected = np.where(
+            r <= 0.5, np.interp(r, pot.grid, pot.values, left=pot.values[0], right=0.0), 0.0
+        )
+        assert pot(r).tobytes() == expected.tobytes()
+        assert not pot._grid.flags.writeable and not pot._values.flags.writeable
+        assert pot == RadialPotential.tabulated(grid, values)
+        assert hash(pot) == hash(RadialPotential.tabulated(grid, values))
+
     def test_fourier_transform_matches_soft_sphere_closed_form(self):
         v_hat = potential_fourier(SOFT)
         v0, R = 100.0, 0.5

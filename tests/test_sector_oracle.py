@@ -10,9 +10,14 @@ a time by tuple slicing, and one exponential per sector.  Lexicographic
 order over the pair numbers k with sum k <= B is the lexicographic order of
 the compositions of B with a slack slot, and likewise for the sector
 labels, so every state order is unchanged.  The package now stacks the
-sectors of one pair budget and exponentiates the stack in one call, which
-runs the same code on every slice, and still adds the sector terms in label
-order: the new path must agree bit for bit.
+sectors of one pair budget and exponentiates the stack in one call, and
+still adds the sector terms in label order.  With ``scipy.linalg.expm``,
+which runs its per-slice code on every slice of a stack, in place of the
+package's exponential, the new path must agree with the loop bit for bit.
+
+The package's own ``oracles.expm`` is a batched numpy Pade exponential;
+``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
+(2009)), which the package used before, is its reference, slice by slice.
 """
 
 import itertools
@@ -236,12 +241,12 @@ def rotation_cases(draw):
     return build_basis(modes, cap), nu, eps, beta, mode
 
 
-def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
-    number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+def reference_rotation(modes, cap, nu, eps, beta, mode):
+    """The reference loop's number, pairing and Z sums for ``_rotated_expectations``."""
     pairs = oracles.pair_partners(modes)
     position = [m.n for m in modes].index(mode.n)
     target_pair = next(pi for pi, pair in enumerate(pairs) if position in pair)
-    number_sum, pair_sum, z_sum = reference_sums(
+    return reference_sums(
         len(pairs),
         cap,
         [nu[i] for i, _ in pairs],
@@ -249,6 +254,13 @@ def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
         beta,
         target_pair,
     )
+
+
+def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "expm", expm)
+        number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+    number_sum, pair_sum, z_sum = reference_rotation(modes, cap, nu, eps, beta, mode)
     assert number.Z == z_sum and pairing.Z == z_sum
     assert number.value == number_sum / z_sum
     assert pairing.value == pair_sum / z_sum
@@ -279,6 +291,77 @@ def workload_rotation(beta=2.0):
 @pytest.mark.parametrize("beta", [2.0, 60.0])
 def test_rotated_expectations_bit_equal_reference_at_cap_14(beta):
     assert_rotations_bit_equal(*workload_rotation(beta))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("beta", [2.0, 60.0])
+def test_rotated_expectations_with_the_numpy_exponential_at_cap_14(beta):
+    # fixed before measuring: each value is a weighted mean of diagonal
+    # entries of U^T M U with |M| <= cap, so a few ulps of cap; Z does not
+    # depend on U at all
+    modes, cap, nu, eps, beta, mode = workload_rotation(beta)
+    number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+    number_sum, pair_sum, z_sum = reference_rotation(modes, cap, nu, eps, beta, mode)
+    assert number.Z == z_sum and pairing.Z == z_sum
+    assert abs(number.value - number_sum / z_sum) <= 16 * EPS * cap
+    assert abs(pairing.value - pair_sum / z_sum) <= 16 * EPS * cap
+
+
+@st.composite
+def antisymmetric_stacks(draw, norms=st.floats(min_value=0.0, max_value=50.0)):
+    """A (k, s, s) stack of anti-symmetric matrices whose largest 1-norm is drawn from ``norms``."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    s = draw(st.integers(min_value=2, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    norm = draw(norms)
+    X = np.random.default_rng(seed).standard_normal((k, s, s))
+    A = X - X.transpose(0, 2, 1)
+    return A * (norm / np.abs(A).sum(axis=1).max())
+
+
+# norms inside the bound of each Pade degree (3, 5, 7, 9, 13) and past it,
+# where the stack is scaled and squared 1-4 times
+@pytest.mark.parametrize("norm", [0.0, 0.01, 0.2, 0.9, 2.0, 5.0, 10.0, 20.0, 50.0])
+def test_expm_matches_scipy_at_every_pade_degree(norm):
+    @given(stack=antisymmetric_stacks(norms=st.just(norm)))
+    @settings(max_examples=10, deadline=None)
+    def check(stack):
+        assert_expm_matches_scipy(stack)
+
+    check()
+
+
+@given(stack=antisymmetric_stacks())
+@settings(max_examples=60, deadline=None)
+def test_expm_matches_scipy_on_random_norms(stack):
+    assert_expm_matches_scipy(stack)
+
+
+def assert_expm_matches_scipy(stack):
+    """``oracles.expm`` against scipy's and against the spectral exponential, slice by slice.
+
+    For anti-symmetric A, iA is Hermitian, so exp(A) = V diag(e^{-i lam}) V^H
+    from its ``eigh``: a third route, accurate to O(s eps |A|).  The bound
+    against it was fixed from the dtype: the truncation is backward stable
+    to unit roundoff relative to |A|_1, and each of the s-term products and
+    squarings adds O(s eps) relative to exp(A), whose entries are at most 1
+    (it is orthogonal).  scipy's exponential is not held to that bound: on
+    2 x 2 slices with |A|_1 near 17 or 33 it is 1,500-2,400 eps away from
+    the closed-form rotation, so the slices need only agree with it to half
+    the digits; the tight bound is the spectral one.
+    """
+    s = stack.shape[-1]
+    norm = float(np.abs(stack).sum(axis=1).max())
+    tol = 32 * s * EPS * (1.0 + norm)
+    U = oracles.expm(stack)
+    assert U.shape == stack.shape
+    for A, u in zip(stack, U):
+        lam, V = np.linalg.eigh(1j * A)
+        spectral = ((V * np.exp(-1j * lam)) @ V.conj().T).real
+        assert float(np.max(np.abs(u - spectral))) <= tol
+        assert float(np.max(np.abs(u - expm(A)))) <= np.sqrt(EPS)
 
 
 def test_a_non_orthogonal_exponential_is_refused(monkeypatch):
