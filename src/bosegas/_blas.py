@@ -17,12 +17,12 @@ loaded library and never loads one, because loading OpenBLAS starts its
 worker threads.  The lookup runs on every entry, so a library the caller
 loads later is pinned from then on.
 
-A worker thread busy-waits for about 0.1 s after it starts, and numpy's
-start when numpy is imported, so a command that begins right after the
-imports would share the CPU with them.  On entry the workers of every
-pinned library are therefore stopped (``blas_thread_shutdown_``, the call
-OpenBLAS makes before a fork); restoring the caller's count on exit starts
-them again.
+The worker threads are left alone: setting a count starts and stops no
+thread.  The worker numpy starts at its import busy-waits for about 0.1 s
+and then sleeps; that wait mostly falls inside numpy's own import.
+Stopping the workers on entry (``blas_thread_shutdown_``) would make the
+restore on exit start a new worker, which busy-waits for another 0.1 s
+after every block, and would make every entry wait for a thread to exit.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ import importlib.util
 import os
 from typing import Callable, Iterator
 
-# (package, directory of its bundled libraries, library pattern, setter, getter);
-# both libraries export the worker shutdown under the same name
-_SHUTDOWN = "blas_thread_shutdown_"
+# (package, directory of its bundled libraries, library pattern, setter, getter)
 _OPENBLAS = (
     ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
      "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
@@ -46,8 +44,8 @@ _OPENBLAS = (
 )
 
 
-def _controls() -> tuple[tuple[Callable, Callable, Callable], ...]:
-    """(setter, getter, worker shutdown) of every bundled OpenBLAS this process has loaded."""
+def _controls() -> tuple[tuple[Callable, Callable], ...]:
+    """(setter, getter) of every bundled OpenBLAS this process has loaded."""
     found = []
     for package, libs, pattern, set_name, get_name in _OPENBLAS:
         spec = importlib.util.find_spec(package)
@@ -63,18 +61,17 @@ def _controls() -> tuple[tuple[Callable, Callable, Callable], ...]:
 
 
 @functools.cache
-def _loaded(path: str, set_name: str, get_name: str) -> tuple[Callable, Callable, Callable]:
-    """(setter, getter, worker shutdown) of the library at ``path``.
+def _loaded(path: str, set_name: str, get_name: str) -> tuple[Callable, Callable]:
+    """(setter, getter) of the library at ``path``.
 
     Raises OSError when the library is not loaded; a raising call is not
     cached, and a loaded library stays loaded, so only found ones are kept.
     """
     lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-    setter, getter, shutdown = (getattr(lib, name) for name in (set_name, get_name, _SHUTDOWN))
+    setter, getter = getattr(lib, set_name), getattr(lib, get_name)
     setter.argtypes, setter.restype = [ctypes.c_int], None
     getter.argtypes, getter.restype = [], ctypes.c_int
-    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-    return setter, getter, shutdown
+    return setter, getter
 
 
 @contextlib.contextmanager
@@ -84,16 +81,14 @@ def single_thread() -> Iterator[int | str]:
     Yields the thread count read back after pinning, or ``"unpinned"``
     when no library was found.  The previous counts come back on exit,
     also when the block raises.  Not for use while another thread is
-    inside a BLAS call: the counts and the workers are global to the
-    process.
+    inside a BLAS call: the counts are global to the process.
     """
     controls = _controls()
-    previous = [getter() for _, getter, _ in controls]
+    previous = [getter() for _, getter in controls]
     try:
-        for setter, _, shutdown in controls:
+        for setter, _ in controls:
             setter(1)
-            shutdown()
-        yield max((getter() for _, getter, _ in controls), default="unpinned")
+        yield max((getter() for _, getter in controls), default="unpinned")
     finally:
-        for (setter, _, _), count in zip(controls, previous):
+        for (setter, _), count in zip(controls, previous):
             setter(count)

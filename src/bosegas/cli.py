@@ -399,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the pin covers the whole run, parsing and writing included: it stops
-    # OpenBLAS's busy-waiting workers on entry and restarts them on exit,
-    # so neither overlaps any of the command's own work
+    # the pin covers the whole run, parsing and writing included
     with _blas.single_thread() as blas_threads:
         return _run(argv, blas_threads)
 

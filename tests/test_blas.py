@@ -16,7 +16,7 @@ COEFFS = ["coeffs", "--set", "cutoff_norm_sq=20", "--set", "a_override=0.1"]
 
 
 def counts() -> list[int]:
-    return [getter() for _, getter, _ in _blas._controls()]
+    return [getter() for _, getter in _blas._controls()]
 
 
 @pytest.fixture
@@ -26,10 +26,10 @@ def two_threads():
     if not controls:
         pytest.skip("no bundled OpenBLAS found")
     before = counts()
-    for setter, _, _ in controls:
+    for setter, _ in controls:
         setter(2)
     yield
-    for (setter, _, _), count in zip(controls, before):
+    for (setter, _), count in zip(controls, before):
         setter(count)
 
 
@@ -58,7 +58,7 @@ def test_nested_use_restores_the_outer_state(two_threads):
 
 def test_missing_symbols_change_nothing(two_threads, monkeypatch):
     real = counts()
-    getters = [getter for _, getter, _ in _blas._controls()]
+    getters = [getter for _, getter in _blas._controls()]
     monkeypatch.setattr(
         _blas,
         "_OPENBLAS",
@@ -94,8 +94,8 @@ def test_without_scipy_only_numpys_library_is_pinned():
         "import json, sys\n"
         "from bosegas import _blas\n"
         "with _blas.single_thread() as threads:\n"
-        "    inside = [g() for _, g, _ in _blas._controls()]\n"
-        "after = [g() for _, g, _ in _blas._controls()]\n"
+        "    inside = [g() for _, g in _blas._controls()]\n"
+        "after = [g() for _, g in _blas._controls()]\n"
         "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(json.dumps([threads, inside, after, len(_blas._controls()),\n"
@@ -110,22 +110,30 @@ def test_without_scipy_only_numpys_library_is_pinned():
     not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
     reason="needs /proc/self/task and two CPUs for a second BLAS thread",
 )
-def test_the_block_runs_without_blas_workers_and_they_come_back():
-    # numpy's workers start at its import and busy-wait for about 0.1 s;
-    # inside the block the process runs its main thread only, and after it
-    # the caller's two threads run BLAS again
-    before, inside, after, product = _fresh(
-        "import json, os\n"
+def test_the_block_leaves_the_workers_asleep():
+    # stopping the workers inside the block would make the restore start a
+    # new one, which busy-waits for about 0.1 s of CPU after the block; the
+    # first sleep lets the worker numpy started end its own start-up wait
+    before, inside, after, idle_cpu, product = _fresh(
+        "import json, os, resource, time\n"
         "import numpy\n"
         "from bosegas import _blas\n"
+        "def cpu():\n"
+        "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    return usage.ru_utime + usage.ru_stime\n"
+        "time.sleep(0.3)\n"
         "before = len(os.listdir('/proc/self/task'))\n"
         "with _blas.single_thread():\n"
         "    inside = len(os.listdir('/proc/self/task'))\n"
         "after = len(os.listdir('/proc/self/task'))\n"
+        "start = cpu()\n"
+        "time.sleep(0.3)\n"
+        "idle_cpu = cpu() - start\n"
         "big = numpy.ones((400, 400))\n"
-        "print(json.dumps([before, inside, after, float((big @ big)[0, 0])]))\n"
+        "print(json.dumps([before, inside, after, idle_cpu, float((big @ big)[0, 0])]))\n"
     )
-    assert (before, inside, after) == (2, 1, 2)
+    assert (before, inside, after) == (2, 2, 2)
+    assert idle_cpu < 0.05
     assert product == 400.0
 
 
@@ -135,8 +143,8 @@ def test_with_scipy_loaded_both_libraries_are_pinned_and_restored():
         "import scipy.linalg\n"
         "from bosegas import _blas\n"
         "with _blas.single_thread() as threads:\n"
-        "    inside = [g() for _, g, _ in _blas._controls()]\n"
-        "print(json.dumps([threads, inside, [g() for _, g, _ in _blas._controls()]]))\n"
+        "    inside = [g() for _, g in _blas._controls()]\n"
+        "print(json.dumps([threads, inside, [g() for _, g in _blas._controls()]]))\n"
     )
     assert threads == 1
     assert (inside, after) == ([1, 1], [2, 2])
