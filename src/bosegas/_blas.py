@@ -1,21 +1,20 @@
-"""Pin the bundled OpenBLAS builds to one thread for the duration of a block.
+"""Pin numpy's bundled OpenBLAS to one thread for the duration of a block.
 
-numpy and scipy wheels each ship their own OpenBLAS.  With more than one
-thread, OpenBLAS splits long dot products and the eigensolvers' inner
-products across threads, so the summation order, and with it the last bits
-of the results, depend on the thread count; on the small matrices this
-package builds the threads also cost more than they save.  ``single_thread``
-sets each library to one thread through its exported setters (the calls
-threadpoolctl makes) and restores the previous counts on exit.  Where the
-symbols are not found, for instance with a BLAS other than the bundled
-OpenBLAS, it changes nothing and reports ``"unpinned"``.
+With more than one thread, OpenBLAS splits long dot products and the
+eigensolvers' inner products across threads, so the summation order, and
+with it the last bits of the results, depend on the thread count; on the
+small matrices this package builds the threads also cost more than they
+save.  ``single_thread`` sets the library to one thread through its
+exported setter (the call threadpoolctl makes) and restores the previous
+count on exit.  Where the symbols are not found, for instance with a BLAS
+other than the bundled OpenBLAS, it changes nothing and reports
+``"unpinned"``.
 
-The package itself needs numpy only, so numpy's OpenBLAS is always pinned.
-scipy's is pinned only when the caller has already loaded it (by importing
-``scipy.linalg``, say): it is looked up with ``RTLD_NOLOAD``, which finds a
-loaded library and never loads one, because loading OpenBLAS starts its
-worker threads.  The lookup runs on every entry, so a library the caller
-loads later is pinned from then on.
+The package calls numpy only, and numpy loads its OpenBLAS at import, so
+that is the one library pinned.  Other wheels (scipy's, say) ship their
+own OpenBLAS, a separate library with its own count that no result of
+this package passes through; it is left alone.  The library is looked up
+with ``RTLD_NOLOAD``, which finds a loaded library and never loads one.
 
 The worker threads are left alone: setting a count starts and stops no
 thread.  The worker numpy starts at its import busy-waits for about 0.1 s
@@ -39,24 +38,17 @@ from typing import Callable, Iterator
 _OPENBLAS = (
     ("numpy", "numpy.libs", "libscipy_openblas64_*.so",
      "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy", "scipy.libs", "libscipy_openblas*.so",
-     "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
 )
 
 
 def _controls() -> tuple[tuple[Callable, Callable], ...]:
-    """(setter, getter) of every bundled OpenBLAS this process has loaded."""
+    """(setter, getter) of every library of ``_OPENBLAS`` that is loaded."""
     found = []
     for package, libs, pattern, set_name, get_name in _OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        if spec is None or spec.origin is None:
-            continue
-        site = os.path.dirname(os.path.dirname(spec.origin))
+        site = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
         for path in sorted(glob.glob(os.path.join(site, libs, pattern))):
-            try:
+            with contextlib.suppress(OSError, AttributeError):
                 found.append(_loaded(path, set_name, get_name))
-            except (OSError, AttributeError):
-                continue
     return tuple(found)
 
 
@@ -76,7 +68,7 @@ def _loaded(path: str, set_name: str, get_name: str) -> tuple[Callable, Callable
 
 @contextlib.contextmanager
 def single_thread() -> Iterator[int | str]:
-    """Run the block with every loaded bundled OpenBLAS on one thread.
+    """Run the block with numpy's bundled OpenBLAS on one thread.
 
     Yields the thread count read back after pinning, or ``"unpinned"``
     when no library was found.  The previous counts come back on exit,

@@ -42,7 +42,8 @@ from .errors import (
     SolverError,
 )
 from .fock import build_basis
-# enumerate_shells is looked up here by name by the benchmark's tracer
+# enumerate_shells and modes_up_to are looked up here by name by the
+# benchmark's tracer
 from .lattice import enumerate_shells, modes_up_to, shell_modes, shell_table  # noqa: F401
 from .oracles import (
     adjudicate_variants,
@@ -202,9 +203,8 @@ def cmd_scatter(config: dict, out_dir: Path) -> ResultBundle:
     N = int(config["N"])
     ell = float(config["ell"])
     neumann = solve_neumann(potential, R=N * ell, tol=tol)
-    modes = modes_up_to(int(config["cutoff_norm_sq"]))
-    table = kernel_table(potential, N=N, ell=ell, modes=modes, tol=tol,
-                         scattering_r_max=r_max, scattering=sol, neumann=neumann)
+    table = kernel_table(potential, N=N, ell=ell, cutoff_norm_sq=int(config["cutoff_norm_sq"]),
+                         tol=tol, scattering_r_max=r_max, scattering=sol, neumann=neumann)
 
     bundle = ResultBundle()
     bundle.add(

@@ -36,6 +36,9 @@ error is far below roundoff for these short sinusoidal arcs:
 * tau_p = -log(1 + 2 (V f)_hat(|p|/N) / |p|^2)/4 - eta_p,
 * nu_p  = -log(1 + 16 pi a / |p|^2)/4.
 
+They depend on |p|^2 only and are evaluated once per shell of
+``lattice.shell_table``.
+
 Momenta use the unit-torus convention p = 2*pi*n, energies |p|^2.
 """
 
@@ -50,7 +53,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bogoliubov import nu_coefficient
 from .errors import BracketFailure, KernelError, QuadratureError, SolverError
-from .lattice import Mode
+from .lattice import shell_table
 
 __all__ = [
     "RadialPotential",
@@ -752,35 +755,45 @@ class _Exterior:
 class _RadialTransform:
     """Sine transform (4 pi / k) * int_0^span G(r) sin(k r) dr with an error estimate.
 
-    The profile G is sampled once on composite Simpson grids over [0, hi],
-    split at the given breakpoints; each evaluation also returns the
-    difference against the half-resolution rule (which reuses every second
-    sine of the fine one), and that bounds the quadrature error.  An
-    optional ``exterior`` carries G exactly from hi on to the span.
+    The composite Simpson rules of the breakpoint pieces of [0, hi] are
+    concatenated into one node set, where G is sampled once; each
+    evaluation also returns the difference against the half-resolution
+    rule on every second node of each piece (reusing the fine sines), and
+    that bounds the quadrature error.  An optional ``exterior`` carries G
+    exactly from hi on to the span.
     """
 
     def __init__(self, profile: Callable, hi: float, breaks: Iterable[float],
                  points_per_unit: float, exterior: _Exterior | None = None):
         cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < hi) + [hi]
-        self._pieces = []
+        nodes, weights, coarse, coarse_weights = [], [], [], []
+        start = 0
         for a, b in zip(cuts[:-1], cuts[1:]):
             n = max(64, int((b - a) * points_per_unit))
             n += (-n) % 4  # divisible by 4 so the coarse rule is Simpson too
             r, w = _simpson_rule(a, b, n)
-            _, wc = _simpson_rule(a, b, n // 2)
-            g = np.asarray(profile(r), dtype=float)
-            self._pieces.append((r, w, g, wc, g[::2]))
-        self.h = max((p[0][1] - p[0][0]) for p in self._pieces)
+            nodes.append(r)
+            weights.append(w)
+            coarse.append(start + np.arange(0, n + 1, 2))
+            coarse_weights.append(_simpson_rule(a, b, n // 2)[1])
+            start += n + 1
+        self._r = np.concatenate(nodes)
+        self._w = np.concatenate(weights)
+        self._coarse = np.concatenate(coarse)
+        self._wc = np.concatenate(coarse_weights)
+        self._g = np.asarray(profile(self._r), dtype=float)
+        self._gc = self._g[self._coarse]
+        self.h = float(np.diff(self._r).max())
         self._exterior = exterior
         self.span = hi if exterior is None else float(exterior.ends[1])
 
     def moments(self, powers: Sequence[int]) -> list[float]:
         out = []
         for q in powers:
-            parts = [float(w @ (g * r**q)) for r, w, g, _, _ in self._pieces]
+            value = float(self._w @ (self._g * self._r**q))
             if self._exterior is not None:
-                parts.append(self._exterior.moment(q))
-            out.append(math.fsum(parts))
+                value += self._exterior.moment(q)
+            out.append(value)
         return out
 
     def __call__(self, k: float) -> tuple[float, float]:
@@ -792,12 +805,9 @@ class _RadialTransform:
             raise QuadratureError(
                 f"wave number {k:g} beyond quadrature resolution (h = {self.h:g})"
             )
-        fine = 0.0
-        coarse = 0.0
-        for r, w, g, wc, gc in self._pieces:
-            s = np.sin(k * r)
-            fine += float(w @ (g * s))
-            coarse += float(wc @ (gc * s[::2]))
+        s = np.sin(k * self._r)
+        fine = float(self._w @ (self._g * s))
+        coarse = float(self._wc @ (self._gc * s[self._coarse]))
         error = abs(_FOUR_PI / k * (fine - coarse))
         if self._exterior is not None:
             fine += self._exterior.sine(k)
@@ -847,67 +857,45 @@ def potential_fourier(potential: RadialPotential, points_per_unit: float = 40000
 # correlation kernels
 # ---------------------------------------------------------------------------
 
-def _unique_shells(modes: Sequence[Mode]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique p_sq values and the index of each mode's shell."""
-    p_sq = np.array([m.p_sq for m in modes])
-    uniq, inverse = np.unique(p_sq, return_inverse=True)
-    return uniq, inverse
-
-
-def eta_coefficients(
-    neumann: NeumannSolution, N: int, modes: Sequence[Mode]
-) -> np.ndarray:
-    """Pair-correlation kernel eta_p = -w_hat(|p|/N)/N^2, equal on every shell.
+def eta_coefficients(neumann: NeumannSolution, N: int, p_sq: np.ndarray) -> np.ndarray:
+    """Pair-correlation kernel eta_p = -w_hat(|p|/N)/N^2, one value per |p|^2.
 
     w = 1 - f is the ball solution's defect from 1, extended by zero; its
     radial transform is taken by Simpson quadrature on the support and
     exactly over the rest of the ball, with the small-k series branch
-    below k R < 1e-3.
+    below k R < 1e-3.  ``p_sq`` is typically the column of ``shell_table``.
     """
     transform = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
-    uniq, inverse = _unique_shells(modes)
-    values = np.empty(len(uniq))
-    for i, p_sq in enumerate(uniq):
-        k = math.sqrt(p_sq) / N
-        values[i] = -transform(k)[0] / (N * N)
-    return values[inverse]
+    return np.array([-transform(math.sqrt(p) / N)[0] / (N * N) for p in p_sq.tolist()])
 
 
 def tau_coefficients(
-    eta: np.ndarray,
-    neumann: NeumannSolution,
-    N: int,
-    modes: Sequence[Mode],
+    eta: np.ndarray, neumann: NeumannSolution, N: int, p_sq: np.ndarray
 ) -> np.ndarray:
-    """Residual kernel tau_p = -log(1 + 2 (Vf)_hat(|p|/N)/|p|^2)/4 - eta_p."""
+    """Residual kernel tau_p = -log(1 + 2 (Vf)_hat(|p|/N)/|p|^2)/4 - eta_p per |p|^2."""
     transform = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
-    uniq, inverse = _unique_shells(modes)
-    log_part = np.empty(len(uniq))
-    for i, p_sq in enumerate(uniq):
-        k = math.sqrt(p_sq) / N
-        vf = transform(k)[0]
-        arg = 2.0 * vf / p_sq
+    log_part = np.empty(len(p_sq))
+    for i, p in enumerate(p_sq.tolist()):
+        arg = 2.0 * transform(math.sqrt(p) / N)[0] / p
         if 1.0 + arg <= 0.0:
             raise KernelError(
-                f"log argument {1.0 + arg:g} <= 0 at p_sq = {p_sq:g}; quadrature failure"
+                f"log argument {1.0 + arg:g} <= 0 at p_sq = {p:g}; quadrature failure"
             )
         log_part[i] = -0.25 * math.log1p(arg)
-    return log_part[inverse] - np.asarray(eta, dtype=float)
+    return log_part - np.asarray(eta, dtype=float)
 
 
-def nu_coefficients(a: float, modes: Sequence[Mode]) -> np.ndarray:
-    """Limit kernel nu_p = -log(1 + 16 pi a/|p|^2)/4 <= 0."""
+def nu_coefficients(a: float, p_sq: np.ndarray) -> np.ndarray:
+    """Limit kernel nu_p = -log(1 + 16 pi a/|p|^2)/4 <= 0 per |p|^2."""
     if a < 0:
         raise ValueError("scattering length must be non-negative")
-    uniq, inverse = _unique_shells(modes)
-    values = np.array([nu_coefficient(p_sq, a) for p_sq in uniq])
-    return values[inverse]
+    return np.array([nu_coefficient(p, a) for p in p_sq.tolist()])
 
 
 def kernel_identity_residuals(
-    neumann: NeumannSolution, N: int, modes: Sequence[Mode]
+    neumann: NeumannSolution, N: int, p_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of |p|^2 eta_p + (Vf)_hat/2 - lambda (chi f)_hat per mode.
+    """Residual of |p|^2 eta_p + (Vf)_hat/2 - lambda (chi f)_hat per |p|^2.
 
     Both sides are evaluated by independent quadratures; the second return
     value is the accumulated quadrature tolerance against which the
@@ -916,45 +904,36 @@ def kernel_identity_residuals(
     w_tr = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
     u_tr = _radial_transform(neumann.potential, 0.0, 1.0, neumann)
     vf_tr = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
-    uniq, inverse = _unique_shells(modes)
-    res = np.empty(len(uniq))
-    tol = np.empty(len(uniq))
-    for i, p_sq in enumerate(uniq):
-        k = math.sqrt(p_sq) / N
+    res = np.empty(len(p_sq))
+    tol = np.empty(len(p_sq))
+    for i, p in enumerate(p_sq.tolist()):
+        k = math.sqrt(p) / N
         w_hat, w_err = w_tr(k)
         vf_hat, vf_err = vf_tr(k)
         chif_hat, chif_err = u_tr(k)
         res[i] = -k * k * w_hat + 0.5 * vf_hat - neumann.lam * chif_hat
         tol[i] = 10.0 * (k * k * w_err + 0.5 * vf_err + neumann.lam * chif_err)
         tol[i] += 1e-9 * abs(0.5 * vf_hat)
-    return res[inverse], tol[inverse]
+    return res, tol
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Per-mode kernel values."""
+    """Kernel values per shell, ascending |n|^2, as columns of ``shell_table``."""
 
     N: int
-    modes: tuple[Mode, ...]
+    norm_sq: np.ndarray
+    p_sq: np.ndarray
     eta: np.ndarray
     tau: np.ndarray
     nu: np.ndarray
 
-    def shell_rows(self) -> list[tuple[int, float, float, float, float]]:
-        """One (norm_sq, |p|, eta, tau, nu) row per shell, ascending."""
-        seen: dict[int, tuple] = {}
-        for i, mode in enumerate(self.modes):
-            key = mode.norm_sq
-            if key not in seen:
-                p_abs = math.sqrt(mode.p_sq)
-                seen[key] = (key, p_abs, float(self.eta[i]), float(self.tau[i]), float(self.nu[i]))
-        return [seen[k] for k in sorted(seen)]
-
     def to_csv(self, comments: Sequence[str] = ()) -> str:
         lines = [f"# {c}" for c in comments]
         lines.append("norm_sq,p_abs,eta,tau,nu")
-        for norm_sq, p_abs, eta, tau, nu in self.shell_rows():
-            lines.append(f"{norm_sq},{p_abs!r},{eta!r},{tau!r},{nu!r}")
+        columns = (self.norm_sq, self.p_sq, self.eta, self.tau, self.nu)
+        for norm_sq, p_sq, eta, tau, nu in zip(*(c.tolist() for c in columns)):
+            lines.append(f"{norm_sq},{math.sqrt(p_sq)!r},{eta!r},{tau!r},{nu!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -962,13 +941,13 @@ def kernel_table(
     potential: RadialPotential,
     N: int,
     ell: float,
-    modes: Sequence[Mode],
+    cutoff_norm_sq: int,
     tol: float = 1e-10,
     scattering_r_max: float | None = None,
     scattering: ScatteringSolution | None = None,
     neumann: NeumannSolution | None = None,
 ) -> KernelTable:
-    """Solve both radial problems and assemble eta, tau, nu on the given modes.
+    """Solve both radial problems and assemble eta, tau, nu on the shells up to the cutoff.
 
     ``ell`` is the ball-radius parameter (ball radius N*ell); it must keep
     the ball inside the unit cell, ell < 1/2.  Precomputed solutions may be
@@ -983,7 +962,8 @@ def kernel_table(
         neumann = solve_neumann(potential, R=N * ell, tol=tol)
     if abs(neumann.R - N * ell) > 1e-9 * max(1.0, N * ell):
         raise ValueError("precomputed ball solution has the wrong radius")
-    eta = eta_coefficients(neumann, N, modes)
-    tau = tau_coefficients(eta, neumann, N, modes)
-    nu = nu_coefficients(scat.a, modes)
-    return KernelTable(N=N, modes=tuple(modes), eta=eta, tau=tau, nu=nu)
+    norm_sq, _, p_sq = shell_table(cutoff_norm_sq)
+    eta = eta_coefficients(neumann, N, p_sq)
+    tau = tau_coefficients(eta, neumann, N, p_sq)
+    nu = nu_coefficients(scat.a, p_sq)
+    return KernelTable(N=N, norm_sq=norm_sq, p_sq=p_sq, eta=eta, tau=tau, nu=nu)

@@ -29,7 +29,7 @@ from bosegas.bogoliubov import (
 from bosegas.cli import main
 from bosegas.density import build_rho1, build_rho2
 from bosegas.fock import build_basis, build_D, expect, gibbs, HermitianOperator, number_operator
-from bosegas.lattice import TWO_PI, enumerate_shells, modes_up_to
+from bosegas.lattice import TWO_PI, enumerate_shells
 from bosegas.oracles import (
     adjudicate_variants,
     occupation_closed_form,
@@ -105,14 +105,12 @@ def test_criterion_04_kernel_bounds_and_decay():
     # bounds and shell trends at N=50 (chosen so the smooth kernel envelope
     # dominates the finite-ball oscillation; see decisions notes)
     N = 50
-    modes400 = modes_up_to(400)
-    table = kernel_table(SOFT, N=N, ell=0.495, modes=modes400, tol=1e-10)
-    rows = table.shell_rows()
-    p_sq = np.array([TWO_PI**2 * r[0] for r in rows])
-    eta_env = np.abs([r[2] for r in rows]) * p_sq
-    tau_env = np.abs([r[3] for r in rows]) * p_sq**2
+    table = kernel_table(SOFT, N=N, ell=0.495, cutoff_norm_sq=400, tol=1e-10)
+    p_sq = TWO_PI**2 * table.norm_sq
+    eta_env = np.abs(table.eta) * p_sq
+    tau_env = np.abs(table.tau) * p_sq**2
     assert np.all(np.isfinite(eta_env)) and np.all(np.isfinite(tau_env))
-    half = len(rows) // 2
+    half = len(table.norm_sq) // 2
     # per-shell decay of the pair kernel over the outer half
     assert np.all(np.diff(eta_env[half:]) <= 1e-15)
     # the residual kernel oscillates shell to shell (finite-ball term), so
@@ -122,13 +120,12 @@ def test_criterion_04_kernel_bounds_and_decay():
     assert eta_env[half:].max() <= eta_env[:half].max()
 
     neumann = solve_neumann(SOFT, R=N * 0.495, tol=1e-10)
-    res, tol = kernel_identity_residuals(neumann, N, modes400)
+    res, tol = kernel_identity_residuals(neumann, N, table.p_sq)
     assert np.all(np.abs(res) <= tol)
 
-    modes50 = modes_up_to(50)
     gaps = {}
     for n_val in (100, 200):
-        t = kernel_table(SOFT, N=n_val, ell=0.495, modes=modes50, tol=1e-10)
+        t = kernel_table(SOFT, N=n_val, ell=0.495, cutoff_norm_sq=50, tol=1e-10)
         gaps[n_val] = np.max(np.abs(t.eta + t.tau - t.nu))
     assert gaps[200] <= 0.6 * gaps[100]
     _report(4, "kernel envelopes bounded/decaying, identity residual below quadrature "

@@ -21,7 +21,7 @@ def counts() -> list[int]:
 
 @pytest.fixture
 def two_threads():
-    """Both libraries at two threads, so that a restored count is told apart from 1."""
+    """Two threads, so that a restored count is told apart from 1."""
     controls = _blas._controls()
     if not controls:
         pytest.skip("no bundled OpenBLAS found")
@@ -137,14 +137,23 @@ def test_the_block_leaves_the_workers_asleep():
     assert product == 400.0
 
 
-def test_with_scipy_loaded_both_libraries_are_pinned_and_restored():
+def test_with_scipy_loaded_only_numpys_library_is_pinned():
+    # scipy's wheel ships its own OpenBLAS, a separate library that no
+    # command calls: the pin sets and restores numpy's count and leaves
+    # scipy's as it was
     threads, inside, after = _fresh(
-        "import json\n"
+        "import ctypes, glob, json, os\n"
         "import scipy.linalg\n"
         "from bosegas import _blas\n"
+        "site = os.path.dirname(os.path.dirname(scipy.__file__))\n"
+        "[path] = glob.glob(os.path.join(site, 'scipy.libs', 'libscipy_openblas*.so'))\n"
+        "scipy_count = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).scipy_openblas_get_num_threads\n"
+        "scipy_count.argtypes, scipy_count.restype = [], ctypes.c_int\n"
+        "def counts():\n"
+        "    return [g() for _, g in _blas._controls()] + [scipy_count()]\n"
         "with _blas.single_thread() as threads:\n"
-        "    inside = [g() for _, g in _blas._controls()]\n"
-        "print(json.dumps([threads, inside, [g() for _, g in _blas._controls()]]))\n"
+        "    inside = counts()\n"
+        "print(json.dumps([threads, inside, counts()]))\n"
     )
     assert threads == 1
-    assert (inside, after) == ([1, 1], [2, 2])
+    assert (inside, after) == ([1, 2], [2, 2])

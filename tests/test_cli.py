@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bosegas
+import bosegas.lattice
 from bosegas.cli import main
 
 FAST_SETS = [
@@ -49,6 +50,21 @@ def test_scatter_free_gas(tmp_path):
     assert code == 0
     summary = read_json_payload(out / "scatter.json")
     assert abs(summary["a_ode"]) < 1e-10
+
+
+def test_scatter_builds_no_mode(tmp_path, monkeypatch):
+    # the kernels run on the shell table: no explicit mode is built, so a
+    # large cutoff costs one row per shell; 1,668 of 1 <= j <= 2000 are
+    # sums of three squares (Legendre: j not of the form 4^a (8b + 7))
+    def refuse(self):
+        raise AssertionError("scatter built a Mode")
+
+    monkeypatch.setattr(bosegas.lattice.Mode, "__post_init__", refuse)
+    out = tmp_path / "large"
+    code = main(["scatter", "--set", "cutoff_norm_sq=2000", "--output-dir", str(out)])
+    assert code == 0
+    rows = read_csv_payload(out / "kernels.csv")
+    assert len(rows) == 1 + 1668
 
 
 def test_coeffs_zero_interaction_columns(tmp_path):

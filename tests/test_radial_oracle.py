@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 
 import bosegas.scattering as scattering
 from bosegas.errors import BracketFailure, QuadratureError
-from bosegas.lattice import modes_up_to
+from bosegas.lattice import shell_table
 from bosegas.scattering import (
     RadialPotential,
     _boundary_defect,
@@ -93,9 +93,9 @@ def ref_solve_neumann(potential, R, tol):
     return lam, dense.rescaled(R / float(dense.u(R)[0]))
 
 
-def ref_transform(profile, R, breaks, k, points_per_unit=4000.0):
-    """(4 pi / k) int_0^R G sin(kr) dr by Simpson over the whole ball, with
-    the fine-minus-coarse estimate; the moment series below k R = 1e-3."""
+def ref_pieces(profile, R, breaks, points_per_unit):
+    """(r, w, G, wc) of each breakpoint piece of [0, R]: the Simpson nodes and
+    weights, the profile sampled there and the half-resolution weights."""
     cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < R) + [R]
     pieces = []
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -104,6 +104,14 @@ def ref_transform(profile, R, breaks, k, points_per_unit=4000.0):
         r, w = _simpson_rule(a, b, n)
         _, wc = _simpson_rule(a, b, n // 2)
         pieces.append((r, w, np.asarray(profile(r), dtype=float), wc))
+    return pieces
+
+
+def ref_transform(profile, R, breaks, k, points_per_unit=4000.0):
+    """(4 pi / k) int_0^R G sin(kr) dr by Simpson over the whole ball, one
+    piece at a time, with the fine-minus-coarse estimate; the moment series
+    below k R = 1e-3."""
+    pieces = ref_pieces(profile, R, breaks, points_per_unit)
 
     def moment(q):
         return math.fsum(float(w @ (g * r**q)) for r, w, g, _ in pieces)
@@ -116,11 +124,11 @@ def ref_transform(profile, R, breaks, k, points_per_unit=4000.0):
     return FOUR_PI / k * fine, abs(FOUR_PI / k * (fine - coarse))
 
 
-def ref_eta(dense, potential, R, N, modes):
+def ref_eta(dense, potential, R, N, p_sq):
     """eta per shell with its quadrature estimate, ascending |n|^2."""
     out = []
-    for p_sq in sorted({m.p_sq for m in modes}):
-        k = math.sqrt(p_sq) / N
+    for p in p_sq.tolist():
+        k = math.sqrt(p) / N
         value, err = ref_transform(lambda r: r - dense.u(r), R, potential.breakpoints(), k)
         out.append((-value / (N * N), err / (N * N)))
     return out
@@ -166,23 +174,80 @@ def test_eigenvalue_and_eta_match_full_domain(potential, R, N):
     lam, dense = ref_solve_neumann(potential, R, 1e-12)
     assert ours.lam == pytest.approx(lam, rel=1e-9)
 
-    modes = modes_up_to(6)
-    eta = eta_coefficients(ours, N, modes)
-    by_shell = dict(zip((m.p_sq for m in modes), eta))
+    shells = shell_table(6)[2]
+    eta = eta_coefficients(ours, N, shells)
+    by_shell = dict(zip(shells.tolist(), eta))
     # the exact exterior against Simpson over the whole ball, both on this
     # ball solution: within the quadrature estimate, plus the roundoff of
     # w = r - u itself (eps r pointwise, up to eps R^2 / 2 integrated),
     # which dominates when a weak potential leaves u close to r
-    same_ball = ref_eta(ours.dense, potential, R, N, modes)
+    same_ball = ref_eta(ours.dense, potential, R, N, shells)
     for p_sq, (value, err) in zip(sorted(by_shell), same_ball):
         roundoff = FOUR_PI * N / math.sqrt(p_sq) * EPS * R * R / 2.0 / (N * N)
         assert abs(by_shell[p_sq] - value) <= err + roundoff + 1e-12 * abs(value)
     # end to end: the full-domain solution also carries the DOP853 error of
     # the exterior, up to 5e-12 relative in eta at tol 1e-12 (measured
     # against the 40-digit soft-sphere solution)
-    reference = ref_eta(dense, potential, R, N, modes)
+    reference = ref_eta(dense, potential, R, N, shells)
     for p_sq, (value, err) in zip(sorted(by_shell), reference):
         assert abs(by_shell[p_sq] - value) <= err + 1e-10 * abs(value)
+
+
+# ---------------------------------------------------------------------------
+# one flat node set against the per-piece Simpson rules
+# ---------------------------------------------------------------------------
+
+def ball_profile(neumann, c_r, c_u, times_v):
+    def profile(r):
+        g = c_r * r + c_u * neumann.dense.u(r)
+        return g * neumann.potential(r) if times_v else g
+
+    return profile
+
+
+@settings(max_examples=15, deadline=None)
+@given(potential=potentials(max_points=50), R=st.floats(2.0, 10.0),
+       k_share=st.floats(0.0, 1.0))
+def test_flat_nodes_match_the_per_piece_rules(potential, R, k_share):
+    # the package concatenates the pieces' Simpson nodes and weights and
+    # sums each rule in one dot; the reference sums piece by piece.  Nodes,
+    # weights and samples are the same, so only the order of summation
+    # differs: each order is within gamma_{n+1} S of the exact sum of
+    # n products w G sin (Higham, *Accuracy and Stability of Numerical
+    # Algorithms*, 2002, section 3.1), S = sum |w G|, and each of the
+    # final additions and products rounds by at most eps of its terms
+    neumann = solve_neumann(potential, R=R, tol=1e-10)
+    b, breaks = potential.support_radius, potential.breakpoints()
+    for c_r, c_u, times_v in ((1.0, -1.0, False), (0.0, 1.0, False), (0.0, 1.0, True)):
+        points_per_unit = 40000.0 if times_v else 4000.0
+        ours = _radial_transform(potential, c_r, c_u, neumann, times_v=times_v,
+                                 points_per_unit=points_per_unit)
+        profile = ball_profile(neumann, c_r, c_u, times_v)
+        pieces = ref_pieces(profile, b, breaks, points_per_unit)
+        n = sum(len(r) for r, _, _, _ in pieces)
+        gamma = (n + 1) * EPS / (1.0 - (n + 1) * EPS)
+        fine_sum = sum(float(np.abs(w * g).sum()) for _, w, g, _ in pieces)
+        coarse_sum = sum(float(np.abs(wc * g[::2]).sum()) for _, _, g, wc in pieces)
+        exterior = ours._exterior
+
+        h = max(r[1] - r[0] for r, _, _, _ in pieces)
+        k = 1e-3 / b * (0.5 / h / (1e-3 / b)) ** k_share
+        value, estimate = ours(k)
+        ref_value, ref_estimate = ref_transform(profile, b, breaks, k, points_per_unit)
+        ext = 0.0 if exterior is None else exterior.sine(k)
+        scale = FOUR_PI / k
+        value_tol = scale * (2.0 * gamma * fine_sum + 6.0 * EPS * (fine_sum + abs(ext)))
+        assert abs(value - (ref_value + scale * ext)) <= value_tol
+        estimate_tol = scale * (2.0 * gamma + 4.0 * EPS) * (fine_sum + coarse_sum)
+        assert abs(estimate - ref_estimate) <= estimate_tol
+
+        powers = [1, 3, 5, 7]
+        for q, moment in zip(powers, ours.moments(powers)):
+            ref = math.fsum(float(w @ (g * r**q)) for r, w, g, _ in pieces)
+            ext = 0.0 if exterior is None else exterior.moment(q)
+            moment_sum = sum(float(np.abs(w * g * r**q).sum()) for r, w, g, _ in pieces)
+            tol = 2.0 * gamma * moment_sum + 3.0 * EPS * (moment_sum + abs(ext))
+            assert abs(moment - (ref + ext)) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bosegas.errors import SolverError
-from bosegas.lattice import modes_up_to
+from bosegas.lattice import shell_table
 from bosegas.scattering import (
     RadialPotential,
     energy_functional,
@@ -119,7 +119,7 @@ class TestOtherPotentialKinds:
         assert energy_functional(sol) == pytest.approx(sol.a, rel=1e-6)
         neumann = solve_neumann(pot, R=20.0, tol=1e-10)
         assert neumann.lam == pytest.approx(3.0 * sol.a / 20.0**3, rel=0.1)
-        eta = eta_coefficients(neumann, 25, modes_up_to(5))
+        eta = eta_coefficients(neumann, 25, shell_table(5)[2])
         assert np.all(np.isfinite(eta)) and np.all(eta < 0.0)
 
     def test_tabulated_soft_sphere_reproduces_closed_form(self):
@@ -202,62 +202,58 @@ class TestNeumann:
 @pytest.fixture(scope="module")
 def small_kernel_setup():
     N = 50
-    modes = modes_up_to(20)
+    p_sq = shell_table(20)[2]
     neumann = solve_neumann(SOFT, R=N * 0.495, tol=1e-10)
     scat = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
-    return N, modes, neumann, scat
+    return N, p_sq, neumann, scat
 
 
 class TestKernels:
     def test_eta_shell_constant_and_bounded(self, small_kernel_setup):
-        N, modes, neumann, _ = small_kernel_setup
-        eta = eta_coefficients(neumann, N, modes)
-        p_sq = np.array([m.p_sq for m in modes])
-        by_shell = {}
-        for m, v in zip(modes, eta):
-            by_shell.setdefault(m.norm_sq, set()).add(v)
-        assert all(len(vals) == 1 for vals in by_shell.values())
+        # one value per shell by construction; that each mode of a shell
+        # gets it is checked against the per-mode path in test_shell_oracle
+        N, p_sq, neumann, _ = small_kernel_setup
+        eta = eta_coefficients(neumann, N, p_sq)
+        assert eta.shape == p_sq.shape
         assert np.max(np.abs(eta) * p_sq) < 100.0
 
     def test_eta_vanishes_for_zero_potential(self):
         neumann = solve_neumann(zero_potential(), R=10.0)
-        eta = eta_coefficients(neumann, 20, modes_up_to(5))
+        eta = eta_coefficients(neumann, 20, shell_table(5)[2])
         assert np.max(np.abs(eta)) < 1e-12
 
     def test_tau_bounded_and_zero_for_free_gas(self, small_kernel_setup):
-        N, modes, neumann, _ = small_kernel_setup
-        eta = eta_coefficients(neumann, N, modes)
-        tau = tau_coefficients(eta, neumann, N, modes)
-        p_sq = np.array([m.p_sq for m in modes])
+        N, p_sq, neumann, _ = small_kernel_setup
+        eta = eta_coefficients(neumann, N, p_sq)
+        tau = tau_coefficients(eta, neumann, N, p_sq)
         assert np.all(np.isfinite(tau))
         assert np.max(np.abs(tau) * p_sq**2) < 1e4
 
         neumann0 = solve_neumann(zero_potential(), R=10.0)
-        modes0 = modes_up_to(3)
-        eta0 = eta_coefficients(neumann0, 20, modes0)
-        tau0 = tau_coefficients(eta0, neumann0, 20, modes0)
+        p_sq0 = shell_table(3)[2]
+        eta0 = eta_coefficients(neumann0, 20, p_sq0)
+        tau0 = tau_coefficients(eta0, neumann0, 20, p_sq0)
         assert np.max(np.abs(tau0)) < 1e-12
 
     def test_nu_trivial_and_negative(self, small_kernel_setup):
-        _, modes, _, scat = small_kernel_setup
-        assert np.max(np.abs(nu_coefficients(0.0, modes))) == 0.0
-        nu = nu_coefficients(scat.a, modes)
+        _, p_sq, _, scat = small_kernel_setup
+        assert np.max(np.abs(nu_coefficients(0.0, p_sq))) == 0.0
+        nu = nu_coefficients(scat.a, p_sq)
         assert np.all(nu < 0.0)
 
     def test_kernel_identity_residuals_within_quadrature_tolerance(self, small_kernel_setup):
-        N, modes, neumann, _ = small_kernel_setup
-        res, tol = kernel_identity_residuals(neumann, N, modes)
+        N, p_sq, neumann, _ = small_kernel_setup
+        res, tol = kernel_identity_residuals(neumann, N, p_sq)
         assert np.all(np.abs(res) <= tol)
 
     def test_kernel_table_passes_explicit_zero_r_max_to_the_guard(self):
         with pytest.raises(SolverError):
-            kernel_table(SOFT, N=20, ell=0.495, modes=modes_up_to(3), scattering_r_max=0.0)
+            kernel_table(SOFT, N=20, ell=0.495, cutoff_norm_sq=3, scattering_r_max=0.0)
 
     def test_kernel_sum_approaches_nu_at_larger_N(self):
-        modes = modes_up_to(12)
         gaps = {}
         for N in (50, 100):
-            table = kernel_table(SOFT, N=N, ell=0.495, modes=modes, tol=1e-10)
+            table = kernel_table(SOFT, N=N, ell=0.495, cutoff_norm_sq=12, tol=1e-10)
             gaps[N] = np.max(np.abs(table.eta + table.tau - table.nu))
         assert gaps[100] <= 0.7 * gaps[50]
 
@@ -307,16 +303,16 @@ class TestKernels:
             coarse(50.0)
 
     def test_kernel_table_csv_layout(self, small_kernel_setup):
-        N, modes, neumann, scat = small_kernel_setup
+        N, _, neumann, scat = small_kernel_setup
         table = kernel_table(
-            SOFT, N=N, ell=0.495, modes=modes, tol=1e-10,
+            SOFT, N=N, ell=0.495, cutoff_norm_sq=20, tol=1e-10,
             scattering=scat, neumann=neumann,
         )
         text = table.to_csv(comments=["test"])
         lines = text.strip().split("\n")
         assert lines[0] == "# test"
         assert lines[1] == "norm_sq,p_abs,eta,tau,nu"
-        shells = sorted({m.norm_sq for m in modes})
+        shells = shell_table(20)[0].tolist()
         assert len(lines) == 2 + len(shells)
         first = lines[2].split(",")
         assert int(first[0]) == shells[0]

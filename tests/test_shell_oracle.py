@@ -1,15 +1,17 @@
 """The per-mode path as the reference for the shell-indexed core.
 
-Lattice sums and density models evaluate their summands once per shell of
-equal |n|^2.  The reference below visits every explicit mode of
-``modes_up_to``, as the package did before, and counts multiplicities by a
-brute-force triple loop.  Shell-weighted sums are exact rearrangements of
-the per-mode ones, so every comparison is bit for bit.
+Lattice sums, density models and correlation kernels evaluate their
+summands once per shell of equal |n|^2.  The reference below visits every
+explicit mode of ``modes_up_to``, as the package did before, and counts
+multiplicities by a brute-force triple loop.  Shell-weighted sums are exact
+rearrangements of the per-mode ones, and a kernel takes the same transform
+at the same k for every mode of a shell, so every comparison is bit for bit.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +20,20 @@ from bosegas.bogoliubov import (
     Variant,
     depletion_sums,
     mu_sq,
+    nu_coefficient,
     pairing_coeff,
     theta_sq,
 )
 from bosegas.density import build_rho1, build_rho2, dm2_min_eigenvalue, dm_trace_norm_diff
 from bosegas.lattice import enumerate_shells, modes_up_to, shell_table
+from bosegas.scattering import (
+    RadialPotential,
+    _radial_transform,
+    default_r_max,
+    kernel_table,
+    solve_neumann,
+    solve_scattering,
+)
 
 
 def brute_r3(limit):
@@ -69,6 +80,25 @@ def per_mode_model(cfg, N, cutoff, factor):
     ]
     pairing = [pairing_coeff(m.p_sq, cfg.a, cfg.beta, cfg.variant) for m in modes]
     return weights, pairing, N - math.fsum(weights)
+
+
+def per_mode_kernel_csv(scattering, neumann, N, cutoff):
+    """kernels.csv from one transform call per mode's k, keeping the first
+    mode of each shell, in ascending |n|^2."""
+    w_hat = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
+    vf_hat = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
+    rows = {}
+    for m in modes_up_to(cutoff):
+        k = math.sqrt(m.p_sq) / N
+        eta = -w_hat(k)[0] / (N * N)
+        tau = -0.25 * math.log1p(2.0 * vf_hat(k)[0] / m.p_sq) - eta
+        nu = nu_coefficient(m.p_sq, scattering.a)
+        rows.setdefault(m.norm_sq, (math.sqrt(m.p_sq), eta, tau, nu))
+    lines = ["norm_sq,p_abs,eta,tau,nu"]
+    for norm_sq in sorted(rows):
+        p_abs, eta, tau, nu = rows[norm_sq]
+        lines.append(f"{norm_sq},{p_abs!r},{eta!r},{tau!r},{nu!r}")
+    return "\n".join(lines) + "\n"
 
 
 cutoffs = st.integers(min_value=1, max_value=400)
@@ -135,3 +165,18 @@ def test_density_models_bit_equal_per_mode_reference(cutoff, a, beta, N):
     c = np.array(pairing)
     arrow_min = 0.5 * (condensate - math.sqrt(condensate * condensate + 4.0 * float(np.dot(c, c))))
     assert dm2_min_eigenvalue(dm) == min(arrow_min, min(weights), 0.0)
+
+
+@pytest.mark.parametrize("potential", [
+    RadialPotential.soft_sphere(100.0, 0.5),
+    RadialPotential.tabulated(np.linspace(0.0, 0.6, 7),
+                              [80.0, 60.0, 75.0, 30.0, 45.0, 10.0, 20.0]),
+], ids=["soft_sphere", "tabulated"])
+def test_kernel_table_bit_equal_per_mode_reference(potential):
+    # the same k goes through the same transform, once per mode or once per shell
+    N, ell, cutoff = 100, 0.495, 50
+    scattering = solve_scattering(potential, r_max=default_r_max(potential), tol=1e-10)
+    neumann = solve_neumann(potential, R=N * ell, tol=1e-10)
+    table = kernel_table(potential, N=N, ell=ell, cutoff_norm_sq=cutoff,
+                         scattering=scattering, neumann=neumann)
+    assert table.to_csv() == per_mode_kernel_csv(scattering, neumann, N, cutoff)
