@@ -155,13 +155,14 @@ def _provenance(config: dict) -> dict:
     return {"config": config, "version": __version__}
 
 
-def _write(path: Path, text: str) -> Path:
+def _write(path: Path, text: str) -> str:
+    """Write ``text`` to ``path``; returns the path as the files entry records it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    return path
+    return str(path)
 
 
-def _write_json(path: Path, payload: dict, config: dict) -> Path:
+def _write_json(path: Path, payload: dict, config: dict) -> str:
     payload = dict(payload)
     payload["provenance"] = _provenance(config)
     return _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -169,19 +170,6 @@ def _write_json(path: Path, payload: dict, config: dict) -> Path:
 
 def _csv_comments(config: dict) -> list[str]:
     return [f"version: {__version__}", "config: " + json.dumps(config, sort_keys=True)]
-
-
-@dataclasses.dataclass
-class ResultBundle:
-    """Paths of everything a command emitted."""
-
-    files: dict[str, str] = dataclasses.field(default_factory=dict)
-
-    def add(self, key: str, path: Path):
-        self.files[key] = str(path)
-
-    def merge(self, other: "ResultBundle"):
-        self.files.update(other.files)
 
 
 def _scattering_length(config: dict) -> float:
@@ -194,7 +182,7 @@ def _scattering_length(config: dict) -> float:
     return solve_scattering(potential, r_max=r_max, tol=config["tol"]).a
 
 
-def cmd_scatter(config: dict, out_dir: Path) -> ResultBundle:
+def cmd_scatter(config: dict, out_dir: Path) -> dict[str, str]:
     potential = _potential_from_config(config)
     tol = float(config["tol"])
     r_max = default_r_max(potential, float(config["scatter_r_max_factor"]))
@@ -206,11 +194,8 @@ def cmd_scatter(config: dict, out_dir: Path) -> ResultBundle:
     table = kernel_table(potential, N=N, ell=ell, cutoff_norm_sq=int(config["cutoff_norm_sq"]),
                          tol=tol, scattering_r_max=r_max, scattering=sol, neumann=neumann)
 
-    bundle = ResultBundle()
-    bundle.add(
-        "kernel_csv",
-        _write(out_dir / "kernels.csv", table.to_csv(comments=_csv_comments(config))),
-    )
+    files = {"kernel_csv": _write(out_dir / "kernels.csv",
+                                  table.to_csv(comments=_csv_comments(config)))}
     summary = {
         "a_ode": sol.a,
         "a_functional": a_functional,
@@ -220,11 +205,11 @@ def cmd_scatter(config: dict, out_dir: Path) -> ResultBundle:
         "ell": ell,
         "r_max": r_max,
     }
-    bundle.add("scatter_summary", _write_json(out_dir / "scatter.json", summary, config))
-    return bundle
+    files["scatter_summary"] = _write_json(out_dir / "scatter.json", summary, config)
+    return files
 
 
-def cmd_coeffs(config: dict, out_dir: Path) -> ResultBundle:
+def cmd_coeffs(config: dict, out_dir: Path) -> dict[str, str]:
     a = _scattering_length(config)
     beta = float(config["beta"])
     cutoff = int(config["cutoff_norm_sq"])
@@ -238,10 +223,7 @@ def cmd_coeffs(config: dict, out_dir: Path) -> ResultBundle:
             f"{j},{c.eps!r},{c.mu_sq!r},{c.theta_sq_A!r},"
             f"{c.theta_sq_B!r},{c.nu!r},{c.pairing_A!r},{c.pairing_B!r}"
         )
-    bundle = ResultBundle()
-    bundle.add(
-        "coefficients_csv", _write(out_dir / "coefficients.csv", "\n".join(lines) + "\n")
-    )
+    files = {"coefficients_csv": _write(out_dir / "coefficients.csv", "\n".join(lines) + "\n")}
 
     sums = {}
     for variant in _variants(config):
@@ -256,16 +238,16 @@ def cmd_coeffs(config: dict, out_dir: Path) -> ResultBundle:
             for key, res in result.items()
         }
     payload = {"a": a, "beta": beta, "cutoff_norm_sq": cutoff, "depletion": sums}
-    bundle.add("depletion_json", _write_json(out_dir / "depletion.json", payload, config))
-    return bundle
+    files["depletion_json"] = _write_json(out_dir / "depletion.json", payload, config)
+    return files
 
 
-def cmd_rho(config: dict, out_dir: Path) -> ResultBundle:
+def cmd_rho(config: dict, out_dir: Path) -> dict[str, str]:
     a = _scattering_length(config)
     beta = float(config["beta"])
     cutoff = int(config["cutoff_norm_sq"])
     N = int(config["N"])
-    bundle = ResultBundle()
+    files = {}
 
     built = {}
     for variant in _variants(config):
@@ -273,16 +255,9 @@ def cmd_rho(config: dict, out_dir: Path) -> ResultBundle:
         dm1 = build_rho1(cfg, N, cutoff)
         dm2 = build_rho2(cfg, N, cutoff)
         built[variant] = (dm1, dm2)
-        bundle.add(
-            f"dm1_{variant.value}",
-            _write(out_dir / f"dm1_{variant.value}.json",
-                   dm1.to_json(provenance=_provenance(config)) + "\n"),
-        )
-        bundle.add(
-            f"dm2_{variant.value}",
-            _write(out_dir / f"dm2_{variant.value}.json",
-                   dm2.to_json(provenance=_provenance(config)) + "\n"),
-        )
+        for name, dm in ((f"dm1_{variant.value}", dm1), (f"dm2_{variant.value}", dm2)):
+            files[name] = _write(out_dir / f"{name}.json",
+                                 dm.to_json(provenance=_provenance(config)) + "\n")
 
     summary: dict[str, Any] = {"a": a, "beta": beta, "N": N, "cutoff_norm_sq": cutoff}
     for variant, (dm1, dm2) in built.items():
@@ -294,13 +269,12 @@ def cmd_rho(config: dict, out_dir: Path) -> ResultBundle:
         dm1_b, dm2_b = built[Variant.B]
         summary["variant_distance_dm1"] = dm_trace_norm_diff(dm1_a, dm1_b)
         summary["variant_distance_dm2"] = dm_trace_norm_diff(dm2_a, dm2_b)
-    bundle.add("rho_summary", _write_json(out_dir / "rho.json", summary, config))
-    return bundle
+    files["rho_summary"] = _write_json(out_dir / "rho.json", summary, config)
+    return files
 
 
-def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
+def cmd_oracle(config: dict, out_dir: Path) -> dict[str, str]:
     oracle_cfg = config["oracle"]
-    bundle = ResultBundle()
     report = adjudicate_variants(
         a=float(oracle_cfg["a"]),
         beta=float(oracle_cfg["beta"]),
@@ -308,21 +282,16 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
         cap=int(oracle_cfg["cap"]),
         momentum_scale=float(oracle_cfg.get("momentum_scale", 1.0)),
     )
-    bundle.add(
-        "adjudication",
-        _write(out_dir / "adjudication.json",
-               report.to_json(provenance=_provenance(config)) + "\n"),
-    )
+    files = {"adjudication": _write(out_dir / "adjudication.json",
+                                    report.to_json(provenance=_provenance(config)) + "\n")}
 
     scale = float(oracle_cfg.get("momentum_scale", 1.0))
     modes = shell_modes((int(s) for s in oracle_cfg["shells"]), momentum_scale=scale)
     eps = [dispersion(m.p_sq, float(oracle_cfg["a"])) for m in modes]
     basis = build_basis(modes, int(oracle_cfg["cap"]))
     sandwich = partition_product_check(basis, eps, beta=float(oracle_cfg["beta"]))
-    bundle.add(
-        "partition",
-        _write_json(out_dir / "partition.json", dataclasses.asdict(sandwich), config),
-    )
+    files["partition"] = _write_json(out_dir / "partition.json", dataclasses.asdict(sandwich),
+                                     config)
 
     toy_cfg = oracle_cfg.get("toy", {})
     if toy_cfg.get("enabled", False):
@@ -349,9 +318,7 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
         payload["pair_moment_over_N_trend"] = {
             str(n): report.n_plus_sq / n for n, (report, _) in runs.items()
         }
-        bundle.add(
-            "toy_report", _write_json(out_dir / "toy_gibbs.json", payload, config)
-        )
+        files["toy_report"] = _write_json(out_dir / "toy_gibbs.json", payload, config)
         lines = [f"# {c}" for c in _csv_comments(config)]
         lines.append(
             "norm_sq,oracle_occ,model_occ_A,model_occ_B,oracle_pair,model_pair_A,model_pair_B"
@@ -362,13 +329,11 @@ def cmd_oracle(config: dict, out_dir: Path) -> ResultBundle:
                 f"{row['model_occ_B']!r},{row['oracle_pair']!r},"
                 f"{row['model_pair_A']!r},{row['model_pair_B']!r}"
             )
-        bundle.add(
-            "comparison_csv", _write(out_dir / "comparison.csv", "\n".join(lines) + "\n")
-        )
-    return bundle
+        files["comparison_csv"] = _write(out_dir / "comparison.csv", "\n".join(lines) + "\n")
+    return files
 
 
-# ``all`` runs every command, in this order
+# ``all`` runs every command, in this order; each returns the paths it wrote, by key
 COMMANDS = {
     "scatter": cmd_scatter,
     "coeffs": cmd_coeffs,
@@ -417,11 +382,11 @@ def _run(argv: list[str] | None, blas_threads: int | str) -> int:
         )
         out_dir = Path(config["output_dir"])
         names = tuple(COMMANDS) if args.command == "all" else (args.command,)
-        bundle = ResultBundle()
+        files = {}
         stage_seconds = {}
         for name in names:
             stage_started = time.monotonic()
-            bundle.merge(COMMANDS[name](config, out_dir))
+            files.update(COMMANDS[name](config, out_dir))
             stage_seconds[name] = time.monotonic() - stage_started
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         _record_error(out_dir, exc)
@@ -440,12 +405,12 @@ def _run(argv: list[str] | None, blas_threads: int | str) -> int:
     provenance["wall_time_s"] = time.monotonic() - started
     provenance["stage_seconds"] = stage_seconds
     provenance["blas_threads"] = blas_threads
-    provenance["files"] = bundle.files
+    provenance["files"] = files
     _write(
         out_dir / "provenance.json",
         json.dumps(provenance, indent=2, sort_keys=True) + "\n",
     )
-    for key, path in sorted(bundle.files.items()):
+    for key, path in sorted(files.items()):
         print(f"{key}: {path}")
     return 0
 

@@ -330,19 +330,12 @@ class RotatedExpectation:
 
     value: float
     candidates: dict
-    candidates_capped: dict
     Z: float
 
 
 def _convention_occupations(eps: np.ndarray, beta: float) -> dict:
     n_b = np.array([bose_occupation(beta * e) for e in eps])
     return {"A": eps * n_b, "B": n_b}
-
-
-def _capped_occupations(eps: np.ndarray, beta: float, cap: int) -> np.ndarray:
-    return np.array(
-        [occupation_closed_form(eps, beta, cap, mode=j)[0] for j in range(len(eps))]
-    )
 
 
 def _rotation_guard(nu: np.ndarray, eps: np.ndarray, beta: float, cap: int):
@@ -415,16 +408,11 @@ def _rotated_expectations(
 
     sinh_sq = np.sinh(nu) ** 2
     occs = _convention_occupations(eps, beta)
-    n_cap = _capped_occupations(eps, beta, cap)
     number = RotatedExpectation(
         value=number_sum / z_sum,
         candidates={
             key: float(np.sum(sinh_sq * (1.0 + 2.0 * occ) + occ))
             for key, occ in occs.items()
-        },
-        candidates_capped={
-            "A": float(np.sum(sinh_sq * (1.0 + 2.0 * eps * n_cap) + eps * n_cap)),
-            "B": float(np.sum(sinh_sq * (1.0 + 2.0 * n_cap) + n_cap)),
         },
         Z=z_sum,
     )
@@ -435,10 +423,6 @@ def _rotated_expectations(
         value=pair_sum / z_sum,
         candidates={
             key: float(half_sinh2 * (1.0 + 2.0 * occ[j])) for key, occ in occs.items()
-        },
-        candidates_capped={
-            "A": float(half_sinh2 * (1.0 + 2.0 * eps[j] * n_cap[j])),
-            "B": float(half_sinh2 * (1.0 + 2.0 * n_cap[j])),
         },
         Z=z_sum,
     )
@@ -454,8 +438,7 @@ def rotated_number_expectation(
     sector block is exponentiated exactly, so the only deviation from the
     analytic formulas is the cap itself.  Alongside the exact value the two
     coefficient-convention candidates sum(sinh^2 nu (1+2n) + n) are
-    returned, once with the uncapped thermal occupations and once with the
-    capped closed-form ones.
+    returned, with the uncapped thermal occupations.
     """
     return _rotated_expectations(basis.modes, basis.cap, nu, eps, beta, basis.modes[0])[0]
 
@@ -615,7 +598,11 @@ def adjudicate_variants(
 
 @dataclass(frozen=True)
 class GibbsReport:
-    """Thermal expectations of the interacting excitation Hamiltonian."""
+    """Thermal expectations of the interacting excitation Hamiltonian.
+
+    ``n_plus_sq`` is the factorial moment <N+(N+ - 1)> of the excitation
+    number N+, not <N+^2>; the payload keeps that key name.
+    """
 
     beta: float
     partition: float

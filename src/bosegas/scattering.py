@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -182,78 +182,65 @@ def zero_potential(support_radius: float = 0.5) -> RadialPotential:
 
 
 # ---------------------------------------------------------------------------
-# piecewise dense ODE solutions
+# breakpoint pieces and their Simpson rules
 # ---------------------------------------------------------------------------
 
-class _PiecewiseSolution:
-    """Dense evaluator for u, u' assembled from per-segment solutions.
+def _pieces(potential: RadialPotential, end: float | None = None):
+    """(cuts, lo_in, hi_in): the breakpoint pieces of [0, b], or of [0, end].
 
-    Each segment is ``(lo, hi, sol)`` with ``sol(r)`` returning the rows
-    (u, u') at radii in [lo, hi].  ``error_estimate`` is the propagation's
-    relative error estimate, when it has one.
+    The cuts are 0, the breakpoints and, when given, ``end`` beyond the
+    support.  Breakpoints sit exactly on piece boundaries, so V is read one
+    piece at a time with r clipped into [lo_in, hi_in], the piece's ends
+    moved one ulp inwards: sampling the raw potential there would leak the
+    value from the neighbouring piece (e.g. the soft-sphere top at its own
+    support radius).
     """
-
-    def __init__(self, segments, scale: float = 1.0, error_estimate: float | None = None):
-        self._segments = segments
-        self._scale = scale
-        self.error_estimate = error_estimate
-
-    def rescaled(self, scale: float) -> "_PiecewiseSolution":
-        return _PiecewiseSolution(self._segments, self._scale * scale, self.error_estimate)
-
-    def _eval(self, r, row: int):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        for lo, hi, sol in self._segments:
-            mask = (r >= lo) & (r <= hi)
-            if mask.any():
-                out[mask] = sol(r[mask])[row]
-        return out * self._scale
-
-    def u(self, r):
-        return self._eval(r, 0)
-
-    def u_prime(self, r):
-        return self._eval(r, 1)
+    cuts = [0.0, *potential.breakpoints()]
+    if end is not None:
+        cuts.append(end)
+    cuts = np.array(cuts)
+    return cuts, np.nextafter(cuts[:-1], cuts[1:]), np.nextafter(cuts[1:], cuts[:-1])
 
 
-class _FreeSegment:
-    """Closed form of u'' = -lam u from (u, u') = (u0, du0) at ``start``.
+# nodes per group of whole pieces sampled in one evaluation; this bounds
+# the memory of a transform's or of the energy integral's sampling
+_GROUP = 2**16
 
-    Called like an ``OdeSolution``: it returns the rows (u, u') at the given
-    radii.  Affine at lam = 0.
+
+def _simpson_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
+    """Composite Simpson rules with n[i] (even) intervals on [lo[i], hi[i]], concatenated.
+
+    Returns the nodes, the weights and each node's index within its piece.
+    Node i of a piece is i * step + lo and its last node is hi, as
+    ``np.linspace`` makes them, and the weights are c * (step / 3), c = 1,
+    4, 2, ..., 4, 1: every bit equals that of the per-piece rules.
     """
-
-    def __init__(self, start: float, u0: float, du0: float, lam: float):
-        self.start = start
-        self.u0 = u0
-        self.du0 = du0
-        self.kappa = math.sqrt(lam)
-
-    def __call__(self, r):
-        s = np.asarray(r, dtype=float) - self.start
-        k = self.kappa
-        if k == 0.0:
-            return np.array([self.u0 + self.du0 * s, np.full_like(s, self.du0)])
-        c, sn = np.cos(k * s), np.sin(k * s)
-        return np.array([self.u0 * c + self.du0 * sn / k, self.du0 * c - self.u0 * k * sn])
+    size = n + 1
+    first = np.cumsum(size) - size
+    local = np.arange(int(size.sum())) - np.repeat(first, size)
+    step = (hi - lo) / n
+    r = local * np.repeat(step, size) + np.repeat(lo, size)
+    r[first + n] = hi
+    factor = np.where(local % 2 == 1, 4.0, 2.0)
+    factor[first] = factor[first + n] = 1.0
+    return r, factor * np.repeat(step / 3.0, size), local
 
 
-def _segment_potential(potential: RadialPotential, lo: float, hi: float):
-    """Potential restricted to (lo, hi): endpoint values are one-sided limits.
+def _groups(n: np.ndarray):
+    """(pieces, nodes) slices of runs of consecutive pieces, n[i] intervals
+    each, with at most _GROUP nodes together; a longer piece is a run alone."""
+    start = first = total = 0
+    for i, size in enumerate((n + 1).tolist()):
+        if total + size > _GROUP and i > start:
+            yield slice(start, i), slice(first, first + total)
+            start, first, total = i, first + total, 0
+        total += size
+    yield slice(start, len(n)), slice(first, first + total)
 
-    Breakpoints sit exactly on segment boundaries, so sampling the raw
-    potential there would leak the value from the neighbouring segment
-    (e.g. the soft-sphere top at its own support radius).
-    """
-    lo_in = np.nextafter(lo, hi)
-    hi_in = np.nextafter(hi, lo)
 
-    def v(r):
-        return potential(np.clip(r, lo_in, hi_in))
-
-    return v
-
+# ---------------------------------------------------------------------------
+# radial solutions
+# ---------------------------------------------------------------------------
 
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _MAX_HALVINGS = 24
@@ -315,37 +302,61 @@ def _compose(second: np.ndarray, first: np.ndarray) -> np.ndarray:
     return (second[:, :, :, None] * first[:, None, :, :]).sum(axis=2)
 
 
-class _MagnusSteps:
-    """u, u' inside the support from the state at the start of each Magnus step.
+class _RadialSolution:
+    """(u, u') of u'' = (V/2 - lam) u from u(0) = 0, u'(0) = 1, times ``scale``.
 
-    A radius in step j is reached by one Magnus step from the step's start,
-    so at a step's end it reproduces the propagated state bit for bit.
+    A radius in [0, b) is reached by one Magnus step from the start of the
+    step it lies in, so at a step's end it reproduces the propagated state
+    bit for bit.  Every r >= b is free: there u continues in closed form,
+    u(b) cos(kappa s) + u'(b) sin(kappa s)/kappa with s = r - b and
+    kappa = sqrt(lam), affine at lam = 0.  ``error_estimate`` is the
+    propagation's relative error estimate.
     """
 
-    def __init__(self, potential, lam, starts, states, lo_in, hi_in):
+    def __init__(self, potential, lam, starts, states, lo_in, hi_in, error_estimate):
         self._potential = potential
         self._lam = lam
         self._starts = starts  # n + 1 radii, the last one the support radius
         self._states = states  # (n + 1, 2): (u, u') at each radius
         self._lo_in = lo_in
         self._hi_in = hi_in
+        self.error_estimate = error_estimate
+        self.scale = 1.0
 
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        j = np.clip(np.searchsorted(self._starts, r, side="right") - 1, 0, len(self._lo_in) - 1)
-        m = _magnus_steps(self._potential, self._lam, self._starts[j], r,
+    def state(self, r) -> np.ndarray:
+        """Rows (u, u') at the radii r >= 0, from one evaluation."""
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        if not np.all(r >= 0.0):
+            raise ValueError("radial solutions are defined for r >= 0 only")
+        out = np.empty((2, len(r)))
+        inside = r < self._starts[-1]
+        j = np.searchsorted(self._starts, r[inside], side="right") - 1
+        m = _magnus_steps(self._potential, self._lam, self._starts[j], r[inside],
                           self._lo_in[j], self._hi_in[j])
         u, du = self._states[j, 0], self._states[j, 1]
-        return np.array([m[:, 0, 0] * u + m[:, 0, 1] * du, m[:, 1, 0] * u + m[:, 1, 1] * du])
+        out[0, inside] = m[:, 0, 0] * u + m[:, 0, 1] * du
+        out[1, inside] = m[:, 1, 0] * u + m[:, 1, 1] * du
+        s = r[~inside] - self._starts[-1]
+        u, du = self._states[-1]
+        kappa = math.sqrt(self._lam)
+        if kappa == 0.0:
+            out[0, ~inside] = u + du * s
+            out[1, ~inside] = du
+        else:
+            c, sn = np.cos(kappa * s), np.sin(kappa * s)
+            out[0, ~inside] = u * c + du * sn / kappa
+            out[1, ~inside] = du * c - u * kappa * sn
+        return out * self.scale
+
+    def u(self, r) -> np.ndarray:
+        return self.state(r)[0]
+
+    def u_prime(self, r) -> np.ndarray:
+        return self.state(r)[1]
 
 
-def _integrate_radial(
-    potential: RadialPotential,
-    r_end: float,
-    lam: float,
-    tol: float,
-) -> _PiecewiseSolution:
-    """Solve u'' = (V/2 - lam) u, u(0)=0, u'(0)=1 on [0, r_end], r_end past the support.
+def _integrate_radial(potential: RadialPotential, lam: float, tol: float) -> _RadialSolution:
+    """Solve u'' = (V/2 - lam) u, u(0)=0, u'(0)=1 on r >= 0.
 
     Across the support (u, u') is carried by one 4th-order Magnus transfer
     matrix per step (Iserles, Munthe-Kaas, Norsett & Zanna,
@@ -366,8 +377,7 @@ def _integrate_radial(
     defect applied to each step's start state, relative to its end state,
     summed over the steps, plus 64 eps per step.
     """
-    cuts = np.array([0.0, *potential.breakpoints()])
-    lo_in, hi_in = np.nextafter(cuts[:-1], cuts[1:]), np.nextafter(cuts[1:], cuts[:-1])
+    cuts, lo_in, hi_in = _pieces(potential)
     left, right, piece = cuts[:-1], cuts[1:], np.arange(len(lo_in))
     full = _magnus_steps(potential, lam, left, right, lo_in, hi_in)
     done = []
@@ -404,11 +414,8 @@ def _integrate_radial(
         raise SolverError(f"radial solution overflowed at lambda = {lam:g}")
     local = 2.0 * _norm(_compose(defect[order], states[:-1, :, None]))
     error = float(np.sum(local / np.abs(states[1:]).max(axis=1))) + _ROUNDOFF * len(order)
-    steps = _MagnusSteps(potential, lam, np.append(left[order], cuts[-1]), states,
-                         lo_in[piece[order]], hi_in[piece[order]])
-    free = _FreeSegment(cuts[-1], states[-1, 0], states[-1, 1], lam)
-    return _PiecewiseSolution([(0.0, cuts[-1], steps), (cuts[-1], r_end, free)],
-                              error_estimate=error)
+    return _RadialSolution(potential, lam, np.append(left[order], cuts[-1]), states,
+                           lo_in[piece[order]], hi_in[piece[order]], error)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +429,19 @@ def default_r_max(potential: RadialPotential, factor: float = R_MAX_FACTOR) -> f
     """Outer radius of the scattering solve: ``factor`` support radii.
 
     Past the support u is affine in closed form, so a does not depend on
-    this radius beyond roundoff; it sets the span of the profile grid and
-    of ``energy_functional``.
+    this radius beyond roundoff; it sets the span of ``energy_functional``.
     """
     return factor * potential.support_radius
 
 
-def _profile(dense: _PiecewiseSolution, r, length: float) -> np.ndarray:
+def _profile(dense: _RadialSolution, r, length: float) -> np.ndarray:
     """f = u/r, with the limit u'(0) below 1e-12 of the problem's ``length``."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
+    u = dense.u(r)
     small = r < 1e-12 * length
-    out[~small] = dense.u(r[~small]) / r[~small]
-    if small.any():
-        out[small] = dense.u_prime(np.zeros(small.sum()))
+    out = np.empty_like(r)
+    out[~small] = u[~small] / r[~small]
+    out[small] = dense.u_prime(0.0)[0]
     return out
 
 
@@ -444,12 +450,10 @@ class ScatteringSolution:
     """Zero-energy scattering solution, normalized so u(r) = r - a outside the support."""
 
     a: float
-    grid: np.ndarray
-    u: np.ndarray
     r_max: float
     potential: RadialPotential
     tol: float
-    dense: _PiecewiseSolution = field(repr=False)
+    dense: _RadialSolution = field(repr=False)
 
     def f(self, r):
         """The scattering profile f = u/r (f(0) is the limit u'(0))."""
@@ -473,28 +477,24 @@ def solve_scattering(
         raise SolverError(
             "r_max must exceed the potential support to reach the affine regime"
         )
-    dense = _integrate_radial(potential, r_max, lam=0.0, tol=tol)
-    c = float(dense.u_prime(r_max)[0])
+    dense = _integrate_radial(potential, lam=0.0, tol=tol)
+    u, c = dense.state(r_max)[:, 0].tolist()
     if not (c > 0):
         raise SolverError("scattering solution failed to stay positive outward")
-    a = r_max - float(dense.u(r_max)[0]) / c
+    a = r_max - u / c
     if a < 0.0:
         # non-negative potentials have non-negative length; only roundoff
         # from the free problem may dip below zero
         if a < -10.0 * tol * max(1.0, r_max):
             raise SolverError(f"negative scattering length {a:g} from the solver")
         a = 0.0
-    dense = dense.rescaled(1.0 / c)
+    dense.scale = 1.0 / c
 
-    grid = np.linspace(0.0, r_max, 2001)
-    u = dense.u(grid)
     sample = np.linspace(potential.support_radius, r_max, 17)
     affine_err = float(np.max(np.abs(dense.u(sample) - (sample - a))))
     if affine_err > 10.0 * tol * max(1.0, r_max):
         raise SolverError(f"affine regime not reached to tolerance ({affine_err:.3e})")
-    return ScatteringSolution(
-        a=a, grid=grid, u=u, r_max=r_max, potential=potential, tol=tol, dense=dense
-    )
+    return ScatteringSolution(a=a, r_max=r_max, potential=potential, tol=tol, dense=dense)
 
 
 def energy_functional(sol: ScatteringSolution, include_tail: bool = True) -> float:
@@ -504,21 +504,27 @@ def energy_functional(sol: ScatteringSolution, include_tail: bool = True) -> flo
     ``include_tail`` the analytic remainder a^2/r_max of the affine tail is
     added, without it the value converges to ``a`` from below at rate
     1/r_max.
+
+    Each breakpoint piece of [0, r_max] gets a composite Simpson rule of at
+    least 512 intervals; the pieces are sampled in groups of whole pieces,
+    and each piece's dot is kept apart until one exactly rounded sum.
     """
-    segs = [0.0] + [b for b in sol.potential.breakpoints() if b < sol.r_max] + [sol.r_max]
+    cuts, lo_in, hi_in = _pieces(sol.potential, sol.r_max)
+    lo, hi = cuts[:-1], cuts[1:]
+    support = max(sol.potential.support_radius, 1e-6)
+    n = np.maximum(512, 2 * (64.0 * (hi - lo) / support).astype(int))
     pieces = []
-    for lo, hi in zip(segs[:-1], segs[1:]):
-        n = max(512, 2 * int(64 * (hi - lo) / max(sol.potential.support_radius, 1e-6)))
-        n += n % 2
-        r, w = _simpson_rule(lo, hi, n)
-        u = sol.dense.u(r)
-        up = sol.dense.u_prime(r)
+    for group, _ in _groups(n):
+        size = n[group] + 1
+        r, w, _ = _simpson_nodes(lo[group], hi[group], n[group])
+        u, du = sol.dense.state(r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            defect = up - u / r
+            defect = du - u / r
         defect[r == 0.0] = 0.0  # u ~ u'(0) r near the origin, the defect vanishes
-        v_seg = _segment_potential(sol.potential, lo, hi)
-        integrand = defect * defect + 0.5 * v_seg(r) * u * u
-        pieces.append(float(w @ integrand))
+        v = sol.potential(np.clip(r, np.repeat(lo_in[group], size), np.repeat(hi_in[group], size)))
+        integrand = defect * defect + 0.5 * v * u * u
+        ends = np.cumsum(size)[:-1]
+        pieces += [float(wp @ gp) for wp, gp in zip(np.split(w, ends), np.split(integrand, ends))]
     value = math.fsum(pieces)
     if include_tail:
         value += sol.a * sol.a / sol.r_max
@@ -535,18 +541,16 @@ class NeumannSolution:
 
     R: float
     lam: float
-    grid: np.ndarray
-    u: np.ndarray
     potential: RadialPotential
     boundary_residual: float
-    dense: _PiecewiseSolution = field(repr=False)
+    dense: _RadialSolution = field(repr=False)
 
     def f(self, r):
         """The ball profile f = u/r (f(0) is the limit u'(0))."""
         return _profile(self.dense, r, self.R)
 
 
-def _interior_nodes(dense: _PiecewiseSolution, R: float, lam: float) -> int:
+def _interior_nodes(dense: _RadialSolution, R: float, lam: float) -> int:
     n = max(2001, int(20.0 * math.sqrt(max(lam, 1e-30)) * R / math.pi) | 1)
     r = np.linspace(R * 1e-6, R, n)
     sign = np.sign(dense.u(r))
@@ -562,10 +566,10 @@ def _rayleigh_bound(potential: RadialPotential, R: float) -> float:
     piece at once (V clipped into the piece) is exact for the soft-sphere
     and tabulated kinds.
     """
-    cuts = np.array([0.0, *potential.breakpoints()])
+    cuts, lo_in, hi_in = _pieces(potential)
     lo, hi = cuts[:-1, None], cuts[1:, None]
-    t, w = _simpson_rule(0.0, 1.0, 16)
-    r = np.clip(lo + (hi - lo) * t, np.nextafter(lo, hi), np.nextafter(hi, lo))
+    t, w, _ = _simpson_nodes(np.zeros(1), np.ones(1), np.array([16]))
+    r = np.clip(lo + (hi - lo) * t, lo_in[:, None], hi_in[:, None])
     per_piece = (potential(r) * r * r * w).sum(axis=1) * (hi - lo)[:, 0]
     return 1.5 * math.fsum(per_piece) / R**3
 
@@ -621,7 +625,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _boundary_defect(dense: _PiecewiseSolution, R: float) -> float:
+def _boundary_defect(dense: _RadialSolution, R: float) -> float:
     return float(dense.u_prime(R)[0] - dense.u(R)[0] / R)
 
 
@@ -644,15 +648,12 @@ def solve_neumann(
     if R <= potential.support_radius:
         raise SolverError("ball radius must exceed the potential support")
     if potential.is_zero:
-        grid = np.linspace(0.0, R, 2001)
-        dense = _integrate_radial(potential, R, lam=0.0, tol=tol)
-        return NeumannSolution(
-            R=R, lam=0.0, grid=grid, u=grid.copy(), potential=potential,
-            boundary_residual=0.0, dense=dense,
-        )
+        dense = _integrate_radial(potential, lam=0.0, tol=tol)
+        return NeumannSolution(R=R, lam=0.0, potential=potential, boundary_residual=0.0,
+                               dense=dense)
 
     def shoot(lam: float) -> tuple[float, int]:
-        dense = _integrate_radial(potential, R, lam, tol)
+        dense = _integrate_radial(potential, lam, tol)
         return _boundary_defect(dense, R), _interior_nodes(dense, R, lam)
 
     lo, hi = 0.0, 2.0 * _rayleigh_bound(potential, R)
@@ -674,36 +675,24 @@ def solve_neumann(
     else:
         raise BracketFailure("bisection found no node-free upper end with g < 0")
     lam = brentq(
-        lambda x: _boundary_defect(_integrate_radial(potential, R, x, tol), R),
+        lambda x: _boundary_defect(_integrate_radial(potential, x, tol), R),
         lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,
     )
 
-    dense = _integrate_radial(potential, R, lam, tol)
+    dense = _integrate_radial(potential, lam, tol)
     residual = _boundary_defect(dense, R)
     if abs(residual) > 1e-5 * max(1.0, abs(dense.u(R)[0]) / R):
         raise BracketFailure(f"shooting residual {residual:.3e} did not close")
     if _interior_nodes(dense, R, lam) > 0:
         raise BracketFailure("converged to an excited state (interior node present)")
-    dense = dense.rescaled(R / float(dense.u(R)[0]))
-    grid = np.linspace(0.0, R, 2001)
-    return NeumannSolution(
-        R=R, lam=lam, grid=grid, u=dense.u(grid), potential=potential,
-        boundary_residual=residual, dense=dense,
-    )
+    dense.scale = R / float(dense.u(R)[0])
+    return NeumannSolution(R=R, lam=lam, potential=potential, boundary_residual=residual,
+                           dense=dense)
 
 
 # ---------------------------------------------------------------------------
 # radial Fourier transforms
 # ---------------------------------------------------------------------------
-
-def _simpson_rule(lo: float, hi: float, n_intervals: int):
-    r = np.linspace(lo, hi, n_intervals + 1)
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (hi - lo) / n_intervals / 3.0
-    return r, w
-
 
 class _Exterior:
     """Exact part over [b, R] of the profile G = c_r r + c_u u of a ball solution.
@@ -725,8 +714,7 @@ class _Exterior:
         self.ends = np.array([neumann.potential.support_radius, neumann.R])
         self.kappa = math.sqrt(neumann.lam)
         self._c_u = c_u
-        self._u = neumann.dense.u(self.ends)
-        self._du = neumann.dense.u_prime(self.ends)
+        self._u, self._du = neumann.dense.state(self.ends)
         self._g = c_r * self.ends + c_u * self._u
         self._dg = c_r + c_u * self._du
         x, w = leggauss(32)
@@ -755,37 +743,29 @@ class _Exterior:
 class _RadialTransform:
     """Sine transform (4 pi / k) * int_0^span G(r) sin(k r) dr with an error estimate.
 
-    The composite Simpson rules of the breakpoint pieces of [0, hi] are
-    concatenated into one node set, where G is sampled once; each
+    The composite Simpson rules of the pieces between the ``cuts`` form one
+    node set, where G is sampled once, in groups of whole pieces; each
     evaluation also returns the difference against the half-resolution
     rule on every second node of each piece (reusing the fine sines), and
     that bounds the quadrature error.  An optional ``exterior`` carries G
-    exactly from hi on to the span.
+    exactly from the last cut on to the span.
     """
 
-    def __init__(self, profile: Callable, hi: float, breaks: Iterable[float],
-                 points_per_unit: float, exterior: _Exterior | None = None):
-        cuts = [0.0] + sorted(b for b in breaks if 0.0 < b < hi) + [hi]
-        nodes, weights, coarse, coarse_weights = [], [], [], []
-        start = 0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            n = max(64, int((b - a) * points_per_unit))
-            n += (-n) % 4  # divisible by 4 so the coarse rule is Simpson too
-            r, w = _simpson_rule(a, b, n)
-            nodes.append(r)
-            weights.append(w)
-            coarse.append(start + np.arange(0, n + 1, 2))
-            coarse_weights.append(_simpson_rule(a, b, n // 2)[1])
-            start += n + 1
-        self._r = np.concatenate(nodes)
-        self._w = np.concatenate(weights)
-        self._coarse = np.concatenate(coarse)
-        self._wc = np.concatenate(coarse_weights)
-        self._g = np.asarray(profile(self._r), dtype=float)
+    def __init__(self, profile: Callable, cuts: np.ndarray, points_per_unit: float,
+                 exterior: _Exterior | None = None):
+        lo, hi = cuts[:-1], cuts[1:]
+        n = np.maximum(64, ((hi - lo) * points_per_unit).astype(int))
+        n += (-n) % 4  # divisible by 4 so the coarse rule is Simpson too
+        self._r, self._w, local = _simpson_nodes(lo, hi, n)
+        self._coarse = np.flatnonzero(local % 2 == 0)
+        self._wc = _simpson_nodes(lo, hi, n // 2)[1]
+        self._g = np.concatenate(
+            [np.asarray(profile(self._r[nodes]), dtype=float) for _, nodes in _groups(n)]
+        )
         self._gc = self._g[self._coarse]
         self.h = float(np.diff(self._r).max())
         self._exterior = exterior
-        self.span = hi if exterior is None else float(exterior.ends[1])
+        self.span = float(cuts[-1]) if exterior is None else float(exterior.ends[1])
 
     def moments(self, powers: Sequence[int]) -> list[float]:
         out = []
@@ -838,8 +818,7 @@ def _radial_transform(
         return g * potential(r) if times_v else g
 
     exterior = None if neumann is None or times_v else _Exterior(neumann, c_r, c_u)
-    return _RadialTransform(profile, potential.support_radius, potential.breakpoints(),
-                            points_per_unit, exterior)
+    return _RadialTransform(profile, _pieces(potential)[0], points_per_unit, exterior)
 
 
 def potential_fourier(potential: RadialPotential, points_per_unit: float = 40000.0):

@@ -3,10 +3,12 @@
 The package propagates the radial equation by Magnus transfer matrices
 only across the support of V and continues it in closed form beyond; it
 finds the ball eigenvalue by its own port of Brent's method and takes the
-exterior part of every ball transform exactly.  The references below are
-the earlier paths: DOP853 over the whole domain (split at the breakpoints),
-80 steps of bisection on the monotone shooting predicate, composite Simpson
-quadrature over the whole ball, and ``scipy.optimize.brentq``.
+exterior part of every ball transform exactly; its Simpson rules are built
+for all breakpoint pieces at once.  The references below are the earlier
+paths: DOP853 over the whole domain (split at the breakpoints, held by a
+general segment evaluator), 80 steps of bisection on the monotone shooting
+predicate, composite Simpson quadrature over the whole ball, one Simpson
+rule and one energy-integral term per piece, and ``scipy.optimize.brentq``.
 """
 
 import math
@@ -23,14 +25,16 @@ import bosegas.scattering as scattering
 from bosegas.errors import BracketFailure, QuadratureError
 from bosegas.lattice import shell_table
 from bosegas.scattering import (
+    _GROUP,
     RadialPotential,
     _boundary_defect,
     _integrate_radial,
     _interior_nodes,
-    _PiecewiseSolution,
+    _pieces,
     _radial_transform,
-    _segment_potential,
-    _simpson_rule,
+    _RadialTransform,
+    _simpson_nodes,
+    energy_functional,
     eta_coefficients,
     solve_neumann,
     solve_scattering,
@@ -46,13 +50,63 @@ EPS = np.finfo(float).eps
 # reference: the full-domain path
 # ---------------------------------------------------------------------------
 
+class SegmentSolution:
+    """Dense evaluator for u, u' assembled from per-segment solutions.
+
+    Each segment is ``(lo, hi, sol)`` with ``sol(r)`` returning the rows
+    (u, u') at radii in [lo, hi]; radii outside every segment read NaN.
+    """
+
+    def __init__(self, segments, scale=1.0):
+        self._segments = segments
+        self._scale = scale
+
+    def rescaled(self, scale):
+        return SegmentSolution(self._segments, self._scale * scale)
+
+    def _eval(self, r, row):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.full_like(r, np.nan)
+        for lo, hi, sol in self._segments:
+            mask = (r >= lo) & (r <= hi)
+            if mask.any():
+                out[mask] = sol(r[mask])[row]
+        return out * self._scale
+
+    def u(self, r):
+        return self._eval(r, 0)
+
+    def u_prime(self, r):
+        return self._eval(r, 1)
+
+
+def segment_potential(potential, lo, hi):
+    """Potential restricted to (lo, hi): endpoint values are one-sided limits."""
+    lo_in = np.nextafter(lo, hi)
+    hi_in = np.nextafter(hi, lo)
+
+    def v(r):
+        return potential(np.clip(r, lo_in, hi_in))
+
+    return v
+
+
+def simpson_rule(lo, hi, n_intervals):
+    r = np.linspace(lo, hi, n_intervals + 1)
+    w = np.ones(n_intervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= (hi - lo) / n_intervals / 3.0
+    return r, w
+
+
 def ref_integrate_radial(potential, r_end, lam, tol):
     """DOP853 from u(0)=0, u'(0)=1 to r_end, split at the breakpoints."""
     cuts = [0.0] + [b for b in potential.breakpoints() if b < r_end] + [r_end]
     y = [0.0, 1.0]
     segments = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v_seg = _segment_potential(potential, lo, hi)
+        v_seg = segment_potential(potential, lo, hi)
 
         def rhs(r, y, v_seg=v_seg):
             return [y[1], (0.5 * v_seg(r) - lam) * y[0]]
@@ -62,7 +116,7 @@ def ref_integrate_radial(potential, r_end, lam, tol):
         assert res.success
         segments.append((lo, hi, res.sol))
         y = [res.y[0][-1], res.y[1][-1]]
-    return _PiecewiseSolution(segments)
+    return SegmentSolution(segments)
 
 
 def ref_scattering_length(potential, r_max, tol):
@@ -101,8 +155,8 @@ def ref_pieces(profile, R, breaks, points_per_unit):
     for a, b in zip(cuts[:-1], cuts[1:]):
         n = max(64, int((b - a) * points_per_unit))
         n += (-n) % 4
-        r, w = _simpson_rule(a, b, n)
-        _, wc = _simpson_rule(a, b, n // 2)
+        r, w = simpson_rule(a, b, n)
+        _, wc = simpson_rule(a, b, n // 2)
         pieces.append((r, w, np.asarray(profile(r), dtype=float), wc))
     return pieces
 
@@ -250,6 +304,87 @@ def test_flat_nodes_match_the_per_piece_rules(potential, R, k_share):
             assert abs(moment - (ref + ext)) <= tol
 
 
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(0.0, 5.0), widths=st.lists(st.floats(1e-9, 2.0), min_size=1, max_size=8),
+       data=st.data())
+def test_simpson_build_is_the_per_piece_rules_bit_for_bit(start, widths, data):
+    cuts = start + np.concatenate(([0.0], np.cumsum(widths)))
+    assume(np.all(np.diff(cuts) > 0.0))
+    halves = data.draw(st.lists(st.integers(1, 400), min_size=len(widths), max_size=len(widths)))
+    n = 2 * np.array(halves)
+    r, w, local = _simpson_nodes(cuts[:-1], cuts[1:], n)
+    rules = [simpson_rule(a, b, k) for a, b, k in zip(cuts[:-1].tolist(), cuts[1:].tolist(),
+                                                      n.tolist())]
+    assert r.tobytes() == np.concatenate([x for x, _ in rules]).tobytes()
+    assert w.tobytes() == np.concatenate([x for _, x in rules]).tobytes()
+    assert np.array_equal(local, np.concatenate([np.arange(k + 1) for k in n.tolist()]))
+
+
+def ref_energy_functional(sol):
+    """The energy integral piece by piece: one Simpson rule, u and u' and a
+    one-sided V per breakpoint piece of [0, r_max]."""
+    segs = [0.0, *sol.potential.breakpoints(), sol.r_max]
+    pieces = []
+    for lo, hi in zip(segs[:-1], segs[1:]):
+        n = max(512, 2 * int(64 * (hi - lo) / max(sol.potential.support_radius, 1e-6)))
+        r, w = simpson_rule(lo, hi, n)
+        u = sol.dense.u(r)
+        up = sol.dense.u_prime(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            defect = up - u / r
+        defect[r == 0.0] = 0.0
+        integrand = defect * defect + 0.5 * segment_potential(sol.potential, lo, hi)(r) * u * u
+        pieces.append(float(w @ integrand))
+    return math.fsum(pieces) + sol.a * sol.a / sol.r_max
+
+
+@settings(max_examples=15, deadline=None)
+@given(potential=potentials(max_points=200), r_factor=st.floats(2.0, 20.0))
+def test_energy_functional_is_the_per_piece_loop_bit_for_bit(potential, r_factor):
+    # same nodes, weights, samples and per-piece dots, summed by fsum
+    sol = solve_scattering(potential, r_max=r_factor * potential.support_radius)
+    assert energy_functional(sol) == ref_energy_functional(sol)
+
+
+# the 2,001-point tabulated soft sphere: 2,000 pieces, each short
+TABLE = RadialPotential.tabulated(np.linspace(0.0, 0.5, 2001), np.full(2001, 100.0))
+
+
+@pytest.mark.parametrize("points_per_unit", [4000.0, 40000.0])
+def test_transform_samples_in_bounded_groups(points_per_unit):
+    sizes = []
+
+    def profile(r):
+        sizes.append(len(r))
+        return r
+
+    transform = _RadialTransform(profile, _pieces(TABLE)[0], points_per_unit)
+    assert max(sizes) <= _GROUP < sum(sizes) == len(transform._r)
+
+
+def test_energy_functional_samples_in_bounded_groups():
+    sizes = []
+
+    class Recording(RadialPotential):
+        def __call__(self, r):
+            sizes.append(np.size(r))
+            return super().__call__(r)
+
+    table = Recording(kind=TABLE.kind, support_radius=TABLE.support_radius, grid=TABLE.grid,
+                      values=TABLE.values)
+    sol = solve_scattering(table, r_max=10.0)
+    sizes.clear()
+    energy_functional(sol)
+    assert max(sizes) <= _GROUP < sum(sizes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(potential=potentials(max_points=50), lam_share=st.floats(0.0, 1.0))
+def test_state_at_the_step_ends_is_the_propagated_state(potential, lam_share):
+    dense = _integrate_radial(potential, lam_share * 0.5 * potential.max_value, 1e-10)
+    assert dense.state(dense._starts).T.tobytes() == dense._states.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the Magnus propagation against DOP853 and closed forms
 # ---------------------------------------------------------------------------
@@ -289,7 +424,7 @@ def test_propagation_matches_dop853_within_its_estimate(potential, lam_share):
     # lambda up to max(V)/2 covers growing and oscillating stretches
     lam = lam_share * 0.5 * potential.max_value
     b = potential.support_radius
-    dense = _integrate_radial(potential, 2.0 * b, lam, 1e-10)
+    dense = _integrate_radial(potential, lam, 1e-10)
     ref = ref_integrate_radial(potential, 2.0 * b, lam, 1e-13)
     r = np.linspace(0.0, b, 401)
     exact = np.array([ref.u(r), ref.u_prime(r)])
@@ -309,7 +444,7 @@ def test_propagation_matches_dop853_within_its_estimate(potential, lam_share):
 def test_estimate_bounds_the_soft_sphere_error(v0, radius, lam_share):
     # one exact step across a constant potential leaves only roundoff
     lam = lam_share * 0.5 * v0
-    dense = _integrate_radial(RadialPotential.soft_sphere(v0, radius), 2.0 * radius, lam, 1e-10)
+    dense = _integrate_radial(RadialPotential.soft_sphere(v0, radius), lam, 1e-10)
     r = np.linspace(0.0, radius, 501)
     exact = soft_sphere_state(0.5 * v0 - lam, r)
     assert error_against(dense, exact, r) <= dense.error_estimate < 1e-13
@@ -321,7 +456,7 @@ def test_estimate_bounds_the_soft_sphere_error(v0, radius, lam_share):
 ])
 def test_estimate_bounds_the_gaussian_error(v0, width, lam, tol):
     potential = RadialPotential.gaussian_truncated(v0, width, 0.8)
-    dense = _integrate_radial(potential, 1.6, lam, tol)
+    dense = _integrate_radial(potential, lam, tol)
     ref = ref_integrate_radial(potential, 1.6, lam, 1e-13)
     r = np.linspace(0.0, 0.8, 401)
     error = error_against(dense, np.array([ref.u(r), ref.u_prime(r)]), r)
@@ -347,7 +482,7 @@ def test_tabulated_constant_potential_is_crossed_exactly():
     # the roundoff allowance, 64 eps per step: 2.8e-12 for 200 steps
     grid = np.linspace(0.0, 0.5, 201)
     table = _integrate_radial(RadialPotential.tabulated(grid, np.full_like(grid, 100.0)),
-                              1.0, 0.0, 1e-10)
+                              0.0, 1e-10)
     r = np.linspace(0.0, 0.5, 301)
     exact = soft_sphere_state(50.0, r)
     assert error_against(table, exact, r) <= table.error_estimate < 1e-11
@@ -491,7 +626,7 @@ def test_excited_state_root_is_rejected(monkeypatch):
     grid = np.linspace(0.05, 0.5, 46)
     shots = []
     for lam in grid:
-        dense = _integrate_radial(SOFT, R, lam, 1e-10)
+        dense = _integrate_radial(SOFT, lam, 1e-10)
         shots.append((_boundary_defect(dense, R), _interior_nodes(dense, R, lam)))
     bracket = next(
         (grid[i], grid[i + 1])

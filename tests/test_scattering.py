@@ -84,7 +84,8 @@ class TestScattering:
     def test_free_problem_gives_zero_length_and_linear_profile(self):
         sol = solve_scattering(zero_potential(), r_max=5.0)
         assert abs(sol.a) < 1e-12
-        assert np.max(np.abs(sol.u - sol.grid)) < 1e-10
+        grid = np.linspace(0.0, 5.0, 2001)
+        assert np.max(np.abs(sol.dense.u(grid) - grid)) < 1e-10
 
     def test_profile_bounds_and_monotonicity_outside_support(self):
         sol = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
@@ -109,6 +110,18 @@ class TestScattering:
     def test_rejects_rmax_inside_support(self):
         with pytest.raises(SolverError):
             solve_scattering(SOFT, r_max=0.4)
+
+    def test_profile_beyond_r_max_is_the_affine_tail(self):
+        sol = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
+        r = np.array([12.0, 20.0, 1e3])
+        assert np.allclose(sol.f(r), 1.0 - sol.a / r, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+
+    def test_negative_radius_is_rejected(self):
+        sol = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
+        with pytest.raises(ValueError, match="r >= 0"):
+            sol.f([1.0, -0.5])
+        with pytest.raises(ValueError, match="r >= 0"):
+            sol.dense.state(-1e-300)
 
 
 class TestOtherPotentialKinds:
@@ -166,12 +179,20 @@ class TestNeumann:
 
     def test_boundary_normalization_and_profile(self):
         sol = solve_neumann(SOFT, R=20.0, tol=1e-10)
-        assert sol.u[-1] == pytest.approx(20.0, rel=1e-12)
+        assert sol.dense.u(20.0)[0] == pytest.approx(20.0, rel=1e-12)
         r = np.linspace(1e-6, 20.0, 400)
         f = sol.f(r)
         assert np.all(f >= -1e-10) and np.all(f <= 1.0 + 1e-9)
         # reflecting boundary: u'(R) = u(R)/R
         assert sol.dense.u_prime(20.0)[0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_solution_beyond_the_ball_is_the_closed_form(self):
+        sol = solve_neumann(SOFT, R=20.0, tol=1e-10)
+        u, du = sol.dense.u(20.0)[0], sol.dense.u_prime(20.0)[0]
+        kappa = math.sqrt(sol.lam)
+        s = np.array([0.5, 3.0, 40.0])
+        exact = u * np.cos(kappa * s) + du * np.sin(kappa * s) / kappa
+        assert np.allclose(sol.dense.u(20.0 + s), exact, rtol=1e-13, atol=1e-13 * u)
 
     def test_rejects_ball_inside_support(self):
         with pytest.raises(SolverError):
@@ -298,7 +319,8 @@ class TestKernels:
         from bosegas.errors import QuadratureError
         from bosegas.scattering import _RadialTransform
 
-        coarse = _RadialTransform(lambda r: np.asarray(r), 1.0, [], points_per_unit=70)
+        coarse = _RadialTransform(lambda r: np.asarray(r), np.array([0.0, 1.0]),
+                                  points_per_unit=70)
         with pytest.raises(QuadratureError):
             coarse(50.0)
 
