@@ -14,6 +14,11 @@ The two conventions coincide at zero temperature and differ by a factor
 ``eps`` in the thermal term.  Which one is consistent with the quadratic
 Gibbs ensemble is not decided here; the Fock-space oracle
 (:mod:`bosegas.oracles`) settles it numerically.
+
+Every formula is written once, in ``mode_coefficients``, which evaluates
+all coefficients as columns over an array of squared momenta (in practice
+the ``p_sq`` column of ``lattice.shell_table``, one entry per shell).  The
+scalar functions read one entry of it.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .lattice import SumResult, lattice_sum
+import numpy as np
+
+from .lattice import SumResult, shell_sum, shell_table
 
 __all__ = [
     "Variant",
@@ -62,26 +70,28 @@ class ThermalConfig:
             raise ValueError("inverse temperature must be positive and finite")
 
 
-def dispersion(p_sq: float, a: float) -> float:
-    """Quasi-particle energy sqrt(p_sq^2 + 16*pi*a*p_sq); equals p_sq at a = 0."""
-    return math.sqrt(p_sq * (p_sq + 16.0 * math.pi * a))
+@dataclass(frozen=True)
+class ModeCoefficients:
+    """Every coefficient at each squared momentum of ``p_sq``, one column each."""
 
+    p_sq: np.ndarray
+    eps: np.ndarray
+    mu_sq: np.ndarray
+    theta_sq_A: np.ndarray
+    theta_sq_B: np.ndarray
+    nu: np.ndarray
+    pairing_A: np.ndarray
+    pairing_B: np.ndarray
 
-def mu_sq(p_sq: float, a: float) -> float:
-    """Quantum-depletion weight (p_sq + 8*pi*a - eps) / (2*eps), evaluated cancellation-free.
+    def theta_sq(self, variant: Variant) -> np.ndarray:
+        return self.theta_sq_A if Variant(variant) is Variant.A else self.theta_sq_B
 
-    The numerator is rationalized to 64*pi^2*a^2 / (p_sq + 8*pi*a + eps),
-    which avoids the catastrophic cancellation of the direct form at large
-    momenta and keeps the value exactly non-negative.
-    """
-    eps = dispersion(p_sq, a)
-    fourpia = 4.0 * math.pi * a
-    return 2.0 * fourpia * fourpia / (eps * (p_sq + 8.0 * math.pi * a + eps))
+    def pairing(self, variant: Variant) -> np.ndarray:
+        return self.pairing_A if Variant(variant) is Variant.A else self.pairing_B
 
-
-def nu_coefficient(p_sq: float, a: float) -> float:
-    """Rotation angle -log(1 + 16*pi*a/p_sq)/4 of the diagonalizing transformation."""
-    return -0.25 * math.log1p(16.0 * math.pi * a / p_sq)
+    def occupation(self, variant: Variant) -> np.ndarray:
+        """Model occupation mu^2 + theta^2 of a mode."""
+        return self.mu_sq + self.theta_sq(variant)
 
 
 def bose_occupation(x: float) -> float:
@@ -96,54 +106,78 @@ def bose_occupation(x: float) -> float:
     return t / (-math.expm1(-x))
 
 
+def _per_element(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """f of every entry of x, one Python float at a time."""
+    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def mode_coefficients(p_sq, a: float, beta: float = math.inf) -> ModeCoefficients:
+    """All coefficients at the squared momenta ``p_sq`` (a float or an array).
+
+    * eps = sqrt(p_sq^2 + 16*pi*a*p_sq), the quasi-particle energy (p_sq at
+      a = 0);
+    * mu^2 = (p_sq + 8*pi*a - eps) / (2*eps), the quantum-depletion weight,
+      with the numerator rationalized to 64*pi^2*a^2 / (p_sq + 8*pi*a + eps):
+      no catastrophic cancellation at large momenta, and exactly
+      non-negative;
+    * nu = -log(1 + 16*pi*a/p_sq)/4, the rotation angle of the
+      diagonalizing transformation;
+    * theta^2 = (p_sq + 8*pi*a) n, divided by eps in convention B, with n the
+      Bose factor ``bose_occupation(beta*eps)``;
+    * the anomalous-pair coefficient, negative for a > 0, equal in both
+      conventions at T = 0: A: -4*pi*a * (1/eps + 2n),
+      B: -(4*pi*a/eps) * (1 + 2n).
+
+    ``beta = inf`` is zero temperature.  Arithmetic and square roots act on
+    whole columns, where numpy rounds exactly as Python floats do; exp,
+    expm1 and log1p go through ``math`` one entry at a time, because
+    numpy's versions differ from it in the last bit on some arguments.
+    """
+    p_sq = np.asarray(p_sq, dtype=float)
+    eps = np.sqrt(p_sq * (p_sq + 16.0 * math.pi * a))
+    fourpia = 4.0 * math.pi * a
+    mu = 2.0 * fourpia * fourpia / (eps * (p_sq + 8.0 * math.pi * a + eps))
+    nu = -0.25 * _per_element(math.log1p, 16.0 * math.pi * a / p_sq)
+    occ = _per_element(lambda e: bose_occupation(beta * e), eps)
+    theta_a = (p_sq + 8.0 * math.pi * a) * occ
+    return ModeCoefficients(
+        p_sq=p_sq,
+        eps=eps,
+        mu_sq=mu,
+        theta_sq_A=theta_a,
+        theta_sq_B=theta_a / eps,
+        nu=nu,
+        pairing_A=-4.0 * math.pi * a * (1.0 / eps + 2.0 * occ),
+        pairing_B=-(4.0 * math.pi * a / eps) * (1.0 + 2.0 * occ),
+    )
+
+
+# one squared momentum at a time, read from the columns
+
+
+def dispersion(p_sq: float, a: float) -> float:
+    """Quasi-particle energy eps (see ``mode_coefficients``)."""
+    return float(mode_coefficients(p_sq, a).eps)
+
+
+def mu_sq(p_sq: float, a: float) -> float:
+    """Quantum-depletion weight mu^2 (see ``mode_coefficients``)."""
+    return float(mode_coefficients(p_sq, a).mu_sq)
+
+
+def nu_coefficient(p_sq: float, a: float) -> float:
+    """Rotation angle nu (see ``mode_coefficients``)."""
+    return float(mode_coefficients(p_sq, a).nu)
+
+
 def theta_sq(p_sq: float, a: float, beta: float, variant: Variant) -> float:
-    """Thermal occupation weight in the requested convention."""
-    eps = dispersion(p_sq, a)
-    occ = bose_occupation(beta * eps)
-    value = (p_sq + 8.0 * math.pi * a) * occ
-    if Variant(variant) is Variant.B:
-        value /= eps
-    return value
+    """Thermal occupation weight theta^2 in the requested convention."""
+    return float(mode_coefficients(p_sq, a, beta).theta_sq(variant))
 
 
 def pairing_coeff(p_sq: float, a: float, beta: float, variant: Variant) -> float:
-    """Anomalous-pair coefficient; negative for a > 0, both conventions meet at T=0.
-
-    A: -4*pi*a * (1/eps + 2/(exp(beta*eps)-1))
-    B: -(4*pi*a/eps) * (1 + 2/(exp(beta*eps)-1))
-    """
-    eps = dispersion(p_sq, a)
-    occ = bose_occupation(beta * eps)
-    if Variant(variant) is Variant.A:
-        return -4.0 * math.pi * a * (1.0 / eps + 2.0 * occ)
-    return -(4.0 * math.pi * a / eps) * (1.0 + 2.0 * occ)
-
-
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """All coefficients of a mode, evaluated at its squared momentum."""
-
-    p_sq: float
-    eps: float
-    mu_sq: float
-    theta_sq_A: float
-    theta_sq_B: float
-    nu: float
-    pairing_A: float
-    pairing_B: float
-
-
-def mode_coefficients(p_sq: float, a: float, beta: float) -> ModeCoefficients:
-    return ModeCoefficients(
-        p_sq=p_sq,
-        eps=dispersion(p_sq, a),
-        mu_sq=mu_sq(p_sq, a),
-        theta_sq_A=theta_sq(p_sq, a, beta, Variant.A),
-        theta_sq_B=theta_sq(p_sq, a, beta, Variant.B),
-        nu=nu_coefficient(p_sq, a),
-        pairing_A=pairing_coeff(p_sq, a, beta, Variant.A),
-        pairing_B=pairing_coeff(p_sq, a, beta, Variant.B),
-    )
+    """Anomalous-pair coefficient in the requested convention."""
+    return float(mode_coefficients(p_sq, a, beta).pairing(variant))
 
 
 COEFFICIENT_CSV_HEADER = "norm_sq,eps,mu_sq,theta_sq_A,theta_sq_B,nu,pairing_A,pairing_B"
@@ -158,10 +192,8 @@ def depletion_sums(cfg: ThermalConfig, max_norm_sq: int) -> dict[str, SumResult]
     """
     if max_norm_sq < 1:
         raise ValueError("cutoff must be >= 1")
-    sum_mu = lattice_sum(lambda p_sq: mu_sq(p_sq, cfg.a), max_norm_sq, tail_exponent=2.0)
-    sum_theta = lattice_sum(
-        lambda p_sq: theta_sq(p_sq, cfg.a, cfg.beta, cfg.variant),
-        max_norm_sq,
-        tail_exponent=2.0,
-    )
-    return {"sum_mu": sum_mu, "sum_theta": sum_theta}
+    c = mode_coefficients(shell_table(max_norm_sq)[2], cfg.a, cfg.beta)
+    return {
+        "sum_mu": shell_sum(c.mu_sq, max_norm_sq, tail_exponent=2.0),
+        "sum_theta": shell_sum(c.theta_sq(cfg.variant), max_norm_sq, tail_exponent=2.0),
+    }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -30,7 +31,6 @@ from .bogoliubov import (
     ThermalConfig,
     Variant,
     depletion_sums,
-    dispersion,
     mode_coefficients,
 )
 from .density import build_rho1, build_rho2, dm2_min_eigenvalue, dm_trace_norm_diff
@@ -214,15 +214,13 @@ def cmd_coeffs(config: dict, out_dir: Path) -> dict[str, str]:
     beta = float(config["beta"])
     cutoff = int(config["cutoff_norm_sq"])
     norm_sq, _, p_sq = shell_table(cutoff)
+    c = mode_coefficients(p_sq, a, beta)
+    columns = (norm_sq, c.eps, c.mu_sq, c.theta_sq_A, c.theta_sq_B, c.nu, c.pairing_A, c.pairing_B)
 
-    lines = [f"# {c}" for c in _csv_comments(config)]
+    lines = [f"# {comment}" for comment in _csv_comments(config)]
     lines.append(COEFFICIENT_CSV_HEADER)
-    for j, p in zip(norm_sq.tolist(), p_sq.tolist()):
-        c = mode_coefficients(p, a, beta)
-        lines.append(
-            f"{j},{c.eps!r},{c.mu_sq!r},{c.theta_sq_A!r},"
-            f"{c.theta_sq_B!r},{c.nu!r},{c.pairing_A!r},{c.pairing_B!r}"
-        )
+    template = ",".join(["%r"] * len(columns))
+    lines += [template % row for row in zip(*(column.tolist() for column in columns))]
     files = {"coefficients_csv": _write(out_dir / "coefficients.csv", "\n".join(lines) + "\n")}
 
     sums = {}
@@ -287,7 +285,7 @@ def cmd_oracle(config: dict, out_dir: Path) -> dict[str, str]:
 
     scale = float(oracle_cfg.get("momentum_scale", 1.0))
     modes = shell_modes((int(s) for s in oracle_cfg["shells"]), momentum_scale=scale)
-    eps = [dispersion(m.p_sq, float(oracle_cfg["a"])) for m in modes]
+    eps = mode_coefficients([m.p_sq for m in modes], float(oracle_cfg["a"])).eps.tolist()
     basis = build_basis(modes, int(oracle_cfg["cap"]))
     sandwich = partition_product_check(basis, eps, beta=float(oracle_cfg["beta"]))
     files["partition"] = _write_json(out_dir / "partition.json", dataclasses.asdict(sandwich),
@@ -363,6 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # the pin covers the whole run, parsing and writing included
     with _blas.single_thread() as blas_threads:
@@ -370,8 +374,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None, blas_threads: int | str) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     out_dir = None if args.output_dir is None else Path(args.output_dir)
     try:

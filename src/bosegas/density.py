@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import ThermalConfig, Variant, mu_sq, pairing_coeff, theta_sq
+from .bogoliubov import ThermalConfig, Variant, mode_coefficients
 from .errors import ModelValidityError
 from .lattice import shell_table
 
@@ -86,27 +86,36 @@ def _mode_sum(extra: list[float], multiplicity: np.ndarray, *columns: np.ndarray
     return math.fsum(parts)
 
 
+# repr's spelling of the non-finite floats, and json's
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _dm_json(dm, pairing, provenance) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, with the ``modes``
+    rows written straight from the columns through one row template."""
     columns = dict(norm_sq=dm.norm_sq, multiplicity=dm.multiplicity, weight=dm.excited_weights)
     if pairing is not None:
         columns["pairing"] = pairing
-    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    keys = sorted(columns)
+    # %r is int.__repr__ or float.__repr__, as json writes them when finite
+    template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in keys) + "\n    }"
+    rows = ",\n".join([template % row for row in zip(*(columns[k].tolist() for k in keys))])
+    for python, js in _JSON_FLOAT.items():
+        rows = rows.replace(": " + python, ": " + js)  # ": inf" does not match ": -inf"
     payload = {
         "N": dm.N,
         "cutoff": dm.cutoff,
         "variant": dm.variant.value,
         "condensate": float(dm.condensate_weight),
         "trace": dm.trace(),
-        "modes": rows,
+        "modes": 0,
     }
     if provenance is not None:
         payload["provenance"] = provenance
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _excited_weights(cfg: ThermalConfig, p_sq: list[float]) -> np.ndarray:
-    """mu^2 + theta^2 per shell."""
-    return np.array([mu_sq(p, cfg.a) + theta_sq(p, cfg.a, cfg.beta, cfg.variant) for p in p_sq])
+    # the top-level "modes" entry is the only line that starts with two spaces
+    # and '"modes"': nested keys are indented deeper, and strings hold no newline
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    return text.replace('\n  "modes": 0', '\n  "modes": ' + (f"[\n{rows}\n  ]" if rows else "[]"), 1)
 
 
 def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
@@ -119,7 +128,7 @@ def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
     if N < 1:
         raise ValueError("particle number must be >= 1")
     norm_sq, multiplicity, p_sq = shell_table(cutoff)
-    weights = _excited_weights(cfg, p_sq.tolist())
+    weights = mode_coefficients(p_sq, cfg.a, cfg.beta).occupation(cfg.variant)
     depletion = _mode_sum([], multiplicity, weights)
     if depletion >= N:
         raise ModelValidityError(
@@ -141,13 +150,14 @@ def build_rho2(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM2:
     if N < 1:
         raise ValueError("particle number must be >= 1")
     norm_sq, multiplicity, p_sq = shell_table(cutoff)
-    weights = 4.0 * _excited_weights(cfg, p_sq.tolist())
+    coefficients = mode_coefficients(p_sq, cfg.a, cfg.beta)
+    weights = 4.0 * coefficients.occupation(cfg.variant)
     depletion4 = _mode_sum([], multiplicity, weights)
     if depletion4 >= N:
         raise ModelValidityError(
             f"second-order model invalid at this N: 4*depletion {depletion4:g} >= N = {N}"
         )
-    pairing = np.array([pairing_coeff(p, cfg.a, cfg.beta, cfg.variant) for p in p_sq.tolist()])
+    pairing = coefficients.pairing(cfg.variant)
     return SecondOrderDM2(
         N=N,
         cutoff=cutoff,

@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_shells",
     "modes_up_to",
     "shell_modes",
+    "shell_sum",
     "lattice_sum",
     "tail_norm_bound",
 ]
@@ -182,25 +183,32 @@ def tail_norm_bound(cutoff_norm_sq: int, s: float) -> float:
     return exact + integral
 
 
+def shell_sum(values, max_norm_sq: int, tail_exponent: float) -> SumResult:
+    """Compensated sum over the modes with |n|^2 <= cutoff of a per-shell column.
+
+    ``values`` holds one summand per shell of ``shell_table(max_norm_sq)``,
+    whose r3 equal terms sum to r3 * value; the products are summed exactly
+    rounded in shell order.  ``tail_exponent`` s > 3/2 models the decay
+    |f| <= C * |n|^(-2s) beyond the cutoff; C is estimated from the outermost
+    shell, which presumes |f| * |n|^(2s) is non-increasing past the cutoff.
+    """
+    if tail_exponent <= 1.5:
+        raise ValueError("tail exponent must exceed 3/2 for a summable tail")
+    norm_sq, multiplicity, _ = shell_table(max_norm_sq)
+    values = np.asarray(values, dtype=float)
+    value = math.fsum((multiplicity * values).tolist())
+
+    c_tail = abs(float(values[-1])) * int(norm_sq[-1]) ** tail_exponent
+    bound = c_tail * tail_norm_bound(max_norm_sq, tail_exponent)
+    return SumResult(value=value, tail_bound=bound, cutoff_norm_sq=max_norm_sq)
+
+
 def lattice_sum(
     f: Callable[[float], float],
     max_norm_sq: int,
     tail_exponent: float,
     momentum_scale: float = TWO_PI,
 ) -> SumResult:
-    """Shell-ordered compensated sum of ``f(p_sq)`` over modes with |n|^2 <= cutoff.
-
-    ``f`` is evaluated once per shell, whose r3 equal terms sum to r3 * f.
-    ``tail_exponent`` s > 3/2 models the decay |f| <= C * |n|^(-2s) beyond
-    the cutoff; C is estimated from the outermost shell, which presumes
-    |f| * |n|^(2s) is non-increasing past the cutoff.
-    """
-    if tail_exponent <= 1.5:
-        raise ValueError("tail exponent must exceed 3/2 for a summable tail")
-    norm_sq, multiplicity, p_sq = shell_table(max_norm_sq, momentum_scale)
-    values = [f(p) for p in p_sq.tolist()]
-    value = math.fsum(m * v for m, v in zip(multiplicity.tolist(), values))
-
-    c_tail = abs(values[-1]) * int(norm_sq[-1]) ** tail_exponent
-    bound = c_tail * tail_norm_bound(max_norm_sq, tail_exponent)
-    return SumResult(value=value, tail_bound=bound, cutoff_norm_sq=max_norm_sq)
+    """``shell_sum`` of ``f(p_sq)``, evaluated once per shell."""
+    p_sq = shell_table(max_norm_sq, momentum_scale)[2]
+    return shell_sum([f(p) for p in p_sq.tolist()], max_norm_sq, tail_exponent)

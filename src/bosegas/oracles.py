@@ -45,15 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bogoliubov import (
-    Variant,
-    bose_occupation,
-    dispersion,
-    mu_sq,
-    nu_coefficient,
-    pairing_coeff,
-    theta_sq,
-)
+from .bogoliubov import Variant, bose_occupation, mode_coefficients
 from .errors import GuardError
 from .fock import (
     FockBasis,
@@ -571,8 +563,8 @@ def adjudicate_variants(
     modes = shell_modes(shells, momentum_scale)
     if not modes:
         raise ValueError("no modes in the requested shells")
-    eps = np.array([dispersion(m.p_sq, a) for m in modes])
-    nu = np.array([nu_coefficient(m.p_sq, a) for m in modes])
+    coefficients = mode_coefficients([m.p_sq for m in modes], a)
+    eps, nu = coefficients.eps, coefficients.nu
     check_basis_size(len(modes), cap)
 
     rot, pair = _rotated_expectations(modes, cap, nu, eps, beta, modes[0])
@@ -666,7 +658,13 @@ def toy_gibbs_experiment(
     first_by_shell: dict[int, Mode] = {}
     for m in modes:
         first_by_shell.setdefault(m.norm_sq, m)
-    for norm_sq, m in sorted(first_by_shell.items()):
+    firsts = sorted(first_by_shell.items())
+    model = mode_coefficients([m.p_sq for _, m in firsts], a_model, beta)
+    model_rows = zip(*(column.tolist() for column in (
+        model.occupation(Variant.A), model.occupation(Variant.B),
+        model.pairing(Variant.A), model.pairing(Variant.B),
+    )))
+    for (norm_sq, m), (occ_a, occ_b, pair_a, pair_b) in zip(firsts, model_rows):
         occ = expect(state, HermitianOperator(basis, number_operator(basis, m)))
         neg = next(mm for mm in modes if mm.n == m.negated())
         pair_op = ladder_word(basis, [(m, "create"), (neg, "create")])
@@ -674,16 +672,15 @@ def toy_gibbs_experiment(
         occupations[norm_sq] = occ
         pairings[norm_sq] = pair_val
 
-        p_sq = m.p_sq
         rows.append(
             {
                 "norm_sq": norm_sq,
                 "oracle_occ": occ,
-                "model_occ_A": mu_sq(p_sq, a_model) + theta_sq(p_sq, a_model, beta, Variant.A),
-                "model_occ_B": mu_sq(p_sq, a_model) + theta_sq(p_sq, a_model, beta, Variant.B),
+                "model_occ_A": occ_a,
+                "model_occ_B": occ_b,
                 "oracle_pair": pair_val,
-                "model_pair_A": pairing_coeff(p_sq, a_model, beta, Variant.A),
-                "model_pair_B": pairing_coeff(p_sq, a_model, beta, Variant.B),
+                "model_pair_A": pair_a,
+                "model_pair_B": pair_b,
             }
         )
 

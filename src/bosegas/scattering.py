@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bogoliubov import nu_coefficient
+from .bogoliubov import mode_coefficients
 from .errors import BracketFailure, KernelError, QuadratureError, SolverError
 from .lattice import shell_table
 
@@ -202,7 +202,8 @@ def _pieces(potential: RadialPotential, end: float | None = None):
     return cuts, np.nextafter(cuts[:-1], cuts[1:]), np.nextafter(cuts[1:], cuts[:-1])
 
 
-# nodes per group of whole pieces sampled in one evaluation; this bounds
+# nodes per evaluation of a profile or of the energy density, and per
+# group of whole pieces whose Simpson rules are built together; this bounds
 # the memory of a transform's or of the energy integral's sampling
 _GROUP = 2**16
 
@@ -227,15 +228,24 @@ def _simpson_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
 
 
 def _groups(n: np.ndarray):
-    """(pieces, nodes) slices of runs of consecutive pieces, n[i] intervals
-    each, with at most _GROUP nodes together; a longer piece is a run alone."""
-    start = first = total = 0
+    """Slices of runs of consecutive pieces, n[i] intervals each, with at
+    most _GROUP nodes together; a longer piece is a run alone."""
+    start = total = 0
     for i, size in enumerate((n + 1).tolist()):
         if total + size > _GROUP and i > start:
-            yield slice(start, i), slice(first, first + total)
-            start, first, total = i, first + total, 0
+            yield slice(start, i)
+            start, total = i, 0
         total += size
-    yield slice(start, len(n)), slice(first, first + total)
+    yield slice(start, len(n))
+
+
+def _sample(f: Callable, *nodes: np.ndarray) -> np.ndarray:
+    """f of the node arrays, a pointwise function, evaluated on slices of at
+    most _GROUP nodes and joined along the last axis."""
+    size = len(nodes[0])
+    return np.concatenate(
+        [f(*(x[i:i + _GROUP] for x in nodes)) for i in range(0, size, _GROUP)], axis=-1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -506,23 +516,28 @@ def energy_functional(sol: ScatteringSolution, include_tail: bool = True) -> flo
     1/r_max.
 
     Each breakpoint piece of [0, r_max] gets a composite Simpson rule of at
-    least 512 intervals; the pieces are sampled in groups of whole pieces,
-    and each piece's dot is kept apart until one exactly rounded sum.
+    least 512 intervals; the rules are built for groups of whole pieces and
+    sampled in evaluations of at most 2^16 nodes, and each piece's dot is
+    kept apart until one exactly rounded sum.
     """
     cuts, lo_in, hi_in = _pieces(sol.potential, sol.r_max)
     lo, hi = cuts[:-1], cuts[1:]
     support = max(sol.potential.support_radius, 1e-6)
     n = np.maximum(512, 2 * (64.0 * (hi - lo) / support).astype(int))
-    pieces = []
-    for group, _ in _groups(n):
-        size = n[group] + 1
-        r, w, _ = _simpson_nodes(lo[group], hi[group], n[group])
+
+    def density(r, v_lo, v_hi):
         u, du = sol.dense.state(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             defect = du - u / r
         defect[r == 0.0] = 0.0  # u ~ u'(0) r near the origin, the defect vanishes
-        v = sol.potential(np.clip(r, np.repeat(lo_in[group], size), np.repeat(hi_in[group], size)))
-        integrand = defect * defect + 0.5 * v * u * u
+        return defect * defect + 0.5 * sol.potential(np.clip(r, v_lo, v_hi)) * u * u
+
+    pieces = []
+    for group in _groups(n):
+        size = n[group] + 1
+        r, w, _ = _simpson_nodes(lo[group], hi[group], n[group])
+        integrand = _sample(density, r, np.repeat(lo_in[group], size),
+                            np.repeat(hi_in[group], size))
         ends = np.cumsum(size)[:-1]
         pieces += [float(wp @ gp) for wp, gp in zip(np.split(w, ends), np.split(integrand, ends))]
     value = math.fsum(pieces)
@@ -744,7 +759,7 @@ class _RadialTransform:
     """Sine transform (4 pi / k) * int_0^span G(r) sin(k r) dr with an error estimate.
 
     The composite Simpson rules of the pieces between the ``cuts`` form one
-    node set, where G is sampled once, in groups of whole pieces; each
+    node set, where G is sampled once, at most 2^16 nodes per evaluation; each
     evaluation also returns the difference against the half-resolution
     rule on every second node of each piece (reusing the fine sines), and
     that bounds the quadrature error.  An optional ``exterior`` carries G
@@ -759,9 +774,7 @@ class _RadialTransform:
         self._r, self._w, local = _simpson_nodes(lo, hi, n)
         self._coarse = np.flatnonzero(local % 2 == 0)
         self._wc = _simpson_nodes(lo, hi, n // 2)[1]
-        self._g = np.concatenate(
-            [np.asarray(profile(self._r[nodes]), dtype=float) for _, nodes in _groups(n)]
-        )
+        self._g = _sample(profile, self._r)
         self._gc = self._g[self._coarse]
         self.h = float(np.diff(self._r).max())
         self._exterior = exterior
@@ -868,7 +881,7 @@ def nu_coefficients(a: float, p_sq: np.ndarray) -> np.ndarray:
     """Limit kernel nu_p = -log(1 + 16 pi a/|p|^2)/4 <= 0 per |p|^2."""
     if a < 0:
         raise ValueError("scattering length must be non-negative")
-    return np.array([nu_coefficient(p, a) for p in p_sq.tolist()])
+    return mode_coefficients(p_sq, a).nu
 
 
 def kernel_identity_residuals(

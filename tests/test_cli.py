@@ -343,3 +343,53 @@ def test_all_imports_no_scipy_module(tmp_path):
     code, loaded = json.loads(run.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == []
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    import bosegas.cli as cli
+
+    assert main(["coeffs", "--output-dir", str(tmp_path / "first"), *FAST_SETS]) == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was rebuilt"))
+    # a later run's config holds its own sets only, not an earlier run's
+    out = tmp_path / "second"
+    assert main(["coeffs", "--output-dir", str(out), "--set", "a_override=0.0"]) == 0
+    config = json.loads((out / "provenance.json").read_text())["config"]
+    assert config["cutoff_norm_sq"] == 100 and config["N"] == 100
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+# Modules that `import bosegas.cli` and a `coeffs` and a `rho` run load beyond
+# what `import numpy` loads.  Every module added here costs set-up time on
+# every command, so a new entry is a deliberate decision.
+LATTICE_COMMAND_MODULES = {
+    "__future__", "_json", "_locale", "argparse", "copy", "dataclasses", "gettext", "glob",
+    "json", "json.decoder", "json.encoder", "json.scanner", "locale",
+    "bosegas", "bosegas._blas", "bosegas.bogoliubov", "bosegas.cli", "bosegas.density",
+    "bosegas.errors", "bosegas.fock", "bosegas.lattice", "bosegas.oracles",
+    "bosegas.scattering",
+    "numpy.polynomial", "numpy.polynomial._polybase", "numpy.polynomial.chebyshev",
+    "numpy.polynomial.hermite", "numpy.polynomial.hermite_e", "numpy.polynomial.laguerre",
+    "numpy.polynomial.legendre", "numpy.polynomial.polynomial", "numpy.polynomial.polyutils",
+}
+
+
+def test_lattice_commands_import_no_new_module(tmp_path):
+    src = Path(bosegas.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    sets = ["--output-dir", "out", "--set", "a_override=0.1", "--set", "cutoff_norm_sq=50"]
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import bosegas.cli\n"
+        f"codes = [bosegas.cli.main([c, *{sets!r}]) for c in ('coeffs', 'rho')]\n"
+        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         check=True, capture_output=True, text=True, timeout=300)
+    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert sorted(set(loaded) - LATTICE_COMMAND_MODULES) == []

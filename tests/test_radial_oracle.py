@@ -350,19 +350,36 @@ def test_energy_functional_is_the_per_piece_loop_bit_for_bit(potential, r_factor
 TABLE = RadialPotential.tabulated(np.linspace(0.0, 0.5, 2001), np.full(2001, 100.0))
 
 
-@pytest.mark.parametrize("points_per_unit", [4000.0, 40000.0])
-def test_transform_samples_in_bounded_groups(points_per_unit):
+def sampled_sizes(potential, points_per_unit):
+    """Sizes of the profile evaluations of a transform over the potential's pieces."""
     sizes = []
 
     def profile(r):
         sizes.append(len(r))
-        return r
+        return np.sin(r) * r
 
-    transform = _RadialTransform(profile, _pieces(TABLE)[0], points_per_unit)
-    assert max(sizes) <= _GROUP < sum(sizes) == len(transform._r)
+    transform = _RadialTransform(profile, _pieces(potential)[0], points_per_unit)
+    # sampling is pointwise: the slices join to one evaluation on every node
+    assert transform._g.tobytes() == (np.sin(transform._r) * transform._r).tobytes()
+    assert sum(sizes) == len(transform._r)
+    return sizes
 
 
-def test_energy_functional_samples_in_bounded_groups():
+@pytest.mark.parametrize("points_per_unit", [4000.0, 40000.0])
+def test_transform_samples_in_bounded_groups(points_per_unit):
+    sizes = sampled_sizes(TABLE, points_per_unit)
+    assert max(sizes) <= _GROUP < sum(sizes)
+
+
+def test_transform_samples_a_long_piece_in_bounded_slices():
+    # a radius-5 soft sphere is one piece of 200,001 nodes at 40,000 per unit
+    sizes = sampled_sizes(RadialPotential.soft_sphere(100.0, 5.0), 40000.0)
+    assert max(sizes) <= _GROUP and sum(sizes) == 200_001
+
+
+def energy_sample_sizes(potential, r_max):
+    """Sizes of the potential evaluations of ``energy_functional``, which
+    must equal the per-piece loop."""
     sizes = []
 
     class Recording(RadialPotential):
@@ -370,12 +387,26 @@ def test_energy_functional_samples_in_bounded_groups():
             sizes.append(np.size(r))
             return super().__call__(r)
 
-    table = Recording(kind=TABLE.kind, support_radius=TABLE.support_radius, grid=TABLE.grid,
-                      values=TABLE.values)
-    sol = solve_scattering(table, r_max=10.0)
+    recording = Recording(kind=potential.kind, support_radius=potential.support_radius,
+                          params=potential.params, grid=potential.grid,
+                          values=potential.values)
+    sol = solve_scattering(recording, r_max=r_max)
     sizes.clear()
-    energy_functional(sol)
+    value = energy_functional(sol)
+    recorded = list(sizes)
+    assert value == ref_energy_functional(sol)
+    return recorded
+
+
+def test_energy_functional_samples_in_bounded_groups():
+    sizes = energy_sample_sizes(TABLE, 10.0)
     assert max(sizes) <= _GROUP < sum(sizes)
+
+
+def test_energy_functional_samples_a_long_piece_in_bounded_slices():
+    # at r_max = 1,000 b the exterior piece alone has 127,873 nodes
+    sizes = energy_sample_sizes(SOFT, 1000.0 * SOFT.support_radius)
+    assert max(sizes) <= _GROUP < 127_873 < sum(sizes)
 
 
 @settings(max_examples=20, deadline=None)

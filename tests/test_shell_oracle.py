@@ -1,39 +1,132 @@
 """The per-mode path as the reference for the shell-indexed core.
 
-Lattice sums, density models and correlation kernels evaluate their
-summands once per shell of equal |n|^2.  The reference below visits every
-explicit mode of ``modes_up_to``, as the package did before, and counts
-multiplicities by a brute-force triple loop.  Shell-weighted sums are exact
-rearrangements of the per-mode ones, and a kernel takes the same transform
-at the same k for every mode of a shell, so every comparison is bit for bit.
+Lattice sums, coefficients, density models and correlation kernels
+evaluate their summands once per shell of equal |n|^2, as numpy columns.
+The reference below visits every explicit mode of ``modes_up_to``, as the
+package did before, with scalar ``math`` formulas for the coefficients, and
+counts multiplicities by a brute-force triple loop; its density-matrix JSON
+goes through ``json.dumps`` as row dicts.  Shell-weighted sums are exact
+rearrangements of the per-mode ones, a column operation rounds as the
+scalar one does, and a kernel takes the same transform at the same k for
+every mode of a shell, so every comparison is bit for bit.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bosegas import __version__
 from bosegas.bogoliubov import (
+    COEFFICIENT_CSV_HEADER,
     ThermalConfig,
     Variant,
     depletion_sums,
-    mu_sq,
-    nu_coefficient,
-    pairing_coeff,
-    theta_sq,
+    mode_coefficients,
 )
-from bosegas.density import build_rho1, build_rho2, dm2_min_eigenvalue, dm_trace_norm_diff
+from bosegas.cli import main
+from bosegas.density import (
+    SecondOrderDM1,
+    SecondOrderDM2,
+    build_rho1,
+    build_rho2,
+    dm2_min_eigenvalue,
+    dm_trace_norm_diff,
+)
 from bosegas.lattice import enumerate_shells, modes_up_to, shell_table
 from bosegas.scattering import (
     RadialPotential,
     _radial_transform,
     default_r_max,
     kernel_table,
+    nu_coefficients,
     solve_neumann,
     solve_scattering,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference: scalar coefficients, one squared momentum at a time
+# ---------------------------------------------------------------------------
+
+def ref_dispersion(p_sq, a):
+    return math.sqrt(p_sq * (p_sq + 16.0 * math.pi * a))
+
+
+def ref_mu_sq(p_sq, a):
+    eps = ref_dispersion(p_sq, a)
+    fourpia = 4.0 * math.pi * a
+    return 2.0 * fourpia * fourpia / (eps * (p_sq + 8.0 * math.pi * a + eps))
+
+
+def ref_nu(p_sq, a):
+    return -0.25 * math.log1p(16.0 * math.pi * a / p_sq)
+
+
+def ref_bose_occupation(x):
+    t = math.exp(-x)
+    if t == 0.0:
+        return 0.0
+    return t / (-math.expm1(-x))
+
+
+def ref_theta_sq(p_sq, a, beta, variant):
+    eps = ref_dispersion(p_sq, a)
+    value = (p_sq + 8.0 * math.pi * a) * ref_bose_occupation(beta * eps)
+    if Variant(variant) is Variant.B:
+        value /= eps
+    return value
+
+
+def ref_pairing(p_sq, a, beta, variant):
+    eps = ref_dispersion(p_sq, a)
+    occ = ref_bose_occupation(beta * eps)
+    if Variant(variant) is Variant.A:
+        return -4.0 * math.pi * a * (1.0 / eps + 2.0 * occ)
+    return -(4.0 * math.pi * a / eps) * (1.0 + 2.0 * occ)
+
+
+def ref_mode_coefficients(p_sq, a, beta):
+    """The eight coefficients.csv values of one squared momentum, as floats."""
+    return (
+        p_sq,
+        ref_dispersion(p_sq, a),
+        ref_mu_sq(p_sq, a),
+        ref_theta_sq(p_sq, a, beta, Variant.A),
+        ref_theta_sq(p_sq, a, beta, Variant.B),
+        ref_nu(p_sq, a),
+        ref_pairing(p_sq, a, beta, Variant.A),
+        ref_pairing(p_sq, a, beta, Variant.B),
+    )
+
+
+def ref_excited_weights(cfg, p_sq):
+    """mu^2 + theta^2 per shell."""
+    return np.array([ref_mu_sq(p, cfg.a) + ref_theta_sq(p, cfg.a, cfg.beta, cfg.variant)
+                     for p in p_sq.tolist()])
+
+
+def ref_dm_json(dm, pairing, provenance, trace):
+    """The density-matrix JSON with one dict per row, all through json.dumps."""
+    columns = dict(norm_sq=dm.norm_sq, multiplicity=dm.multiplicity, weight=dm.excited_weights)
+    if pairing is not None:
+        columns["pairing"] = pairing
+    rows = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    payload = {
+        "N": dm.N,
+        "cutoff": dm.cutoff,
+        "variant": dm.variant.value,
+        "condensate": float(dm.condensate_weight),
+        "trace": trace,
+        "modes": rows,
+    }
+    if provenance is not None:
+        payload["provenance"] = provenance
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def brute_r3(limit):
@@ -75,10 +168,10 @@ def per_mode_model(cfg, N, cutoff, factor):
     """Per-mode weights, pairing and condensate weight of the rho1/rho2 models."""
     modes = modes_up_to(cutoff)
     weights = [
-        factor * (mu_sq(m.p_sq, cfg.a) + theta_sq(m.p_sq, cfg.a, cfg.beta, cfg.variant))
+        factor * (ref_mu_sq(m.p_sq, cfg.a) + ref_theta_sq(m.p_sq, cfg.a, cfg.beta, cfg.variant))
         for m in modes
     ]
-    pairing = [pairing_coeff(m.p_sq, cfg.a, cfg.beta, cfg.variant) for m in modes]
+    pairing = [ref_pairing(m.p_sq, cfg.a, cfg.beta, cfg.variant) for m in modes]
     return weights, pairing, N - math.fsum(weights)
 
 
@@ -92,7 +185,7 @@ def per_mode_kernel_csv(scattering, neumann, N, cutoff):
         k = math.sqrt(m.p_sq) / N
         eta = -w_hat(k)[0] / (N * N)
         tau = -0.25 * math.log1p(2.0 * vf_hat(k)[0] / m.p_sq) - eta
-        nu = nu_coefficient(m.p_sq, scattering.a)
+        nu = ref_nu(m.p_sq, scattering.a)
         rows.setdefault(m.norm_sq, (math.sqrt(m.p_sq), eta, tau, nu))
     lines = ["norm_sq,p_abs,eta,tau,nu"]
     for norm_sq in sorted(rows):
@@ -124,9 +217,9 @@ def test_depletion_sums_bit_equal_per_mode_reference(cutoff, a, beta, variant):
     cfg = ThermalConfig(a=a, beta=beta, variant=variant)
     sums = depletion_sums(cfg, cutoff)
     references = {
-        "sum_mu": per_mode_lattice_sum(lambda p_sq: mu_sq(p_sq, a), cutoff),
+        "sum_mu": per_mode_lattice_sum(lambda p_sq: ref_mu_sq(p_sq, a), cutoff),
         "sum_theta": per_mode_lattice_sum(
-            lambda p_sq: theta_sq(p_sq, a, beta, variant), cutoff
+            lambda p_sq: ref_theta_sq(p_sq, a, beta, variant), cutoff
         ),
     }
     for key, (value, tail_bound) in references.items():
@@ -180,3 +273,135 @@ def test_kernel_table_bit_equal_per_mode_reference(potential):
     table = kernel_table(potential, N=N, ell=ell, cutoff_norm_sq=cutoff,
                          scattering=scattering, neumann=neumann)
     assert table.to_csv() == per_mode_kernel_csv(scattering, neumann, N, cutoff)
+
+
+@given(
+    cutoff=st.integers(min_value=1, max_value=2000),
+    a=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    beta=st.one_of(st.sampled_from([1e-3, 50.0]), st.floats(min_value=1e-3, max_value=50.0)),
+)
+@example(cutoff=2000, a=1.0, beta=50.0)  # every outer occupation underflows to 0
+@example(cutoff=2000, a=0.0, beta=1e-3)
+@settings(max_examples=25, deadline=None)
+def test_coefficient_columns_bit_equal_per_mode_reference(cutoff, a, beta):
+    p_sq = shell_table(cutoff)[2]
+    columns = mode_coefficients(p_sq, a, beta)
+    reference = np.array([ref_mode_coefficients(p, a, beta) for p in p_sq.tolist()])
+    for field, expected in zip(dataclasses.fields(columns), reference.T):
+        assert getattr(columns, field.name).tobytes() == expected.tobytes(), field.name
+    assert nu_coefficients(a, p_sq).tobytes() == reference[:, 5].tobytes()
+    if beta == 50.0 and cutoff == 2000:
+        assert reference[-1, 3] == 0.0
+
+
+# finite entries stay below 1e200 so that the trace's exact sum cannot overflow
+json_floats = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    st.floats(min_value=-1e200, max_value=1e200),
+)
+provenances = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.sampled_from(["modes", "config", "note"]),
+        st.one_of(json_floats, st.text(),
+                  st.dictionaries(st.sampled_from(["modes", "x"]), st.integers())),
+        max_size=3,
+    ),
+)
+
+
+@given(
+    data=st.data(),
+    size=st.integers(min_value=0, max_value=12),
+    condensate=json_floats,
+    provenance=provenances,
+    two_particle=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_writer_is_json_dumps(data, size, condensate, provenance, two_particle):
+    column = st.lists(json_floats, min_size=size, max_size=size).map(np.array)
+    counts = st.lists(st.integers(0, 10**6), min_size=size, max_size=size)
+    fields = dict(
+        N=data.draw(st.integers(1, 10**9)),
+        cutoff=data.draw(st.integers(1, 10**4)),
+        variant=data.draw(st.sampled_from(list(Variant))),
+        condensate_weight=condensate,
+        norm_sq=np.array(data.draw(counts), dtype=np.int64),
+        multiplicity=np.array(data.draw(counts), dtype=np.int64),
+        excited_weights=data.draw(column),
+    )
+    if two_particle:
+        dm = SecondOrderDM2(**fields, pairing=data.draw(column))
+        pairing = dm.pairing
+    else:
+        dm, pairing = SecondOrderDM1(**fields), None
+    with np.errstate(invalid="ignore"):  # the trace of non-finite entries is NaN
+        expected = ref_dm_json(dm, pairing, provenance, dm.trace())
+        assert dm.to_json(provenance=provenance) == expected
+
+
+def test_coeffs_and_rho_write_what_the_reference_renders(tmp_path):
+    a, beta, N, cutoff = 0.0988, 0.7812, 100, 1000
+    out = tmp_path / "out"
+    sets = ["--set", f"a_override={a}", "--set", f"beta={beta}",
+            "--set", f"cutoff_norm_sq={cutoff}", "--set", f"N={N}", "--output-dir", str(out)]
+    assert main(["coeffs", *sets]) == 0
+    config = json.loads((out / "provenance.json").read_text())["config"]
+    assert main(["rho", *sets]) == 0
+    provenance = {"config": config, "version": __version__}
+    expected = {}
+
+    lines = [f"# version: {__version__}", "# config: " + json.dumps(config, sort_keys=True),
+             COEFFICIENT_CSV_HEADER]
+    for shell in enumerate_shells(cutoff):
+        _, *values = ref_mode_coefficients(shell.members[0].p_sq, a, beta)
+        lines.append(",".join([str(shell.norm_sq), *map(repr, values)]))
+    expected["coefficients.csv"] = "\n".join(lines) + "\n"
+
+    depletion = {}
+    summary = {"a": a, "beta": beta, "N": N, "cutoff_norm_sq": cutoff}
+    models = {}
+    norm_sq, multiplicity, p_sq = shell_table(cutoff)
+    for variant in Variant:
+        cfg = ThermalConfig(a=a, beta=beta, variant=variant)
+        depletion[variant.value] = {
+            key: {"value": value, "tail_bound": bound, "cutoff_norm_sq": cutoff}
+            for key, (value, bound) in (
+                ("sum_mu", per_mode_lattice_sum(lambda p: ref_mu_sq(p, a), cutoff)),
+                ("sum_theta", per_mode_lattice_sum(
+                    lambda p: ref_theta_sq(p, a, beta, variant), cutoff)),
+            )
+        }
+        shell_weights = ref_excited_weights(cfg, p_sq)
+        shell_pairing = np.array([ref_pairing(p, a, beta, variant) for p in p_sq.tolist()])
+        for name, factor in (("dm1", 1.0), ("dm2", 4.0)):
+            weights, pairing, condensate = per_mode_model(cfg, N, cutoff, factor)
+            trace = math.fsum([condensate, *weights])
+            kind = SecondOrderDM2 if name == "dm2" else SecondOrderDM1
+            extra = {"pairing": shell_pairing} if name == "dm2" else {}
+            dm = kind(N=N, cutoff=cutoff, variant=variant, condensate_weight=condensate,
+                      norm_sq=norm_sq, multiplicity=multiplicity,
+                      excited_weights=factor * shell_weights, **extra)
+            expected[f"{name}_{variant.value}.json"] = ref_dm_json(
+                dm, extra.get("pairing"), provenance, trace) + "\n"
+            summary[f"trace_{name}_{variant.value}"] = trace
+            models[name, variant] = (weights, pairing, condensate)
+        weights, pairing, condensate = models["dm2", variant]
+        c = np.array(pairing)
+        arrow_min = 0.5 * (condensate - math.sqrt(condensate**2 + 4.0 * float(np.dot(c, c))))
+        summary[f"dm2_min_eigenvalue_{variant.value}"] = min(arrow_min, min(weights), 0.0)
+    for name in ("dm1", "dm2"):
+        wx, px, cx = models[name, Variant.A]
+        wy, py, cy = models[name, Variant.B]
+        parts = [abs(cx - cy), *(abs(u - v) for u, v in zip(wx, wy))]
+        if name == "dm2":
+            parts.extend(abs(u - v) for u, v in zip(px, py))
+        summary[f"variant_distance_{name}"] = math.fsum(parts)
+
+    for name, payload in (("depletion.json", {"a": a, "beta": beta, "cutoff_norm_sq": cutoff,
+                                               "depletion": depletion}),
+                          ("rho.json", summary)):
+        payload["provenance"] = provenance
+        expected[name] = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    for name, text in expected.items():
+        assert (out / name).read_text() == text, name
