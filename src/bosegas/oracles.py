@@ -20,8 +20,22 @@ as they do the Fock basis; states and raises are built once per budget.
 All sectors of one budget therefore have the same shape, and they pass
 through the computation as one (k, s, s) stack: one generator write, one
 ``expm`` call, one orthogonality guard over all slices and batched matrix
-products for the traces.  The sector terms are then added in label order,
-as a loop over the sectors one at a time would add them.
+products for the traces.
+
+Pairs with exactly equal (nu, eps), as all pairs of one shell are, are
+interchangeable: the generator and the energy see a pair only through its
+own (k, d, nu, eps), and the cap only through totals, so permuting them
+maps the sector |d| to the sector pi|d| with the same spectrum (one solve
+per symmetry orbit, as in exact diagonalization; Sandvik, AIP Conf. Proc.
+1297, 135 (2010)).  Only the orbit representatives, the labels whose |d|
+is non-increasing inside every group of interchangeable pairs, are
+exponentiated.  A representative's number term counts once per label of
+its orbit.  The pairing sum over all sectors is the same for every pair
+of the target's group T, so a representative traces R_T, the raises of
+all of T, and the total is divided by |T|.  Z takes every sector, from
+its energies alone.  The terms are added in label order, as a loop over
+the sectors one at a time would add them; with no interchangeable pairs
+every orbit is one label and the sums are those of that loop.
 
 ``expm`` is scaling and squaring with diagonal Pade approximants (Higham,
 SIAM J. Matrix Anal. Appl. 26 (2005)) in numpy, batched over the stack:
@@ -230,25 +244,57 @@ def _sector_pattern(budget: int, n_pairs: int):
     return comps[:, :-1], pair, composition_rank(moved), source
 
 
-def _sector_matrices(abs_d, pattern, nu_pairs: np.ndarray, eps_pairs: np.ndarray):
-    """Diagonals of N_+ and energy, the generators and the raise amplitudes of one budget.
+def _sector_diagonals(abs_d, kvecs, eps_pairs: np.ndarray):
+    """Diagonals of N_+ and of the energy in every sector of one budget, one row per label."""
+    occ = (2 * kvecs + np.asarray(abs_d, dtype=np.int64)[:, None, :]).astype(float)
+    return occ.sum(axis=2), occ @ eps_pairs
+
+
+def _sector_matrices(abs_d, pattern, nu_pairs: np.ndarray):
+    """Generators and raise amplitudes of the sectors ``abs_d`` of one budget.
 
     ``abs_d`` holds one label per row, all of the budget of ``pattern``;
-    every result has one slice per label.
+    both results have one slice per label.
     """
     kvecs, pair, target, source = pattern
     d = np.asarray(abs_d, dtype=np.int64)
-    occ = (2 * kvecs + d[:, None, :]).astype(float)
-    nplus = occ.sum(axis=2)
-    energy = occ @ eps_pairs
-
     k = kvecs[source, pair]
     amp = np.sqrt((k + 1) * (k + d[:, pair] + 1))
     value = nu_pairs[pair] * amp
     G = np.zeros((len(d), len(kvecs), len(kvecs)))
     G[:, target, source] += value
     G[:, source, target] -= value
-    return nplus, energy, G, amp
+    return G, amp
+
+
+def _pair_groups(nu_pairs: np.ndarray, eps_pairs: np.ndarray) -> list[list[int]]:
+    """The interchangeable pairs: grouped by exactly equal (nu, eps), each group in pair order."""
+    groups: dict = {}
+    for pi, key in enumerate(zip(nu_pairs.tolist(), eps_pairs.tolist())):
+        groups.setdefault(key, []).append(pi)
+    return list(groups.values())
+
+
+def _orbit_representatives(abs_d: np.ndarray, groups: list[list[int]]):
+    """The rows of ``abs_d`` that represent their orbit, and the orbit sizes.
+
+    A label represents its orbit when its |d| is non-increasing inside
+    every group; its orbit size is the product over the groups of
+    m! / prod (run length)!.
+    """
+    rep = np.ones(len(abs_d), dtype=bool)
+    orbit = np.ones(len(abs_d), dtype=np.int64)
+    for members in groups:
+        values = abs_d[:, members]
+        rep &= (values[:, :-1] >= values[:, 1:]).all(axis=1)
+        # on a non-increasing row, run is the position of entry i inside
+        # its run of equal entries, and every partial orbit is an integer
+        run = np.ones_like(orbit)
+        for i in range(1, len(members)):
+            run = np.where(values[:, i] == values[:, i - 1], run + 1, 1)
+            orbit = orbit * (i + 1) // run
+    rows = np.flatnonzero(rep)
+    return rows, orbit[rows]
 
 
 # (degree m, largest 1-norm at which the degree's backward error stays
@@ -358,8 +404,9 @@ def _rotated_expectations(
     """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one sector pass.
 
     The capped basis over ``modes`` is never built: the sectors enumerate
-    it.  The sectors of one pair budget go through one stacked exponential;
-    both traces and Z of every sector are then added in label order.
+    it.  The live orbit representatives of one pair budget go through one
+    stacked exponential, and each stands for its whole orbit; Z takes every
+    sector from its energies alone.  The terms are added in label order.
     """
     pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(modes, nu, eps)
     _rotation_guard(nu, eps, beta, cap)
@@ -367,28 +414,38 @@ def _rotated_expectations(
     target_pair = next(
         pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
     )
+    groups = _pair_groups(nu_pairs, eps_pairs)
+    target_group = next(members for members in groups if target_pair in members)
 
-    # multiplicity times the number, pairing and Z term of every label;
-    # labels whose weights all underflow keep 0
+    # the number, pairing and Z term of every label: multiplicity times the
+    # sector's Z; for a representative, multiplicity times orbit size times
+    # its number and R_T trace; 0 for the other labels and for those whose
+    # weights all underflow
     terms = np.zeros((3, math.comb(cap + len(pairs), len(pairs))))
     for positions, abs_d, multiplicity, pattern in _sectors(len(pairs), cap):
-        nplus, energy, G, amp = _sector_matrices(abs_d, pattern, nu_pairs, eps_pairs)
+        nplus, energy = _sector_diagonals(abs_d, pattern[0], eps_pairs)
         weights = np.exp(-beta * energy)
-        live = weights.any(axis=1)
+        terms[2, positions] = multiplicity * weights.sum(axis=1)
+        reps, orbit = _orbit_representatives(abs_d, groups)
+        live = weights[reps].any(axis=1)
         if not live.any():
             continue
-        weights, nplus, G, amp = weights[live], nplus[live], G[live], amp[live]
+        reps, orbit = reps[live], orbit[live]
+        G, amp = _sector_matrices(abs_d[reps], pattern, nu_pairs)
         U = _orthogonal_expms(G)
         _, pair, target, source = pattern
-        mine = pair == target_pair
-        R = np.zeros_like(G)
-        R[:, target[mine], source[mine]] = amp[:, mine]
-        # the diagonals of U^T diag(nplus) U and of U^T R U
-        number_diag = (U * U).transpose(0, 2, 1) @ nplus[:, :, None]
-        pair_diag = np.einsum("kij,kij->kj", U, R @ U)[:, :, None]
-        rows = weights[:, None, :]
-        terms[:, positions[live]] = multiplicity[live] * np.array(
-            [(rows @ number_diag)[:, 0, 0], (rows @ pair_diag)[:, 0, 0], weights.sum(axis=1)]
+        # R_T U: a single pair's R has one entry per target row, so each
+        # pair of the group adds one row gather of U
+        RU = np.zeros_like(U)
+        for t in target_group:
+            mine = pair == t
+            RU[:, target[mine]] += amp[:, mine, None] * U[:, source[mine]]
+        # the diagonals of U^T diag(nplus) U and of U^T R_T U
+        number_diag = (U * U).transpose(0, 2, 1) @ nplus[reps][:, :, None]
+        pair_diag = np.einsum("kij,kij->kj", U, RU)[:, :, None]
+        rows = weights[reps][:, None, :]
+        terms[:2, positions[reps]] = (multiplicity[reps] * orbit) * np.array(
+            [(rows @ number_diag)[:, 0, 0], (rows @ pair_diag)[:, 0, 0]]
         )
 
     # added one label at a time in label order, as a loop over the sectors would
@@ -412,7 +469,7 @@ def _rotated_expectations(
     j = mode_pos
     half_sinh2 = 0.5 * math.sinh(2.0 * nu[j])
     pairing = RotatedExpectation(
-        value=pair_sum / z_sum,
+        value=pair_sum / len(target_group) / z_sum,
         candidates={
             key: float(half_sinh2 * (1.0 + 2.0 * occ[j])) for key, occ in occs.items()
         },

@@ -375,21 +375,45 @@ LATTICE_COMMAND_MODULES = {
 }
 
 
-def test_lattice_commands_import_no_new_module(tmp_path):
+def modules_loaded(tmp_path, argvs):
+    """Exit codes, and the modules loaded beyond ``import numpy`` by ``import
+    bosegas.cli`` and by the commands, in a fresh interpreter."""
     src = Path(bosegas.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    sets = ["--output-dir", "out", "--set", "a_override=0.1", "--set", "cutoff_norm_sq=50"]
     script = (
         "import json, sys\n"
         "import numpy\n"
         "before = set(sys.modules)\n"
         "import bosegas.cli\n"
-        f"codes = [bosegas.cli.main([c, *{sets!r}]) for c in ('coeffs', 'rho')]\n"
-        "print(json.dumps([codes, sorted(set(sys.modules) - before)]))\n"
+        "imported = set(sys.modules)\n"
+        f"codes = [bosegas.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, sorted(imported - before),\n"
+        "                  sorted(set(sys.modules) - imported)]))\n"
     )
     run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          check=True, capture_output=True, text=True, timeout=300)
-    codes, loaded = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_lattice_commands_import_no_new_module(tmp_path):
+    sets = ["--output-dir", "out", "--set", "a_override=0.1", "--set", "cutoff_norm_sq=50"]
+    codes, by_import, by_commands = modules_loaded(
+        tmp_path, [[c, *sets] for c in ("coeffs", "rho")]
+    )
     assert codes == [0, 0]
-    assert sorted(set(loaded) - LATTICE_COMMAND_MODULES) == []
+    assert sorted(set(by_import + by_commands) - LATTICE_COMMAND_MODULES) == []
+
+
+# A command imports, beyond ``import bosegas.cli``, only what the argument
+# parser's gettext lookup needs; any other import (a numpy submodule behind
+# np.unique, say) would be paid inside every op.
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--set", "oracle.cap=14", "--set", "oracle.toy.cap=7"],
+    ["all"],
+])
+def test_oracle_commands_import_no_new_module(tmp_path, argv):
+    codes, by_import, by_commands = modules_loaded(tmp_path, [[*argv, "--output-dir", "out"]])
+    assert codes == [0]
+    assert sorted(set(by_import) - LATTICE_COMMAND_MODULES) == []
+    assert sorted(set(by_commands) - {"locale", "_locale"}) == []

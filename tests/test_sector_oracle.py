@@ -9,11 +9,17 @@ per-sector tuple-to-position dict, a loop that moves one pair number at
 a time by tuple slicing, and one exponential per sector.  Lexicographic
 order over the pair numbers k with sum k <= B is the lexicographic order of
 the compositions of B with a slack slot, and likewise for the sector
-labels, so every state order is unchanged.  The package now stacks the
-sectors of one pair budget and exponentiates the stack in one call, and
-still adds the sector terms in label order.  With ``scipy.linalg.expm``,
-which runs its per-slice code on every slice of a stack, in place of the
-package's exponential, the new path must agree with the loop bit for bit.
+labels, so every state order is unchanged.
+
+The package now exponentiates one sector per orbit of interchangeable
+pairs (equal nu and eps), stacks the representatives of one pair budget
+and exponentiates the stack in one call; Z still takes every sector.
+``reference_sums`` is the loop over every sector, ``reference_orbit_sums``
+the same loop over the representatives only, with the orbit weights.
+With ``scipy.linalg.expm``, which runs its per-slice code on every slice of
+a stack, in place of the package's exponential, the package must agree
+with the orbit loop bit for bit, and with the loop over every sector bit
+for bit in Z, and in all three sums when no two pairs are interchangeable.
 
 The package's own ``oracles.expm`` is a batched numpy Pade exponential;
 ``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
@@ -40,6 +46,9 @@ SHELLS_1_2 = [m for s in enumerate_shells(2) for m in s.members]
 MODE_BY_TRIPLE = {m.n: m for m in SHELLS_1_2}
 # the nine +-p pairs of shells 1 and 2, (+p, -p) with +p the larger triple
 PAIRS = [(m, MODE_BY_TRIPLE[m.negated()]) for m in SHELLS_1_2 if m.n > m.negated()]
+PAIRS_BY_SHELL = {
+    norm_sq: [pair for pair in PAIRS if pair[0].norm_sq == norm_sq] for norm_sq in (1, 2)
+}
 
 
 def _compositions(total: int, parts: int):
@@ -160,6 +169,60 @@ def reference_sums(n_pairs, cap, nu_pairs, eps_pairs, beta, target_pair):
     return number_sum, pair_sum, z_sum
 
 
+def _orbit_size(abs_d, groups):
+    """Orbit size of a representative label (|d| non-increasing in every group), else None."""
+    size = 1
+    for members in groups:
+        values = [abs_d[pi] for pi in members]
+        if values != sorted(values, reverse=True):
+            return None
+        size *= math.factorial(len(values))
+        for value in set(values):
+            size //= math.factorial(values.count(value))
+    return size
+
+
+def reference_orbit_sums(n_pairs, cap, nu_pairs, eps_pairs, beta, target_pair):
+    """The sector loop over orbit representatives: number, pairing and Z sums.
+
+    Pairs with equal (nu, eps) are interchangeable.  A representative's
+    terms count once per label of its orbit; the pairing term traces R_T,
+    the raises of every pair of the target's group T (one dense R_t per
+    pair, R_t U added in pair order), and the sum is divided by |T|.  Z
+    takes every sector, as ``reference_sums`` does.
+    """
+    groups = {}
+    for pi, key in enumerate(zip(nu_pairs, eps_pairs)):
+        groups.setdefault(key, []).append(pi)
+    target_group = groups[(nu_pairs[target_pair], eps_pairs[target_pair])]
+    number_sum = 0.0
+    pair_sum = 0.0
+    z_sum = 0.0
+    for sector in _iter_sectors(n_pairs, cap):
+        nplus, energy, G, raises = _sector_matrices(sector, nu_pairs, eps_pairs, cap)
+        weights = np.exp(-beta * energy)
+        if not weights.any():
+            continue
+        z_sum += sector.multiplicity * float(np.sum(weights))
+        orbit = _orbit_size(sector.abs_d, groups.values())
+        if orbit is None:
+            continue
+        U = _orthogonal_expm(G)
+        weight = sector.multiplicity * orbit
+        conj_diag = (U * U).T @ nplus
+        number_sum += weight * float(np.dot(weights, conj_diag))
+        RU = np.zeros_like(U)
+        for t in target_group:
+            R = np.zeros_like(U)
+            for pi, i, j, amp in raises:
+                if pi == t:
+                    R[i, j] = amp
+            RU += R @ U
+        conj_diag = np.einsum("ij,ij->j", U, RU)
+        pair_sum += weight * float(np.dot(weights, conj_diag))
+    return number_sum, pair_sum / len(target_group), z_sum
+
+
 def assert_bits_equal(new, ref):
     new, ref = np.asarray(new), np.asarray(ref)
     assert new.shape == ref.shape
@@ -201,8 +264,9 @@ def test_sectors_bit_equal_reference(case):
     ref = list(_iter_sectors(n_pairs, cap))
     seen = np.zeros(len(ref), dtype=bool)
     for positions, abs_d, multiplicity, pattern in oracles._sectors(n_pairs, cap):
-        stack = oracles._sector_matrices(
-            abs_d, pattern, np.array(nu_pairs), np.array(eps_pairs)
+        stack = (
+            *oracles._sector_diagonals(abs_d, pattern[0], np.array(eps_pairs)),
+            *oracles._sector_matrices(abs_d, pattern, np.array(nu_pairs)),
         )
         _, pair, target, source = pattern
         for k, position in enumerate(positions.tolist()):
@@ -241,12 +305,12 @@ def rotation_cases(draw):
     return build_basis(modes, cap), nu, eps, beta, mode
 
 
-def reference_rotation(modes, cap, nu, eps, beta, mode):
-    """The reference loop's number, pairing and Z sums for ``_rotated_expectations``."""
+def reference_rotation(modes, cap, nu, eps, beta, mode, sums=reference_sums):
+    """A reference loop's number, pairing and Z sums for ``_rotated_expectations``."""
     pairs = oracles.pair_partners(modes)
     position = [m.n for m in modes].index(mode.n)
     target_pair = next(pi for pi, pair in enumerate(pairs) if position in pair)
-    return reference_sums(
+    return sums(
         len(pairs),
         cap,
         [nu[i] for i, _ in pairs],
@@ -260,10 +324,16 @@ def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "expm", expm)
         number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
-    number_sum, pair_sum, z_sum = reference_rotation(modes, cap, nu, eps, beta, mode)
+    case = (modes, cap, nu, eps, beta, mode)
+    number_sum, pair_sum, z_sum = reference_rotation(*case, sums=reference_orbit_sums)
     assert number.Z == z_sum and pairing.Z == z_sum
     assert number.value == number_sum / z_sum
     assert pairing.value == pair_sum / z_sum
+    every_label = reference_rotation(*case)
+    assert every_label[2] == z_sum
+    pairs = oracles.pair_partners(modes)
+    if len({(nu[i], eps[i]) for i, _ in pairs}) == len(pairs):
+        assert every_label == (number_sum, pair_sum, z_sum)
 
 
 @given(case=rotation_cases())
@@ -307,6 +377,104 @@ def test_rotated_expectations_with_the_numpy_exponential_at_cap_14(beta):
     assert number.Z == z_sum and pairing.Z == z_sum
     assert abs(number.value - number_sum / z_sum) <= 16 * EPS * cap
     assert abs(pairing.value - pair_sum / z_sum) <= 16 * EPS * cap
+
+
+def sector_dimensions(n_pairs, cap):
+    """Sum of the dimensions of all sectors: C(s + n - 1, n - 1) labels have sum |d| = s."""
+    return sum(
+        math.comb(total + n_pairs - 1, n_pairs - 1) * math.comb((cap - total) // 2 + n_pairs, n_pairs)
+        for total in range(cap + 1)
+    )
+
+
+MAX_SHELL_STATES = 16000
+
+
+@st.composite
+def shell_rotation_cases(draw):
+    """1-3 +-p pairs of shell 1 and 0-3 of shell 2, one (nu, eps) per shell, a target in either.
+
+    The pairs of one shell are interchangeable, so most orbits hold several
+    sectors.  The cap is 8-12, and past 8 at most the largest cap with
+    16,000 sector states, which bounds the loop over every sector.
+    """
+    shells = [
+        draw(st.lists(st.sampled_from(PAIRS_BY_SHELL[1]), min_size=1, max_size=3, unique=True)),
+        draw(st.lists(st.sampled_from(PAIRS_BY_SHELL[2]), min_size=0, max_size=3, unique=True)),
+    ]
+    n_pairs = sum(len(pairs) for pairs in shells)
+    cap_max = 8
+    while cap_max < 12 and sector_dimensions(n_pairs, cap_max + 1) <= MAX_SHELL_STATES:
+        cap_max += 1
+    cap = draw(st.integers(min_value=8, max_value=cap_max))
+    modes, nu, eps = [], [], []
+    for pairs in shells:
+        shell_nu = draw(st.floats(-0.3, 0.3))
+        shell_eps = draw(st.floats(0.5, 5.0))
+        modes += [m for pair in pairs for m in pair]
+        nu += [shell_nu] * (2 * len(pairs))
+        eps += [shell_eps] * (2 * len(pairs))
+    beta = draw(st.floats(0.5, 3.0))
+    return modes, cap, nu, eps, beta, draw(st.sampled_from(modes))
+
+
+def assert_rotations_near_every_sector(modes, cap, nu, eps, beta, mode):
+    """The numpy exponential over the orbits against the loop over every sector.
+
+    The bound is the cap-14 test's 16 eps cap for the terms, plus the
+    rounding of the two sums in different orders: each adds at most one
+    term per label, every term is at most cap times its sector's share of
+    Z, and a recursive sum of n terms is within (n - 1) eps / 2 of the sum
+    of their magnitudes (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed. (2002), sec. 4.2).  Where the orbits merge many
+    sectors the loop's own order dominates: 4 pairs of energy 1 and nu = 0
+    at cap 9 (715 labels) put the loop 5.0e-14 from the exactly rounded
+    sum of its terms and the orbit sum 2.7e-15.
+    """
+    number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+    number_sum, pair_sum, z_sum = reference_rotation(modes, cap, nu, eps, beta, mode)
+    labels = math.comb(cap + len(modes) // 2, len(modes) // 2)
+    assert number.Z == z_sum and pairing.Z == z_sum
+    assert abs(number.value - number_sum / z_sum) <= (16 + labels) * EPS * cap
+    assert abs(pairing.value - pair_sum / z_sum) <= (16 + labels) * EPS * cap
+
+
+@given(case=shell_rotation_cases())
+@settings(max_examples=15, deadline=None)
+def test_rotated_expectations_over_interchangeable_pairs(case):
+    assert_rotations_near_every_sector(*case)
+    assert_rotations_bit_equal(*case)
+
+
+# at beta = 60 every weight with energy above 12.4 underflows: shell 1
+# (eps = 1.80) from 7 quanta, shell 2 (eps = 2.92) from 5
+@pytest.mark.parametrize("target_shell", [1, 2])
+def test_rotated_expectations_over_two_shells_at_beta_60(target_shell):
+    pairs = PAIRS_BY_SHELL[1] + PAIRS_BY_SHELL[2][:1]
+    modes = [m for pair in pairs for m in pair]
+    a = 0.045
+    nu = [nu_coefficient(m.p_sq, a) for m in modes]
+    eps = [dispersion(m.p_sq, a) for m in modes]
+    mode = PAIRS_BY_SHELL[target_shell][0][1]
+    assert_rotations_near_every_sector(modes, 12, nu, eps, 60.0, mode)
+    assert_rotations_bit_equal(modes, 12, nu, eps, 60.0, mode)
+
+
+@pytest.mark.parametrize("cap, slices, cubes", [(12, 102, 1_535_376), (14, 147, 5_422_209)])
+def test_one_exponential_per_orbit(monkeypatch, cap, slices, cubes):
+    """Shell 1's three pairs are interchangeable: 455 sectors at cap 12, 680 at cap 14."""
+    shapes = []
+    exact = oracles.expm
+
+    def counting(G):
+        shapes.append(G.shape)
+        return exact(G)
+
+    monkeypatch.setattr(oracles, "expm", counting)
+    modes, _, nu, eps, beta, mode = workload_rotation()
+    oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+    assert sum(k for k, _, _ in shapes) == slices
+    assert sum(k * s**3 for k, s, _ in shapes) == cubes
 
 
 @st.composite
