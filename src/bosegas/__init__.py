@@ -16,12 +16,7 @@ from .bogoliubov import (
     Variant,
     bose_occupation,
     depletion_sums,
-    dispersion,
     mode_coefficients,
-    mu_sq,
-    nu_coefficient,
-    pairing_coeff,
-    theta_sq,
 )
 from .density import (
     SecondOrderDM1,
@@ -35,20 +30,16 @@ from .fock import (
     FockBasis,
     HermitianOperator,
     build_basis,
-    build_D,
-    build_K,
     build_LN,
-    build_quadratic_generator,
     expect,
     gibbs,
     ladder,
 )
-from .lattice import Mode, Shell, SumResult, enumerate_shells, lattice_sum, modes_up_to
+from .lattice import Mode, Shell, SumResult, enumerate_shells, modes_up_to
 from .oracles import (
     AdjudicationReport,
     GibbsReport,
     adjudicate_variants,
-    occupation_closed_form,
     pairing_expectation,
     partition_product_check,
     rotated_number_expectation,

@@ -17,8 +17,7 @@ Gibbs ensemble is not decided here; the Fock-space oracle
 
 Every formula is written once, in ``mode_coefficients``, which evaluates
 all coefficients as columns over an array of squared momenta (in practice
-the ``p_sq`` column of ``lattice.shell_table``, one entry per shell).  The
-scalar functions read one entry of it.
+the ``p_sq`` column of ``lattice.shell_table``, one entry per shell).
 """
 
 from __future__ import annotations
@@ -36,12 +35,7 @@ __all__ = [
     "Variant",
     "ThermalConfig",
     "ModeCoefficients",
-    "dispersion",
-    "mu_sq",
-    "nu_coefficient",
     "bose_occupation",
-    "theta_sq",
-    "pairing_coeff",
     "mode_coefficients",
     "depletion_sums",
     "COEFFICIENT_CSV_HEADER",
@@ -150,34 +144,6 @@ def mode_coefficients(p_sq, a: float, beta: float = math.inf) -> ModeCoefficient
         pairing_A=-4.0 * math.pi * a * (1.0 / eps + 2.0 * occ),
         pairing_B=-(4.0 * math.pi * a / eps) * (1.0 + 2.0 * occ),
     )
-
-
-# one squared momentum at a time, read from the columns
-
-
-def dispersion(p_sq: float, a: float) -> float:
-    """Quasi-particle energy eps (see ``mode_coefficients``)."""
-    return float(mode_coefficients(p_sq, a).eps)
-
-
-def mu_sq(p_sq: float, a: float) -> float:
-    """Quantum-depletion weight mu^2 (see ``mode_coefficients``)."""
-    return float(mode_coefficients(p_sq, a).mu_sq)
-
-
-def nu_coefficient(p_sq: float, a: float) -> float:
-    """Rotation angle nu (see ``mode_coefficients``)."""
-    return float(mode_coefficients(p_sq, a).nu)
-
-
-def theta_sq(p_sq: float, a: float, beta: float, variant: Variant) -> float:
-    """Thermal occupation weight theta^2 in the requested convention."""
-    return float(mode_coefficients(p_sq, a, beta).theta_sq(variant))
-
-
-def pairing_coeff(p_sq: float, a: float, beta: float, variant: Variant) -> float:
-    """Anomalous-pair coefficient in the requested convention."""
-    return float(mode_coefficients(p_sq, a, beta).pairing(variant))
 
 
 COEFFICIENT_CSV_HEADER = "norm_sq,eps,mu_sq,theta_sq_A,theta_sq_B,nu,pairing_A,pairing_B"

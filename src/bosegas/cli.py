@@ -185,14 +185,15 @@ def _scattering_length(config: dict) -> float:
 def cmd_scatter(config: dict, out_dir: Path) -> dict[str, str]:
     potential = _potential_from_config(config)
     tol = float(config["tol"])
+    N = int(config["N"])
+    ell = float(config["ell"])
+    if not (0.0 < ell < 0.5):
+        raise ValueError("ell must lie in (0, 1/2) so the ball fits the torus")
     r_max = default_r_max(potential, float(config["scatter_r_max_factor"]))
     sol = solve_scattering(potential, r_max=r_max, tol=tol)
     a_functional = energy_functional(sol)
-    N = int(config["N"])
-    ell = float(config["ell"])
     neumann = solve_neumann(potential, R=N * ell, tol=tol)
-    table = kernel_table(potential, N=N, ell=ell, cutoff_norm_sq=int(config["cutoff_norm_sq"]),
-                         tol=tol, scattering_r_max=r_max, scattering=sol, neumann=neumann)
+    table = kernel_table(sol, neumann, N, int(config["cutoff_norm_sq"]))
 
     files = {"kernel_csv": _write(out_dir / "kernels.csv",
                                   table.to_csv(comments=_csv_comments(config)))}

@@ -200,12 +200,14 @@ def dm2_min_eigenvalue(dm: SecondOrderDM2) -> float:
     eigenvalues are (w00 +- sqrt(w00^2 + 4 sum c^2))/2; the rest of the
     spectrum is the non-negative diagonal.  Negative values are expected at
     finite N and merely reported.
+
+    The smaller one is evaluated as -2 sum c^2 / (w00 + sqrt(w00^2 + 4 sum c^2)),
+    which equals it for the positive w00 of a valid model and, unlike the
+    difference, loses no digits when sum c^2 is small against w00^2.
     """
-    pairing = np.repeat(dm.pairing, dm.multiplicity)  # one entry per mode
-    c_sq = float(np.dot(pairing, pairing))
+    c_sq = _mode_sum([], dm.multiplicity, dm.pairing * dm.pairing)
     w00 = dm.condensate_weight
-    arrow_min = 0.5 * (w00 - math.sqrt(w00 * w00 + 4.0 * c_sq))
-    candidates = [arrow_min, float(np.min(dm.excited_weights))]
-    if len(pairing) > 1:
-        candidates.append(0.0)  # null space of the arrow block
-    return min(candidates)
+    # + 0.0 makes the free gas's -0.0 a 0.0
+    arrow_min = -2.0 * c_sq / (w00 + math.sqrt(w00 * w00 + 4.0 * c_sq)) + 0.0
+    # 0.0 is the arrow block's null space: a model has at least the 6 modes of shell 1
+    return min(arrow_min, float(np.min(dm.excited_weights)), 0.0)

@@ -18,8 +18,11 @@ components come from min-label propagation over H's entries, and
 expectations look the entries of rho up by their sorted (row, col) keys.
 The module needs numpy only.
 
-All matrices here are real symmetric (anti-symmetric for the quadratic
-generators); hermiticity therefore means symmetry.
+The Hamiltonians and Gibbs states here are real symmetric; hermiticity
+therefore means symmetry.  The exact quasi-free references the tests
+compare against (the diagonal quasi-particle Hamiltonian and the
+pair-rotation generator) are built in ``tests/fock_reference.py`` on
+this module's basis and ladder letters.
 """
 
 from __future__ import annotations
@@ -48,11 +51,7 @@ __all__ = [
     "diagonal_operator",
     "number_operator",
     "total_number",
-    "momentum_operator",
-    "build_D",
-    "build_K",
     "build_LN",
-    "build_quadratic_generator",
     "GibbsState",
     "gibbs",
     "expect",
@@ -85,7 +84,6 @@ class FockBasis:
         self.modes = modes
         self.cap = cap
         self.mode_index = {m.n: i for i, m in enumerate(modes)}
-        self._n_vectors = np.array([m.n for m in modes], dtype=np.int64)
 
         self._occupations = np.concatenate(
             [compositions(total, len(modes)) for total in range(cap + 1)]
@@ -204,21 +202,6 @@ class Triplets:
     def nnz(self) -> int:
         return len(self.values)
 
-    @property
-    def T(self) -> Triplets:
-        return _from_entries(self.shape[0], self.cols, self.rows, self.values)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.values
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        out = np.zeros(self.shape[0])
-        on = self.rows == self.cols
-        out[self.rows[on]] = self.values[on]
-        return out
-
     def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The entries at (rows[i], cols[i]), 0 where the matrix has none."""
         wanted = np.asarray(rows) * self.shape[1] + np.asarray(cols)
@@ -255,21 +238,6 @@ class HermitianOperator:
 
     basis: FockBasis
     matrix: Triplets
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def hermiticity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m.values - m.lookup(m.cols, m.rows)), initial=0.0))
-
-    def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal()
-
-
-def _check_same_basis(x: HermitianOperator, y: HermitianOperator):
-    if x.basis is not y.basis:
-        raise ValueError("operators live on different bases")
 
 
 # ---------------------------------------------------------------------------
@@ -439,40 +407,6 @@ def total_number(basis: FockBasis) -> Triplets:
     return diagonal_operator(basis, basis.totals.astype(float))
 
 
-def momentum_operator(basis: FockBasis, component: int) -> Triplets:
-    """Diagonal total-momentum component (integer lattice units)."""
-    n_comp = np.array([m.n[component] for m in basis.modes], dtype=np.int64)
-    return diagonal_operator(basis, (basis.occupations() @ n_comp).astype(float))
-
-
-# ---------------------------------------------------------------------------
-# diagonal Hamiltonians
-# ---------------------------------------------------------------------------
-
-def _check_shell_consistent(basis: FockBasis, values: np.ndarray, name: str):
-    by_shell: dict[int, float] = {}
-    for m, v in zip(basis.modes, values):
-        key = m.norm_sq
-        if key in by_shell and by_shell[key] != v:
-            raise ValueError(f"{name} is not constant on shell |n|^2 = {key}")
-        by_shell[key] = v
-
-
-def build_D(basis: FockBasis, eps: Sequence[float]) -> HermitianOperator:
-    """Diagonal quasi-particle Hamiltonian sum_p eps_p n_p."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (len(basis.modes),):
-        raise ValueError("eps must give one energy per mode")
-    _check_shell_consistent(basis, eps, "eps")
-    return HermitianOperator(basis, diagonal_operator(basis, basis.occupations() @ eps))
-
-
-def build_K(basis: FockBasis) -> HermitianOperator:
-    """Kinetic energy sum_p |p|^2 n_p."""
-    p_sq = np.array([m.p_sq for m in basis.modes])
-    return build_D(basis, p_sq)
-
-
 # ---------------------------------------------------------------------------
 # excitation Hamiltonian
 # ---------------------------------------------------------------------------
@@ -564,16 +498,11 @@ def build_LN(
 
 
 # ---------------------------------------------------------------------------
-# quadratic generators
+# +-p pairs
 # ---------------------------------------------------------------------------
 
-def pair_partners(modes: FockBasis | Sequence[Mode]) -> list[tuple[int, int]]:
-    """Mode-index pairs (i, j) with modes[j] = -modes[i], each pair once.
-
-    Takes the mode list, or a basis for its modes.
-    """
-    if isinstance(modes, FockBasis):
-        modes = modes.modes
+def pair_partners(modes: Sequence[Mode]) -> list[tuple[int, int]]:
+    """Mode-index pairs (i, j) with modes[j] = -modes[i], each pair once."""
     index = {m.n: i for i, m in enumerate(modes)}
     if any(m.negated() not in index for m in modes):
         raise ValueError("mode set is not closed under negation")
@@ -588,49 +517,6 @@ def pair_partners(modes: FockBasis | Sequence[Mode]) -> list[tuple[int, int]]:
     return pairs
 
 
-def build_quadratic_generator(
-    basis: FockBasis,
-    c: Sequence[float],
-    kind: str = "a_type",
-    N: int | None = None,
-) -> Triplets:
-    """Anti-symmetric generator (1/2) sum_p c_p (X*_p X*_-p - X_p X_-p).
-
-    With X the plain ladder operators ('a_type') this is the standard
-    pair-rotation generator; 'b_type' uses the weighted operators and needs
-    N.  The coefficient must be constant on each +-p pair; the p-sum counts
-    every pair twice, so each unordered pair enters with full weight c_p.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape != (len(basis.modes),):
-        raise ValueError("need one coefficient per mode")
-    if kind not in ("a_type", "b_type"):
-        raise ValueError("kind must be 'a_type' or 'b_type'")
-    if kind == "b_type":
-        if N is None:
-            raise ValueError("b_type generator needs N")
-        if N < basis.cap:
-            raise ValueError("b_type generator needs N >= cap")
-    _check_shell_consistent(basis, c, "generator coefficient")
-
-    pairs = pair_partners(basis)
-    for i, j in pairs:
-        if c[i] != c[j]:
-            raise ValueError("generator coefficient must match on +-p pairs")
-    weighted = kind == "b_type"
-    raising = [
-        (c[i], ((i, 1, weighted), (j, 1, weighted))) for i, j in pairs if c[i] != 0.0
-    ]
-    rows, cols, values = _Letters(basis, N).entries(raising)
-    # X_-p X_p is the exact transpose of X*_p X*_-p
-    return _from_entries(
-        len(basis),
-        np.concatenate((rows, cols)),
-        np.concatenate((cols, rows)),
-        np.concatenate((values, -values)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Gibbs states and expectations
 # ---------------------------------------------------------------------------
@@ -639,7 +525,7 @@ def build_quadratic_generator(
 class GibbsState:
     """Normalized thermal state e^{-beta(H - E0)} / Z with the shifted partition sum."""
 
-    rho: HermitianOperator
+    rho: Triplets
     Z: float
     beta: float
     ground_energy: float
@@ -662,8 +548,7 @@ def gibbs(
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    basis = H.basis
-    dim = len(basis)
+    dim = len(H.basis)
     h = H.matrix
     labels = _components(dim, h.rows, h.cols)
     sizes = np.bincount(labels)
@@ -708,9 +593,7 @@ def gibbs(
         rows.append(np.broadcast_to(members[:, :, None], (k, s, s)).ravel())
         cols.append(np.broadcast_to(members[:, None, :], (k, s, s)).ravel())
     rho = _from_entries(dim, *(np.concatenate(part) for part in (rows, cols, values)))
-    return GibbsState(
-        rho=HermitianOperator(basis, rho), Z=Z, beta=beta, ground_energy=e0
-    )
+    return GibbsState(rho=rho, Z=Z, beta=beta, ground_energy=e0)
 
 
 def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -737,14 +620,12 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = hooked
 
 
-def expect(state, O) -> float:
-    """tr(rho O) for a GibbsState (or bare HermitianOperator rho) and a ``Triplets`` operator O.
+def expect(state: GibbsState, O: Triplets) -> float:
+    """tr(rho O) for a GibbsState and an operator O of the same shape as rho.
 
     The sum of rho[c, r] O[r, c] over the entries of O, each entry of rho
     looked up by its (row, col) key.
     """
-    rho_op = state.rho if isinstance(state, GibbsState) else state
-    if isinstance(O, HermitianOperator):
-        _check_same_basis(rho_op, O)
-        O = O.matrix
-    return float(np.sum(rho_op.matrix.lookup(O.cols, O.rows) * O.values))
+    if O.shape != state.rho.shape:
+        raise ValueError(f"operator of shape {O.shape} against a state of shape {state.rho.shape}")
+    return float(np.sum(state.rho.lookup(O.cols, O.rows) * O.values))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "modes_up_to",
     "shell_modes",
     "shell_sum",
-    "lattice_sum",
     "tail_norm_bound",
 ]
 
@@ -202,13 +201,3 @@ def shell_sum(values, max_norm_sq: int, tail_exponent: float) -> SumResult:
     bound = c_tail * tail_norm_bound(max_norm_sq, tail_exponent)
     return SumResult(value=value, tail_bound=bound, cutoff_norm_sq=max_norm_sq)
 
-
-def lattice_sum(
-    f: Callable[[float], float],
-    max_norm_sq: int,
-    tail_exponent: float,
-    momentum_scale: float = TWO_PI,
-) -> SumResult:
-    """``shell_sum`` of ``f(p_sq)``, evaluated once per shell."""
-    p_sq = shell_table(max_norm_sq, momentum_scale)[2]
-    return shell_sum([f(p) for p in p_sq.tolist()], max_norm_sq, tail_exponent)

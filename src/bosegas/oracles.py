@@ -1,10 +1,10 @@
 """Closed-form and exact-diagonalization oracles on the truncated Fock space.
 
 These routines re-derive, by independent routes, the quantities the
-analytic coefficient formulas predict: capped canonical occupations by
-dynamic programming over modes, partition functions by brute enumeration
-against product-formula sandwiches, and rotated-ensemble expectations by
-exact matrix exponentials.
+analytic coefficient formulas predict: partition functions by brute
+enumeration against product-formula sandwiches, rotated-ensemble
+expectations by exact matrix exponentials, and the thermal occupation and
+pairing of the interacting excitation Hamiltonian by its exact Gibbs state.
 
 The rotated expectations exploit that the pair generator conserves, for
 every +-p pair, the occupation difference n_p - n_-p.  The capped basis
@@ -63,7 +63,6 @@ from .bogoliubov import Variant, bose_occupation, mode_coefficients
 from .errors import GuardError
 from .fock import (
     FockBasis,
-    HermitianOperator,
     build_basis,
     build_LN,
     check_basis_size,
@@ -88,7 +87,6 @@ from .scattering import (
 )
 
 __all__ = [
-    "occupation_closed_form",
     "PartitionSandwich",
     "partition_product_check",
     "RotatedExpectation",
@@ -101,46 +99,6 @@ __all__ = [
     "toy_gibbs_experiment",
     "toy_scattering_length",
 ]
-
-
-# ---------------------------------------------------------------------------
-# capped canonical closed forms (dynamic programming over modes)
-# ---------------------------------------------------------------------------
-
-def _budget_partition(eps: Sequence[float], beta: float, cap: int) -> np.ndarray:
-    """z[m] = sum over occupation vectors with total m of exp(-beta * energy)."""
-    z = np.zeros(cap + 1)
-    z[0] = 1.0
-    for e in eps:
-        g = np.exp(-beta * e * np.arange(cap + 1))
-        out = np.zeros(cap + 1)
-        for m in range(cap + 1):
-            out[m] = float(np.dot(g[: m + 1], z[m::-1]))
-        z = out
-    return z
-
-
-def occupation_closed_form(
-    eps, beta: float, cap: int, mode: int = 0
-) -> tuple[float, float]:
-    """Mean occupation of one mode in the capped canonical ensemble.
-
-    Returns (capped, uncapped).  The capped value is the explicit finite
-    sum over the shared-budget basis, evaluated by convolving per-mode
-    geometric weights; it never touches the eigensolver route.  The
-    uncapped reference is the Bose factor 1/(exp(beta*eps)-1).
-    """
-    eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-    if not (0 <= mode < len(eps_arr)):
-        raise ValueError("mode index out of range")
-    rest = np.delete(eps_arr, mode)
-    z_rest = _budget_partition(rest, beta, cap)
-    z_rest_cum = np.cumsum(z_rest)  # z_rest_cum[m] = partitions with total <= m
-    g = np.exp(-beta * eps_arr[mode] * np.arange(cap + 1))
-    weights = g * z_rest_cum[::-1]
-    z_total = math.fsum(weights.tolist())
-    first_moment = math.fsum((np.arange(cap + 1) * weights).tolist())
-    return first_moment / z_total, bose_occupation(beta * eps_arr[mode])
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +680,10 @@ def toy_gibbs_experiment(
         model.pairing(Variant.A), model.pairing(Variant.B),
     )))
     for (norm_sq, m), (occ_a, occ_b, pair_a, pair_b) in zip(firsts, model_rows):
-        occ = expect(state, HermitianOperator(basis, number_operator(basis, m)))
+        occ = expect(state, number_operator(basis, m))
         neg = next(mm for mm in modes if mm.n == m.negated())
         pair_op = ladder_word(basis, [(m, "create"), (neg, "create")])
-        pair_val = expect(state, HermitianOperator(basis, pair_op))
+        pair_val = expect(state, pair_op)
         occupations[norm_sq] = occ
         pairings[norm_sq] = pair_val
 
@@ -745,14 +703,12 @@ def toy_gibbs_experiment(
     probe = modes[0]
     for other in modes[1:3]:
         cross = ladder_word(basis, [(probe, "create"), (other, "annihilate")])
-        offdiag_max = max(
-            offdiag_max, abs(expect(state, HermitianOperator(basis, cross)))
-        )
+        offdiag_max = max(offdiag_max, abs(expect(state, cross)))
 
     totals = basis.totals.astype(float)
-    n_plus = expect(state, HermitianOperator(basis, total_number(basis)))
+    n_plus = expect(state, total_number(basis))
     pair_moment = diagonal_operator(basis, totals * (totals - 1.0))
-    n_plus_sq = expect(state, HermitianOperator(basis, pair_moment))
+    n_plus_sq = expect(state, pair_moment)
 
     report = GibbsReport(
         beta=beta,

@@ -507,13 +507,12 @@ def solve_scattering(
     return ScatteringSolution(a=a, r_max=r_max, potential=potential, tol=tol, dense=dense)
 
 
-def energy_functional(sol: ScatteringSolution, include_tail: bool = True) -> float:
+def energy_functional(sol: ScatteringSolution) -> float:
     """Scattering length via the radial energy integral, cross-checking the ODE route.
 
-    Evaluates int_0^{r_max} [ (u' - u/r)^2 + V u^2 / 2 ] dr; with
-    ``include_tail`` the analytic remainder a^2/r_max of the affine tail is
-    added, without it the value converges to ``a`` from below at rate
-    1/r_max.
+    Evaluates int_0^{r_max} [ (u' - u/r)^2 + V u^2 / 2 ] dr plus a^2/r_max,
+    the analytic remainder of the affine tail; the integral alone converges
+    to ``a`` from below at rate 1/r_max.
 
     Each breakpoint piece of [0, r_max] gets a composite Simpson rule of at
     least 512 intervals; the rules are built for groups of whole pieces and
@@ -540,10 +539,7 @@ def energy_functional(sol: ScatteringSolution, include_tail: bool = True) -> flo
                             np.repeat(hi_in[group], size))
         ends = np.cumsum(size)[:-1]
         pieces += [float(wp @ gp) for wp, gp in zip(np.split(w, ends), np.split(integrand, ends))]
-    value = math.fsum(pieces)
-    if include_tail:
-        value += sol.a * sol.a / sol.r_max
-    return value
+    return math.fsum(pieces) + sol.a * sol.a / sol.r_max
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +809,6 @@ def _radial_transform(
     c_u: float = 0.0,
     neumann: NeumannSolution | None = None,
     times_v: bool = False,
-    points_per_unit: float | None = None,
 ) -> _RadialTransform:
     """Transform of the profile G = (c_r r + c_u u) V^times_v, u from ``neumann``.
 
@@ -821,10 +816,10 @@ def _radial_transform(
     (1, -1) gives w = 1 - f and (0, 1) gives f on the ball; with times_v,
     (0, 1) gives V f and, without a ball solution, (1, 0) gives V.
     Profiles with the factor V vanish past the support and are sampled ten
-    times finer; the others run on exactly over the ball.
+    times finer, 40,000 Simpson intervals per unit length against 4,000; the
+    others run on exactly over the ball.
     """
-    if points_per_unit is None:
-        points_per_unit = 40000.0 if times_v else 4000.0
+    points_per_unit = 40000.0 if times_v else 4000.0
 
     def profile(r):
         g = c_r * r if neumann is None else c_r * r + c_u * neumann.dense.u(r)
@@ -834,10 +829,9 @@ def _radial_transform(
     return _RadialTransform(profile, _pieces(potential)[0], points_per_unit, exterior)
 
 
-def potential_fourier(potential: RadialPotential, points_per_unit: float = 40000.0):
+def potential_fourier(potential: RadialPotential):
     """Radial Fourier transform of the bare potential as a callable of k >= 0."""
-    transform = _radial_transform(potential, 1.0, times_v=True,
-                                  points_per_unit=points_per_unit)
+    transform = _radial_transform(potential, 1.0, times_v=True)
 
     def v_hat(k: float) -> float:
         return transform(abs(k))[0]
@@ -930,32 +924,18 @@ class KernelTable:
 
 
 def kernel_table(
-    potential: RadialPotential,
+    scattering: ScatteringSolution,
+    neumann: NeumannSolution,
     N: int,
-    ell: float,
     cutoff_norm_sq: int,
-    tol: float = 1e-10,
-    scattering_r_max: float | None = None,
-    scattering: ScatteringSolution | None = None,
-    neumann: NeumannSolution | None = None,
 ) -> KernelTable:
-    """Solve both radial problems and assemble eta, tau, nu on the shells up to the cutoff.
+    """eta, tau and nu on the shells up to the cutoff, from both radial solutions.
 
-    ``ell`` is the ball-radius parameter (ball radius N*ell); it must keep
-    the ball inside the unit cell, ell < 1/2.  Precomputed solutions may be
-    passed to avoid repeating the solves.
+    eta and tau come from the ball solution at radius N*ell, nu from the
+    scattering length.
     """
-    if not (0.0 < ell < 0.5):
-        raise ValueError("ell must lie in (0, 1/2) so the ball fits the torus")
-    if scattering_r_max is None:
-        scattering_r_max = default_r_max(potential)
-    scat = scattering or solve_scattering(potential, r_max=scattering_r_max, tol=tol)
-    if neumann is None:
-        neumann = solve_neumann(potential, R=N * ell, tol=tol)
-    if abs(neumann.R - N * ell) > 1e-9 * max(1.0, N * ell):
-        raise ValueError("precomputed ball solution has the wrong radius")
     norm_sq, _, p_sq = shell_table(cutoff_norm_sq)
     eta = eta_coefficients(neumann, N, p_sq)
     tau = tau_coefficients(eta, neumann, N, p_sq)
-    nu = nu_coefficients(scat.a, p_sq)
+    nu = nu_coefficients(scattering.a, p_sq)
     return KernelTable(N=N, norm_sq=norm_sq, p_sq=p_sq, eta=eta, tau=tau, nu=nu)

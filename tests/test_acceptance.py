@@ -19,20 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import (
-    ThermalConfig,
-    Variant,
-    dispersion,
-    mu_sq,
-    nu_coefficient,
-)
+from bosegas.bogoliubov import ThermalConfig, Variant, mode_coefficients
 from bosegas.cli import main
 from bosegas.density import build_rho1, build_rho2
-from bosegas.fock import build_basis, build_D, expect, gibbs, HermitianOperator, number_operator
+from bosegas.fock import build_basis, expect, gibbs, number_operator
 from bosegas.lattice import TWO_PI, enumerate_shells
 from bosegas.oracles import (
     adjudicate_variants,
-    occupation_closed_form,
     pairing_expectation,
     partition_product_check,
     rotated_number_expectation,
@@ -48,6 +41,7 @@ from bosegas.scattering import (
     solve_scattering,
     zero_potential,
 )
+from fock_reference import build_D, occupation_closed_form
 
 SOFT = RadialPotential.soft_sphere(100.0, 0.5)
 SOFT_A = 0.35881866549216315  # R - tanh(kappa R)/kappa at 40 digits
@@ -65,10 +59,9 @@ def test_criterion_01_hyperbolic_identity_suite():
     for a in (0.1, 1.0, 10.0):
         for shell in enumerate_shells(50):
             p_sq = shell.members[0].p_sq
-            nu = nu_coefficient(p_sq, a)
-            eps = dispersion(p_sq, a)
-            assert abs(math.sinh(nu) ** 2 / mu_sq(p_sq, a) - 1.0) <= 1e-12
-            assert abs(math.cosh(2 * nu) * eps / (p_sq + 8 * math.pi * a) - 1.0) <= 1e-12
+            c = mode_coefficients(p_sq, a)
+            assert abs(math.sinh(c.nu) ** 2 / c.mu_sq - 1.0) <= 1e-12
+            assert abs(math.cosh(2 * c.nu) * c.eps / (p_sq + 8 * math.pi * a) - 1.0) <= 1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
     _report(1, "sinh^2(nu)=mu^2 and cosh(2 nu)=(p^2+8 pi a)/eps to 1e-12 on shells <= 50", started)
@@ -105,7 +98,9 @@ def test_criterion_04_kernel_bounds_and_decay():
     # bounds and shell trends at N=50 (chosen so the smooth kernel envelope
     # dominates the finite-ball oscillation; see decisions notes)
     N = 50
-    table = kernel_table(SOFT, N=N, ell=0.495, cutoff_norm_sq=400, tol=1e-10)
+    scattering = solve_scattering(SOFT, r_max=20.0 * SOFT.support_radius, tol=1e-10)
+    neumann = solve_neumann(SOFT, R=N * 0.495, tol=1e-10)
+    table = kernel_table(scattering, neumann, N, cutoff_norm_sq=400)
     p_sq = TWO_PI**2 * table.norm_sq
     eta_env = np.abs(table.eta) * p_sq
     tau_env = np.abs(table.tau) * p_sq**2
@@ -119,13 +114,13 @@ def test_criterion_04_kernel_bounds_and_decay():
     assert tau_env[half:].max() <= tau_env[:half].max()
     assert eta_env[half:].max() <= eta_env[:half].max()
 
-    neumann = solve_neumann(SOFT, R=N * 0.495, tol=1e-10)
     res, tol = kernel_identity_residuals(neumann, N, table.p_sq)
     assert np.all(np.abs(res) <= tol)
 
     gaps = {}
     for n_val in (100, 200):
-        t = kernel_table(SOFT, N=n_val, ell=0.495, cutoff_norm_sq=50, tol=1e-10)
+        ball = solve_neumann(SOFT, R=n_val * 0.495, tol=1e-10)
+        t = kernel_table(scattering, ball, n_val, cutoff_norm_sq=50)
         gaps[n_val] = np.max(np.abs(t.eta + t.tau - t.nu))
     assert gaps[200] <= 0.6 * gaps[100]
     _report(4, "kernel envelopes bounded/decaying, identity residual below quadrature "
@@ -150,15 +145,15 @@ def test_criterion_05_free_gas_exactness():
 def test_criterion_06_quadratic_oracle_exactness():
     started = time.monotonic()
     configs = [
-        (np.array([dispersion(m.p_sq, SOFT_A) for m in PHYS_SHELL1]), PHYS_SHELL1),
-        (np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1]), UNIT_SHELL1),
+        (mode_coefficients([m.p_sq for m in PHYS_SHELL1], SOFT_A).eps, PHYS_SHELL1),
+        (mode_coefficients([m.p_sq for m in UNIT_SHELL1], 0.05).eps, UNIT_SHELL1),
     ]
     for eps, modes in configs:
         basis = build_basis(modes, 12)
         for beta in (0.5, 1.0, 2.0):
             gs = gibbs(build_D(basis, eps), beta)
             for j, mode in enumerate(modes):
-                via_gibbs = expect(gs, HermitianOperator(basis, number_operator(basis, mode)))
+                via_gibbs = expect(gs, number_operator(basis, mode))
                 capped, _ = occupation_closed_form(eps, beta, 12, mode=j)
                 assert abs(via_gibbs - capped) <= 1e-12 * max(capped, 1e-300)
     _report(6, "thermal occupations of the diagonal ensemble match the independent "
@@ -167,7 +162,7 @@ def test_criterion_06_quadratic_oracle_exactness():
 
 def test_criterion_07_partition_sandwich():
     started = time.monotonic()
-    eps = np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1])
+    eps = mode_coefficients([m.p_sq for m in UNIT_SHELL1], 0.05).eps
     gaps = []
     for cap in (8, 12, 16):
         basis = build_basis(UNIT_SHELL1, cap)
@@ -183,8 +178,8 @@ def test_criterion_07_partition_sandwich():
 def test_criterion_08_rotation_oracle_cold_limit():
     started = time.monotonic()
     a, cap = 0.05, 14
-    eps = np.array([dispersion(m.p_sq, a) for m in UNIT_SHELL1])
-    nu = np.array([nu_coefficient(m.p_sq, a) for m in UNIT_SHELL1])
+    c = mode_coefficients([m.p_sq for m in UNIT_SHELL1], a)
+    eps, nu = c.eps, c.nu
     basis = build_basis(UNIT_SHELL1, cap)
     bound = squeezing_truncation_bound([nu[0]] * 3, cap)
 
@@ -226,11 +221,12 @@ def test_criterion_10_density_model_bookkeeping():
         cold = ThermalConfig(a=1.0, beta=1e3, variant=variant)
         dm1 = build_rho1(cold, N, cutoff=50)
         assert dm1.norm_sq[0] == 1  # the smallest shell
-        assert abs(dm1.excited_weights[0] - mu_sq(TWO_PI * TWO_PI, 1.0)) <= 1e-30
+        assert abs(dm1.excited_weights[0] - mode_coefficients(TWO_PI * TWO_PI, 1.0).mu_sq) <= 1e-30
 
         dm2 = build_rho2(cold, N, cutoff=50)
-        for j, pairing in zip(dm2.norm_sq.tolist(), dm2.pairing.tolist()):
-            expected = -4.0 * math.pi * 1.0 / dispersion(TWO_PI * TWO_PI * j, 1.0)
+        eps = mode_coefficients(TWO_PI * TWO_PI * dm2.norm_sq, 1.0).eps
+        for pairing, e in zip(dm2.pairing.tolist(), eps.tolist()):
+            expected = -4.0 * math.pi * 1.0 / e
             assert abs(pairing / expected - 1.0) <= 1e-6
     _report(10, "model traces equal N exactly; cold weights reduce to mu^2 (<=1e-30) "
                 "and the pairing block to -4 pi a/eps (1e-6) in both conventions", started)

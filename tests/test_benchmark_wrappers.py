@@ -10,6 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from bosegas.fock import build_basis, build_LN
+from bosegas.lattice import enumerate_shells, modes_up_to, shell_modes
+from sparse_reference import csr
+
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
@@ -29,3 +33,26 @@ def test_every_wrapped_name_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_record_counts_the_real_results():
+    # ``Tracer.record`` reads len() of modes_up_to and build_basis, the
+    # multiplicities of enumerate_shells and the nnz of build_LN's matrix;
+    # a change to those types would break only traced benchmark runs
+    Tracer = load_child().Tracer
+
+    shells = Tracer(0)
+    shells.record("lattice.enumerate_shells", enumerate_shells(2))
+    assert shells.counts == {"lattice.shells": 2, "lattice.modes": 6 + 12}
+
+    modes = Tracer(0)
+    modes.record("lattice.modes_up_to", modes_up_to(2))
+    assert modes.counts == {"lattice.modes": 6 + 12}
+
+    fock = Tracer(0)
+    basis = build_basis(shell_modes([1]), 2)
+    fock.record("fock.build_basis", basis)
+    ln = build_LN(basis, 16, lambda k: 1.0)
+    fock.record("fock.build_LN", ln)
+    assert fock.counts == {"fock.basis_states": 28, "fock.ln_nnz": csr(ln).nnz}  # C(8, 6) states
+    assert fock.counts["fock.ln_nnz"] > len(basis)  # the pair and quartic terms are counted

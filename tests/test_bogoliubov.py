@@ -10,12 +10,7 @@ from bosegas.bogoliubov import (
     Variant,
     bose_occupation,
     depletion_sums,
-    dispersion,
     mode_coefficients,
-    mu_sq,
-    nu_coefficient,
-    pairing_coeff,
-    theta_sq,
 )
 from bosegas.lattice import TWO_PI, enumerate_shells
 
@@ -24,11 +19,11 @@ DISPERSION_UNIT_MODE_A1 = 59.522660929122006844
 
 
 def test_dispersion_free_gas_reduces_to_kinetic():
-    assert dispersion(4.0 * math.pi**2, 0.0) == 4.0 * math.pi**2
+    assert mode_coefficients(4.0 * math.pi**2, 0.0).eps == 4.0 * math.pi**2
 
 
 def test_dispersion_frozen_value():
-    val = dispersion(TWO_PI**2, 1.0)
+    val = mode_coefficients(TWO_PI**2, 1.0).eps
     assert val == pytest.approx(DISPERSION_UNIT_MODE_A1, rel=1e-14)
 
 
@@ -36,24 +31,23 @@ def test_dispersion_frozen_value():
 def test_dispersion_dominates_kinetic_energy(a):
     for shell in enumerate_shells(20):
         p_sq = shell.members[0].p_sq
-        assert dispersion(p_sq, a) > p_sq
-        assert dispersion(p_sq, 0.0) == p_sq
+        assert mode_coefficients(p_sq, a).eps > p_sq
+        assert mode_coefficients(p_sq, 0.0).eps == p_sq
 
 
 def test_dispersion_monotone_in_both_arguments():
-    assert dispersion(2.0, 1.0) < dispersion(3.0, 1.0)
-    assert dispersion(2.0, 1.0) < dispersion(2.0, 2.0)
+    assert mode_coefficients(2.0, 1.0).eps < mode_coefficients(3.0, 1.0).eps
+    assert mode_coefficients(2.0, 1.0).eps < mode_coefficients(2.0, 2.0).eps
 
 
 def test_mu_sq_vanishes_without_interaction():
-    assert mu_sq(7.7, 0.0) == 0.0
+    assert mode_coefficients(7.7, 0.0).mu_sq == 0.0
 
 
 def test_mu_sq_matches_direct_formula():
-    p_sq, a = 5.0, 0.7
-    eps = dispersion(p_sq, a)
-    direct = (p_sq + 8 * math.pi * a - eps) / (2 * eps)
-    assert mu_sq(p_sq, a) == pytest.approx(direct, rel=1e-12)
+    c = mode_coefficients(5.0, 0.7)
+    direct = (5.0 + 8 * math.pi * 0.7 - c.eps) / (2 * c.eps)
+    assert c.mu_sq == pytest.approx(direct, rel=1e-12)
 
 
 def test_mu_sq_large_momentum_envelope():
@@ -63,7 +57,7 @@ def test_mu_sq_large_momentum_envelope():
     vals = []
     for norm_sq in (400, 1600):
         p_sq = TWO_PI**2 * norm_sq
-        vals.append(p_sq**2 * mu_sq(p_sq, a))
+        vals.append(p_sq**2 * mode_coefficients(p_sq, a).mu_sq)
     assert vals[0] < vals[1] < limit
     assert vals[1] == pytest.approx(limit, rel=1e-2)
 
@@ -75,58 +69,55 @@ def test_bose_occupation_is_stable_and_underflows_cleanly():
 
 
 def test_theta_sq_zero_temperature_limit():
-    p_sq = TWO_PI**2
+    c = mode_coefficients(TWO_PI**2, 1.0, 1e3)
     for variant in Variant:
-        assert theta_sq(p_sq, 1.0, 1e3, variant) < 1e-30
+        assert c.theta_sq(variant) < 1e-30
 
 
 def test_theta_sq_free_gas_variant_B_is_bose_occupation():
     p_sq, beta = TWO_PI**2, 0.5
-    assert theta_sq(p_sq, 0.0, beta, Variant.B) == pytest.approx(
+    assert mode_coefficients(p_sq, 0.0, beta).theta_sq_B == pytest.approx(
         bose_occupation(beta * p_sq), rel=1e-14
     )
 
 
 def test_theta_sq_variants_differ_by_dispersion_factor():
-    p_sq, a, beta = 2.0 * TWO_PI**2, 0.4, 0.02
-    eps = dispersion(p_sq, a)
-    assert theta_sq(p_sq, a, beta, Variant.A) == pytest.approx(
-        theta_sq(p_sq, a, beta, Variant.B) * eps, rel=1e-14
-    )
+    c = mode_coefficients(2.0 * TWO_PI**2, 0.4, 0.02)
+    assert c.theta_sq_A == pytest.approx(c.theta_sq_B * c.eps, rel=1e-14)
 
 
 def test_pairing_vanishes_without_interaction():
+    c = mode_coefficients(3.0, 0.0, 1.0)
     for variant in Variant:
-        assert pairing_coeff(3.0, 0.0, 1.0, variant) == 0.0
+        assert c.pairing(variant) == 0.0
 
 
 def test_pairing_variants_coincide_at_zero_temperature():
-    p_sq, a = TWO_PI**2, 0.7
-    eps = dispersion(p_sq, a)
+    a = 0.7
+    c = mode_coefficients(TWO_PI**2, a, 1e3)
     for variant in Variant:
-        val = pairing_coeff(p_sq, a, 1e3, variant)
-        assert val == pytest.approx(-4.0 * math.pi * a / eps, rel=1e-14)
+        val = c.pairing(variant)
+        assert val == pytest.approx(-4.0 * math.pi * a / c.eps, rel=1e-14)
         assert val < 0.0
 
 
 def test_pairing_variant_B_equals_rotation_identity():
     # B-form is sinh(2 nu)/2 * (1 + 2/(e^{beta eps}-1)), sinh(2 nu) = -8 pi a/eps
-    p_sq, a, beta = 1.0, 0.05, 2.0
-    eps = dispersion(p_sq, a)
-    nu = nu_coefficient(p_sq, a)
-    expected = 0.5 * math.sinh(2 * nu) * (1.0 + 2.0 * bose_occupation(beta * eps))
-    assert pairing_coeff(p_sq, a, beta, Variant.B) == pytest.approx(expected, rel=1e-12)
-    assert math.sinh(2 * nu) == pytest.approx(-8.0 * math.pi * a / eps, rel=1e-12)
+    a, beta = 0.05, 2.0
+    c = mode_coefficients(1.0, a, beta)
+    nu = float(c.nu)
+    expected = 0.5 * math.sinh(2 * nu) * (1.0 + 2.0 * bose_occupation(beta * c.eps))
+    assert c.pairing_B == pytest.approx(expected, rel=1e-12)
+    assert math.sinh(2 * nu) == pytest.approx(-8.0 * math.pi * a / c.eps, rel=1e-12)
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
 def test_hyperbolic_identities_on_shells(a):
     for shell in enumerate_shells(50):
         p_sq = shell.members[0].p_sq
-        nu = nu_coefficient(p_sq, a)
-        eps = dispersion(p_sq, a)
-        assert math.sinh(nu) ** 2 == pytest.approx(mu_sq(p_sq, a), rel=1e-12)
-        assert math.cosh(2 * nu) == pytest.approx((p_sq + 8 * math.pi * a) / eps, rel=1e-12)
+        c = mode_coefficients(p_sq, a)
+        assert math.sinh(c.nu) ** 2 == pytest.approx(c.mu_sq, rel=1e-12)
+        assert math.cosh(2 * c.nu) == pytest.approx((p_sq + 8 * math.pi * a) / c.eps, rel=1e-12)
 
 
 @given(
@@ -135,21 +126,19 @@ def test_hyperbolic_identities_on_shells(a):
 )
 @settings(max_examples=200, deadline=None)
 def test_hyperbolic_identities_property(a, norm_sq):
-    p_sq = TWO_PI**2 * norm_sq
-    nu = nu_coefficient(p_sq, a)
-    assert math.sinh(nu) ** 2 == pytest.approx(mu_sq(p_sq, a), rel=1e-11)
+    c = mode_coefficients(TWO_PI**2 * norm_sq, a)
+    assert math.sinh(c.nu) ** 2 == pytest.approx(c.mu_sq, rel=1e-11)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 def test_theta_identities_per_convention(beta):
     a = 0.8
     for shell in enumerate_shells(20):
-        p_sq = shell.members[0].p_sq
-        eps = dispersion(p_sq, a)
-        cosh2 = math.cosh(2.0 * nu_coefficient(p_sq, a))
-        occ = bose_occupation(beta * eps)
-        assert theta_sq(p_sq, a, beta, Variant.A) == pytest.approx(cosh2 * eps * occ, rel=1e-12)
-        assert theta_sq(p_sq, a, beta, Variant.B) == pytest.approx(cosh2 * occ, rel=1e-12)
+        c = mode_coefficients(shell.members[0].p_sq, a, beta)
+        cosh2 = math.cosh(2.0 * c.nu)
+        occ = bose_occupation(beta * c.eps)
+        assert c.theta_sq_A == pytest.approx(cosh2 * c.eps * occ, rel=1e-12)
+        assert c.theta_sq_B == pytest.approx(cosh2 * occ, rel=1e-12)
 
 
 def test_coefficients_decrease_along_shells():
@@ -198,13 +187,6 @@ def test_depletion_sums_cutoff_self_consistency():
 def test_shell_constancy_of_all_coefficients():
     a, beta = 0.6, 0.9
     for shell in enumerate_shells(9):
-        values = {
-            (
-                dispersion(m.p_sq, a),
-                mu_sq(m.p_sq, a),
-                theta_sq(m.p_sq, a, beta, Variant.A),
-                nu_coefficient(m.p_sq, a),
-            )
-            for m in shell.members
-        }
+        c = mode_coefficients([m.p_sq for m in shell.members], a, beta)
+        values = set(zip(c.eps.tolist(), c.mu_sq.tolist(), c.theta_sq_A.tolist(), c.nu.tolist()))
         assert len(values) == 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bosegas
+import bosegas.cli
 import bosegas.lattice
 from bosegas.cli import main
 
@@ -214,6 +215,20 @@ def test_usage_error_exit_code(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "ValueError"
     assert "unknown potential kind" in record["message"]
+
+
+@pytest.mark.parametrize("ell", [0.0, -0.1, 0.5])
+def test_ball_radius_outside_the_torus_is_refused_before_any_solve(tmp_path, monkeypatch, ell):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scatter solved a radial problem for an invalid ell")
+
+    monkeypatch.setattr(bosegas.cli, "solve_scattering", refuse)
+    monkeypatch.setattr(bosegas.cli, "solve_neumann", refuse)
+    out = tmp_path / "ell"
+    assert main(["scatter", "--output-dir", str(out), *FAST_SETS, "--set", f"ell={ell}"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "ell must lie in (0, 1/2)" in record["message"]
 
 
 def test_missing_config_file_is_usage_error(tmp_path, monkeypatch):

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import ThermalConfig, Variant, dispersion, mu_sq
+from bosegas.bogoliubov import ThermalConfig, Variant, mode_coefficients
 from bosegas.density import (
     build_rho1,
     build_rho2,
@@ -41,7 +42,7 @@ def test_pure_condensate_limit():
 def test_zero_temperature_weights_reduce_to_quantum_depletion():
     cfg = ThermalConfig(a=1.0, beta=1e3, variant=Variant.B)
     dm = build_rho1(cfg, 10**6, cutoff=30)
-    expected = np.array([mu_sq(TWO_PI * TWO_PI * j, 1.0) for j in dm.norm_sq.tolist()])
+    expected = mode_coefficients(TWO_PI * TWO_PI * dm.norm_sq, 1.0).mu_sq
     assert np.max(np.abs(dm.excited_weights - expected)) <= 1e-30
 
 
@@ -69,9 +70,7 @@ def test_rho2_pairing_zero_temperature_limit():
     for variant in Variant:
         cfg = ThermalConfig(a=1.0, beta=1e3, variant=variant)
         dm = build_rho2(cfg, 10**6, cutoff=20)
-        expected = np.array(
-            [-4.0 * math.pi * 1.0 / dispersion(TWO_PI * TWO_PI * j, 1.0) for j in dm.norm_sq.tolist()]
-        )
+        expected = -4.0 * math.pi * 1.0 / mode_coefficients(TWO_PI * TWO_PI * dm.norm_sq, 1.0).eps
         assert np.max(np.abs(dm.pairing / expected - 1.0)) < 1e-6
 
 
@@ -150,6 +149,23 @@ class TestMinEigenvalue:
         dense_min = float(np.linalg.eigvalsh(arrow).min())
         expected = min(dense_min, float(np.min(dm.excited_weights)))
         assert dm2_min_eigenvalue(dm) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [100, 10**4, 10**6])
+    def test_arrow_minimum_matches_50_digit_reference(self, N):
+        # the arrow eigenvalue (w00 - sqrt(w00^2 + 4 sum c^2))/2 of the model's
+        # own float entries; its difference form loses up to ~1e-2 relative
+        # at N = 10^6, cutoff 1,000
+        for a in (0.02, 0.05, 0.1, 0.2):
+            for beta in (0.5, 2.0):
+                dm = build_rho2(ThermalConfig(a=a, beta=beta, variant=Variant.B), N, cutoff=1000)
+                with mpmath.workdps(50):
+                    c_sq = mpmath.fsum(
+                        m * mpmath.mpf(c) ** 2
+                        for m, c in zip(dm.multiplicity.tolist(), dm.pairing.tolist())
+                    )
+                    w00 = mpmath.mpf(dm.condensate_weight)
+                    exact = (w00 - mpmath.sqrt(w00 * w00 + 4 * c_sq)) / 2
+                    assert abs(dm2_min_eigenvalue(dm) / exact - 1) <= 1e-15
 
     def test_negativity_shrinks_with_particle_number(self):
         small = dm2_min_eigenvalue(build_rho2(CFG, 100, cutoff=10))

@@ -6,24 +6,20 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
-from bosegas.bogoliubov import dispersion
 from bosegas.errors import BasisSizeError, GuardError
 from bosegas.fock import (
+    GibbsState,
     HermitianOperator,
     build_basis,
-    build_D,
-    build_K,
     build_LN,
-    build_quadratic_generator,
     expect,
     gibbs,
     ladder,
-    momentum_operator,
-    number_operator,
     total_number,
 )
 from bosegas.lattice import TWO_PI, enumerate_shells
 from bosegas.scattering import RadialPotential, potential_fourier
+from fock_reference import build_D, build_quadratic_generator
 from sparse_reference import csr, triplets
 
 SHELL1 = [m for s in enumerate_shells(1) for m in s.members]
@@ -31,6 +27,16 @@ SHELL1 = [m for s in enumerate_shells(1) for m in s.members]
 
 def single_pair():
     return [m for m in SHELL1 if m.n in ((1, 0, 0), (-1, 0, 0))]
+
+
+def kinetic(basis):
+    """Kinetic energy sum_p |p|^2 n_p."""
+    return build_D(basis, [m.p_sq for m in basis.modes])
+
+
+def total_momentum(basis):
+    """(n_states, 3) total momentum of every basis state, in integer lattice units."""
+    return basis.occupations() @ np.array([m.n for m in basis.modes])
 
 
 def position(basis, occ):
@@ -57,7 +63,7 @@ class TestBasis:
     def test_state_accessor(self):
         basis = build_basis(single_pair(), 3)
         assert basis.totals[1] == 1
-        momentum = tuple(basis.occupations()[1] @ basis._n_vectors)
+        momentum = tuple(total_momentum(basis)[1].tolist())
         assert momentum in ((1, 0, 0), (-1, 0, 0))
 
 
@@ -110,7 +116,7 @@ class TestDiagonalBuilders:
         basis = build_basis(SHELL1, 3)
         eps = np.full(6, 2.5)
         D = build_D(basis, eps)
-        diag = D.diagonal()
+        diag = csr(D).diagonal()
         vac = position(basis, (0,) * 6)
         assert diag[vac] == 0.0
         single = position(basis, (1, 0, 0, 0, 0, 0))
@@ -120,15 +126,15 @@ class TestDiagonalBuilders:
 
     def test_kinetic_single_excitation(self):
         basis = build_basis(SHELL1, 2)
-        K = build_K(basis)
+        K = kinetic(basis)
         single = position(basis, (1, 0, 0, 0, 0, 0))
-        assert K.diagonal()[single] == pytest.approx(TWO_PI**2, rel=1e-14)
+        assert csr(K).diagonal()[single] == pytest.approx(TWO_PI**2, rel=1e-14)
 
     def test_kinetic_spectrum_is_occupation_sum(self):
         basis = build_basis(SHELL1, 3)
-        K = build_K(basis)
+        K = kinetic(basis)
         p_sq = np.array([m.p_sq for m in basis.modes])
-        assert np.allclose(K.diagonal(), basis.occupations() @ p_sq, rtol=1e-14)
+        assert np.allclose(csr(K).diagonal(), basis.occupations() @ p_sq, rtol=1e-14)
 
     def test_shell_consistency_enforced(self):
         basis = build_basis(SHELL1, 2)
@@ -149,8 +155,7 @@ class TestExcitationHamiltonian:
     def test_free_gas_reduces_to_kinetic(self):
         basis = build_basis(SHELL1, 4)
         ln = build_LN(basis, N=16, v_hat=lambda k: 0.0)
-        K = build_K(basis)
-        assert (csr(ln) - csr(K)).nnz == 0
+        assert (csr(ln) - csr(kinetic(basis))).nnz == 0
 
     def test_vacuum_expectation(self, ln_setup):
         basis, v_hat, ln = ln_setup
@@ -159,10 +164,12 @@ class TestExcitationHamiltonian:
 
     def test_exactly_hermitian_and_momentum_conserving(self, ln_setup):
         basis, _, ln = ln_setup
-        assert ln.hermiticity_defect() <= 1e-12
+        H = csr(ln)
+        assert abs(H - H.T).max() <= 1e-12
+        momenta = total_momentum(basis)
         for c in range(3):
-            P = csr(momentum_operator(basis, c))
-            comm = csr(ln) @ P - P @ csr(ln)
+            P = sp.diags(momenta[:, c].astype(float)).tocsr()
+            comm = H @ P - P @ H
             assert (abs(comm).max() if comm.nnz else 0.0) <= 1e-10
 
     def test_two_mode_hamiltonian_matches_hand_formula(self):
@@ -175,7 +182,7 @@ class TestExcitationHamiltonian:
         N, cap = 12, 3
         v_hat = potential_fourier(RadialPotential.soft_sphere(100.0, 0.5))
         basis = build_basis(pair, cap)
-        ln = build_LN(basis, N, v_hat).matrix.toarray()
+        ln = csr(build_LN(basis, N, v_hat)).toarray()
 
         v0, v1, v2 = v_hat(0.0), v_hat(TWO_PI / N), v_hat(2.0 * TWO_PI / N)
         ip = basis.mode_index[(1, 0, 0)]
@@ -190,8 +197,8 @@ class TestExcitationHamiltonian:
             diag += v0 / (2 * N) * (n_up * (n_up - 1) + n_dn * (n_dn - 1) + 2 * n_up * n_dn)
             diag += v2 / (2 * N) * 2 * n_up * n_dn
             expected[col, col] = diag
-        b_up = ladder(basis, pair[0], "b_create", N=N).toarray()
-        b_dn = ladder(basis, pair[1], "b_create", N=N).toarray()
+        b_up = csr(ladder(basis, pair[0], "b_create", N=N)).toarray()
+        b_dn = csr(ladder(basis, pair[1], "b_create", N=N)).toarray()
         anom = v1 * (b_up @ b_dn)
         expected += anom + anom.T
         assert np.max(np.abs(ln - expected)) < 1e-12
@@ -226,16 +233,16 @@ class TestQuadraticGenerator:
         pair = single_pair()
         for c, cap in ((0.1, 10), (0.3, 14)):
             basis = build_basis(pair, cap)
-            G = build_quadratic_generator(basis, [c, c]).toarray()
+            G = csr(build_quadratic_generator(basis, [c, c])).toarray()
             psi = expm(G)[:, position(basis, (0, 0))]
-            n_per_mode = float(psi @ (total_number(basis).toarray() @ psi)) / 2.0
+            n_per_mode = float(psi @ (csr(total_number(basis)).toarray() @ psi)) / 2.0
             tail = math.tanh(c) ** (2 * (cap // 2 + 1))
             assert abs(n_per_mode - math.sinh(c) ** 2) <= 4.0 * tail + 1e-12
 
     def test_squeezed_amplitudes_follow_tanh_series(self):
         c, cap = 0.25, 12
         basis = build_basis(single_pair(), cap)
-        G = build_quadratic_generator(basis, [c, c]).toarray()
+        G = csr(build_quadratic_generator(basis, [c, c])).toarray()
         psi = expm(G)[:, position(basis, (0, 0))]
         for k in range(cap // 2 + 1):
             expected = math.tanh(c) ** k / math.cosh(c)
@@ -257,17 +264,17 @@ class TestGibbs:
         basis = build_basis(single_pair(), 2)
         H = HermitianOperator(basis, triplets(sp.csr_matrix((6, 6))))
         gs = gibbs(H, beta=1.0)
-        assert np.allclose(gs.rho.diagonal(), 1.0 / 6.0, rtol=1e-14)
+        assert np.allclose(csr(gs.rho).diagonal(), 1.0 / 6.0, rtol=1e-14)
         identity = triplets(sp.identity(6, format="csr"))
-        assert expect(gs, HermitianOperator(basis, identity)) == pytest.approx(1.0)
+        assert expect(gs, identity) == pytest.approx(1.0)
 
     def test_diagonal_hamiltonian_boltzmann_weights(self):
         basis = build_basis(single_pair(), 3)
         D = build_D(basis, [1.3, 1.3])
         gs = gibbs(D, beta=0.7)
-        energies = D.diagonal()
+        energies = csr(D).diagonal()
         w = np.exp(-0.7 * (energies - energies.min()))
-        assert np.allclose(gs.rho.diagonal(), w / w.sum(), rtol=1e-14)
+        assert np.allclose(csr(gs.rho).diagonal(), w / w.sum(), rtol=1e-14)
         assert gs.Z == pytest.approx(float(w.sum()), rel=1e-14)
 
     def test_trace_one_and_positivity_dense_route(self):
@@ -275,7 +282,7 @@ class TestGibbs:
         G = csr(build_quadratic_generator(basis, [0.2, 0.2]))
         H = HermitianOperator(basis, triplets(csr(build_D(basis, [1.0, 1.0])) + 0.3 * (G @ G)))
         gs = gibbs(H, beta=0.9)
-        rho = gs.rho.toarray()
+        rho = csr(gs.rho).toarray()
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
         assert float(np.linalg.eigvalsh(rho).min()) >= -1e-12
 
@@ -283,7 +290,7 @@ class TestGibbs:
         basis = build_basis(single_pair(), 4)
         D = build_D(basis, [2.0, 2.0])
         gs = gibbs(D, beta=1e3)
-        diag = gs.rho.diagonal()
+        diag = csr(gs.rho).diagonal()
         vac = position(basis, (0, 0))
         assert diag[vac] == pytest.approx(1.0)
         assert float(np.sum(diag)) == pytest.approx(1.0)
@@ -291,7 +298,7 @@ class TestGibbs:
     def test_dense_guard(self):
         basis = build_basis(SHELL1, 6)
         G = csr(build_quadratic_generator(basis, np.full(6, 0.1)))
-        H = HermitianOperator(basis, triplets(csr(build_K(basis)) + (G - G.T)))
+        H = HermitianOperator(basis, triplets(csr(kinetic(basis)) + (G - G.T)))
         with pytest.raises(GuardError):
             gibbs(H, beta=1.0, dense_limit=10)
 
@@ -300,7 +307,7 @@ class TestGibbs:
         assert len(basis) == 18_564
         ln = build_LN(basis, N=16, v_hat=potential_fourier(RadialPotential.soft_sphere(100.0, 0.5)))
         gs = gibbs(ln, beta=0.03)
-        assert abs(float(gs.rho.diagonal().sum()) - 1.0) <= 1e-12
+        assert abs(float(csr(gs.rho).diagonal().sum()) - 1.0) <= 1e-12
 
     def test_each_component_of_LN_has_one_total_momentum(self):
         # gibbs diagonalizes per component; a term of L_N that broke momentum
@@ -309,23 +316,19 @@ class TestGibbs:
         basis = build_basis(modes, 4)
         ln = build_LN(basis, N=16, v_hat=potential_fourier(RadialPotential.soft_sphere(100.0, 0.5)))
         n_components, labels = connected_components(csr(ln), connection="weak")
-        momenta = np.column_stack(
-            [labels] + [momentum_operator(basis, c).diagonal() for c in range(3)]
-        )
+        momenta = np.column_stack([labels, total_momentum(basis)])
         assert len(np.unique(momenta, axis=0)) == n_components
 
     def test_expect_on_vacuum_projector(self):
         basis = build_basis(single_pair(), 2)
         vac = position(basis, (0, 0))
         rho = triplets(sp.csr_matrix(([1.0], ([vac], [vac])), shape=(6, 6)))
-        val = expect(HermitianOperator(basis, rho), HermitianOperator(basis, total_number(basis)))
-        assert val == 0.0
+        state = GibbsState(rho=rho, Z=1.0, beta=1.0, ground_energy=0.0)
+        assert expect(state, total_number(basis)) == 0.0
 
     def test_expect_rejects_basis_mismatch(self):
         b1 = build_basis(single_pair(), 2)
         b2 = build_basis(single_pair(), 3)
+        state = gibbs(HermitianOperator(b1, total_number(b1)), beta=1.0)
         with pytest.raises(ValueError):
-            expect(
-                HermitianOperator(b1, triplets(sp.identity(6, format="csr") / 6)),
-                HermitianOperator(b2, total_number(b2)),
-            )
+            expect(state, total_number(b2))

@@ -34,13 +34,12 @@ from bosegas.fock import (
     HermitianOperator,
     build_basis,
     build_LN,
-    build_quadratic_generator,
     ladder,
     number_operator,
     pair_partners,
-    _check_shell_consistent,
 )
 from bosegas.lattice import enumerate_shells
+from fock_reference import _check_shell_consistent, build_quadratic_generator
 from sparse_reference import csr
 
 SHELLS_1_2 = [m for s in enumerate_shells(2) for m in s.members]
@@ -229,7 +228,7 @@ def reference_build_LN(basis, N, v_hat):
 def reference_generator(basis, c, kind="a_type", N=None):
     c = np.asarray(c, dtype=float)
     builder = _SparseBuilder(len(basis))
-    pairs = pair_partners(basis)
+    pairs = pair_partners(basis.modes)
     states, index_of = state_tuples(basis)
     for col, occ in enumerate(states):
         total = sum(occ)
@@ -365,7 +364,7 @@ def sparse_product_generator(
             raise ValueError("b_type generator needs N >= cap")
     _check_shell_consistent(basis, c, "generator coefficient")
 
-    pairs = pair_partners(basis)
+    pairs = pair_partners(basis.modes)
     for i, j in pairs:
         if c[i] != c[j]:
             raise ValueError("generator coefficient must match on +-p pairs")

@@ -6,13 +6,13 @@ import pytest
 from bosegas.lattice import (
     TWO_PI,
     enumerate_shells,
-    lattice_sum,
     modes_up_to,
     shell_modes,
+    shell_sum,
     shell_table,
     tail_norm_bound,
 )
-from bosegas.bogoliubov import mu_sq
+from bosegas.bogoliubov import mode_coefficients
 
 
 def brute_multiplicities(max_norm_sq):
@@ -113,42 +113,44 @@ def test_zero_mode_is_rejected():
         Mode(n=(0, 0, 0), p=(0.0, 0.0, 0.0), p_sq=0.0)
 
 
+def p_sq_column(cutoff):
+    return shell_table(cutoff)[2]
+
+
 def test_lattice_sum_of_zero_is_zero():
-    res = lattice_sum(lambda p_sq: 0.0, 30, tail_exponent=2.0)
+    res = shell_sum(np.zeros(len(p_sq_column(30))), 30, tail_exponent=2.0)
     assert res.value == 0.0
     assert res.tail_bound == 0.0
     assert res.cutoff_norm_sq == 30
 
 
 def test_lattice_sum_of_mu_sq_vanishes_for_zero_scattering_length():
-    res = lattice_sum(lambda p_sq: mu_sq(p_sq, 0.0), 20, tail_exponent=2.0)
+    res = shell_sum(mode_coefficients(p_sq_column(20), 0.0).mu_sq, 20, tail_exponent=2.0)
     assert res.value == 0.0
 
 
 def test_lattice_sum_rejects_non_summable_tail():
     with pytest.raises(ValueError):
-        lattice_sum(lambda p_sq: p_sq**-2, 10, tail_exponent=1.5)
+        shell_sum(p_sq_column(10) ** -2, 10, tail_exponent=1.5)
 
 
 def test_inverse_quartic_sum_cutoff_consistency():
-    f = lambda p_sq: p_sq**-2  # noqa: E731
-    small = lattice_sum(f, 30, tail_exponent=2.0)
-    large = lattice_sum(f, 120, tail_exponent=2.0)
+    small = shell_sum(p_sq_column(30) ** -2, 30, tail_exponent=2.0)
+    large = shell_sum(p_sq_column(120) ** -2, 120, tail_exponent=2.0)
     assert abs(large.value - small.value) <= small.tail_bound
     assert large.value >= small.value  # cutoff-monotone for non-negative f
 
 
 def test_mu_sq_sum_tail_bound_covers_quadrupled_cutoff():
-    f = lambda p_sq: mu_sq(p_sq, 1.0)  # noqa: E731
-    small = lattice_sum(f, 100, tail_exponent=2.0)
-    large = lattice_sum(f, 400, tail_exponent=2.0)
+    small = shell_sum(mode_coefficients(p_sq_column(100), 1.0).mu_sq, 100, tail_exponent=2.0)
+    large = shell_sum(mode_coefficients(p_sq_column(400), 1.0).mu_sq, 400, tail_exponent=2.0)
     assert abs(large.value - small.value) <= small.tail_bound
 
 
 def test_lattice_sum_is_bit_reproducible():
-    f = lambda p_sq: mu_sq(p_sq, 0.7)  # noqa: E731
-    first = lattice_sum(f, 50, tail_exponent=2.0)
-    second = lattice_sum(f, 50, tail_exponent=2.0)
+    mu = mode_coefficients(p_sq_column(50), 0.7).mu_sq
+    first = shell_sum(mu, 50, tail_exponent=2.0)
+    second = shell_sum(mu, 50, tail_exponent=2.0)
     assert first.value == second.value
     assert first.tail_bound == second.tail_bound
 

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bosegas.bogoliubov import bose_occupation, dispersion, nu_coefficient
+from bosegas.bogoliubov import mode_coefficients
 from bosegas.errors import GuardError
 from bosegas.fock import (
-    HermitianOperator,
     build_basis,
-    build_D,
-    build_quadratic_generator,
     expect,
     gibbs,
     ladder,
@@ -20,7 +17,6 @@ from bosegas.fock import (
 from bosegas.lattice import enumerate_shells
 from bosegas.oracles import (
     adjudicate_variants,
-    occupation_closed_form,
     pairing_expectation,
     partition_product_check,
     rotated_number_expectation,
@@ -28,6 +24,7 @@ from bosegas.oracles import (
     toy_gibbs_experiment,
 )
 from bosegas.scattering import RadialPotential, zero_potential
+from fock_reference import build_D, build_quadratic_generator, occupation_closed_form
 from sparse_reference import csr
 
 UNIT_SHELL1 = [m for s in enumerate_shells(1, momentum_scale=1.0) for m in s.members]
@@ -35,6 +32,10 @@ PHYS_SHELL1 = [m for s in enumerate_shells(1) for m in s.members]
 
 # direct finite sum: sum_{k<=5} k e^-k / sum_{k<=5} e^-k at 40 digits
 CAPPED_OCC_M5 = 0.5670672369282589
+
+
+def unit_shell1_coefficients(a):
+    return mode_coefficients([m.p_sq for m in UNIT_SHELL1], a)
 
 
 def unit_pair():
@@ -60,11 +61,11 @@ class TestOccupationClosedForm:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_matches_gibbs_route_to_machine_precision(self, beta):
         a = 0.05
-        eps = np.array([dispersion(m.p_sq, a) for m in UNIT_SHELL1])
+        eps = unit_shell1_coefficients(a).eps
         basis = build_basis(UNIT_SHELL1, 9)
         gs = gibbs(build_D(basis, eps), beta)
         for j, mode in enumerate(UNIT_SHELL1[:2]):
-            via_gibbs = expect(gs, HermitianOperator(basis, number_operator(basis, mode)))
+            via_gibbs = expect(gs, number_operator(basis, mode))
             capped, _ = occupation_closed_form(eps, beta, basis.cap, mode=j)
             assert via_gibbs == pytest.approx(capped, rel=1e-12)
 
@@ -79,7 +80,7 @@ class TestPartitionSandwich:
         assert res.brute == pytest.approx(res.product_upper, rel=1e-14)
 
     def test_shell_sandwich_and_monotone_gap(self):
-        eps = np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1])
+        eps = unit_shell1_coefficients(0.05).eps
         gaps, excesses = [], []
         for cap in (8, 12, 16):
             basis = build_basis(UNIT_SHELL1, cap)
@@ -92,7 +93,7 @@ class TestPartitionSandwich:
         assert excesses[0] > excesses[1] > excesses[2]
 
     def test_doubling_beta_shrinks_everything(self):
-        eps = np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1])
+        eps = unit_shell1_coefficients(0.05).eps
         basis = build_basis(UNIT_SHELL1, 8)
         r1 = partition_product_check(basis, eps, beta=1.0)
         r2 = partition_product_check(basis, eps, beta=2.0)
@@ -109,12 +110,12 @@ class TestRotatedExpectations:
     def test_sector_route_matches_dense_conjugation(self):
         a, beta = 0.05, 2.0
         basis = build_basis(UNIT_SHELL1, 5)
-        eps = np.array([dispersion(m.p_sq, a) for m in UNIT_SHELL1])
-        nu = np.array([nu_coefficient(m.p_sq, a) for m in UNIT_SHELL1])
-        G = build_quadratic_generator(basis, nu).toarray()
+        c = unit_shell1_coefficients(a)
+        eps, nu = c.eps, c.nu
+        G = csr(build_quadratic_generator(basis, nu)).toarray()
         U = expm(G)
-        rho = gibbs(build_D(basis, eps), beta).rho.toarray()
-        n_dense = float(np.trace(U.T @ total_number(basis).toarray() @ U @ rho))
+        rho = csr(gibbs(build_D(basis, eps), beta).rho).toarray()
+        n_dense = float(np.trace(U.T @ csr(total_number(basis)).toarray() @ U @ rho))
         res = rotated_number_expectation(basis, nu, eps, beta)
         assert res.value == pytest.approx(n_dense, abs=1e-13)
 
@@ -137,10 +138,10 @@ class TestRotatedExpectations:
         eps = np.array([1.3 if m.norm_sq == 1 else 2.1 for m in modes])
         beta = 0.8
         basis = build_basis(modes, 6)
-        G = build_quadratic_generator(basis, nu).toarray()
+        G = csr(build_quadratic_generator(basis, nu)).toarray()
         U = expm(G)
-        rho = gibbs(build_D(basis, eps), beta).rho.toarray()
-        dense = float(np.trace(U.T @ total_number(basis).toarray() @ U @ rho))
+        rho = csr(gibbs(build_D(basis, eps), beta).rho).toarray()
+        dense = float(np.trace(U.T @ csr(total_number(basis)).toarray() @ U @ rho))
         res = rotated_number_expectation(basis, nu, eps, beta)
         assert res.value == pytest.approx(dense, abs=1e-13)
 
@@ -152,7 +153,7 @@ class TestRotatedExpectations:
         assert pres.value == pytest.approx(dense_pair, abs=1e-13)
 
     def test_zero_rotation_returns_capped_occupations(self):
-        eps = np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1])
+        eps = unit_shell1_coefficients(0.05).eps
         basis = build_basis(UNIT_SHELL1, 8)
         res = rotated_number_expectation(basis, np.zeros(6), eps, beta=1.0)
         expected = sum(
@@ -161,8 +162,8 @@ class TestRotatedExpectations:
         assert res.value == pytest.approx(expected, rel=1e-12)
 
     def test_sector_partition_sum_matches_brute_enumeration(self):
-        eps = np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1])
-        nu = np.array([nu_coefficient(m.p_sq, 0.05) for m in UNIT_SHELL1])
+        c = unit_shell1_coefficients(0.05)
+        eps, nu = c.eps, c.nu
         basis = build_basis(UNIT_SHELL1, 9)
         res = rotated_number_expectation(basis, nu, eps, beta=1.1)
         energies = basis.occupations() @ eps
@@ -170,15 +171,15 @@ class TestRotatedExpectations:
         assert res.Z == pytest.approx(brute, rel=1e-12)
 
     def test_zero_rotation_has_no_pairing(self):
-        eps = np.array([dispersion(m.p_sq, 0.05) for m in UNIT_SHELL1])
+        eps = unit_shell1_coefficients(0.05).eps
         basis = build_basis(UNIT_SHELL1, 8)
         res = pairing_expectation(basis, np.zeros(6), eps, beta=1.0, mode=UNIT_SHELL1[0])
         assert abs(res.value) < 1e-14
 
     def test_cold_limit_reproduces_squeezed_vacuum(self):
         a = 0.05
-        eps = np.array([dispersion(m.p_sq, a) for m in UNIT_SHELL1])
-        nu = np.array([nu_coefficient(m.p_sq, a) for m in UNIT_SHELL1])
+        c = unit_shell1_coefficients(a)
+        eps, nu = c.eps, c.nu
         basis = build_basis(UNIT_SHELL1, 14)
         bound = squeezing_truncation_bound([nu[0]] * 3, 14)
         res = rotated_number_expectation(basis, nu, eps, beta=1e3)

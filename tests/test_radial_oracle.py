@@ -273,9 +273,8 @@ def test_flat_nodes_match_the_per_piece_rules(potential, R, k_share):
     neumann = solve_neumann(potential, R=R, tol=1e-10)
     b, breaks = potential.support_radius, potential.breakpoints()
     for c_r, c_u, times_v in ((1.0, -1.0, False), (0.0, 1.0, False), (0.0, 1.0, True)):
-        points_per_unit = 40000.0 if times_v else 4000.0
-        ours = _radial_transform(potential, c_r, c_u, neumann, times_v=times_v,
-                                 points_per_unit=points_per_unit)
+        points_per_unit = 40000.0 if times_v else 4000.0  # the package's sampling rule
+        ours = _radial_transform(potential, c_r, c_u, neumann, times_v=times_v)
         profile = ball_profile(neumann, c_r, c_u, times_v)
         pieces = ref_pieces(profile, b, breaks, points_per_unit)
         n = sum(len(r) for r, _, _, _ in pieces)

@@ -154,8 +154,9 @@ class TestEnergyFunctional:
     def test_tail_deficit_shrinks_at_rate_one_over_rmax(self):
         near = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
         far = solve_scattering(SOFT, r_max=20.0, tol=1e-10)
-        d_near = near.a - energy_functional(near, include_tail=False)
-        d_far = far.a - energy_functional(far, include_tail=False)
+        # the deficit of the integral alone, without the a^2/r_max tail
+        d_near = near.a - (energy_functional(near) - near.a**2 / 10.0)
+        d_far = far.a - (energy_functional(far) - far.a**2 / 20.0)
         assert d_near == pytest.approx(near.a**2 / 10.0, rel=1e-4)
         assert d_near / d_far == pytest.approx(2.0, rel=1e-3)
 
@@ -267,14 +268,12 @@ class TestKernels:
         res, tol = kernel_identity_residuals(neumann, N, p_sq)
         assert np.all(np.abs(res) <= tol)
 
-    def test_kernel_table_passes_explicit_zero_r_max_to_the_guard(self):
-        with pytest.raises(SolverError):
-            kernel_table(SOFT, N=20, ell=0.495, cutoff_norm_sq=3, scattering_r_max=0.0)
-
     def test_kernel_sum_approaches_nu_at_larger_N(self):
         gaps = {}
+        scattering = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
         for N in (50, 100):
-            table = kernel_table(SOFT, N=N, ell=0.495, cutoff_norm_sq=12, tol=1e-10)
+            neumann = solve_neumann(SOFT, R=N * 0.495, tol=1e-10)
+            table = kernel_table(scattering, neumann, N, cutoff_norm_sq=12)
             gaps[N] = np.max(np.abs(table.eta + table.tau - table.nu))
         assert gaps[100] <= 0.7 * gaps[50]
 
@@ -326,10 +325,7 @@ class TestKernels:
 
     def test_kernel_table_csv_layout(self, small_kernel_setup):
         N, _, neumann, scat = small_kernel_setup
-        table = kernel_table(
-            SOFT, N=N, ell=0.495, cutoff_norm_sq=20, tol=1e-10,
-            scattering=scat, neumann=neumann,
-        )
+        table = kernel_table(scat, neumann, N, cutoff_norm_sq=20)
         text = table.to_csv(comments=["test"])
         lines = text.strip().split("\n")
         assert lines[0] == "# test"

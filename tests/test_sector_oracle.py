@@ -37,7 +37,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from bosegas import fock, oracles
-from bosegas.bogoliubov import dispersion, nu_coefficient
+from bosegas.bogoliubov import mode_coefficients
 from bosegas.errors import GuardError
 from bosegas.fock import build_basis, composition_rank, compositions
 from bosegas.lattice import enumerate_shells, shell_modes
@@ -230,15 +230,12 @@ def assert_bits_equal(new, ref):
     assert new.tobytes() == ref.tobytes()
 
 
-def sector_states(n_pairs, cap):
-    """Sum of the sector dimensions (each label once)."""
-    return sum(
-        math.comb((cap - sum(d)) // 2 + n_pairs, n_pairs)
-        for d in _compositions(cap, n_pairs + 1)
-    )
+def sector_labels(n_pairs, cap):
+    """Number of sector labels |d|: the compositions of the cap into the pairs and a slack slot."""
+    return math.comb(cap + n_pairs, n_pairs)
 
 
-MAX_SECTOR_STATES = 4000
+MAX_SECTOR_LABELS = 4000
 MAX_CAP = 24  # the adjudication runs at cap 14 by default
 SIGNED_UNIT = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 ENERGY = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
@@ -246,10 +243,10 @@ ENERGY = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
 
 @st.composite
 def sector_cases(draw):
-    """(n_pairs, cap, nu_pairs, eps_pairs): 1-4 pairs, cap <= 24, at most 4,000 sector states."""
+    """(n_pairs, cap, nu_pairs, eps_pairs): 1-4 pairs, cap <= 24, at most 4,000 sector labels."""
     n_pairs = draw(st.integers(min_value=1, max_value=4))
     cap_max = 0
-    while cap_max < MAX_CAP and sector_states(n_pairs, cap_max + 1) <= MAX_SECTOR_STATES:
+    while cap_max < MAX_CAP and sector_labels(n_pairs, cap_max + 1) <= MAX_SECTOR_LABELS:
         cap_max += 1
     cap = draw(st.integers(min_value=0, max_value=cap_max))
     nu_pairs = draw(st.lists(SIGNED_UNIT, min_size=n_pairs, max_size=n_pairs))
@@ -351,8 +348,8 @@ def workload_rotation(beta=2.0):
     """
     modes = shell_modes([1], momentum_scale=1.0)
     a = 0.045
-    nu = [nu_coefficient(m.p_sq, a) for m in modes]
-    eps = [dispersion(m.p_sq, a) for m in modes]
+    c = mode_coefficients([m.p_sq for m in modes], a)
+    nu, eps = c.nu.tolist(), c.eps.tolist()
     return modes, 14, nu, eps, beta, modes[0]
 
 
@@ -453,8 +450,8 @@ def test_rotated_expectations_over_two_shells_at_beta_60(target_shell):
     pairs = PAIRS_BY_SHELL[1] + PAIRS_BY_SHELL[2][:1]
     modes = [m for pair in pairs for m in pair]
     a = 0.045
-    nu = [nu_coefficient(m.p_sq, a) for m in modes]
-    eps = [dispersion(m.p_sq, a) for m in modes]
+    c = mode_coefficients([m.p_sq for m in modes], a)
+    nu, eps = c.nu.tolist(), c.eps.tolist()
     mode = PAIRS_BY_SHELL[target_shell][0][1]
     assert_rotations_near_every_sector(modes, 12, nu, eps, 60.0, mode)
     assert_rotations_bit_equal(modes, 12, nu, eps, 60.0, mode)

@@ -175,6 +175,16 @@ def per_mode_model(cfg, N, cutoff, factor):
     return weights, pairing, N - math.fsum(weights)
 
 
+def ref_arrow_min(condensate, pairing):
+    """Smaller nonzero eigenvalue of the arrow block, from the per-mode pairing.
+
+    -2 C / (w00 + sqrt(w00^2 + 4 C)), C = sum c^2 exactly rounded: the
+    difference (w00 - sqrt(w00^2 + 4 C))/2 cancels.
+    """
+    c_sq = math.fsum(c * c for c in pairing)
+    return -2.0 * c_sq / (condensate + math.sqrt(condensate * condensate + 4.0 * c_sq))
+
+
 def per_mode_kernel_csv(scattering, neumann, N, cutoff):
     """kernels.csv from one transform call per mode's k, keeping the first
     mode of each shell, in ascending |n|^2."""
@@ -255,9 +265,7 @@ def test_density_models_bit_equal_per_mode_reference(cutoff, a, beta, N):
         assert dm_trace_norm_diff(x, y) == math.fsum(parts)
 
     dm, weights, pairing, condensate = built["dm2", Variant.B]
-    c = np.array(pairing)
-    arrow_min = 0.5 * (condensate - math.sqrt(condensate * condensate + 4.0 * float(np.dot(c, c))))
-    assert dm2_min_eigenvalue(dm) == min(arrow_min, min(weights), 0.0)
+    assert dm2_min_eigenvalue(dm) == min(ref_arrow_min(condensate, pairing), min(weights), 0.0)
 
 
 @pytest.mark.parametrize("potential", [
@@ -270,8 +278,7 @@ def test_kernel_table_bit_equal_per_mode_reference(potential):
     N, ell, cutoff = 100, 0.495, 50
     scattering = solve_scattering(potential, r_max=default_r_max(potential), tol=1e-10)
     neumann = solve_neumann(potential, R=N * ell, tol=1e-10)
-    table = kernel_table(potential, N=N, ell=ell, cutoff_norm_sq=cutoff,
-                         scattering=scattering, neumann=neumann)
+    table = kernel_table(scattering, neumann, N, cutoff)
     assert table.to_csv() == per_mode_kernel_csv(scattering, neumann, N, cutoff)
 
 
@@ -387,8 +394,7 @@ def test_coeffs_and_rho_write_what_the_reference_renders(tmp_path):
             summary[f"trace_{name}_{variant.value}"] = trace
             models[name, variant] = (weights, pairing, condensate)
         weights, pairing, condensate = models["dm2", variant]
-        c = np.array(pairing)
-        arrow_min = 0.5 * (condensate - math.sqrt(condensate**2 + 4.0 * float(np.dot(c, c))))
+        arrow_min = ref_arrow_min(condensate, pairing)
         summary[f"dm2_min_eigenvalue_{variant.value}"] = min(arrow_min, min(weights), 0.0)
     for name in ("dm1", "dm2"):
         wx, px, cx = models[name, Variant.A]
