@@ -41,15 +41,14 @@ from .errors import (
     ModelValidityError,
     SolverError,
 )
-from .fock import build_basis
-# enumerate_shells and modes_up_to are looked up here by name by the
-# benchmark's tracer
+# build_basis, enumerate_shells and modes_up_to are looked up here by name
+# by the benchmark's tracer
+from .fock import build_basis  # noqa: F401
 from .lattice import enumerate_shells, modes_up_to, shell_modes, shell_table  # noqa: F401
 from .oracles import (
     adjudicate_variants,
     partition_product_check,
     toy_gibbs_experiment,
-    toy_scattering_length,
 )
 from .scattering import (
     R_MAX_FACTOR,
@@ -287,29 +286,23 @@ def cmd_oracle(config: dict, out_dir: Path) -> dict[str, str]:
     scale = float(oracle_cfg.get("momentum_scale", 1.0))
     modes = shell_modes((int(s) for s in oracle_cfg["shells"]), momentum_scale=scale)
     eps = mode_coefficients([m.p_sq for m in modes], float(oracle_cfg["a"])).eps.tolist()
-    basis = build_basis(modes, int(oracle_cfg["cap"]))
-    sandwich = partition_product_check(basis, eps, beta=float(oracle_cfg["beta"]))
+    sandwich = partition_product_check(eps, int(oracle_cfg["cap"]),
+                                       beta=float(oracle_cfg["beta"]))
     files["partition"] = _write_json(out_dir / "partition.json", dataclasses.asdict(sandwich),
                                      config)
 
     toy_cfg = oracle_cfg.get("toy", {})
     if toy_cfg.get("enabled", False):
-        potential = _potential_from_config(config)
-        coupling = float(toy_cfg.get("coupling", 1.0))
-        a_model = toy_scattering_length(potential, coupling)
         toy_n = int(toy_cfg["N"])
-        runs = {
-            n: toy_gibbs_experiment(
-                N=n,
-                potential=potential,
-                shells=[int(s) for s in oracle_cfg["shells"]],
-                cap=int(toy_cfg["cap"]),
-                beta=float(toy_cfg.get("beta", config["beta"])),
-                coupling=coupling,
-                a=a_model,
-            )
-            for n in (toy_n, 2 * toy_n)
-        }
+        ns = (toy_n, 2 * toy_n)
+        runs = dict(zip(ns, toy_gibbs_experiment(
+            ns,
+            potential=_potential_from_config(config),
+            shells=[int(s) for s in oracle_cfg["shells"]],
+            cap=int(toy_cfg["cap"]),
+            beta=float(toy_cfg.get("beta", config["beta"])),
+            coupling=float(toy_cfg.get("coupling", 1.0)),
+        )))
         gibbs_report, rows = runs[toy_n]
         payload = json.loads(gibbs_report.to_json())
         # the normalized pair moment <N+(N+-1)>/N is a desk-scale trend, not a

@@ -1,10 +1,13 @@
 """Closed-form and exact-diagonalization oracles on the truncated Fock space.
 
 These routines re-derive, by independent routes, the quantities the
-analytic coefficient formulas predict: partition functions by brute
-enumeration against product-formula sandwiches, rotated-ensemble
-expectations by exact matrix exponentials, and the thermal occupation and
-pairing of the interacting excitation Hamiltonian by its exact Gibbs state.
+analytic coefficient formulas predict: capped partition sums, summed
+exactly by a recurrence over the total excitation number, against
+product-formula sandwiches; rotated-ensemble
+expectations by exact matrix exponentials; and the thermal occupation and
+pairing of the interacting excitation Hamiltonian by its exact Gibbs state,
+with the basis, the v_hat transform and the observables built once for all
+the particle numbers of one call.
 
 The rotated expectations exploit that the pair generator conserves, for
 every +-p pair, the occupation difference n_p - n_-p.  The capped basis
@@ -97,7 +100,6 @@ __all__ = [
     "adjudicate_variants",
     "GibbsReport",
     "toy_gibbs_experiment",
-    "toy_scattering_length",
 ]
 
 
@@ -116,31 +118,40 @@ class PartitionSandwich:
 
 
 def partition_product_check(
-    basis: FockBasis, eps: Sequence[float], beta: float, mu: float | None = None
+    eps: Sequence[float], cap: int, beta: float, mu: float | None = None
 ) -> PartitionSandwich:
-    """Brute-force partition sum against product-formula bounds.
+    """Exact capped partition sum against product-formula bounds.
 
-    brute is the exact sum over the capped basis.  The uncapped product
-    overestimates it; the excess of states above the cap is bounded by the
-    exponential moment bound exp(-beta*mu*cap) * prod 1/(1 - e^{-beta(eps-mu)})
-    for any 0 < mu < min eps.  Violation of the sandwich is raised, not
-    returned.
+    ``eps`` holds one energy per mode.  brute is the exact sum of
+    e^{-beta E} over the occupation vectors of total at most ``cap``: the
+    sum over t <= cap of the complete homogeneous symmetric polynomial
+    h_t(x) in x_i = e^{-beta eps_i}, built by the recurrence that adds one
+    mode at a time (z[t] += x_i z[t-1] for t = 1 .. cap).  The uncapped
+    product overestimates it; the excess of states above the cap is bounded
+    by the exponential moment bound exp(-beta*mu*cap) *
+    prod 1/(1 - e^{-beta(eps-mu)}) for any 0 < mu < min eps.  Violation of the sandwich is raised, not returned.
     """
     eps = np.asarray(eps, dtype=float)
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if mu is None:
         mu = 0.5 * float(np.min(eps))
     if not (0.0 < mu < float(np.min(eps))):
         raise ValueError("mu must lie strictly between 0 and min eps")
-    energies = basis.occupations() @ eps
-    brute = float(math.fsum(np.exp(-beta * energies).tolist()))
+    z = [1.0] + [0.0] * cap  # z[t]: summed weight of the states of total t, modes so far
+    for e in eps.tolist():
+        x = math.exp(-beta * e)
+        for t in range(1, cap + 1):
+            z[t] += x * z[t - 1]
+    brute = math.fsum(z)
 
     uncapped = float(np.prod(1.0 / (-np.expm1(-beta * eps))))
-    gap = math.exp(-beta * mu * basis.cap) * float(
+    gap = math.exp(-beta * mu * cap) * float(
         np.prod(1.0 / (-np.expm1(-beta * (eps - mu))))
     )
-    orders = np.arange(basis.cap + 1)
+    orders = np.arange(cap + 1)
     product_upper = float(np.prod([math.fsum(np.exp(-beta * e * orders).tolist()) for e in eps]))
-    per_mode = basis.cap // len(basis.modes)
+    per_mode = cap // len(eps)
     orders_lo = np.arange(per_mode + 1)
     product_lower = float(
         np.prod([math.fsum(np.exp(-beta * e * orders_lo).tolist()) for e in eps])
@@ -635,98 +646,107 @@ class GibbsReport:
 
 
 def toy_gibbs_experiment(
-    N: int,
+    Ns: Sequence[int],
     potential: RadialPotential,
     shells: Sequence[int],
     cap: int,
     beta: float,
     coupling: float = 1.0,
-    a: float | None = None,
-) -> tuple[GibbsReport, list[dict]]:
-    """Gibbs state of the capped excitation Hamiltonian, against the model table.
+) -> list[tuple[GibbsReport, list[dict]]]:
+    """Gibbs state of the capped excitation Hamiltonian per N of ``Ns``, against the model table.
 
-    Returns the report plus one comparison row per shell with the exact
-    thermal occupation and anomalous pairing next to the coefficient-model
-    values of both conventions.  ``coupling`` scales the interaction;
-    ``a`` overrides the scattering length used for the model columns
-    (computed from the potential when omitted).
+    Returns, per N in the order given, the report plus one comparison row
+    per shell with the exact thermal occupation and anomalous pairing next
+    to the coefficient-model values of both conventions, evaluated at the
+    scattering length of the scaled potential.  ``coupling`` scales the
+    interaction.
+
+    Everything that does not depend on N is built once: the modes, the
+    basis, the v_hat transform, the model columns and the observables.
+    Per N only the Hamiltonian, its Gibbs state and the expectations are
+    computed, so each N's result is the one a single-N call gives.
     """
+    if any(N < cap for N in Ns):
+        raise ValueError("toy experiment needs N >= cap")
     modes = shell_modes(shells)
     basis = build_basis(modes, cap)
-    if N < cap:
-        raise ValueError("toy experiment needs N >= cap")
 
     if potential.is_zero or coupling == 0.0:
         v_hat = lambda k: 0.0  # noqa: E731 - trivial free-gas sampler
     else:
         base = potential_fourier(potential)
         v_hat = (lambda k: coupling * base(k)) if coupling != 1.0 else base
-    a_model = toy_scattering_length(potential, coupling) if a is None else a
+    a_model = _toy_scattering_length(potential, coupling)
 
-    ln = build_LN(basis, N, v_hat)
-    state = gibbs(ln, beta)
-
-    occupations = {}
-    pairings = {}
-    rows = []
-    offdiag_max = 0.0
     first_by_shell: dict[int, Mode] = {}
     for m in modes:
         first_by_shell.setdefault(m.norm_sq, m)
     firsts = sorted(first_by_shell.items())
     model = mode_coefficients([m.p_sq for _, m in firsts], a_model, beta)
-    model_rows = zip(*(column.tolist() for column in (
+    model_rows = list(zip(*(column.tolist() for column in (
         model.occupation(Variant.A), model.occupation(Variant.B),
         model.pairing(Variant.A), model.pairing(Variant.B),
-    )))
-    for (norm_sq, m), (occ_a, occ_b, pair_a, pair_b) in zip(firsts, model_rows):
-        occ = expect(state, number_operator(basis, m))
+    ))))
+    # per shell, its number operator and its pair word a*_p a*_-p
+    shell_ops = []
+    for _, m in firsts:
         neg = next(mm for mm in modes if mm.n == m.negated())
-        pair_op = ladder_word(basis, [(m, "create"), (neg, "create")])
-        pair_val = expect(state, pair_op)
-        occupations[norm_sq] = occ
-        pairings[norm_sq] = pair_val
-
-        rows.append(
-            {
-                "norm_sq": norm_sq,
-                "oracle_occ": occ,
-                "model_occ_A": occ_a,
-                "model_occ_B": occ_b,
-                "oracle_pair": pair_val,
-                "model_pair_A": pair_a,
-                "model_pair_B": pair_b,
-            }
+        shell_ops.append(
+            (number_operator(basis, m), ladder_word(basis, [(m, "create"), (neg, "create")]))
         )
-
     # translation invariance: <a*_p a_q> must vanish for p != q
     probe = modes[0]
-    for other in modes[1:3]:
-        cross = ladder_word(basis, [(probe, "create"), (other, "annihilate")])
-        offdiag_max = max(offdiag_max, abs(expect(state, cross)))
-
+    crosses = [
+        ladder_word(basis, [(probe, "create"), (other, "annihilate")]) for other in modes[1:3]
+    ]
     totals = basis.totals.astype(float)
-    n_plus = expect(state, total_number(basis))
+    n_plus_op = total_number(basis)
     pair_moment = diagonal_operator(basis, totals * (totals - 1.0))
-    n_plus_sq = expect(state, pair_moment)
 
-    report = GibbsReport(
-        beta=beta,
-        partition=state.Z,
-        occupations=occupations,
-        pairings=pairings,
-        n_plus=n_plus,
-        n_plus_sq=n_plus_sq,
-        offdiagonal_max=offdiag_max,
-    )
-    return report, rows
+    runs = []
+    for N in Ns:
+        state = gibbs(build_LN(basis, N, v_hat), beta)
+        occupations = {}
+        pairings = {}
+        rows = []
+        for (norm_sq, _), (occ_a, occ_b, pair_a, pair_b), (number_op, pair_op) in zip(
+            firsts, model_rows, shell_ops
+        ):
+            occ = expect(state, number_op)
+            pair_val = expect(state, pair_op)
+            occupations[norm_sq] = occ
+            pairings[norm_sq] = pair_val
+            rows.append(
+                {
+                    "norm_sq": norm_sq,
+                    "oracle_occ": occ,
+                    "model_occ_A": occ_a,
+                    "model_occ_B": occ_b,
+                    "oracle_pair": pair_val,
+                    "model_pair_A": pair_a,
+                    "model_pair_B": pair_b,
+                }
+            )
+        offdiag_max = 0.0
+        for cross in crosses:
+            offdiag_max = max(offdiag_max, abs(expect(state, cross)))
+        report = GibbsReport(
+            beta=beta,
+            partition=state.Z,
+            occupations=occupations,
+            pairings=pairings,
+            n_plus=expect(state, n_plus_op),
+            n_plus_sq=expect(state, pair_moment),
+            offdiagonal_max=offdiag_max,
+        )
+        runs.append((report, rows))
+    return runs
 
 
-def toy_scattering_length(potential: RadialPotential, coupling: float = 1.0) -> float:
+def _toy_scattering_length(potential: RadialPotential, coupling: float) -> float:
     """Scattering length of ``coupling`` times ``potential``: the toy's default model a.
 
-    Zero for a free gas.  Solve it once and pass it as ``a`` to run the toy
-    experiment at several N.
+    Zero for a free gas.
     """
     if potential.is_zero or coupling == 0.0:
         return 0.0

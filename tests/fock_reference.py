@@ -1,4 +1,4 @@
-"""Exact quasi-free references on a ``FockBasis``, for the tests.
+"""Exact references on a ``FockBasis``, for the tests.
 
 No command builds these.  The tests compare the package against them: the
 Gibbs state of the diagonal quasi-particle Hamiltonian ``build_D``, rotated
@@ -6,6 +6,9 @@ by the pair generator of ``build_quadratic_generator``, is the exact
 quasi-free state of the Bogoliubov model on the capped basis, and
 ``occupation_closed_form`` gives that diagonal ensemble's occupations by an
 independent route that never touches the eigensolver.
+``enumerated_partition_sum`` sums the capped partition function state by
+state, and ``toy_gibbs_single_n`` runs the toy Gibbs experiment at one N,
+building everything for that N alone.
 """
 
 import math
@@ -13,16 +16,26 @@ from typing import Sequence
 
 import numpy as np
 
-from bosegas.bogoliubov import bose_occupation
+from bosegas.bogoliubov import Variant, bose_occupation, mode_coefficients
 from bosegas.fock import (
     FockBasis,
     HermitianOperator,
     Triplets,
     _from_entries,
     _Letters,
+    build_basis,
+    build_LN,
     diagonal_operator,
+    expect,
+    gibbs,
+    ladder_word,
+    number_operator,
     pair_partners,
+    total_number,
 )
+from bosegas.lattice import Mode, shell_modes
+from bosegas.oracles import GibbsReport, _toy_scattering_length
+from bosegas.scattering import RadialPotential, potential_fourier
 
 
 def _check_shell_consistent(basis: FockBasis, values: np.ndarray, name: str):
@@ -120,3 +133,83 @@ def occupation_closed_form(
     z_total = math.fsum(weights.tolist())
     first_moment = math.fsum((np.arange(cap + 1) * weights).tolist())
     return first_moment / z_total, bose_occupation(beta * eps_arr[mode])
+
+
+def enumerated_partition_sum(basis: FockBasis, eps: Sequence[float], beta: float) -> float:
+    """sum_i exp(-beta E_i) over every state of the capped basis, E = occupations @ eps."""
+    energies = basis.occupations() @ np.asarray(eps, dtype=float)
+    return float(math.fsum(np.exp(-beta * energies).tolist()))
+
+
+def toy_gibbs_single_n(
+    N: int,
+    potential: RadialPotential,
+    shells: Sequence[int],
+    cap: int,
+    beta: float,
+    coupling: float = 1.0,
+) -> tuple[GibbsReport, list[dict]]:
+    """The toy Gibbs experiment at one N, with its basis, v_hat and observables built for it.
+
+    The same report and comparison rows as ``toy_gibbs_experiment`` gives
+    for that N.
+    """
+    modes = shell_modes(shells)
+    basis = build_basis(modes, cap)
+    if N < cap:
+        raise ValueError("toy experiment needs N >= cap")
+
+    if potential.is_zero or coupling == 0.0:
+        v_hat = lambda k: 0.0  # noqa: E731 - trivial free-gas sampler
+    else:
+        base = potential_fourier(potential)
+        v_hat = (lambda k: coupling * base(k)) if coupling != 1.0 else base
+    a_model = _toy_scattering_length(potential, coupling)
+
+    state = gibbs(build_LN(basis, N, v_hat), beta)
+
+    occupations = {}
+    pairings = {}
+    rows = []
+    first_by_shell: dict[int, Mode] = {}
+    for m in modes:
+        first_by_shell.setdefault(m.norm_sq, m)
+    firsts = sorted(first_by_shell.items())
+    model = mode_coefficients([m.p_sq for _, m in firsts], a_model, beta)
+    model_rows = zip(*(column.tolist() for column in (
+        model.occupation(Variant.A), model.occupation(Variant.B),
+        model.pairing(Variant.A), model.pairing(Variant.B),
+    )))
+    for (norm_sq, m), (occ_a, occ_b, pair_a, pair_b) in zip(firsts, model_rows):
+        occ = expect(state, number_operator(basis, m))
+        neg = next(mm for mm in modes if mm.n == m.negated())
+        pair_val = expect(state, ladder_word(basis, [(m, "create"), (neg, "create")]))
+        occupations[norm_sq] = occ
+        pairings[norm_sq] = pair_val
+        rows.append({
+            "norm_sq": norm_sq,
+            "oracle_occ": occ,
+            "model_occ_A": occ_a,
+            "model_occ_B": occ_b,
+            "oracle_pair": pair_val,
+            "model_pair_A": pair_a,
+            "model_pair_B": pair_b,
+        })
+
+    offdiag_max = 0.0
+    probe = modes[0]
+    for other in modes[1:3]:
+        cross = ladder_word(basis, [(probe, "create"), (other, "annihilate")])
+        offdiag_max = max(offdiag_max, abs(expect(state, cross)))
+
+    totals = basis.totals.astype(float)
+    report = GibbsReport(
+        beta=beta,
+        partition=state.Z,
+        occupations=occupations,
+        pairings=pairings,
+        n_plus=expect(state, total_number(basis)),
+        n_plus_sq=expect(state, diagonal_operator(basis, totals * (totals - 1.0))),
+        offdiagonal_max=offdiag_max,
+    )
+    return report, rows

@@ -131,8 +131,8 @@ def test_criterion_05_free_gas_exactness():
     started = time.monotonic()
     eps = np.array([m.p_sq for m in PHYS_SHELL1])
     for beta in (0.5, 1.0, 2.0):
-        report, _ = toy_gibbs_experiment(
-            N=16, potential=zero_potential(), shells=[1], cap=12, beta=beta
+        [(report, _)] = toy_gibbs_experiment(
+            [16], potential=zero_potential(), shells=[1], cap=12, beta=beta
         )
         capped, _ = occupation_closed_form(eps, beta, 12, mode=0)
         assert abs(report.occupations[1] - capped) <= 1e-12 * max(capped, 1e-300)
@@ -165,8 +165,7 @@ def test_criterion_07_partition_sandwich():
     eps = mode_coefficients([m.p_sq for m in UNIT_SHELL1], 0.05).eps
     gaps = []
     for cap in (8, 12, 16):
-        basis = build_basis(UNIT_SHELL1, cap)
-        res = partition_product_check(basis, eps, beta=1.0)
+        res = partition_product_check(eps, cap, beta=1.0)
         assert res.uncapped - res.gap <= res.brute <= res.uncapped
         assert res.product_lower <= res.brute <= res.product_upper
         gaps.append(res.gap)

@@ -263,6 +263,9 @@ def test_oversized_basis_is_refused_with_count(tmp_path):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "BasisSizeError"
     assert "states" in record["message"]
+    # refused by the adjudication, before any payload is written
+    assert not (out / "adjudication.json").exists()
+    assert not (out / "partition.json").exists()
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import bosegas.oracles
 from bosegas.bogoliubov import mode_coefficients
 from bosegas.errors import GuardError
 from bosegas.fock import (
@@ -24,11 +27,18 @@ from bosegas.oracles import (
     toy_gibbs_experiment,
 )
 from bosegas.scattering import RadialPotential, zero_potential
-from fock_reference import build_D, build_quadratic_generator, occupation_closed_form
+from fock_reference import (
+    build_D,
+    build_quadratic_generator,
+    enumerated_partition_sum,
+    occupation_closed_form,
+    toy_gibbs_single_n,
+)
 from sparse_reference import csr
 
 UNIT_SHELL1 = [m for s in enumerate_shells(1, momentum_scale=1.0) for m in s.members]
 PHYS_SHELL1 = [m for s in enumerate_shells(1) for m in s.members]
+UNIT_SHELLS12 = [m for s in enumerate_shells(2, momentum_scale=1.0) for m in s.members]
 
 # direct finite sum: sum_{k<=5} k e^-k / sum_{k<=5} e^-k at 40 digits
 CAPPED_OCC_M5 = 0.5670672369282589
@@ -72,9 +82,7 @@ class TestOccupationClosedForm:
 
 class TestPartitionSandwich:
     def test_single_mode_is_exact_geometric_series(self):
-        one = [m for m in UNIT_SHELL1 if m.n == (1, 0, 0)]
-        basis = build_basis(one, 7)
-        res = partition_product_check(basis, [1.5], beta=0.9)
+        res = partition_product_check([1.5], 7, beta=0.9)
         exact = sum(math.exp(-0.9 * 1.5 * k) for k in range(8))
         assert res.brute == pytest.approx(exact, rel=1e-14)
         assert res.brute == pytest.approx(res.product_upper, rel=1e-14)
@@ -83,8 +91,7 @@ class TestPartitionSandwich:
         eps = unit_shell1_coefficients(0.05).eps
         gaps, excesses = [], []
         for cap in (8, 12, 16):
-            basis = build_basis(UNIT_SHELL1, cap)
-            res = partition_product_check(basis, eps, beta=1.0)
+            res = partition_product_check(eps, cap, beta=1.0)
             assert res.product_lower <= res.brute <= res.product_upper
             assert res.uncapped - res.brute <= res.gap
             gaps.append(res.gap)
@@ -94,16 +101,37 @@ class TestPartitionSandwich:
 
     def test_doubling_beta_shrinks_everything(self):
         eps = unit_shell1_coefficients(0.05).eps
-        basis = build_basis(UNIT_SHELL1, 8)
-        r1 = partition_product_check(basis, eps, beta=1.0)
-        r2 = partition_product_check(basis, eps, beta=2.0)
+        r1 = partition_product_check(eps, 8, beta=1.0)
+        r2 = partition_product_check(eps, 8, beta=2.0)
         assert r2.brute < r1.brute
         assert r2.gap < r1.gap
 
     def test_mu_validation(self):
-        basis = build_basis(unit_pair(), 4)
         with pytest.raises(ValueError):
-            partition_product_check(basis, [1.0, 1.0], beta=1.0, mu=1.5)
+            partition_product_check([1.0, 1.0], 4, beta=1.0, mu=1.5)
+
+
+@st.composite
+def partition_cases(draw):
+    """1-8 modes, cap 0-11 with at most 2,000 states, eps in [0.05, 5], beta in [0.1, 3]."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    cap_max = max(c for c in range(12) if math.comb(c + n, n) <= 2000)
+    cap = draw(st.integers(min_value=0, max_value=cap_max))
+    eps = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    beta = draw(st.floats(0.1, 3.0))
+    return eps, cap, beta
+
+
+@settings(max_examples=200, deadline=None)
+@given(partition_cases())
+def test_recurrence_partition_sum_matches_enumeration(case):
+    # the largest relative difference measured over 80,000 of hypothesis's
+    # own draws of these cases (four runs of 20,000) was 6.6e-16; the bound
+    # is three times that
+    eps, cap, beta = case
+    brute = partition_product_check(eps, cap, beta).brute
+    reference = enumerated_partition_sum(build_basis(UNIT_SHELLS12[: len(eps)], cap), eps, beta)
+    assert abs(brute - reference) <= 2e-15 * reference
 
 
 class TestRotatedExpectations:
@@ -271,8 +299,8 @@ class TestToyGibbs:
     def test_free_gas_occupations_match_closed_form_exactly(self):
         eps = np.array([m.p_sq for m in PHYS_SHELL1])
         for beta in (0.5, 1.0, 2.0):
-            report, rows = toy_gibbs_experiment(
-                N=16, potential=zero_potential(), shells=[1], cap=12, beta=beta
+            [(report, rows)] = toy_gibbs_experiment(
+                [16], potential=zero_potential(), shells=[1], cap=12, beta=beta
             )
             capped, _ = occupation_closed_form(eps, beta, 12, mode=0)
             assert report.occupations[1] == pytest.approx(capped, rel=1e-12, abs=1e-300)
@@ -283,16 +311,16 @@ class TestToyGibbs:
         V = RadialPotential.soft_sphere(100.0, 0.5)
         values = []
         for coupling in (0.0, 0.1, 1.0):
-            report, _ = toy_gibbs_experiment(
-                N=16, potential=V, shells=[1], cap=6, beta=1.0, coupling=coupling
+            [(report, _)] = toy_gibbs_experiment(
+                [16], potential=V, shells=[1], cap=6, beta=1.0, coupling=coupling
             )
             values.append(report.n_plus)
         assert values[0] < values[1] < values[2]
 
     def test_comparison_rows_carry_both_conventions(self):
         V = RadialPotential.soft_sphere(100.0, 0.5)
-        report, rows = toy_gibbs_experiment(
-            N=16, potential=V, shells=[1], cap=6, beta=1.0, a=0.3588
+        [(report, rows)] = toy_gibbs_experiment(
+            [16], potential=V, shells=[1], cap=6, beta=1.0
         )
         row = rows[0]
         assert set(row) == {
@@ -304,3 +332,32 @@ class TestToyGibbs:
         assert report.n_plus_sq >= 0.0
         # interactions generate anomalous pairing with the model's sign
         assert row["oracle_pair"] < 0.0
+
+    @pytest.mark.parametrize(
+        "potential, coupling, cap, beta",
+        [
+            (zero_potential(), 1.0, 5, 1.0),
+            (RadialPotential.soft_sphere(100.0, 0.5), 1.0, 4, 1.0),
+            (RadialPotential.soft_sphere(100.0, 0.5), 0.3, 5, 0.7),
+            (RadialPotential.gaussian_truncated(20.0, 0.2, 0.6), 2.0, 3, 2.0),
+        ],
+    )
+    def test_one_pass_over_n_and_2n_equals_single_n_runs(self, potential, coupling, cap, beta):
+        runs = toy_gibbs_experiment(
+            [10, 20], potential=potential, shells=[1], cap=cap, beta=beta, coupling=coupling
+        )
+        for N, run in zip((10, 20), runs):
+            single = toy_gibbs_single_n(
+                N, potential=potential, shells=[1], cap=cap, beta=beta, coupling=coupling
+            )
+            # repr round-trips every float and tells -0.0 from 0.0: equal bits
+            assert repr(run) == repr(single)
+
+    def test_every_n_below_the_cap_is_refused_before_a_basis_is_built(self, monkeypatch):
+        def no_basis(*args, **kwargs):
+            raise AssertionError("basis built before the particle numbers were checked")
+
+        monkeypatch.setattr(bosegas.oracles, "build_basis", no_basis)
+        for ns in ([5], [16, 5], [5, 16]):
+            with pytest.raises(ValueError, match="N >= cap"):
+                toy_gibbs_experiment(ns, potential=zero_potential(), shells=[1], cap=6, beta=1.0)
