@@ -38,7 +38,6 @@ __all__ = [
     "bose_occupation",
     "mode_coefficients",
     "depletion_sums",
-    "COEFFICIENT_CSV_HEADER",
 ]
 
 
@@ -144,9 +143,6 @@ def mode_coefficients(p_sq, a: float, beta: float = math.inf) -> ModeCoefficient
         pairing_A=-4.0 * math.pi * a * (1.0 / eps + 2.0 * occ),
         pairing_B=-(4.0 * math.pi * a / eps) * (1.0 + 2.0 * occ),
     )
-
-
-COEFFICIENT_CSV_HEADER = "norm_sq,eps,mu_sq,theta_sq_A,theta_sq_B,nu,pairing_A,pairing_B"
 
 
 def depletion_sums(cfg: ThermalConfig, max_norm_sq: int) -> dict[str, SumResult]:

@@ -7,6 +7,17 @@ byte-identical numeric payloads, whatever the caller's BLAS thread count,
 because every command runs with BLAS pinned to one thread; the only
 volatile quantity (wall time) lives in the separate ``provenance.json``.
 
+This module renders every payload; the library returns plain dataclasses
+and columns.  JSON goes through one dump (``indent=2``, sorted keys,
+trailing newline), with the run's ``provenance`` under its own key; CSV
+goes through one writer: ``# version`` and ``# config`` comment lines, the
+column names as header, and one ``%r`` row template.  The one exception is
+the density models' JSON, whose ``modes`` rows ``density`` splices in
+itself (the same bytes as the dump, written row by row).
+
+A configuration key the defaults do not hold is refused as a usage error,
+except inside the ``potential`` table, whose keys depend on its kind.
+
 Exit statuses: 0 success, 2 usage error, 3 numerical-guard refusal,
 4 solver failure.  Failures also leave a machine-readable ``error.json``
 in the output directory whenever one is known.
@@ -15,6 +26,7 @@ in the output directory whenever one is known.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import functools
 import json
@@ -26,13 +38,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__, _blas
-from .bogoliubov import (
-    COEFFICIENT_CSV_HEADER,
-    ThermalConfig,
-    Variant,
-    depletion_sums,
-    mode_coefficients,
-)
+from .bogoliubov import ThermalConfig, Variant, depletion_sums, mode_coefficients
 from .density import build_rho1, build_rho2, dm2_min_eigenvalue, dm_trace_norm_diff
 from .errors import (
     BasisSizeError,
@@ -81,7 +87,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "a": 0.05,
         "beta": 2.0,
         "momentum_scale": 1.0,
-        "toy": {"enabled": True, "N": 16, "cap": 6, "beta": 1.0, "coupling": 1.0},
+        "toy": {"N": 16, "cap": 6, "beta": 1.0},
     },
     "output_dir": "results",
 }
@@ -114,8 +120,16 @@ def _apply_set(config: dict, assignment: str):
     node[parts[-1]] = value
 
 
+def _check_keys(config: dict, known: dict, prefix: str = ""):
+    for key, value in config.items():
+        if key not in known:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+        if key != "potential" and isinstance(value, dict) and isinstance(known[key], dict):
+            _check_keys(value, known[key], f"{prefix}{key}.")
+
+
 def load_config(path: str | None, sets: list[str], overrides: dict) -> dict:
-    config = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
             config = _deep_update(config, json.load(fh))
@@ -124,6 +138,7 @@ def load_config(path: str | None, sets: list[str], overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
+    _check_keys(config, DEFAULT_CONFIG)
     return config
 
 
@@ -161,14 +176,23 @@ def _write(path: Path, text: str) -> str:
     return str(path)
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: Path, payload: dict, config: dict) -> str:
-    payload = dict(payload)
-    payload["provenance"] = _provenance(config)
-    return _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return _write(path, _json_text({**payload, "provenance": _provenance(config)}))
 
 
-def _csv_comments(config: dict) -> list[str]:
-    return [f"version: {__version__}", "config: " + json.dumps(config, sort_keys=True)]
+def _write_csv(path: Path, config: dict, columns: dict) -> str:
+    """One row per entry of the equally long ``columns``, headed by their names."""
+    lines = [f"# version: {__version__}", "# config: " + json.dumps(config, sort_keys=True),
+             ",".join(columns)]
+    # %r is int.__repr__ or float.__repr__: every float round-trips
+    template = ",".join(["%r"] * len(columns))
+    lines += [template % row
+              for row in zip(*(np.asarray(column).tolist() for column in columns.values()))]
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def _scattering_length(config: dict) -> float:
@@ -194,8 +218,10 @@ def cmd_scatter(config: dict, out_dir: Path) -> dict[str, str]:
     neumann = solve_neumann(potential, R=N * ell, tol=tol)
     table = kernel_table(sol, neumann, N, int(config["cutoff_norm_sq"]))
 
-    files = {"kernel_csv": _write(out_dir / "kernels.csv",
-                                  table.to_csv(comments=_csv_comments(config)))}
+    files = {"kernel_csv": _write_csv(out_dir / "kernels.csv", config, {
+        "norm_sq": table.norm_sq, "p_abs": np.sqrt(table.p_sq),
+        "eta": table.eta, "tau": table.tau, "nu": table.nu,
+    })}
     summary = {
         "a_ode": sol.a,
         "a_functional": a_functional,
@@ -215,13 +241,11 @@ def cmd_coeffs(config: dict, out_dir: Path) -> dict[str, str]:
     cutoff = int(config["cutoff_norm_sq"])
     norm_sq, _, p_sq = shell_table(cutoff)
     c = mode_coefficients(p_sq, a, beta)
-    columns = (norm_sq, c.eps, c.mu_sq, c.theta_sq_A, c.theta_sq_B, c.nu, c.pairing_A, c.pairing_B)
-
-    lines = [f"# {comment}" for comment in _csv_comments(config)]
-    lines.append(COEFFICIENT_CSV_HEADER)
-    template = ",".join(["%r"] * len(columns))
-    lines += [template % row for row in zip(*(column.tolist() for column in columns))]
-    files = {"coefficients_csv": _write(out_dir / "coefficients.csv", "\n".join(lines) + "\n")}
+    files = {"coefficients_csv": _write_csv(out_dir / "coefficients.csv", config, {
+        "norm_sq": norm_sq, "eps": c.eps, "mu_sq": c.mu_sq,
+        "theta_sq_A": c.theta_sq_A, "theta_sq_B": c.theta_sq_B, "nu": c.nu,
+        "pairing_A": c.pairing_A, "pairing_B": c.pairing_B,
+    })}
 
     sums = {}
     for variant in _variants(config):
@@ -273,55 +297,49 @@ def cmd_rho(config: dict, out_dir: Path) -> dict[str, str]:
 
 def cmd_oracle(config: dict, out_dir: Path) -> dict[str, str]:
     oracle_cfg = config["oracle"]
+    shells = [int(s) for s in oracle_cfg["shells"]]
+    scale = float(oracle_cfg["momentum_scale"])
     report = adjudicate_variants(
         a=float(oracle_cfg["a"]),
         beta=float(oracle_cfg["beta"]),
-        shells=[int(s) for s in oracle_cfg["shells"]],
+        shells=shells,
         cap=int(oracle_cfg["cap"]),
-        momentum_scale=float(oracle_cfg.get("momentum_scale", 1.0)),
+        momentum_scale=scale,
     )
-    files = {"adjudication": _write(out_dir / "adjudication.json",
-                                    report.to_json(provenance=_provenance(config)) + "\n")}
+    files = {"adjudication": _write_json(out_dir / "adjudication.json",
+                                         dataclasses.asdict(report), config)}
 
-    scale = float(oracle_cfg.get("momentum_scale", 1.0))
-    modes = shell_modes((int(s) for s in oracle_cfg["shells"]), momentum_scale=scale)
+    modes = shell_modes(shells, momentum_scale=scale)
     eps = mode_coefficients([m.p_sq for m in modes], float(oracle_cfg["a"])).eps.tolist()
     sandwich = partition_product_check(eps, int(oracle_cfg["cap"]),
                                        beta=float(oracle_cfg["beta"]))
     files["partition"] = _write_json(out_dir / "partition.json", dataclasses.asdict(sandwich),
                                      config)
 
-    toy_cfg = oracle_cfg.get("toy", {})
-    if toy_cfg.get("enabled", False):
-        toy_n = int(toy_cfg["N"])
-        ns = (toy_n, 2 * toy_n)
-        runs = dict(zip(ns, toy_gibbs_experiment(
-            ns,
-            potential=_potential_from_config(config),
-            shells=[int(s) for s in oracle_cfg["shells"]],
-            cap=int(toy_cfg["cap"]),
-            beta=float(toy_cfg.get("beta", config["beta"])),
-            coupling=float(toy_cfg.get("coupling", 1.0)),
-        )))
-        gibbs_report, rows = runs[toy_n]
-        payload = json.loads(gibbs_report.to_json())
-        # the normalized pair moment <N+(N+-1)>/N is a desk-scale trend, not a
-        # limit statement; report it at N and 2N without asserting a tolerance
-        payload["pair_moment_over_N_trend"] = {
-            str(n): report.n_plus_sq / n for n, (report, _) in runs.items()
-        }
-        files["toy_report"] = _write_json(out_dir / "toy_gibbs.json", payload, config)
-        lines = [f"# {c}" for c in _csv_comments(config)]
-        lines.append(
-            "norm_sq,oracle_occ,model_occ_A,model_occ_B,oracle_pair,model_pair_A,model_pair_B"
-        )
-        for row in rows:
-            lines.append(
-                f"{row['norm_sq']},{row['oracle_occ']!r},{row['model_occ_A']!r},"
-                f"{row['model_occ_B']!r},{row['oracle_pair']!r},"
-                f"{row['model_pair_A']!r},{row['model_pair_B']!r}"
-            )
-        files["comparison_csv"] = _write(out_dir / "comparison.csv", "\n".join(lines) + "\n")
+    toy_cfg = oracle_cfg["toy"]
+    toy_n = int(toy_cfg["N"])
+    ns = (toy_n, 2 * toy_n)
+    runs = dict(zip(ns, toy_gibbs_experiment(
+        ns,
+        potential=_potential_from_config(config),
+        shells=shells,
+        cap=int(toy_cfg["cap"]),
+        beta=float(toy_cfg["beta"]),
+    )))
+    gibbs_report, rows = runs[toy_n]
+    payload = dataclasses.asdict(gibbs_report)
+    # keyed by the string of |n|^2 before the dump: json.dumps sorts int keys
+    # as numbers, and the payload has them sorted as strings ("10" before "2")
+    for key in ("occupations", "pairings"):
+        payload[key] = {str(norm_sq): value for norm_sq, value in payload[key].items()}
+    # the normalized pair moment <N+(N+-1)>/N is a desk-scale trend, not a
+    # limit statement; report it at N and 2N without asserting a tolerance
+    payload["pair_moment_over_N_trend"] = {
+        str(n): report.n_plus_sq / n for n, (report, _) in runs.items()
+    }
+    files["toy_report"] = _write_json(out_dir / "toy_gibbs.json", payload, config)
+    files["comparison_csv"] = _write_csv(out_dir / "comparison.csv", config,
+                                         {key: [row[key] for row in rows] for key in rows[0]})
     return files
 
 
@@ -403,10 +421,7 @@ def _run(argv: list[str] | None, blas_threads: int | str) -> int:
     provenance["stage_seconds"] = stage_seconds
     provenance["blas_threads"] = blas_threads
     provenance["files"] = files
-    _write(
-        out_dir / "provenance.json",
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n",
-    )
+    _write(out_dir / "provenance.json", _json_text(provenance))
     for key, path in sorted(files.items()):
         print(f"{key}: {path}")
     return 0
@@ -416,15 +431,8 @@ def _record_error(out_dir: Path | None, exc: Exception):
     if out_dir is None:
         return
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "error.json").write_text(
-            json.dumps(
-                {"error": type(exc).__name__, "message": str(exc)},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        _write(out_dir / "error.json",
+               _json_text({"error": type(exc).__name__, "message": str(exc)}))
     except OSError:
         pass  # an unwritable output directory must not mask the original failure
 

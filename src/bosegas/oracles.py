@@ -7,7 +7,8 @@ product-formula sandwiches; rotated-ensemble
 expectations by exact matrix exponentials; and the thermal occupation and
 pairing of the interacting excitation Hamiltonian by its exact Gibbs state,
 with the basis, the v_hat transform and the observables built once for all
-the particle numbers of one call.
+the particle numbers of one call.  The reports are plain dataclasses;
+``cli`` renders them.
 
 The rotated expectations exploit that the pair generator conserves, for
 every +-p pair, the occupation difference n_p - n_-p.  The capped basis
@@ -55,7 +56,6 @@ multiplied by eps for A).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -533,22 +533,6 @@ class AdjudicationReport:
     theta_winner: str
     pairing_winner: str
 
-    def to_json(self, provenance: dict | None = None) -> str:
-        payload = {
-            "a": self.a,
-            "beta": self.beta,
-            "shells": list(self.shells),
-            "cap": self.cap,
-            "momentum_scale": self.momentum_scale,
-            "number": self.number,
-            "pairing": self.pairing,
-            "theta_winner": self.theta_winner,
-            "pairing_winner": self.pairing_winner,
-        }
-        if provenance is not None:
-            payload["provenance"] = provenance
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def _judge(value: float, candidates: dict) -> tuple[dict, str]:
     res = {key: abs(value - cand) for key, cand in candidates.items()}
@@ -618,6 +602,7 @@ def adjudicate_variants(
 class GibbsReport:
     """Thermal expectations of the interacting excitation Hamiltonian.
 
+    ``occupations`` and ``pairings`` are keyed by the shell's |n|^2.
     ``n_plus_sq`` is the factorial moment <N+(N+ - 1)> of the excitation
     number N+, not <N+^2>; the payload keeps that key name.
     """
@@ -630,20 +615,6 @@ class GibbsReport:
     n_plus_sq: float
     offdiagonal_max: float
 
-    def to_json(self, provenance: dict | None = None) -> str:
-        payload = {
-            "beta": self.beta,
-            "partition": self.partition,
-            "occupations": {str(k): v for k, v in self.occupations.items()},
-            "pairings": {str(k): v for k, v in self.pairings.items()},
-            "n_plus": self.n_plus,
-            "n_plus_sq": self.n_plus_sq,
-            "offdiagonal_max": self.offdiagonal_max,
-        }
-        if provenance is not None:
-            payload["provenance"] = provenance
-        return json.dumps(payload, indent=2, sort_keys=True)
-
 
 def toy_gibbs_experiment(
     Ns: Sequence[int],
@@ -651,15 +622,14 @@ def toy_gibbs_experiment(
     shells: Sequence[int],
     cap: int,
     beta: float,
-    coupling: float = 1.0,
 ) -> list[tuple[GibbsReport, list[dict]]]:
     """Gibbs state of the capped excitation Hamiltonian per N of ``Ns``, against the model table.
 
     Returns, per N in the order given, the report plus one comparison row
     per shell with the exact thermal occupation and anomalous pairing next
     to the coefficient-model values of both conventions, evaluated at the
-    scattering length of the scaled potential.  ``coupling`` scales the
-    interaction.
+    scattering length of ``potential``.  To scale the interaction, scale
+    the potential.
 
     Everything that does not depend on N is built once: the modes, the
     basis, the v_hat transform, the model columns and the observables.
@@ -671,12 +641,11 @@ def toy_gibbs_experiment(
     modes = shell_modes(shells)
     basis = build_basis(modes, cap)
 
-    if potential.is_zero or coupling == 0.0:
+    if potential.is_zero:
         v_hat = lambda k: 0.0  # noqa: E731 - trivial free-gas sampler
     else:
-        base = potential_fourier(potential)
-        v_hat = (lambda k: coupling * base(k)) if coupling != 1.0 else base
-    a_model = _toy_scattering_length(potential, coupling)
+        v_hat = potential_fourier(potential)
+    a_model = _toy_scattering_length(potential)
 
     first_by_shell: dict[int, Mode] = {}
     for m in modes:
@@ -743,24 +712,8 @@ def toy_gibbs_experiment(
     return runs
 
 
-def _toy_scattering_length(potential: RadialPotential, coupling: float) -> float:
-    """Scattering length of ``coupling`` times ``potential``: the toy's default model a.
-
-    Zero for a free gas.
-    """
-    if potential.is_zero or coupling == 0.0:
+def _toy_scattering_length(potential: RadialPotential) -> float:
+    """Scattering length of ``potential``: the toy's model a; zero for a free gas."""
+    if potential.is_zero:
         return 0.0
-    scaled = potential if coupling == 1.0 else _scaled_potential(potential, coupling)
-    return solve_scattering(scaled, r_max=default_r_max(potential)).a
-
-
-def _scaled_potential(potential: RadialPotential, coupling: float) -> RadialPotential:
-    if potential.kind == "soft_sphere":
-        v0, radius = potential.params
-        return RadialPotential.soft_sphere(coupling * v0, radius)
-    if potential.kind == "gaussian_truncated":
-        v0, width, support = potential.params
-        return RadialPotential.gaussian_truncated(coupling * v0, width, support)
-    return RadialPotential.tabulated(
-        potential.grid, tuple(coupling * v for v in potential.values)
-    )
+    return solve_scattering(potential, r_max=default_r_max(potential)).a

@@ -914,14 +914,6 @@ class KernelTable:
     tau: np.ndarray
     nu: np.ndarray
 
-    def to_csv(self, comments: Sequence[str] = ()) -> str:
-        lines = [f"# {c}" for c in comments]
-        lines.append("norm_sq,p_abs,eta,tau,nu")
-        columns = (self.norm_sq, self.p_sq, self.eta, self.tau, self.nu)
-        for norm_sq, p_sq, eta, tau, nu in zip(*(c.tolist() for c in columns)):
-            lines.append(f"{norm_sq},{math.sqrt(p_sq)!r},{eta!r},{tau!r},{nu!r}")
-        return "\n".join(lines) + "\n"
-
 
 def kernel_table(
     scattering: ScatteringSolution,

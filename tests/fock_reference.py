@@ -147,7 +147,6 @@ def toy_gibbs_single_n(
     shells: Sequence[int],
     cap: int,
     beta: float,
-    coupling: float = 1.0,
 ) -> tuple[GibbsReport, list[dict]]:
     """The toy Gibbs experiment at one N, with its basis, v_hat and observables built for it.
 
@@ -159,12 +158,11 @@ def toy_gibbs_single_n(
     if N < cap:
         raise ValueError("toy experiment needs N >= cap")
 
-    if potential.is_zero or coupling == 0.0:
+    if potential.is_zero:
         v_hat = lambda k: 0.0  # noqa: E731 - trivial free-gas sampler
     else:
-        base = potential_fourier(potential)
-        v_hat = (lambda k: coupling * base(k)) if coupling != 1.0 else base
-    a_model = _toy_scattering_length(potential, coupling)
+        v_hat = potential_fourier(potential)
+    a_model = _toy_scattering_length(potential)
 
     state = gibbs(build_LN(basis, N, v_hat), beta)
 

@@ -217,6 +217,35 @@ def test_usage_error_exit_code(tmp_path):
     assert "unknown potential kind" in record["message"]
 
 
+@pytest.mark.parametrize("key", ["oracle.toy.enabled", "oracle.toy.coupling", "cutof_norm_sq"])
+def test_unknown_config_key_is_usage_error(tmp_path, key):
+    # the two removed toy knobs and a misspelling: ignoring any of them
+    # would run another configuration than the one asked for, unannounced
+    nested = 1.0
+    for part in reversed(key.split(".")):
+        nested = {part: nested}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(nested))
+    for source in (["--set", f"{key}=1.0"], ["--config", str(cfg_path)]):
+        out = tmp_path / source[0].strip("-")
+        assert main(["oracle", "--output-dir", str(out), *FAST_SETS, *source]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValueError"
+        assert repr(key) in record["message"]
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_toy_payload_keys_shells_in_string_order(tmp_path):
+    # the payload's shell keys are strings sorted as strings, "10" before
+    # "2"; int keys would be dumped in numeric order
+    out = tmp_path / "shells"
+    assert main(["oracle", "--output-dir", str(out), "--set", "oracle.shells=[2,10]",
+                 "--set", "oracle.cap=4", "--set", "oracle.toy.cap=2"]) == 0
+    payload = dict(json.loads((out / "toy_gibbs.json").read_text(), object_pairs_hook=list))
+    for name in ("occupations", "pairings"):
+        assert [key for key, _ in payload[name]] == ["10", "2"], name
+
+
 @pytest.mark.parametrize("ell", [0.0, -0.1, 0.5])
 def test_ball_radius_outside_the_torus_is_refused_before_any_solve(tmp_path, monkeypatch, ell):
     def refuse(*args, **kwargs):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bosegas.cli import main
 from bosegas.errors import SolverError
 from bosegas.lattice import shell_table
 from bosegas.scattering import (
@@ -323,14 +324,15 @@ class TestKernels:
         with pytest.raises(QuadratureError):
             coarse(50.0)
 
-    def test_kernel_table_csv_layout(self, small_kernel_setup):
-        N, _, neumann, scat = small_kernel_setup
-        table = kernel_table(scat, neumann, N, cutoff_norm_sq=20)
-        text = table.to_csv(comments=["test"])
-        lines = text.strip().split("\n")
-        assert lines[0] == "# test"
-        assert lines[1] == "norm_sq,p_abs,eta,tau,nu"
+    def test_kernel_table_csv_layout(self, tmp_path):
+        # the kernel table of the fixture's N and cutoff, as ``scatter`` writes it
+        assert main(["scatter", "--output-dir", str(tmp_path),
+                     "--set", "N=50", "--set", "cutoff_norm_sq=20"]) == 0
+        lines = (tmp_path / "kernels.csv").read_text().strip().split("\n")
+        assert lines[0].startswith("# version: ")
+        assert lines[1].startswith("# config: ")
+        assert lines[2] == "norm_sq,p_abs,eta,tau,nu"
         shells = shell_table(20)[0].tolist()
-        assert len(lines) == 2 + len(shells)
-        first = lines[2].split(",")
+        assert len(lines) == 3 + len(shells)
+        first = lines[3].split(",")
         assert int(first[0]) == shells[0]

@@ -21,13 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosegas import __version__
-from bosegas.bogoliubov import (
-    COEFFICIENT_CSV_HEADER,
-    ThermalConfig,
-    Variant,
-    depletion_sums,
-    mode_coefficients,
-)
+from bosegas.bogoliubov import ThermalConfig, Variant, depletion_sums, mode_coefficients
 from bosegas.cli import main
 from bosegas.density import (
     SecondOrderDM1,
@@ -42,7 +36,6 @@ from bosegas.scattering import (
     RadialPotential,
     _radial_transform,
     default_r_max,
-    kernel_table,
     nu_coefficients,
     solve_neumann,
     solve_scattering,
@@ -268,18 +261,25 @@ def test_density_models_bit_equal_per_mode_reference(cutoff, a, beta, N):
     assert dm2_min_eigenvalue(dm) == min(ref_arrow_min(condensate, pairing), min(weights), 0.0)
 
 
-@pytest.mark.parametrize("potential", [
-    RadialPotential.soft_sphere(100.0, 0.5),
-    RadialPotential.tabulated(np.linspace(0.0, 0.6, 7),
-                              [80.0, 60.0, 75.0, 30.0, 45.0, 10.0, 20.0]),
+TABLE = {"grid": np.linspace(0.0, 0.6, 7).tolist(),
+         "values": [80.0, 60.0, 75.0, 30.0, 45.0, 10.0, 20.0]}
+
+
+@pytest.mark.parametrize("potential, spec", [
+    (RadialPotential.soft_sphere(100.0, 0.5), {"kind": "soft_sphere", "v0": 100.0, "radius": 0.5}),
+    (RadialPotential.tabulated(TABLE["grid"], TABLE["values"]), {"kind": "tabulated", **TABLE}),
 ], ids=["soft_sphere", "tabulated"])
-def test_kernel_table_bit_equal_per_mode_reference(potential):
-    # the same k goes through the same transform, once per mode or once per shell
+def test_kernel_table_bit_equal_per_mode_reference(potential, spec, tmp_path):
+    # the same k goes through the same transform, once per mode or once per shell;
+    # N, ell, the tolerance and r_max are the config's defaults
     N, ell, cutoff = 100, 0.495, 50
     scattering = solve_scattering(potential, r_max=default_r_max(potential), tol=1e-10)
     neumann = solve_neumann(potential, R=N * ell, tol=1e-10)
-    table = kernel_table(scattering, neumann, N, cutoff)
-    assert table.to_csv() == per_mode_kernel_csv(scattering, neumann, N, cutoff)
+    assert main(["scatter", "--output-dir", str(tmp_path), "--set", f"potential={json.dumps(spec)}",
+                 "--set", f"cutoff_norm_sq={cutoff}"]) == 0
+    lines = (tmp_path / "kernels.csv").read_text().splitlines(keepends=True)
+    written = "".join(line for line in lines if not line.startswith("#"))
+    assert written == per_mode_kernel_csv(scattering, neumann, N, cutoff)
 
 
 @given(
@@ -359,7 +359,7 @@ def test_coeffs_and_rho_write_what_the_reference_renders(tmp_path):
     expected = {}
 
     lines = [f"# version: {__version__}", "# config: " + json.dumps(config, sort_keys=True),
-             COEFFICIENT_CSV_HEADER]
+             "norm_sq,eps,mu_sq,theta_sq_A,theta_sq_B,nu,pairing_A,pairing_B"]
     for shell in enumerate_shells(cutoff):
         _, *values = ref_mode_coefficients(shell.members[0].p_sq, a, beta)
         lines.append(",".join([str(shell.norm_sq), *map(repr, values)]))
