@@ -15,7 +15,8 @@ column names as header, and one ``%r`` row template.  The one exception is
 the density models' JSON, whose ``modes`` rows ``density`` splices in
 itself (the same bytes as the dump, written row by row).
 
-A configuration key the defaults do not hold is refused as a usage error,
+A configuration key the defaults do not hold, or a value of another type
+than the default's, is refused as a usage error naming the dotted key,
 except inside the ``potential`` table, whose keys depend on its kind.
 
 Exit statuses: 0 success, 2 usage error, 3 numerical-guard refusal,
@@ -120,12 +121,41 @@ def _apply_set(config: dict, assignment: str):
     node[parts[-1]] = value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of ``default``: an int passes where the
+    default is a float, a bool only where it is a bool, and a list's entries
+    must fit its default's first entry."""
+    if default is None:  # a_override
+        return value is None or _is_number(value)
+    if isinstance(default, float):
+        return _is_number(value)
+    if _is_number(default):
+        return _is_number(value) and isinstance(value, int)
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(entry, default[0]) for entry in value)
+    return isinstance(value, type(default))
+
+
 def _check_keys(config: dict, known: dict, prefix: str = ""):
+    """Refuse a key the defaults do not hold, or a value of another type than
+    its default's, naming the dotted key."""
     for key, value in config.items():
+        name = prefix + key
         if key not in known:
-            raise ValueError(f"unknown config key {prefix + key!r}")
-        if key != "potential" and isinstance(value, dict) and isinstance(known[key], dict):
-            _check_keys(value, known[key], f"{prefix}{key}.")
+            raise ValueError(f"unknown config key {name!r}")
+        if key == "potential":
+            continue
+        default = known[key]
+        if not _fits(value, default):
+            expected = ("null or a number" if default is None
+                        else f"a value of type {type(default).__name__}")
+            raise ValueError(f"config key {name!r} takes {expected}, got {value!r}")
+        if isinstance(default, dict):
+            _check_keys(value, default, f"{name}.")
 
 
 def load_config(path: str | None, sets: list[str], overrides: dict) -> dict:

@@ -414,13 +414,15 @@ def total_number(basis: FockBasis) -> Triplets:
 def build_LN(
     basis: FockBasis,
     N: int,
-    v_hat: Callable[[float], float],
+    v_hat: Callable[[np.ndarray], np.ndarray],
 ) -> HermitianOperator:
     """Excitation Hamiltonian on the capped basis, all interaction legs inside the mode set.
 
-    ``v_hat`` is the radial Fourier transform of the interaction; it is
-    sampled at |p|/N on the physical momenta of the basis modes, once per
-    integer |p|^2.  Assembles the kinetic part plus the scalar/number
+    ``v_hat`` is the radial Fourier transform of the interaction, taking a
+    column of wave numbers to a column of values; it is sampled at |p|/N on
+    the physical momenta of the basis modes and of their differences (0
+    among them), in one call on the column of every integer |p|^2 a term
+    needs.  Assembles the kinetic part plus the scalar/number
     block, the quadratic block with its anomalous pairs, the cubic block
     and the quartic block, keeping exactly the momentum-conserving terms
     whose every leg lies in the mode set.  Every anomalous, cubic and
@@ -437,12 +439,13 @@ def build_LN(
     scale = math.sqrt(modes[0].p_sq / modes[0].norm_sq)
     index = basis.mode_index
 
-    @functools.cache
-    def khat(norm_sq: int) -> float:
-        return v_hat(scale * math.sqrt(norm_sq) / N)
+    n = np.array([m.n for m in modes])
+    differences = ((n[:, None] - n[None, :]) ** 2).sum(axis=2).ravel().tolist()
+    norm_sq = sorted({*(m.norm_sq for m in modes), *differences})
+    khat = dict(zip(norm_sq, np.asarray(v_hat(scale * np.sqrt(norm_sq) / N)).tolist()))
 
-    v0 = khat(0)
-    vp = np.array([khat(m.norm_sq) for m in modes])
+    v0 = khat[0]
+    vp = np.array([khat[m.norm_sq] for m in modes])
     neg = [index[m.negated()] for m in modes]
 
     # diagonal blocks: kinetic + scalar/number + direct quadratic
@@ -476,7 +479,7 @@ def build_LN(
     for ip, mp_ in enumerate(modes):
         for is_, ms in enumerate(modes):
             r = tuple(a - b for a, b in zip(ms.n, mp_.n))
-            v_r = khat(sum(c * c for c in r))
+            v_r = khat[sum(c * c for c in r)]
             if v_r == 0.0:
                 continue
             for iq, mq in enumerate(modes):

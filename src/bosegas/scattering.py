@@ -25,8 +25,11 @@ scipy's zeroin step for step) inside a bracket whose upper end comes from
 the Rayleigh quotient of the trial profile f = 1.  Only numpy is needed.
 
 From the ball solution the correlation kernels are obtained as radial
-Fourier transforms.  On [0, b] they use composite Simpson quadrature at two
-resolutions, so every transform carries its own error estimate.  The part
+Fourier transforms, each taken for a whole column of wave numbers at once.
+On [0, b] they use composite Simpson quadrature at two resolutions, so
+every transform carries its own error estimate; where k b <= 1 the rules
+are summed as their odd-moment series in k, beyond it through the sines
+at the nodes.  The part
 over [b, R] is exact: in closed form from d/dr[G' sin(kr) - k G cos(kr)] =
 (G'' + k^2 G) sin(kr) with G'' = -kappa^2 u there, and below
 k (R - b) = 2 pi, where that form cancels, by a Gauss-Legendre rule whose
@@ -44,6 +47,7 @@ Momenta use the unit-torus convention p = 2*pi*n, energies |p|^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -51,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bogoliubov import mode_coefficients
+from .bogoliubov import _per_element, mode_coefficients
 from .errors import BracketFailure, KernelError, QuadratureError, SolverError
 from .lattice import shell_table
 
@@ -733,33 +737,59 @@ class _Exterior:
         self._nodes = self.ends[0] + half * (x + 1.0)
         self._weighted_g = half * w * (c_r * self._nodes + c_u * neumann.dense.u(self._nodes))
 
-    def _boundary(self, k: float, value, slope) -> float:
-        """[G' sin(kr) - k G cos(kr)] between the ends for G = value, G' = slope."""
-        t = slope * np.sin(k * self.ends) - k * value * np.cos(k * self.ends)
-        return float(t[1] - t[0])
+    def _boundary(self, k, value, slope):
+        """[G' sin(kr) - k G cos(kr)] between the ends for G = value, G' = slope,
+        per wave number of ``k`` (a scalar or a column)."""
+        kr = np.multiply.outer(k, self.ends)
+        t = slope * np.sin(kr) - np.multiply.outer(k, value) * np.cos(kr)
+        return t[..., 1] - t[..., 0]
 
-    def sine(self, k: float) -> float:
-        """int_b^R G sin(kr) dr."""
-        if k * (self.ends[1] - self.ends[0]) < 2.0 * math.pi:
-            return float(self._weighted_g @ np.sin(k * self._nodes))
+    def sine(self, k: np.ndarray) -> np.ndarray:
+        """int_b^R G sin(kr) dr per wave number of the column ``k``."""
+        out = np.empty(len(k))
+        gauss = k * (self.ends[1] - self.ends[0]) < 2.0 * math.pi
+        sines = np.sin(np.multiply.outer(k[gauss], self._nodes))
+        out[gauss] = (sines * self._weighted_g).sum(axis=1)
+        k = k[~gauss]
         kappa_sq = self.kappa * self.kappa
         u_sine = self._boundary(k, self._u, self._du) / (k * k - kappa_sq)
-        return (self._boundary(k, self._g, self._dg) + self._c_u * kappa_sq * u_sine) / (k * k)
+        out[~gauss] = (self._boundary(k, self._g, self._dg)
+                       + self._c_u * kappa_sq * u_sine) / (k * k)
+        return out
 
     def moment(self, power: int) -> float:
         """int_b^R G r^power dr."""
         return float(self._weighted_g @ self._nodes**power)
 
 
+# terms of the odd-moment series of a transform's Simpson part, taken where
+# k r_end <= 1: the first term left out is below (k r_end)^22 / 23! < 4e-23
+# of the |G|-moment, far below the terms' rounding
+_SERIES_TERMS = 11
+
+
 class _RadialTransform:
-    """Sine transform (4 pi / k) * int_0^span G(r) sin(k r) dr with an error estimate.
+    """Sine transforms (4 pi / k) int_0^R G(r) sin(kr) dr of a column of wave
+    numbers, each with an error estimate.
 
     The composite Simpson rules of the pieces between the ``cuts`` form one
-    node set, where G is sampled once, at most 2^16 nodes per evaluation; each
-    evaluation also returns the difference against the half-resolution
-    rule on every second node of each piece (reusing the fine sines), and
-    that bounds the quadrature error.  An optional ``exterior`` carries G
-    exactly from the last cut on to the span.
+    node set, where G is sampled once, at most 2^16 nodes per evaluation.
+    The half-resolution rule on every second node of each piece gives a
+    second value, and the difference of the two estimates the quadrature
+    error.  Both rules are evaluated in one of two ways, split by k r_end,
+    r_end the last node:
+
+    * k r_end <= 1: by the odd-moment series
+      4 pi sum_j (-1)^j k^(2j) M_(2j+1) / (2j+1)!, M_q = sum w G r^q, in
+      ``_SERIES_TERMS`` terms, whose moments are computed once, on first
+      use.  The first term left out, with the |G|-moment, is added to the
+      estimate.  The terms round by at most gamma sum |w G| sinh(k r) / k,
+      within sinh(1) = 1.18 of the sines' rounding.  k = 0 gives 4 pi M_1.
+    * k r_end > 1: by the sines at the nodes, one wave number at a time.
+
+    An optional ``exterior`` carries G exactly from the last cut on to R.
+    A column with a wave number beyond the nodes' resolution (k h > 0.6)
+    raises QuadratureError before anything is evaluated.
     """
 
     def __init__(self, profile: Callable, cuts: np.ndarray, points_per_unit: float,
@@ -774,7 +804,6 @@ class _RadialTransform:
         self._gc = self._g[self._coarse]
         self.h = float(np.diff(self._r).max())
         self._exterior = exterior
-        self.span = float(cuts[-1]) if exterior is None else float(exterior.ends[1])
 
     def moments(self, powers: Sequence[int]) -> list[float]:
         out = []
@@ -785,22 +814,54 @@ class _RadialTransform:
             out.append(value)
         return out
 
-    def __call__(self, k: float) -> tuple[float, float]:
-        if k * self.span < 1e-3:
-            m1, m3, m5 = self.moments([1, 3, 5])
-            value = _FOUR_PI * (m1 - k * k * m3 / 6.0 + k**4 * m5 / 120.0)
-            return value, abs(_FOUR_PI * k**6 * self.moments([7])[0] / 5040.0)
-        if k * self.h > 0.6:
+    @functools.cached_property
+    def _series_terms(self) -> tuple[np.ndarray, float]:
+        """((2, _SERIES_TERMS) coefficients of k^(2j), (-1)^j M_(2j+1) / (2j+1)!
+        for the fine and the coarse rule; the first term left out as a
+        coefficient of k^(2 _SERIES_TERMS), from the fine |G|-moment)."""
+        r_coarse = self._r[self._coarse]
+        fine, coarse = self._g * self._r, self._gc * r_coarse  # G r^(2j + 1)
+        terms = np.empty((2, _SERIES_TERMS))
+        for j in range(_SERIES_TERMS):
+            scale = (-1) ** j / math.factorial(2 * j + 1)
+            terms[:, j] = scale * (self._w @ fine), scale * (self._wc @ coarse)
+            fine *= self._r * self._r
+            coarse *= r_coarse * r_coarse
+        left_out = float(self._w @ np.abs(fine)) / math.factorial(2 * _SERIES_TERMS + 1)
+        return terms, left_out
+
+    def __call__(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, estimates), one entry per wave number k >= 0 of the column ``k``."""
+        k = np.asarray(k, dtype=float)
+        beyond = k * self.h > 0.6
+        if beyond.any():
             raise QuadratureError(
-                f"wave number {k:g} beyond quadrature resolution (h = {self.h:g})"
+                f"wave number {k[beyond][0]:g} beyond quadrature resolution (h = {self.h:g})"
             )
-        s = np.sin(k * self._r)
-        fine = float(self._w @ (self._g * s))
-        coarse = float(self._wc @ (self._gc * s[self._coarse]))
-        error = abs(_FOUR_PI / k * (fine - coarse))
+        rules = np.empty((len(k), 2))  # the fine and the coarse rule's value
+        left_out = np.zeros(len(k))
+        series = k * self._r[-1] <= 1.0
+        if series.any():
+            terms, bound = self._series_terms
+            k_sq = k[series] * k[series]
+            both = np.zeros((2, len(k_sq)))
+            for coefficient in terms.T[::-1]:  # Horner's rule in k^2, entry by entry
+                both = both * k_sq + coefficient[:, None]
+            rules[series] = _FOUR_PI * both.T
+            left_out[series] = _FOUR_PI * k_sq**_SERIES_TERMS * bound
+        direct = np.flatnonzero(~series)
+        for i in direct:
+            s = np.sin(k[i] * self._r)
+            rules[i] = self._w @ (self._g * s), self._wc @ (self._gc * s[self._coarse])
+        rules[direct] *= (_FOUR_PI / k[direct])[:, None]
+        values = rules[:, 0]
         if self._exterior is not None:
-            fine += self._exterior.sine(k)
-        return _FOUR_PI / k * fine, error
+            # (4 pi / k) int_b^R G sin(kr) dr, whose limit at k = 0 is 4 pi int_b^R G r dr
+            values = values + _FOUR_PI * np.divide(
+                self._exterior.sine(k), k, where=k > 0.0,
+                out=np.full(len(k), self._exterior.moment(1)),
+            )
+        return values, np.abs(rules[:, 0] - rules[:, 1]) + left_out
 
 
 def _radial_transform(
@@ -817,7 +878,9 @@ def _radial_transform(
     (0, 1) gives V f and, without a ball solution, (1, 0) gives V.
     Profiles with the factor V vanish past the support and are sampled ten
     times finer, 40,000 Simpson intervals per unit length against 4,000; the
-    others run on exactly over the ball.
+    others run on exactly over the ball.  The transform is built once and
+    called on a column of wave numbers; it returns a column of values and one
+    of error estimates.
     """
     points_per_unit = 40000.0 if times_v else 4000.0
 
@@ -830,11 +893,13 @@ def _radial_transform(
 
 
 def potential_fourier(potential: RadialPotential):
-    """Radial Fourier transform of the bare potential as a callable of k >= 0."""
+    """Radial Fourier transform of the bare potential as a callable of k: a
+    column of wave numbers gives a column of values, a single k a float."""
     transform = _radial_transform(potential, 1.0, times_v=True)
 
-    def v_hat(k: float) -> float:
-        return transform(abs(k))[0]
+    def v_hat(k):
+        values = transform(np.abs(np.atleast_1d(np.asarray(k, dtype=float))))[0]
+        return values if np.ndim(k) else float(values[0])
 
     return v_hat
 
@@ -847,12 +912,13 @@ def eta_coefficients(neumann: NeumannSolution, N: int, p_sq: np.ndarray) -> np.n
     """Pair-correlation kernel eta_p = -w_hat(|p|/N)/N^2, one value per |p|^2.
 
     w = 1 - f is the ball solution's defect from 1, extended by zero; its
-    radial transform is taken by Simpson quadrature on the support and
-    exactly over the rest of the ball, with the small-k series branch
-    below k R < 1e-3.  ``p_sq`` is typically the column of ``shell_table``.
+    radial transform is taken on the whole column at once, by Simpson
+    quadrature on the support (the moment series where k b <= 1) and
+    exactly over the rest of the ball.  ``p_sq`` is typically the column of
+    ``shell_table``.
     """
     transform = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
-    return np.array([-transform(math.sqrt(p) / N)[0] / (N * N) for p in p_sq.tolist()])
+    return -transform(np.sqrt(p_sq) / N)[0] / (N * N)
 
 
 def tau_coefficients(
@@ -860,15 +926,16 @@ def tau_coefficients(
 ) -> np.ndarray:
     """Residual kernel tau_p = -log(1 + 2 (Vf)_hat(|p|/N)/|p|^2)/4 - eta_p per |p|^2."""
     transform = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
-    log_part = np.empty(len(p_sq))
-    for i, p in enumerate(p_sq.tolist()):
-        arg = 2.0 * transform(math.sqrt(p) / N)[0] / p
-        if 1.0 + arg <= 0.0:
-            raise KernelError(
-                f"log argument {1.0 + arg:g} <= 0 at p_sq = {p:g}; quadrature failure"
-            )
-        log_part[i] = -0.25 * math.log1p(arg)
-    return log_part - np.asarray(eta, dtype=float)
+    p_sq = np.asarray(p_sq, dtype=float)
+    arg = 2.0 * transform(np.sqrt(p_sq) / N)[0] / p_sq
+    bad = np.flatnonzero(1.0 + arg <= 0.0)
+    if len(bad):
+        i = bad[0]
+        raise KernelError(
+            f"log argument {1.0 + arg[i]:g} <= 0 at p_sq = {p_sq[i]:g}; quadrature failure"
+        )
+    # log1p through math, as nu's: numpy's differs from it in the last bit on some arguments
+    return -0.25 * _per_element(math.log1p, arg) - np.asarray(eta, dtype=float)
 
 
 def nu_coefficients(a: float, p_sq: np.ndarray) -> np.ndarray:
@@ -890,17 +957,13 @@ def kernel_identity_residuals(
     w_tr = _radial_transform(neumann.potential, 1.0, -1.0, neumann)
     u_tr = _radial_transform(neumann.potential, 0.0, 1.0, neumann)
     vf_tr = _radial_transform(neumann.potential, 0.0, 1.0, neumann, times_v=True)
-    res = np.empty(len(p_sq))
-    tol = np.empty(len(p_sq))
-    for i, p in enumerate(p_sq.tolist()):
-        k = math.sqrt(p) / N
-        w_hat, w_err = w_tr(k)
-        vf_hat, vf_err = vf_tr(k)
-        chif_hat, chif_err = u_tr(k)
-        res[i] = -k * k * w_hat + 0.5 * vf_hat - neumann.lam * chif_hat
-        tol[i] = 10.0 * (k * k * w_err + 0.5 * vf_err + neumann.lam * chif_err)
-        tol[i] += 1e-9 * abs(0.5 * vf_hat)
-    return res, tol
+    k = np.sqrt(p_sq) / N
+    w_hat, w_err = w_tr(k)
+    vf_hat, vf_err = vf_tr(k)
+    chif_hat, chif_err = u_tr(k)
+    res = -k * k * w_hat + 0.5 * vf_hat - neumann.lam * chif_hat
+    tol = 10.0 * (k * k * w_err + 0.5 * vf_err + neumann.lam * chif_err)
+    return res, tol + 1e-9 * np.abs(0.5 * vf_hat)
 
 
 @dataclass(frozen=True)

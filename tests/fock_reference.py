@@ -159,7 +159,7 @@ def toy_gibbs_single_n(
         raise ValueError("toy experiment needs N >= cap")
 
     if potential.is_zero:
-        v_hat = lambda k: 0.0  # noqa: E731 - trivial free-gas sampler
+        v_hat = np.zeros_like  # the free gas: v_hat = 0 at every k
     else:
         v_hat = potential_fourier(potential)
     a_model = _toy_scattering_length(potential)

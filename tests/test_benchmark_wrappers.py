@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from bosegas.fock import build_basis, build_LN
 from bosegas.lattice import enumerate_shells, modes_up_to, shell_modes
 from sparse_reference import csr
@@ -52,7 +54,7 @@ def test_record_counts_the_real_results():
     fock = Tracer(0)
     basis = build_basis(shell_modes([1]), 2)
     fock.record("fock.build_basis", basis)
-    ln = build_LN(basis, 16, lambda k: 1.0)
+    ln = build_LN(basis, 16, np.ones_like)
     fock.record("fock.build_LN", ln)
     assert fock.counts == {"fock.basis_states": 28, "fock.ln_nnz": csr(ln).nnz}  # C(8, 6) states
     assert fock.counts["fock.ln_nnz"] > len(basis)  # the pair and quartic terms are counted

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import bosegas
 import bosegas.cli
 import bosegas.lattice
 from bosegas.cli import main
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 FAST_SETS = [
     "--set", "cutoff_norm_sq=20",
@@ -233,6 +236,45 @@ def test_unknown_config_key_is_usage_error(tmp_path, key):
         assert record["error"] == "ValueError"
         assert repr(key) in record["message"]
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("assignment, key", [
+    ("oracle.shells=2", "oracle.shells"),
+    ("cutoff_norm_sq=abc", "cutoff_norm_sq"),
+    ('oracle.shells=[1, "a"]', "oracle.shells"),
+    ("N=true", "N"),
+    ("N=1.5", "N"),
+    ("beta=false", "beta"),
+    ('a_override="small"', "a_override"),
+    ("oracle.toy=3", "oracle.toy"),
+])
+def test_wrongly_typed_config_value_is_usage_error(tmp_path, assignment, key):
+    # refused where the config is read, naming the key, not by whatever
+    # later step first trips over the value
+    out = tmp_path / "typed"
+    assert main(["oracle", "--output-dir", str(out), *FAST_SETS, "--set", assignment]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert repr(key) in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_config_types_accept_ints_for_floats_and_a_null_override():
+    config = bosegas.cli.load_config(None, ["beta=2", "oracle.a=1", "a_override=null"], {})
+    assert (config["beta"], config["oracle"]["a"], config["a_override"]) == (2, 1, None)
+    assert bosegas.cli.load_config(None, ["a_override=3"], {})["a_override"] == 3
+
+
+def test_every_benchmark_setting_loads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [argv for workload in workloads.WORKLOADS.values()
+             for case in workload["cases"] for argv in case["argvs"]]
+    assert any("--set" in argv for argv in argvs)
+    for argv in argvs:
+        sets = [value for flag, value in zip(argv, argv[1:]) if flag == "--set"]
+        bosegas.cli.load_config(None, sets, {"output_dir": "out"})
 
 
 def test_toy_payload_keys_shells_in_string_order(tmp_path):

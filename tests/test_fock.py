@@ -154,7 +154,7 @@ class TestExcitationHamiltonian:
 
     def test_free_gas_reduces_to_kinetic(self):
         basis = build_basis(SHELL1, 4)
-        ln = build_LN(basis, N=16, v_hat=lambda k: 0.0)
+        ln = build_LN(basis, N=16, v_hat=np.zeros_like)
         assert (csr(ln) - csr(kinetic(basis))).nnz == 0
 
     def test_vacuum_expectation(self, ln_setup):

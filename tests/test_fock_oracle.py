@@ -50,7 +50,8 @@ KINDS = ("create", "annihilate", "b_create", "b_annihilate")
 
 
 def soft_sphere_v_hat(v0, radius):
-    """Closed-form radial Fourier transform of v0 on the ball of ``radius``."""
+    """Closed-form radial Fourier transform of v0 on the ball of ``radius``,
+    entry by entry: a column of k gives the column of the scalar values."""
 
     def v_hat(k):
         x = k * radius
@@ -58,7 +59,7 @@ def soft_sphere_v_hat(v0, radius):
             return 4.0 * math.pi * v0 * radius**3 * (1.0 / 3.0 - x * x / 30.0)
         return 4.0 * math.pi * v0 * (math.sin(x) - x * math.cos(x)) / k**3
 
-    return v_hat
+    return np.vectorize(v_hat, otypes=[float])
 
 
 def state_tuples(basis):

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import bosegas.scattering as scattering
-from bosegas.errors import BracketFailure, QuadratureError
+from bosegas.errors import BracketFailure, KernelError, QuadratureError
 from bosegas.lattice import shell_table
 from bosegas.scattering import (
     _GROUP,
+    _SERIES_TERMS as SERIES_TERMS,
     RadialPotential,
     _boundary_defect,
     _integrate_radial,
@@ -38,6 +39,7 @@ from bosegas.scattering import (
     eta_coefficients,
     solve_neumann,
     solve_scattering,
+    tau_coefficients,
     zero_potential,
 )
 
@@ -285,9 +287,9 @@ def test_flat_nodes_match_the_per_piece_rules(potential, R, k_share):
 
         h = max(r[1] - r[0] for r, _, _, _ in pieces)
         k = 1e-3 / b * (0.5 / h / (1e-3 / b)) ** k_share
-        value, estimate = ours(k)
+        (value,), (estimate,) = ours(np.array([k]))
         ref_value, ref_estimate = ref_transform(profile, b, breaks, k, points_per_unit)
-        ext = 0.0 if exterior is None else exterior.sine(k)
+        ext = 0.0 if exterior is None else exterior.sine(np.array([k]))[0]
         scale = FOUR_PI / k
         value_tol = scale * (2.0 * gamma * fine_sum + 6.0 * EPS * (fine_sum + abs(ext)))
         assert abs(value - (ref_value + scale * ext)) <= value_tol
@@ -301,6 +303,63 @@ def test_flat_nodes_match_the_per_piece_rules(potential, R, k_share):
             moment_sum = sum(float(np.abs(w * g * r**q).sum()) for r, w, g, _ in pieces)
             tol = 2.0 * gamma * moment_sum + 3.0 * EPS * (moment_sum + abs(ext))
             assert abs(moment - (ref + ext)) <= tol
+
+
+def series_truncation(pieces, k):
+    """The first term the transform's moment series leaves out, from the
+    |G|-moment; 0 where k r_end > 1 and the sines are summed directly."""
+    r_end = pieces[-1][0][-1]
+    if k * r_end > 1.0:
+        return 0.0
+    q = 2 * SERIES_TERMS + 1
+    abs_moment = math.fsum(float(np.abs(w * g * r**q).sum()) for r, w, g, _ in pieces)
+    return FOUR_PI * k ** (q - 1) * abs_moment / math.factorial(q)
+
+
+@settings(max_examples=15, deadline=None)
+@given(potential=potentials(max_points=50), R=st.floats(2.0, 10.0),
+       shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_column_call_matches_the_per_piece_reference(potential, R, shares):
+    # one column of wave numbers, through the moment series up to
+    # k r_end = 1 and the sines beyond, against the direct per-piece
+    # Simpson sums of ref_transform at each k; the tolerances are those of
+    # test_flat_nodes_match_the_per_piece_rules, plus the series' truncation
+    # bound.  k = 0 has no reference sum; test_zero_wave_number_is_the_first_moment
+    # covers it.
+    neumann = solve_neumann(potential, R=R, tol=1e-10)
+    b, breaks = potential.support_radius, potential.breakpoints()
+    for c_r, c_u, times_v in ((1.0, -1.0, False), (0.0, 1.0, False), (0.0, 1.0, True)):
+        points_per_unit = 40000.0 if times_v else 4000.0
+        ours = _radial_transform(potential, c_r, c_u, neumann, times_v=times_v)
+        profile = ball_profile(neumann, c_r, c_u, times_v)
+        pieces = ref_pieces(profile, b, breaks, points_per_unit)
+        n = sum(len(r) for r, _, _, _ in pieces)
+        gamma = (n + 1) * EPS / (1.0 - (n + 1) * EPS)
+        fine_sum = sum(float(np.abs(w * g).sum()) for _, w, g, _ in pieces)
+        coarse_sum = sum(float(np.abs(wc * g[::2]).sum()) for _, _, g, wc in pieces)
+        exterior = ours._exterior
+
+        # from k b = 1e-3, below which ref_transform takes its own series,
+        # to the resolution limit k h = 0.6, with the threshold k b = 1 on
+        # both sides and 0 in front
+        low, high = 1e-3 / b, 0.6 / ours.h
+        k = np.array([0.0, np.nextafter(1.0 / b, 0.0), 1.0 / b, np.nextafter(1.0 / b, 2.0 / b),
+                      high, *(low * (high / low) ** share for share in shares)])
+        values, estimates = ours(k)
+        for ki, value, estimate in zip(k[1:].tolist(), values[1:], estimates[1:]):
+            ref_value, ref_estimate = ref_transform(profile, b, breaks, ki, points_per_unit)
+            ext = 0.0 if exterior is None else exterior.sine(np.array([ki]))[0]
+            scale = FOUR_PI / ki
+            trunc = series_truncation(pieces, ki)
+            value_tol = scale * (2.0 * gamma * fine_sum + 6.0 * EPS * (fine_sum + abs(ext)))
+            assert abs(value - (ref_value + scale * ext)) <= value_tol + trunc
+            estimate_tol = scale * (2.0 * gamma + 4.0 * EPS) * (fine_sum + coarse_sum)
+            assert abs(estimate - ref_estimate) <= estimate_tol + trunc
+        # each entry is evaluated on its own: a wave number's value does not
+        # depend on the rest of the column
+        for ki, value, estimate in zip(k, values, estimates):
+            (one_value,), (one_estimate,) = ours(np.array([ki]))
+            assert (one_value, one_estimate) == (value, estimate)
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,7 +599,7 @@ def test_transform_near_resonance_matches_simpson(soft_ball, c_r, c_u, ratio):
     # there k (R - b) < 2 pi, and the exterior is taken by Gauss-Legendre
     k = ratio * math.sqrt(soft_ball.lam)
     assert k * soft_ball.R > 1e-3
-    ours, _ = _radial_transform(SOFT, c_r, c_u, soft_ball)(k)
+    ours = _radial_transform(SOFT, c_r, c_u, soft_ball)(np.array([k]))[0][0]
     ref, err = simpson_over_ball(soft_ball, c_r, c_u, k)
     assert abs(ours - ref) <= err + 1e-12 * abs(ref)
 
@@ -549,7 +608,7 @@ def test_transform_near_resonance_matches_simpson(soft_ball, c_r, c_u, ratio):
 @pytest.mark.parametrize("k", [0.8, 2.0, 7.5])
 def test_closed_form_exterior_matches_simpson(soft_ball, c_r, c_u, k):
     assert k * (soft_ball.R - SOFT.support_radius) > 2.0 * math.pi
-    ours, _ = _radial_transform(SOFT, c_r, c_u, soft_ball)(k)
+    ours = _radial_transform(SOFT, c_r, c_u, soft_ball)(np.array([k]))[0][0]
     ref, err = simpson_over_ball(soft_ball, c_r, c_u, k)
     assert abs(ours - ref) <= err + 1e-12 * abs(ref)
 
@@ -589,8 +648,8 @@ def test_free_ball_transforms_are_closed_form():
     neumann = solve_neumann(zero_potential(0.5), R=6.0)
     R = neumann.R
     for k in (0.05, 0.7, 3.0):
-        w_hat, _ = _radial_transform(neumann.potential, 1.0, -1.0, neumann)(k)
-        f_hat, _ = _radial_transform(neumann.potential, 0.0, 1.0, neumann)(k)
+        w_hat = _radial_transform(neumann.potential, 1.0, -1.0, neumann)(np.array([k]))[0][0]
+        f_hat = _radial_transform(neumann.potential, 0.0, 1.0, neumann)(np.array([k]))[0][0]
         exact = FOUR_PI / k * (math.sin(k * R) / k**2 - R * math.cos(k * R) / k)
         assert abs(w_hat) < 1e-12
         assert f_hat == pytest.approx(exact, rel=1e-12)
@@ -601,22 +660,78 @@ def test_small_k_series_branch_matches_simpson(soft_ball, c_r, c_u):
     transform = _radial_transform(SOFT, c_r, c_u, soft_ball)
     for kR in (1e-6, 5e-4, 0.999e-3):
         k = kR / soft_ball.R
-        ours, trunc = transform(k)
+        (ours,), (trunc,) = transform(np.array([k]))
         ref, _ = simpson_over_ball(soft_ball, c_r, c_u, k)
         assert abs(ours - ref) <= trunc + 1e-12 * abs(ref)
 
 
 def test_transform_is_continuous_across_the_series_threshold(soft_ball):
     transform = _radial_transform(SOFT, 1.0, -1.0, soft_ball)
-    below, _ = transform(0.9999e-3 / soft_ball.R)
-    above, _ = transform(1.0001e-3 / soft_ball.R)
+    below = transform(np.array([0.9999e-3 / soft_ball.R]))[0][0]
+    above = transform(np.array([1.0001e-3 / soft_ball.R]))[0][0]
     assert above == pytest.approx(below, rel=1e-9)
+
+
+def test_transform_is_continuous_at_k_r_end_one(soft_ball):
+    # at k r_end = 1 the Simpson part switches from the moment series to the
+    # sines; on either side of it the two agree to roundoff (up to 8.7e-15
+    # relative for the f profile, whose exterior part moves with k by as
+    # much; the property test holds each side to the reference sums)
+    for c_r, c_u, times_v in ((1.0, -1.0, False), (0.0, 1.0, False), (0.0, 1.0, True)):
+        transform = _radial_transform(SOFT, c_r, c_u, soft_ball, times_v=times_v)
+        at = 1.0 / SOFT.support_radius
+        values, _ = transform(np.array([np.nextafter(at, 0.0), at, np.nextafter(at, 2.0 * at)]))
+        assert np.all(np.abs(values - values[1]) <= 1e-12 * abs(values[1]))
+
+
+def test_zero_wave_number_is_the_first_moment(soft_ball):
+    # the series at k = 0 is its first term, 4 pi M_1, with no division by
+    # k; the exterior adds 4 pi times its own first moment
+    vf = _radial_transform(SOFT, 0.0, 1.0, soft_ball, times_v=True)
+    (value,), (estimate,) = vf(np.array([0.0]))
+    assert value == FOUR_PI * vf.moments([1])[0]
+    assert estimate == abs(value - FOUR_PI * float(vf._wc @ (vf._gc * vf._r[vf._coarse])))
+    for c_r, c_u in ((1.0, -1.0), (0.0, 1.0)):
+        transform = _radial_transform(SOFT, c_r, c_u, soft_ball)
+        (value,), _ = transform(np.array([0.0]))
+        interior = float(transform._w @ (transform._g * transform._r))
+        outside = transform._exterior.moment(1)
+        expected = FOUR_PI * interior + FOUR_PI * outside
+        assert value == expected
+        assert value == pytest.approx(FOUR_PI * transform.moments([1])[0], rel=4.0 * EPS)
+
+
+def test_resolution_guard_refuses_the_whole_column(soft_ball):
+    # one wave number beyond resolution refuses the column before any
+    # branch runs (the lazily built series moments stay unbuilt), naming the
+    # first offending k
+    transform = _radial_transform(SOFT, 1.0, -1.0, soft_ball)
+    first, second = 0.61 / transform.h, 0.7 / transform.h
+    column = np.array([0.0, 0.5, first, 1.0 / SOFT.support_radius, second, 3.0])
+    with pytest.raises(QuadratureError, match=f"wave number {first:g} beyond"):
+        transform(column)
+    assert "_series_terms" not in vars(transform)
+
+
+def test_tau_refusal_names_the_first_offending_shell(soft_ball, monkeypatch):
+    # a transform whose value drives 1 + 2 (Vf)_hat/|p|^2 to 0 or below on
+    # the third and fifth shells: tau refuses the column, naming the third
+    N = 100
+    p_sq = shell_table(6)[2]
+    bad = np.isin(np.arange(len(p_sq)), [2, 4])
+
+    def broken(*args, **kwargs):
+        return lambda k: (np.where(bad, -(N * k) ** 2, 1.0), np.zeros_like(k))
+
+    monkeypatch.setattr(scattering, "_radial_transform", broken)
+    with pytest.raises(KernelError, match=f"at p_sq = {p_sq[2]:g};"):
+        tau_coefficients(np.zeros(len(p_sq)), soft_ball, N, p_sq)
 
 
 def test_resolution_guard_still_applies(soft_ball):
     transform = _radial_transform(SOFT, 1.0, -1.0, soft_ball)
     with pytest.raises(QuadratureError):
-        transform(0.61 / transform.h)
+        transform(np.array([0.61 / transform.h]))
 
 
 # ---------------------------------------------------------------------------

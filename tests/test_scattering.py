@@ -308,7 +308,7 @@ class TestKernels:
 
         transform = _radial_transform(SOFT, 1.0, -1.0, neumann)
         for k in (0.12566370614359174, 1.2566370614359172):
-            ours, _ = transform(k)
+            ours = transform(np.array([k]))[0][0]
             exact = float(
                 4 * mp.pi / k
                 * mp.quad(lambda r: (r - u_exact(r)) * mp.sin(k * r), [0, a0, Rm])
@@ -322,7 +322,7 @@ class TestKernels:
         coarse = _RadialTransform(lambda r: np.asarray(r), np.array([0.0, 1.0]),
                                   points_per_unit=70)
         with pytest.raises(QuadratureError):
-            coarse(50.0)
+            coarse(np.array([50.0]))
 
     def test_kernel_table_csv_layout(self, tmp_path):
         # the kernel table of the fixture's N and cutoff, as ``scatter`` writes it

@@ -186,8 +186,8 @@ def per_mode_kernel_csv(scattering, neumann, N, cutoff):
     rows = {}
     for m in modes_up_to(cutoff):
         k = math.sqrt(m.p_sq) / N
-        eta = -w_hat(k)[0] / (N * N)
-        tau = -0.25 * math.log1p(2.0 * vf_hat(k)[0] / m.p_sq) - eta
+        eta = -float(w_hat(np.array([k]))[0][0]) / (N * N)
+        tau = -0.25 * math.log1p(2.0 * float(vf_hat(np.array([k]))[0][0]) / m.p_sq) - eta
         nu = ref_nu(m.p_sq, scattering.a)
         rows.setdefault(m.norm_sq, (math.sqrt(m.p_sq), eta, tau, nu))
     lines = ["norm_sq,p_abs,eta,tau,nu"]
