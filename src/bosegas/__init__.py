@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .bogoliubov import (
     ModeCoefficients,
-    ThermalConfig,
     Variant,
     bose_occupation,
     depletion_sums,

@@ -29,11 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import SumResult, shell_sum, shell_table
+from .lattice import SumResult, shell_sum
 
 __all__ = [
     "Variant",
-    "ThermalConfig",
     "ModeCoefficients",
     "bose_occupation",
     "mode_coefficients",
@@ -46,21 +45,6 @@ class Variant(str, enum.Enum):
 
     A = "A"
     B = "B"
-
-
-@dataclass(frozen=True)
-class ThermalConfig:
-    """Scattering length, inverse temperature and coefficient convention."""
-
-    a: float
-    beta: float
-    variant: Variant = Variant.B
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("scattering length must be non-negative")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError("inverse temperature must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -121,11 +105,16 @@ def mode_coefficients(p_sq, a: float, beta: float = math.inf) -> ModeCoefficient
       conventions at T = 0: A: -4*pi*a * (1/eps + 2n),
       B: -(4*pi*a/eps) * (1 + 2n).
 
-    ``beta = inf`` is zero temperature.  Arithmetic and square roots act on
-    whole columns, where numpy rounds exactly as Python floats do; exp,
-    expm1 and log1p go through ``math`` one entry at a time, because
+    ``beta = inf`` is zero temperature; a negative or NaN ``a`` and a
+    non-positive or NaN ``beta`` are refused.  Arithmetic and square roots
+    act on whole columns, where numpy rounds exactly as Python floats do;
+    exp, expm1 and log1p go through ``math`` one entry at a time, because
     numpy's versions differ from it in the last bit on some arguments.
     """
+    if not a >= 0:
+        raise ValueError(f"scattering length must be non-negative, got {a!r}")
+    if not beta > 0:
+        raise ValueError(f"inverse temperature must be positive, got {beta!r}")
     p_sq = np.asarray(p_sq, dtype=float)
     eps = np.sqrt(p_sq * (p_sq + 16.0 * math.pi * a))
     fourpia = 4.0 * math.pi * a
@@ -145,17 +134,16 @@ def mode_coefficients(p_sq, a: float, beta: float = math.inf) -> ModeCoefficient
     )
 
 
-def depletion_sums(cfg: ThermalConfig, max_norm_sq: int) -> dict[str, SumResult]:
+def depletion_sums(coefficients: ModeCoefficients, variant: Variant,
+                   max_norm_sq: int) -> dict[str, SumResult]:
     """Lattice sums of mu^2 and theta^2 up to the cutoff, with tail bounds.
 
-    mu^2 decays like |n|^(-4) (tail exponent 2); theta^2 decays
-    exponentially, for which the same power-law envelope estimated from the
-    outermost shell is a valid (very conservative) model.
+    ``coefficients`` holds the columns at the ``p_sq`` of
+    ``shell_table(max_norm_sq)``.  mu^2 decays like |n|^(-4) (tail exponent
+    2); theta^2 decays exponentially, for which the same power-law envelope
+    estimated from the outermost shell is a valid (very conservative) model.
     """
-    if max_norm_sq < 1:
-        raise ValueError("cutoff must be >= 1")
-    c = mode_coefficients(shell_table(max_norm_sq)[2], cfg.a, cfg.beta)
     return {
-        "sum_mu": shell_sum(c.mu_sq, max_norm_sq, tail_exponent=2.0),
-        "sum_theta": shell_sum(c.theta_sq(cfg.variant), max_norm_sq, tail_exponent=2.0),
+        "sum_mu": shell_sum(coefficients.mu_sq, max_norm_sq, tail_exponent=2.0),
+        "sum_theta": shell_sum(coefficients.theta_sq(variant), max_norm_sq, tail_exponent=2.0),
     }

@@ -8,17 +8,20 @@ to each zero-total-momentum pair.  Traces are the structural identities
 
 The two-particle model need not be positive at finite N; its minimum
 eigenvalue is available as a diagnostic in closed form.
+
+The builders take the coefficient columns the caller evaluated once, at
+the ``p_sq`` of ``lattice.shell_table(cutoff)``; this module only does the
+models' arithmetic, and ``cli`` renders them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bogoliubov import ThermalConfig, Variant, mode_coefficients
+from .bogoliubov import ModeCoefficients, Variant
 from .errors import ModelValidityError
 from .lattice import shell_table
 
@@ -51,9 +54,6 @@ class SecondOrderDM1:
     def trace(self) -> float:
         return _mode_sum([self.condensate_weight], self.multiplicity, self.excited_weights)
 
-    def to_json(self, provenance: dict | None = None) -> str:
-        return _dm_json(self, pairing=None, provenance=provenance)
-
 
 @dataclass(frozen=True)
 class SecondOrderDM2(SecondOrderDM1):
@@ -66,9 +66,6 @@ class SecondOrderDM2(SecondOrderDM1):
     """
 
     pairing: np.ndarray
-
-    def to_json(self, provenance: dict | None = None) -> str:
-        return _dm_json(self, pairing=self.pairing, provenance=provenance)
 
 
 def _mode_sum(extra: list[float], multiplicity: np.ndarray, *columns: np.ndarray) -> float:
@@ -86,40 +83,9 @@ def _mode_sum(extra: list[float], multiplicity: np.ndarray, *columns: np.ndarray
     return math.fsum(parts)
 
 
-# repr's spelling of the non-finite floats, and json's
-_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dm_json(dm, pairing, provenance) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)``, with the ``modes``
-    rows written straight from the columns through one row template."""
-    columns = dict(norm_sq=dm.norm_sq, multiplicity=dm.multiplicity, weight=dm.excited_weights)
-    if pairing is not None:
-        columns["pairing"] = pairing
-    keys = sorted(columns)
-    # %r is int.__repr__ or float.__repr__, as json writes them when finite
-    template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %r" for k in keys) + "\n    }"
-    rows = ",\n".join([template % row for row in zip(*(columns[k].tolist() for k in keys))])
-    for python, js in _JSON_FLOAT.items():
-        rows = rows.replace(": " + python, ": " + js)  # ": inf" does not match ": -inf"
-    payload = {
-        "N": dm.N,
-        "cutoff": dm.cutoff,
-        "variant": dm.variant.value,
-        "condensate": float(dm.condensate_weight),
-        "trace": dm.trace(),
-        "modes": 0,
-    }
-    if provenance is not None:
-        payload["provenance"] = provenance
-    # the top-level "modes" entry is the only line that starts with two spaces
-    # and '"modes"': nested keys are indented deeper, and strings hold no newline
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    return text.replace('\n  "modes": 0', '\n  "modes": ' + (f"[\n{rows}\n  ]" if rows else "[]"), 1)
-
-
-def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
-    """Assemble the one-particle model with weight mu^2 + theta^2 on every mode.
+def _model(kind, coefficients: ModeCoefficients, variant: Variant, N: int, cutoff: int,
+           factor: float, depletion_name: str, **pairing):
+    """A ``kind`` model with weights ``factor`` (mu^2 + theta^2) on every mode.
 
     Valid only while the depletion stays below N; otherwise the condensate
     weight would be non-positive and the asymptotic model meaningless, so a
@@ -128,46 +94,30 @@ def build_rho1(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM1:
     if N < 1:
         raise ValueError("particle number must be >= 1")
     norm_sq, multiplicity, p_sq = shell_table(cutoff)
-    weights = mode_coefficients(p_sq, cfg.a, cfg.beta).occupation(cfg.variant)
+    if coefficients.p_sq.shape != p_sq.shape:
+        raise ValueError(f"coefficients of {coefficients.p_sq.size} shells given for the "
+                         f"{p_sq.size} shells up to |n|^2 = {cutoff}")
+    weights = factor * coefficients.occupation(variant)
     depletion = _mode_sum([], multiplicity, weights)
     if depletion >= N:
         raise ModelValidityError(
-            f"second-order model invalid at this N: depletion {depletion:g} >= N = {N}"
+            f"second-order model invalid at this N: {depletion_name} {depletion:g} >= N = {N}"
         )
-    return SecondOrderDM1(
-        N=N,
-        cutoff=cutoff,
-        variant=cfg.variant,
-        condensate_weight=N - depletion,
-        norm_sq=norm_sq,
-        multiplicity=multiplicity,
-        excited_weights=weights,
-    )
+    return kind(N=N, cutoff=cutoff, variant=Variant(variant), condensate_weight=N - depletion,
+                norm_sq=norm_sq, multiplicity=multiplicity, excited_weights=weights, **pairing)
 
 
-def build_rho2(cfg: ThermalConfig, N: int, cutoff: int) -> SecondOrderDM2:
-    """Assemble the two-particle model: weights 4(mu^2+theta^2) and the pairing block."""
-    if N < 1:
-        raise ValueError("particle number must be >= 1")
-    norm_sq, multiplicity, p_sq = shell_table(cutoff)
-    coefficients = mode_coefficients(p_sq, cfg.a, cfg.beta)
-    weights = 4.0 * coefficients.occupation(cfg.variant)
-    depletion4 = _mode_sum([], multiplicity, weights)
-    if depletion4 >= N:
-        raise ModelValidityError(
-            f"second-order model invalid at this N: 4*depletion {depletion4:g} >= N = {N}"
-        )
-    pairing = coefficients.pairing(cfg.variant)
-    return SecondOrderDM2(
-        N=N,
-        cutoff=cutoff,
-        variant=cfg.variant,
-        condensate_weight=N - depletion4,
-        norm_sq=norm_sq,
-        multiplicity=multiplicity,
-        excited_weights=weights,
-        pairing=pairing,
-    )
+def build_rho1(coefficients: ModeCoefficients, variant: Variant, N: int,
+               cutoff: int) -> SecondOrderDM1:
+    """The one-particle model: weight mu^2 + theta^2 on every mode."""
+    return _model(SecondOrderDM1, coefficients, variant, N, cutoff, 1.0, "depletion")
+
+
+def build_rho2(coefficients: ModeCoefficients, variant: Variant, N: int,
+               cutoff: int) -> SecondOrderDM2:
+    """The two-particle model: weights 4(mu^2 + theta^2) and the pairing block."""
+    return _model(SecondOrderDM2, coefficients, variant, N, cutoff, 4.0, "4*depletion",
+                  pairing=coefficients.pairing(variant))
 
 
 def _check_same_shape(x, y):

@@ -940,8 +940,6 @@ def tau_coefficients(
 
 def nu_coefficients(a: float, p_sq: np.ndarray) -> np.ndarray:
     """Limit kernel nu_p = -log(1 + 16 pi a/|p|^2)/4 <= 0 per |p|^2."""
-    if a < 0:
-        raise ValueError("scattering length must be non-negative")
     return mode_coefficients(p_sq, a).nu
 
 

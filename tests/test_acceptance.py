@@ -19,11 +19,11 @@ import time
 import numpy as np
 import pytest
 
-from bosegas.bogoliubov import ThermalConfig, Variant, mode_coefficients
+from bosegas.bogoliubov import Variant, mode_coefficients
 from bosegas.cli import main
 from bosegas.density import build_rho1, build_rho2
 from bosegas.fock import build_basis, expect, gibbs, number_operator
-from bosegas.lattice import TWO_PI, enumerate_shells
+from bosegas.lattice import TWO_PI, enumerate_shells, shell_table
 from bosegas.oracles import (
     adjudicate_variants,
     pairing_expectation,
@@ -213,17 +213,17 @@ def test_criterion_09_variant_adjudication():
 def test_criterion_10_density_model_bookkeeping():
     started = time.monotonic()
     N = 10**6
+    warm = mode_coefficients(shell_table(100)[2], 1.0, 1.0)
+    cold = mode_coefficients(shell_table(50)[2], 1.0, 1e3)
     for variant in Variant:
-        warm = ThermalConfig(a=1.0, beta=1.0, variant=variant)
-        assert build_rho1(warm, N, cutoff=100).trace() == float(N)
-        assert build_rho2(warm, N, cutoff=100).trace() == float(N)
+        assert build_rho1(warm, variant, N, cutoff=100).trace() == float(N)
+        assert build_rho2(warm, variant, N, cutoff=100).trace() == float(N)
 
-        cold = ThermalConfig(a=1.0, beta=1e3, variant=variant)
-        dm1 = build_rho1(cold, N, cutoff=50)
+        dm1 = build_rho1(cold, variant, N, cutoff=50)
         assert dm1.norm_sq[0] == 1  # the smallest shell
         assert abs(dm1.excited_weights[0] - mode_coefficients(TWO_PI * TWO_PI, 1.0).mu_sq) <= 1e-30
 
-        dm2 = build_rho2(cold, N, cutoff=50)
+        dm2 = build_rho2(cold, variant, N, cutoff=50)
         eps = mode_coefficients(TWO_PI * TWO_PI * dm2.norm_sq, 1.0).eps
         for pairing, e in zip(dm2.pairing.tolist(), eps.tolist()):
             expected = -4.0 * math.pi * 1.0 / e

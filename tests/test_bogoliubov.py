@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosegas.bogoliubov import (
-    ThermalConfig,
     Variant,
     bose_occupation,
     depletion_sums,
     mode_coefficients,
 )
-from bosegas.lattice import TWO_PI, enumerate_shells
+from bosegas.lattice import TWO_PI, enumerate_shells, shell_table
 
 # independently evaluated: sqrt((2 pi)^4 + 16 pi (2 pi)^2) at 40 digits
 DISPERSION_UNIT_MODE_A1 = 59.522660929122006844
@@ -160,26 +159,34 @@ def test_mode_coefficients_internal_consistency():
     assert c.mu_sq >= 0.0 and c.nu <= 0.0
 
 
-def test_thermal_config_validation():
-    with pytest.raises(ValueError):
-        ThermalConfig(a=-1.0, beta=1.0)
-    with pytest.raises(ValueError):
-        ThermalConfig(a=1.0, beta=0.0)
-    with pytest.raises(ValueError):
-        ThermalConfig(a=1.0, beta=math.inf)
+def test_mode_coefficients_refuses_negative_a_and_non_positive_beta():
+    # at beta <= 0 the Bose factor divides by zero or turns negative; a NaN
+    # compares false both ways, so the checks are written to refuse it
+    for a in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="scattering length must be non-negative"):
+            mode_coefficients(TWO_PI**2, a, 1.0)
+    for beta in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="inverse temperature must be positive"):
+            mode_coefficients(TWO_PI**2, 1.0, beta)
+    # beta = inf is zero temperature, which the adjudication and nu use
+    assert mode_coefficients(TWO_PI**2, 1.0, math.inf).theta_sq_B == 0.0
+
+
+def sums(a, beta, variant, cutoff):
+    """``depletion_sums`` on the coefficient columns at the shells up to ``cutoff``."""
+    return depletion_sums(mode_coefficients(shell_table(cutoff)[2], a, beta), variant, cutoff)
 
 
 def test_depletion_sums_trivial_cases():
-    zero_a = depletion_sums(ThermalConfig(a=0.0, beta=1.0, variant=Variant.B), 30)
+    zero_a = sums(0.0, 1.0, Variant.B, 30)
     assert zero_a["sum_mu"].value == 0.0
-    cold = depletion_sums(ThermalConfig(a=1.0, beta=1e3, variant=Variant.B), 30)
+    cold = sums(1.0, 1e3, Variant.B, 30)
     assert cold["sum_theta"].value == 0.0
 
 
 def test_depletion_sums_cutoff_self_consistency():
-    cfg = ThermalConfig(a=1.0, beta=1.0, variant=Variant.B)
-    small = depletion_sums(cfg, 400)
-    large = depletion_sums(cfg, 1600)
+    small = sums(1.0, 1.0, Variant.B, 400)
+    large = sums(1.0, 1.0, Variant.B, 1600)
     for key in ("sum_mu", "sum_theta"):
         assert abs(large[key].value - small[key].value) <= small[key].tail_bound
 

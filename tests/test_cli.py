@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bosegas
+import bosegas.bogoliubov
 import bosegas.cli
 import bosegas.lattice
 from bosegas.cli import main
@@ -257,6 +258,46 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, assignment, key):
     assert record["error"] == "ValueError"
     assert repr(key) in record["message"]
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("command, assignment", [
+    *[(command, f"beta={beta}") for command in ("coeffs", "rho")
+      for beta in ("0", "Infinity", "NaN")],
+    ("oracle", "oracle.beta=0"),
+    ("oracle", "oracle.toy.beta=0"),
+    ("coeffs", "a_override=-1"),
+    ("rho", "a_override=-1"),
+])
+def test_non_positive_beta_and_negative_length_are_usage_errors(tmp_path, command, assignment):
+    # beta = 0 used to divide by zero in the Bose factor, with a traceback
+    # and no error record; a negative length read only "math domain error"
+    key = assignment.split("=")[0]
+    message = ("scattering length must be non-negative" if key == "a_override"
+               else f"{key!r} takes a positive finite inverse temperature")
+    out = tmp_path / "refused"
+    assert main([command, "--output-dir", str(out), *FAST_SETS, "--set", assignment]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert message in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+@pytest.mark.parametrize("command", ["coeffs", "rho"])
+def test_coeffs_and_rho_evaluate_the_coefficients_once(tmp_path, monkeypatch, command):
+    # the depletion sums and both density models take the one evaluation
+    original = bosegas.bogoliubov.mode_coefficients
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bosegas" and getattr(module, "mode_coefficients", None) is original:
+            monkeypatch.setattr(module, "mode_coefficients", counted)
+    assert main([command, "--output-dir", str(tmp_path), *FAST_SETS,
+                 "--set", "a_override=0.1"]) == 0
+    assert len(calls) == 1
 
 
 def test_config_types_accept_ints_for_floats_and_a_null_override():

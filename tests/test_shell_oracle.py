@@ -11,6 +11,7 @@ scalar one does, and a kernel takes the same transform at the same k for
 every mode of a shell, so every comparison is bit for bit.
 """
 
+import collections
 import dataclasses
 import json
 import math
@@ -21,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosegas import __version__
-from bosegas.bogoliubov import ThermalConfig, Variant, depletion_sums, mode_coefficients
-from bosegas.cli import main
+from bosegas.bogoliubov import Variant, depletion_sums, mode_coefficients
+from bosegas.cli import _json_text, main
 from bosegas.density import (
     SecondOrderDM1,
     SecondOrderDM2,
@@ -45,6 +46,10 @@ from bosegas.scattering import (
 # ---------------------------------------------------------------------------
 # reference: scalar coefficients, one squared momentum at a time
 # ---------------------------------------------------------------------------
+
+# the scattering length, inverse temperature and convention the references read
+Thermal = collections.namedtuple("Thermal", "a beta variant")
+
 
 def ref_dispersion(p_sq, a):
     return math.sqrt(p_sq * (p_sq + 16.0 * math.pi * a))
@@ -217,8 +222,7 @@ def test_shell_table_equals_brute_force_triple_count(cutoff):
 @given(cutoff=cutoffs, a=scattering_lengths, beta=betas, variant=variants)
 @settings(max_examples=20, deadline=None)
 def test_depletion_sums_bit_equal_per_mode_reference(cutoff, a, beta, variant):
-    cfg = ThermalConfig(a=a, beta=beta, variant=variant)
-    sums = depletion_sums(cfg, cutoff)
+    sums = depletion_sums(mode_coefficients(shell_table(cutoff)[2], a, beta), variant, cutoff)
     references = {
         "sum_mu": per_mode_lattice_sum(lambda p_sq: ref_mu_sq(p_sq, a), cutoff),
         "sum_theta": per_mode_lattice_sum(
@@ -240,11 +244,12 @@ def test_depletion_sums_bit_equal_per_mode_reference(cutoff, a, beta, variant):
 @settings(max_examples=20, deadline=None)
 def test_density_models_bit_equal_per_mode_reference(cutoff, a, beta, N):
     built = {}
+    coefficients = mode_coefficients(shell_table(cutoff)[2], a, beta)
     for variant in Variant:
-        cfg = ThermalConfig(a=a, beta=beta, variant=variant)
+        cfg = Thermal(a, beta, variant)
         for name, build, factor in (("dm1", build_rho1, 1.0), ("dm2", build_rho2, 4.0)):
             weights, pairing, condensate = per_mode_model(cfg, N, cutoff, factor)
-            dm = build(cfg, N, cutoff)
+            dm = build(coefficients, variant, N, cutoff)
             assert dm.condensate_weight == condensate
             assert dm.trace() == math.fsum([condensate, *weights])
             built[name, variant] = (dm, weights, pairing, condensate)
@@ -343,8 +348,15 @@ def test_row_writer_is_json_dumps(data, size, condensate, provenance, two_partic
     else:
         dm, pairing = SecondOrderDM1(**fields), None
     with np.errstate(invalid="ignore"):  # the trace of non-finite entries is NaN
-        expected = ref_dm_json(dm, pairing, provenance, dm.trace())
-        assert dm.to_json(provenance=provenance) == expected
+        trace = dm.trace()
+    payload = {"N": dm.N, "cutoff": dm.cutoff, "variant": dm.variant.value,
+               "condensate": float(dm.condensate_weight), "trace": trace}
+    if provenance is not None:
+        payload["provenance"] = provenance
+    modes = {"norm_sq": dm.norm_sq, "multiplicity": dm.multiplicity, "weight": dm.excited_weights}
+    if pairing is not None:
+        modes["pairing"] = pairing
+    assert _json_text(payload, modes) == ref_dm_json(dm, pairing, provenance, trace) + "\n"
 
 
 def test_coeffs_and_rho_write_what_the_reference_renders(tmp_path):
@@ -370,7 +382,7 @@ def test_coeffs_and_rho_write_what_the_reference_renders(tmp_path):
     models = {}
     norm_sq, multiplicity, p_sq = shell_table(cutoff)
     for variant in Variant:
-        cfg = ThermalConfig(a=a, beta=beta, variant=variant)
+        cfg = Thermal(a, beta, variant)
         depletion[variant.value] = {
             key: {"value": value, "tail_bound": bound, "cutoff_norm_sq": cutoff}
             for key, (value, bound) in (
