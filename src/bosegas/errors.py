@@ -31,9 +31,7 @@ class BasisSizeError(BosegasError):
     def __init__(self, count: int, limit: int):
         self.count = count
         self.limit = limit
-        super().__init__(
-            f"occupation basis would contain {count} states, above the limit {limit}"
-        )
+        super().__init__(f"occupation basis exceeds the limit {limit}: {count} states counted")
 
 
 class GuardError(BosegasError):

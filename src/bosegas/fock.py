@@ -1,8 +1,11 @@
 """Truncated Fock space over a finite mode set, and the operators living on it.
 
-The basis enumerates every occupation vector with total excitation number
-at most the cap, ordered by (total, lexicographic occupation), which makes
-all downstream results deterministic.  Operators are real sparse matrices
+The basis enumerates the occupation vectors with total excitation number
+at most the cap, all of them or those of chosen total momenta (built by a
+meet in the middle, never from the whole capped basis), ordered by
+(total, lexicographic occupation), which makes all downstream results
+deterministic; a state is found by its packed key, its position in the
+whole capped basis.  Operators are real sparse matrices
 in that basis, held in one read-only form, ``Triplets``: their nonzero
 entries as (rows, cols, values) arrays in row-major order.  Every creation
 amplitude is sqrt(n+1) truncated at the cap, and the weighted variants
@@ -16,6 +19,8 @@ ranked.
 Gibbs states are built one connected component of H at a time; the
 components come from min-label propagation over H's entries, and
 expectations look the entries of rho up by their sorted (row, col) keys.
+``_Blocks`` lays out and diagonalizes the blocks of any labelling of the
+states, as the toy oracle's momentum sectors.
 The module needs numpy only.
 
 The Hamiltonians and Gibbs states here are real symmetric; hermiticity
@@ -31,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,9 +53,6 @@ __all__ = [
     "build_basis",
     "ladder",
     "ladder_word",
-    "diagonal_operator",
-    "number_operator",
-    "total_number",
     "build_LN",
     "GibbsState",
     "gibbs",
@@ -62,11 +64,12 @@ DEFAULT_DENSE_LIMIT = 6_000
 
 
 class FockBasis:
-    """Occupation-number basis with a total-excitation cap.
+    """Occupation-number basis with a total-excitation cap, over all or chosen total momenta.
 
-    The state count is the stars-and-bars value C(cap + n_modes, n_modes).
-    The occupation vectors are held once, as a read-only integer array;
-    positions are computed by ``rank``, so no per-state index is kept.
+    All C(cap + n_modes, n_modes) capped states, or only those whose total
+    momentum is a row of ``momenta``, held once as a read-only integer
+    array in (total, lex) order next to their packed keys; ``rank`` finds
+    rows by ``searchsorted`` on the keys.
     """
 
     def __init__(
@@ -74,20 +77,30 @@ class FockBasis:
         modes: Sequence[Mode],
         cap: int,
         state_limit: int = DEFAULT_STATE_LIMIT,
+        momenta: np.ndarray | None = None,
     ):
         modes = tuple(modes)
         triples = {m.n for m in modes}
         if len(triples) != len(modes):
             raise ValueError("duplicate modes in basis")
-        check_basis_size(len(modes), cap, state_limit)
+        if momenta is None:  # a basis over chosen momenta counts its states as it builds them
+            check_basis_size(len(modes), cap, state_limit)
 
         self.modes = modes
         self.cap = cap
         self.mode_index = {m.n: i for i, m in enumerate(modes)}
-
-        self._occupations = np.concatenate(
-            [compositions(total, len(modes)) for total in range(cap + 1)]
-        )
+        # the capped states of each total below t, at t
+        self._first = np.cumsum([0] + [comb(t + len(modes) - 1, t) for t in range(cap)])
+        if momenta is None:
+            states = np.concatenate([compositions(t, len(modes)) for t in range(cap + 1)])
+        else:
+            states = _momentum_states(np.array([m.n for m in modes]), cap,
+                                      np.asarray(momenta), state_limit)
+        keys = self._packed(states)
+        order = np.argsort(keys)
+        self._occupations, self._keys = states[order], keys[order]
+        if np.any(np.diff(self._keys) == 0):
+            raise ValueError("a momentum is given twice")
         self._occupations.flags.writeable = False
         self.totals = self._occupations.sum(axis=1)
 
@@ -103,14 +116,20 @@ class FockBasis:
         """All occupation vectors as a read-only (n_states, n_modes) integer array."""
         return self._occupations
 
-    def rank(self, occ: np.ndarray) -> np.ndarray:
-        """Position of each occupation row in the (total, lex) order of the basis.
+    def _packed(self, occ: np.ndarray) -> np.ndarray:
+        return self._first[occ.sum(axis=1)] + composition_rank(occ)
 
-        The count of states with a lower total plus the row's position among
-        the compositions of its own total.  Rows must have total at most the
-        cap.
+    def rank(self, occ: np.ndarray) -> np.ndarray:
+        """Position of each occupation row in the basis.
+
+        Rows must have total at most the cap; a row the basis does not hold
+        raises ValueError.
         """
-        return np.searchsorted(self.totals, occ.sum(axis=1)) + composition_rank(occ)
+        packed = self._packed(occ)
+        at = np.searchsorted(self._keys, packed)
+        if not np.array_equal(self._keys[np.minimum(at, len(self) - 1)], packed):
+            raise ValueError("a state outside the basis")
+        return at
 
 
 def check_basis_size(n_modes: int, cap: int, state_limit: int = DEFAULT_STATE_LIMIT):
@@ -124,6 +143,46 @@ def check_basis_size(n_modes: int, cap: int, state_limit: int = DEFAULT_STATE_LI
     full_count = comb(cap + n_modes, n_modes)
     if full_count > state_limit:
         raise BasisSizeError(full_count, state_limit)
+
+
+def _momentum_states(
+    vectors: np.ndarray, cap: int, momenta: np.ndarray, state_limit: int
+) -> np.ndarray:
+    """The capped occupation vectors of total momentum in ``momenta``, unordered.
+
+    Meet in the middle: the capped states of each half of the modes
+    (momenta ``vectors``) are built apart, the second half sorted by packed
+    (momentum, total).  A first-half state of momentum Q and total t
+    completes to P with the second-half states of momentum P - Q and total
+    at most cap - t, one range of that order.  Refused before either half
+    is built if it holds more than ``state_limit`` states, and as soon as
+    more than ``state_limit`` states of the sectors are found.
+    """
+    half = len(vectors) // 2
+    for parts in (half, len(vectors) - half):
+        check_basis_size(parts, cap, state_limit)
+    head, tail = (np.concatenate([compositions(t, parts) for t in range(cap + 1)])
+                  for parts in (half, len(vectors) - half))
+    reach = cap * int(np.abs(vectors).max()) + int(np.abs(momenta).max(initial=0))
+    place = (2 * reach + 1) ** np.arange(3)
+    tail_keys = ((tail @ vectors[half:] + reach) @ place) * (cap + 1) + tail.sum(axis=1)
+    order = np.argsort(tail_keys)
+    tail, tail_keys = tail[order], tail_keys[order]
+    head_keys, head_totals = (head @ vectors[:half]) @ place, head.sum(axis=1)
+    wanted = (momenta + reach) @ place
+    found, ranges = 0, []
+    step = max(1, 2**20 // len(head))  # (momentum, head state) pairs per pass
+    for start in range(0, len(wanted), step):
+        need = (wanted[start : start + step, None] - head_keys) * (cap + 1)
+        lo = np.searchsorted(tail_keys, need)
+        count = np.searchsorted(tail_keys, need + (cap - head_totals), side="right") - lo
+        found += int(count.sum())
+        if found > state_limit:
+            raise BasisSizeError(found, state_limit)
+        ranges.append((np.nonzero(count)[1], lo[count > 0], count[count > 0]))
+    heads, lo, count = (np.concatenate(part) for part in zip(*ranges))
+    first = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(found)
+    return np.hstack((head[np.repeat(heads, count)], tail[first]))
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -180,8 +239,9 @@ def build_basis(
     modes: Sequence[Mode],
     cap: int,
     state_limit: int = DEFAULT_STATE_LIMIT,
+    momenta: np.ndarray | None = None,
 ) -> FockBasis:
-    return FockBasis(modes, cap, state_limit)
+    return FockBasis(modes, cap, state_limit, momenta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,20 +453,6 @@ def ladder(
     return ladder_word(basis, [(mode, kind)], N)
 
 
-def number_operator(basis: FockBasis, mode: Mode) -> Triplets:
-    return ladder_word(basis, [(mode, "create"), (mode, "annihilate")])
-
-
-def diagonal_operator(basis: FockBasis, values: np.ndarray) -> Triplets:
-    """The operator that multiplies basis state i by values[i]."""
-    states = np.arange(len(basis))
-    return _from_entries(len(basis), states, states, values)
-
-
-def total_number(basis: FockBasis) -> Triplets:
-    return diagonal_operator(basis, basis.totals.astype(float))
-
-
 # ---------------------------------------------------------------------------
 # excitation Hamiltonian
 # ---------------------------------------------------------------------------
@@ -553,50 +599,68 @@ def gibbs(
         raise ValueError("beta must be positive")
     dim = len(H.basis)
     h = H.matrix
-    labels = _components(dim, h.rows, h.cols)
-    sizes = np.bincount(labels)
-    largest = int(sizes.max())
-    if largest > dense_limit:
-        raise GuardError(
-            f"dense eigendecomposition of a {largest}-state block exceeds the limit {dense_limit}"
-        )
-
-    # Lay the blocks out by (size, label), each with its states in basis
-    # order: the blocks of one size then fill one contiguous (k, s, s) stack
-    # of a flat buffer.  slot is a state's position inside its block.
-    blocks = np.argsort(sizes, kind="stable")
-    states = np.lexsort((labels, sizes[labels]))
-    ordered = sizes[blocks]
-    first_state = np.repeat(np.cumsum(ordered) - ordered, ordered)
-    slot = np.empty(dim, dtype=np.int64)
-    slot[states] = np.arange(dim) - first_state
-    first_entry = np.empty_like(ordered)
-    first_entry[blocks] = np.cumsum(ordered**2) - ordered**2
-
-    block = labels[h.rows]
-    stacked = np.zeros(int(np.sum(ordered**2)))
-    stacked[first_entry[block] + slot[h.rows] * sizes[block] + slot[h.cols]] = h.values
-
-    groups = []
-    state_at = entry_at = 0
-    for s, k in zip(*np.unique(ordered, return_counts=True)):
-        members = states[state_at : state_at + k * s].reshape(k, s)
-        stack = stacked[entry_at : entry_at + k * s * s].reshape(k, s, s)
-        groups.append((members, *np.linalg.eigh(stack)))
-        state_at += k * s
-        entry_at += k * s * s
-
-    e0 = float(min(energies.min() for _, energies, _ in groups))
-    weights = [np.exp(-beta * (energies - e0)) for _, energies, _ in groups]
+    blocks = _Blocks(_components(dim, h.rows, h.cols), dense_limit)
+    groups = list(blocks.eigh(h))
+    e0 = float(min(energies.min() for energies, _ in groups))
+    weights = [np.exp(-beta * (energies - e0)) for energies, _ in groups]
     Z = float(math.fsum(np.concatenate([w.ravel() for w in weights]).tolist()))
     rows, cols, values = [], [], []
-    for (members, _, vectors), w in zip(groups, weights):
+    for members, (_, vectors), w in zip(blocks.members, groups, weights):
         k, s = members.shape
         values.append(((vectors * (w / Z)[:, None, :]) @ vectors.transpose(0, 2, 1)).ravel())
         rows.append(np.broadcast_to(members[:, :, None], (k, s, s)).ravel())
         cols.append(np.broadcast_to(members[:, None, :], (k, s, s)).ravel())
     rho = _from_entries(dim, *(np.concatenate(part) for part in (rows, cols, values)))
     return GibbsState(rho=rho, Z=Z, beta=beta, ground_energy=e0)
+
+
+class _Blocks:
+    """The diagonal blocks of matrices over states grouped by ``labels``.
+
+    Laid out by (size, label), each with its states in basis order, the
+    blocks of one size fill one contiguous (k, s, s) stack of a flat
+    buffer; ``members`` holds each stack's (k, s) states, in increasing s.
+    """
+
+    def __init__(self, labels: np.ndarray, dense_limit: int = DEFAULT_DENSE_LIMIT):
+        sizes = np.bincount(labels)
+        if int(sizes.max()) > dense_limit:
+            raise GuardError(f"dense eigendecomposition of a {int(sizes.max())}-state block "
+                             f"exceeds the limit {dense_limit}")
+        blocks = np.argsort(sizes, kind="stable")
+        states = np.lexsort((labels, sizes[labels]))
+        ordered = sizes[blocks]
+        first_state = np.repeat(np.cumsum(ordered) - ordered, ordered)
+        self._slot = np.empty(len(labels), dtype=np.int64)  # a state's place in its block
+        self._slot[states] = np.arange(len(labels)) - first_state
+        self._first_entry = np.empty_like(ordered)
+        self._first_entry[blocks] = np.cumsum(ordered**2) - ordered**2
+        self._labels, self._sizes = labels, sizes
+        s, k = np.unique(ordered, return_counts=True)
+        self.members = [part.reshape(-1, size) for part, size
+                        in zip(np.split(states, np.cumsum(s * k)[:-1]), s.tolist())]
+
+    def position(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Buffer position of each entry (rows[i], cols[i]) inside a block."""
+        block = self._labels[rows]
+        return self._first_entry[block] + self._slot[rows] * self._sizes[block] + self._slot[cols]
+
+    def eigh(self, h: Triplets) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(energies, vectors) of h's blocks, one batched ``eigh`` per stack.
+
+        Each stack is filled just before its ``eigh``, so only one is held.
+        """
+        position = self.position(h.rows, h.cols)
+        order = np.argsort(position)
+        position, values = position[order], h.values[order]
+        at = 0
+        for members in self.members:
+            k, s = members.shape
+            lo, hi = np.searchsorted(position, [at, at + k * s * s])
+            stack = np.zeros(k * s * s)
+            stack[position[lo:hi] - at] = values[lo:hi]
+            yield np.linalg.eigh(stack.reshape(k, s, s))
+            at += k * s * s
 
 
 def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ exactly by a recurrence over the total excitation number, against
 product-formula sandwiches; rotated-ensemble
 expectations by exact matrix exponentials; and the thermal occupation and
 pairing of the interacting excitation Hamiltonian by its exact Gibbs state,
-with the basis, the v_hat transform and the observables built once for all
-the particle numbers of one call.  The reports are plain dataclasses;
+built in one momentum sector per orbit of the cubic group, with the
+sectors, the v_hat transform and the observables built once for all the
+particle numbers of one call.  The reports are plain dataclasses;
 ``cli`` renders them.
 
 The rotated expectations exploit that the pair generator conserves, for
@@ -64,21 +65,20 @@ import numpy as np
 
 from .bogoliubov import Variant, bose_occupation, mode_coefficients
 from .errors import GuardError
-from .fock import (
+# gibbs, expect and ladder are looked up here by name by the benchmark's tracer
+from .fock import (  # noqa: F401
     FockBasis,
+    _Blocks,
+    _Letters,
     build_basis,
     build_LN,
     check_basis_size,
     composition_rank,
     compositions,
-    diagonal_operator,
-    gibbs,
     expect,
-    ladder,  # noqa: F401  (looked up here by name by the benchmark's tracer)
-    ladder_word,
-    number_operator,
+    gibbs,
+    ladder,
     pair_partners,
-    total_number,
 )
 # enumerate_shells is looked up here by name by the benchmark's tracer
 from .lattice import Mode, enumerate_shells, shell_modes  # noqa: F401
@@ -616,6 +616,22 @@ class GibbsReport:
     offdiagonal_max: float
 
 
+def _momentum_orbits(vectors: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical total momenta P = (a, b, c), a >= b >= c >= 0, and their orbit sizes.
+
+    Each orbit of the 48 signed permutations holds one such P.  Listed are
+    those the capped states over the mode momenta ``vectors`` might reach
+    (cap times the largest |n|, per entry and in sum), in increasing
+    (a, b, c), with the number of distinct signed permutations of each.
+    """
+    bound = cap * int(np.abs(vectors).max())
+    a, b, c = np.mgrid[: bound + 1, : bound + 1, : bound + 1].reshape(3, -1)
+    keep = (a >= b) & (b >= c) & (a + b + c <= cap * int(np.abs(vectors).sum(axis=1).max()))
+    momenta = np.column_stack((a[keep], b[keep], c[keep]))
+    orders = np.array([6, 3, 1])[(np.diff(momenta, axis=1) == 0).sum(axis=1)]
+    return momenta, orders * 2 ** np.count_nonzero(momenta, axis=1)
+
+
 def toy_gibbs_experiment(
     Ns: Sequence[int],
     potential: RadialPotential,
@@ -631,15 +647,35 @@ def toy_gibbs_experiment(
     scattering length of ``potential``.  To scale the interaction, scale
     the potential.
 
+    L_N commutes with total momentum and with the signed permutations,
+    which map full shells onto themselves, so the sectors of one orbit
+    share a spectrum.  Only one sector per orbit is built, each a dense
+    block whose weights count |orbit| times: Z = sum_O |O| Z_O.  A shell's
+    values are the expectations of sum_q n_q and sum_q a*_q a*_-q over the
+    cubic orbit of its first mode (a shell such as |n|^2 = 9 holds several),
+    divided by the orbit's size: by the symmetry, that mode's value.  A
+    cross term a*_p a_q, p != q, leaves every sector, so ``offdiagonal_max``
+    is 0.0.
+
     Everything that does not depend on N is built once: the modes, the
-    basis, the v_hat transform, the model columns and the observables.
-    Per N only the Hamiltonian, its Gibbs state and the expectations are
-    computed, so each N's result is the one a single-N call gives.
+    sectors, the ranks, the v_hat transform, the model columns and the
+    observables.  Per N only the Hamiltonian, its blocks' eigenpairs and
+    the expectations are computed, so each N's result is the one a
+    single-N call gives.
     """
     if any(N < cap for N in Ns):
         raise ValueError("toy experiment needs N >= cap")
     modes = shell_modes(shells)
-    basis = build_basis(modes, cap)
+    vectors = np.array([m.n for m in modes])
+    momenta, orbit = _momentum_orbits(vectors, cap)
+    basis = build_basis(modes, cap, momenta=momenta)
+    occ = basis.occupations()
+    # each state's sector, numbered over the sectors that hold states
+    place = (int(momenta.max()) + 1) ** np.arange(2, -1, -1)
+    held, labels = np.unique(np.searchsorted(momenta @ place, (occ @ vectors) @ place),
+                             return_inverse=True)
+    blocks = _Blocks(labels)
+    orbit = orbit[held][labels]
 
     if potential.is_zero:
         v_hat = np.zeros_like  # the free gas: v_hat = 0 at every k
@@ -647,66 +683,78 @@ def toy_gibbs_experiment(
         v_hat = potential_fourier(potential)
     a_model = _toy_scattering_length(potential)
 
-    first_by_shell: dict[int, Mode] = {}
-    for m in modes:
-        first_by_shell.setdefault(m.norm_sq, m)
-    firsts = sorted(first_by_shell.items())
-    model = mode_coefficients([m.p_sq for _, m in firsts], a_model, beta)
+    # per shell, the modes of its first mode's cubic orbit
+    shape = [sorted(map(abs, m.n)) for m in modes]
+    by_shell: dict[int, list[int]] = {}
+    for m, key in zip(modes, shape):
+        by_shell.setdefault(m.norm_sq, [j for j, other in enumerate(shape) if other == key])
+    norms = sorted(by_shell)
+    model = mode_coefficients([modes[by_shell[s][0]].p_sq for s in norms], a_model, beta)
     model_rows = list(zip(*(column.tolist() for column in (
         model.occupation(Variant.A), model.occupation(Variant.B),
         model.pairing(Variant.A), model.pairing(Variant.B),
     ))))
-    # per shell, its number operator and its pair word a*_p a*_-p
-    shell_ops = []
-    for _, m in firsts:
-        neg = next(mm for mm in modes if mm.n == m.negated())
-        shell_ops.append(
-            (number_operator(basis, m), ladder_word(basis, [(m, "create"), (neg, "create")]))
-        )
-    # translation invariance: <a*_p a_q> must vanish for p != q
-    probe = modes[0]
-    crosses = [
-        ladder_word(basis, [(probe, "create"), (other, "annihilate")]) for other in modes[1:3]
-    ]
+    # every observable as the (block positions, values) of its entries:
+    # per shell sum_q n_q, then per shell sum_q a*_q a*_-q, then N+ and
+    # N+(N+ - 1); rho[c, r] pairs with the entry (r, c)
+    states = np.arange(len(basis))
+    diagonal = blocks.position(states, states)
+    observables = [(diagonal, occ[:, by_shell[s]].sum(axis=1)) for s in norms]
+    for s in norms:
+        rows, cols, values = _Letters(basis).entries(
+            [(1.0, ((i, 1, False), (basis.mode_index[modes[i].negated()], 1, False)))
+             for i in by_shell[s]])
+        observables.append((blocks.position(cols, rows), values))
     totals = basis.totals.astype(float)
-    n_plus_op = total_number(basis)
-    pair_moment = diagonal_operator(basis, totals * (totals - 1.0))
+    observables += [(diagonal, totals), (diagonal, totals * (totals - 1.0))]
+    read = np.concatenate([at for at, _ in observables])
+    order = np.argsort(read)
+    placed = read[order]
+    ends = np.cumsum([0] + [len(values) for _, values in observables])
 
     runs = []
     for N in Ns:
-        state = gibbs(build_LN(basis, N, v_hat), beta)
-        occupations = {}
-        pairings = {}
-        rows = []
-        for (norm_sq, _), (occ_a, occ_b, pair_a, pair_b), (number_op, pair_op) in zip(
-            firsts, model_rows, shell_ops
-        ):
-            occ = expect(state, number_op)
-            pair_val = expect(state, pair_op)
-            occupations[norm_sq] = occ
-            pairings[norm_sq] = pair_val
-            rows.append(
-                {
-                    "norm_sq": norm_sq,
-                    "oracle_occ": occ,
-                    "model_occ_A": occ_a,
-                    "model_occ_B": occ_b,
-                    "oracle_pair": pair_val,
-                    "model_pair_A": pair_a,
-                    "model_pair_B": pair_b,
-                }
-            )
-        offdiag_max = 0.0
-        for cross in crosses:
-            offdiag_max = max(offdiag_max, abs(expect(state, cross)))
+        H = build_LN(basis, N, v_hat)
+        # rho's blocks one stack at a time, with weights relative to the
+        # stack's lowest energy; its factor and 1/Z follow once e0 is known
+        rho, at, spectra = np.empty(len(read)), 0, []
+        for members, (energies, vectors_) in zip(blocks.members, blocks.eigh(H.matrix)):
+            k, s = members.shape
+            low, weight = float(energies.min()), orbit[members[:, :1]]
+            scaled = vectors_ * (np.exp(-beta * (energies - low)) * weight)[:, None, :]
+            lo, hi = np.searchsorted(placed, [at, at + k * s * s])
+            rho[order[lo:hi]] = (scaled @ vectors_.transpose(0, 2, 1)).ravel()[placed[lo:hi] - at]
+            spectra.append((energies, weight, low, order[lo:hi]))
+            at += k * s * s
+        e0 = min(low for _, _, low, _ in spectra)
+        Z = float(math.fsum(np.concatenate(
+            [(np.exp(-beta * (energies - e0)) * weight).ravel()
+             for energies, weight, _, _ in spectra]).tolist()))
+        for _, _, low, entries in spectra:
+            rho[entries] *= math.exp(-beta * (low - e0)) / Z
+        value = [float(rho[lo:hi] @ values)
+                 for lo, hi, (_, values) in zip(ends, ends[1:], observables)]
+        occupations, pairings, rows = {}, {}, []
+        for i, (s, (occ_a, occ_b, pair_a, pair_b)) in enumerate(zip(norms, model_rows)):
+            occupations[s] = value[i] / len(by_shell[s])
+            pairings[s] = value[len(norms) + i] / len(by_shell[s])
+            rows.append({
+                "norm_sq": s,
+                "oracle_occ": occupations[s],
+                "model_occ_A": occ_a,
+                "model_occ_B": occ_b,
+                "oracle_pair": pairings[s],
+                "model_pair_A": pair_a,
+                "model_pair_B": pair_b,
+            })
         report = GibbsReport(
             beta=beta,
-            partition=state.Z,
+            partition=Z,
             occupations=occupations,
             pairings=pairings,
-            n_plus=expect(state, n_plus_op),
-            n_plus_sq=expect(state, pair_moment),
-            offdiagonal_max=offdiag_max,
+            n_plus=value[-2],
+            n_plus_sq=value[-1],
+            offdiagonal_max=0.0,
         )
         runs.append((report, rows))
     return runs

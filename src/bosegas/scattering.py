@@ -484,7 +484,13 @@ def solve_scattering(
     breakpoints, so discontinuous potentials such as the soft sphere lose
     no accuracy).  Outside the support u is affine,
     u = c (r - a), in closed form; the solution is rescaled so c = 1.
+    Equal (potential, r_max, tol) share one solve per process.
     """
+    return _solve_scattering(potential, float(r_max), float(tol))
+
+
+@functools.lru_cache(maxsize=8)
+def _solve_scattering(potential: RadialPotential, r_max: float, tol: float) -> ScatteringSolution:
     if tol <= 0:
         raise ValueError("tol must be positive")
     if r_max <= potential.support_radius:
@@ -788,8 +794,9 @@ class _RadialTransform:
     * k r_end > 1: by the sines at the nodes, one wave number at a time.
 
     An optional ``exterior`` carries G exactly from the last cut on to R.
-    A column with a wave number beyond the nodes' resolution (k h > 0.6)
-    raises QuadratureError before anything is evaluated.
+    A column with a wave number beyond the nodes' resolution, k above
+    ``k_max`` = 0.6 / h, raises QuadratureError before anything is
+    evaluated.
     """
 
     def __init__(self, profile: Callable, cuts: np.ndarray, points_per_unit: float,
@@ -803,6 +810,7 @@ class _RadialTransform:
         self._g = _sample(profile, self._r)
         self._gc = self._g[self._coarse]
         self.h = float(np.diff(self._r).max())
+        self.k_max = 0.6 / self.h
         self._exterior = exterior
 
     def moments(self, powers: Sequence[int]) -> list[float]:
@@ -833,7 +841,7 @@ class _RadialTransform:
     def __call__(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, estimates), one entry per wave number k >= 0 of the column ``k``."""
         k = np.asarray(k, dtype=float)
-        beyond = k * self.h > 0.6
+        beyond = k > self.k_max
         if beyond.any():
             raise QuadratureError(
                 f"wave number {k[beyond][0]:g} beyond quadrature resolution (h = {self.h:g})"

@@ -1,6 +1,8 @@
 """Exact references on a ``FockBasis``, for the tests.
 
-No command builds these.  The tests compare the package against them: the
+No command builds these.  ``number_operator``, ``diagonal_operator`` and
+``total_number`` are the observables of the global-basis toy.  The tests
+compare the package against them: the
 Gibbs state of the diagonal quasi-particle Hamiltonian ``build_D``, rotated
 by the pair generator of ``build_quadratic_generator``, is the exact
 quasi-free state of the Bogoliubov model on the capped basis, and
@@ -25,17 +27,28 @@ from bosegas.fock import (
     _Letters,
     build_basis,
     build_LN,
-    diagonal_operator,
     expect,
     gibbs,
     ladder_word,
-    number_operator,
     pair_partners,
-    total_number,
 )
 from bosegas.lattice import Mode, shell_modes
 from bosegas.oracles import GibbsReport, _toy_scattering_length
 from bosegas.scattering import RadialPotential, potential_fourier
+
+
+def number_operator(basis: FockBasis, mode: Mode) -> Triplets:
+    return ladder_word(basis, [(mode, "create"), (mode, "annihilate")])
+
+
+def diagonal_operator(basis: FockBasis, values: np.ndarray) -> Triplets:
+    """The operator that multiplies basis state i by values[i]."""
+    states = np.arange(len(basis))
+    return _from_entries(len(basis), states, states, values)
+
+
+def total_number(basis: FockBasis) -> Triplets:
+    return diagonal_operator(basis, basis.totals.astype(float))
 
 
 def _check_shell_consistent(basis: FockBasis, values: np.ndarray, name: str):

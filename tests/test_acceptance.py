@@ -22,7 +22,7 @@ import pytest
 from bosegas.bogoliubov import Variant, mode_coefficients
 from bosegas.cli import main
 from bosegas.density import build_rho1, build_rho2
-from bosegas.fock import build_basis, expect, gibbs, number_operator
+from bosegas.fock import build_basis, expect, gibbs
 from bosegas.lattice import TWO_PI, enumerate_shells, shell_table
 from bosegas.oracles import (
     adjudicate_variants,
@@ -41,7 +41,7 @@ from bosegas.scattering import (
     solve_scattering,
     zero_potential,
 )
-from fock_reference import build_D, occupation_closed_form
+from fock_reference import build_D, number_operator, occupation_closed_form
 
 SOFT = RadialPotential.soft_sphere(100.0, 0.5)
 SOFT_A = 0.35881866549216315  # R - tanh(kappa R)/kappa at 40 digits

@@ -11,6 +11,7 @@ import bosegas
 import bosegas.bogoliubov
 import bosegas.cli
 import bosegas.lattice
+import bosegas.scattering
 from bosegas.cli import main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -282,6 +283,13 @@ def test_non_positive_beta_and_negative_length_are_usage_errors(tmp_path, comman
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+def test_default_all_solves_the_scattering_problem_once(tmp_path):
+    # scatter, coeffs, rho and the toy ask for the same zero-energy problem
+    bosegas.scattering._solve_scattering.cache_clear()
+    assert main(["all", "--output-dir", str(tmp_path)]) == 0
+    assert bosegas.scattering._solve_scattering.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("command", ["coeffs", "rho"])
 def test_coeffs_and_rho_evaluate_the_coefficients_once(tmp_path, monkeypatch, command):
     # the depletion sums and both density models take the one evaluation
@@ -378,6 +386,21 @@ def test_oversized_basis_is_refused_with_count(tmp_path):
     # refused by the adjudication, before any payload is written
     assert not (out / "adjudication.json").exists()
     assert not (out / "partition.json").exists()
+
+
+def test_toy_whose_half_basis_is_oversized_is_refused_with_count(tmp_path):
+    # 80 modes: the adjudication's 3,321 states at cap 2 pass, but each half
+    # of the toy's modes at cap 6 has C(46, 6) = 9,366,819 states
+    out = tmp_path / "wide"
+    code = main([
+        "oracle", "--output-dir", str(out),
+        "--set", "oracle.cap=2", "--set", "oracle.shells=[1,2,3,4,5,6]",
+    ])
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "BasisSizeError"
+    assert "9366819 states" in record["message"]
+    assert not (out / "toy_gibbs.json").exists()
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -15,11 +15,10 @@ from bosegas.fock import (
     expect,
     gibbs,
     ladder,
-    total_number,
 )
 from bosegas.lattice import TWO_PI, enumerate_shells
 from bosegas.scattering import RadialPotential, potential_fourier
-from fock_reference import build_D, build_quadratic_generator
+from fock_reference import build_D, build_quadratic_generator, total_number
 from sparse_reference import csr, triplets
 
 SHELL1 = [m for s in enumerate_shells(1) for m in s.members]

@@ -35,11 +35,10 @@ from bosegas.fock import (
     build_basis,
     build_LN,
     ladder,
-    number_operator,
     pair_partners,
 )
 from bosegas.lattice import enumerate_shells
-from fock_reference import _check_shell_consistent, build_quadratic_generator
+from fock_reference import _check_shell_consistent, build_quadratic_generator, number_operator
 from sparse_reference import csr
 
 SHELLS_1_2 = [m for s in enumerate_shells(2) for m in s.members]

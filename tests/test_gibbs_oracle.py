@@ -34,11 +34,9 @@ from bosegas.fock import (
     expect,
     gibbs,
     ladder,
-    number_operator,
-    total_number,
 )
 from bosegas.lattice import enumerate_shells
-from fock_reference import build_D
+from fock_reference import build_D, number_operator, total_number
 from sparse_reference import csr, triplets
 from test_fock_oracle import PAIRS, soft_sphere_v_hat
 

@@ -1,23 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import bosegas.fock
 import bosegas.oracles
 from bosegas.bogoliubov import mode_coefficients
-from bosegas.errors import GuardError
+from bosegas.errors import BasisSizeError, GuardError
 from bosegas.fock import (
     build_basis,
     expect,
     gibbs,
     ladder,
-    number_operator,
-    total_number,
 )
-from bosegas.lattice import enumerate_shells
+from bosegas.lattice import enumerate_shells, shell_modes
 from bosegas.oracles import (
     adjudicate_variants,
     pairing_expectation,
@@ -31,7 +31,9 @@ from fock_reference import (
     build_D,
     build_quadratic_generator,
     enumerated_partition_sum,
+    number_operator,
     occupation_closed_form,
+    total_number,
     toy_gibbs_single_n,
 )
 from sparse_reference import csr
@@ -346,15 +348,124 @@ class TestToyGibbs:
     def test_one_pass_over_n_and_2n_equals_single_n_runs(self, potential, cap, beta):
         runs = toy_gibbs_experiment([10, 20], potential=potential, shells=[1], cap=cap, beta=beta)
         for N, run in zip((10, 20), runs):
-            single = toy_gibbs_single_n(N, potential=potential, shells=[1], cap=cap, beta=beta)
+            [single] = toy_gibbs_experiment([N], potential=potential, shells=[1], cap=cap, beta=beta)
             # repr round-trips every float and tells -0.0 from 0.0: equal bits
             assert repr(run) == repr(single)
 
     def test_every_n_below_the_cap_is_refused_before_a_basis_is_built(self, monkeypatch):
-        def no_basis(*args, **kwargs):
-            raise AssertionError("basis built before the particle numbers were checked")
+        def no_sectors(*args, **kwargs):
+            raise AssertionError("sectors built before the particle numbers were checked")
 
-        monkeypatch.setattr(bosegas.oracles, "build_basis", no_basis)
+        # the sectors are the first thing the toy builds after the modes
+        monkeypatch.setattr(bosegas.oracles, "_momentum_orbits", no_sectors)
         for ns in ([5], [16, 5], [5, 16]):
             with pytest.raises(ValueError, match="N >= cap"):
                 toy_gibbs_experiment(ns, potential=zero_potential(), shells=[1], cap=6, beta=1.0)
+        # with valid particle numbers the patched step is reached
+        with pytest.raises(AssertionError, match="sectors built"):
+            toy_gibbs_experiment([16], potential=zero_potential(), shells=[1], cap=6, beta=1.0)
+
+
+@st.composite
+def toy_cases(draw):
+    """Shell 1 at caps 2-8, shells 1-2 at caps 2-3 or shell 9 at cap 2: at most 3,003 states.
+
+    Shell 9 holds two cubic orbits, (3, 0, 0) and (2, 2, 1).
+    """
+    shells, cap = draw(st.one_of(
+        st.tuples(st.just([1]), st.integers(2, 8)),
+        st.tuples(st.just([1, 2]), st.integers(2, 3)),
+        st.tuples(st.just([9]), st.just(2)),
+    ))
+    potential = draw(st.one_of(
+        st.just(zero_potential()),
+        st.builds(RadialPotential.soft_sphere, st.floats(0.5, 200.0), st.floats(0.05, 0.5)),
+    ))
+    return shells, cap, draw(st.integers(cap, 4 * cap)), potential
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=toy_cases(), beta=st.floats(0.03, 2.0))
+# a shell of two orbits: the first mode's value is not the shell's average
+@example(case=([9], 2, 8, RadialPotential.soft_sphere(200.0, 0.5)), beta=0.5)
+def test_sector_toy_matches_the_global_basis(case, beta):
+    # the global-basis toy (every capped state, blocks found as components)
+    # is the reference.  Both diagonalize the same sector matrices, but sum
+    # the expectations over different entries in different orders, and the
+    # sector toy weighs rho's entries relative to each stack's lowest
+    # energy first.  Over 360 random draws of these cases the largest
+    # differences were 0.80 eps relative for Z, 0.50 eps cap for N+, 0.16
+    # eps cap for an occupation, 0.19 eps cap for a pairing and 0.11 eps
+    # cap^2 for <N+(N+ - 1)>; the bounds are 8 eps on the same scales.
+    shells, cap, N, potential = case
+    [(new, rows)] = toy_gibbs_experiment([N], potential, shells, cap, beta)
+    ref, ref_rows = toy_gibbs_single_n(N, potential, shells, cap, beta)
+    bound = 8 * np.finfo(float).eps
+    assert abs(new.partition - ref.partition) <= bound * ref.partition
+    assert abs(new.n_plus - ref.n_plus) <= bound * cap
+    assert abs(new.n_plus_sq - ref.n_plus_sq) <= bound * cap**2
+    assert sorted(new.occupations) == sorted(ref.occupations) == sorted(new.pairings)
+    for s in ref.occupations:
+        assert abs(new.occupations[s] - ref.occupations[s]) <= bound * cap
+        assert abs(new.pairings[s] - ref.pairings[s]) <= bound * cap
+    assert new.offdiagonal_max == ref.offdiagonal_max == 0.0
+    for row, ref_row in zip(rows, ref_rows, strict=True):
+        assert row["oracle_occ"] == new.occupations[row["norm_sq"]]
+        assert {k: v for k, v in row.items() if "model" in k} == \
+            {k: v for k, v in ref_row.items() if "model" in k}
+
+
+class TestSectors:
+    @pytest.mark.parametrize("shells, cap", [([1], 7), ([1], 12), ([1, 2], 3), ([1, 2, 3], 2)])
+    def test_orbit_weighted_sector_sizes_count_the_capped_basis(self, shells, cap):
+        modes = shell_modes(shells)
+        vectors = np.array([m.n for m in modes])
+        momenta, orbit = bosegas.oracles._momentum_orbits(vectors, cap)
+        occ = build_basis(modes, cap, momenta=momenta).occupations()
+        moments = [tuple(p) for p in (occ @ vectors).tolist()]
+        sizes = np.array([moments.count(tuple(p)) for p in momenta.tolist()])
+        assert int(sizes @ orbit) == math.comb(cap + len(modes), len(modes))
+
+    def test_orbit_sizes_count_the_signed_permutations(self):
+        momenta, orbit = bosegas.oracles._momentum_orbits(np.eye(3, dtype=int), 4)
+        for p, size in zip(momenta.tolist(), orbit.tolist()):
+            images = {tuple(s * v for s, v in zip(signs, perm))
+                      for perm in itertools.permutations(p)
+                      for signs in itertools.product((1, -1), repeat=3)}
+            assert size == len(images)
+            assert p[0] >= p[1] >= p[2] >= 0
+
+    @pytest.mark.parametrize("shells, cap", [([1], 6), ([1, 2], 3)])
+    def test_sector_basis_is_the_global_basis_restricted(self, shells, cap):
+        modes = shell_modes(shells)
+        vectors = np.array([m.n for m in modes])
+        momenta, _ = bosegas.oracles._momentum_orbits(vectors, cap)
+        sector = build_basis(modes, cap, momenta=momenta)
+        full = build_basis(modes, cap)
+        wanted = {tuple(p) for p in momenta.tolist()}
+        keep = [tuple(p) in wanted for p in (full.occupations() @ vectors).tolist()]
+        assert np.array_equal(sector.occupations(), full.occupations()[keep])
+        assert np.array_equal(sector.totals, full.totals[keep])
+        assert np.array_equal(sector.rank(sector.occupations()), np.arange(len(sector)))
+        with pytest.raises(ValueError, match="outside the basis"):
+            sector.rank(full.occupations()[~np.array(keep)][:1])
+
+    def test_the_size_guard_bounds_the_states_built(self):
+        # shell 1 at cap 7: 141 states in one sector per orbit, 1,716 in all;
+        # one counting pass finds them all
+        modes = shell_modes([1])
+        momenta, _ = bosegas.oracles._momentum_orbits(np.array([m.n for m in modes]), 7)
+        assert len(build_basis(modes, 7, state_limit=141, momenta=momenta)) == 141
+        with pytest.raises(BasisSizeError, match="141 states counted") as err:
+            build_basis(modes, 7, state_limit=140, momenta=momenta)
+        assert (err.value.count, err.value.limit) == (141, 140)
+
+    def test_an_oversized_toy_is_refused_before_its_states_are_built(self, monkeypatch):
+        # shells 1-2 at cap 12: each half of the 18 modes alone has
+        # C(21, 9) = 293,930 capped states, so neither is enumerated
+        def no_states(*args, **kwargs):
+            raise AssertionError("states built before the size check")
+
+        monkeypatch.setattr(bosegas.fock, "compositions", no_states)
+        with pytest.raises(BasisSizeError, match="293930 states counted"):
+            toy_gibbs_experiment([16], zero_potential(), shells=[1, 2], cap=12, beta=1.0)
