@@ -60,7 +60,6 @@ from .oracles import (
     toy_gibbs_experiment,
 )
 from .scattering import (
-    R_MAX_FACTOR,
     RadialPotential,
     default_r_max,
     energy_functional,
@@ -83,13 +82,11 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "ell": 0.495,
     "variant": "both",
     "tol": 1e-10,
-    "scatter_r_max_factor": R_MAX_FACTOR,
     "oracle": {
         "shells": [1],
         "cap": 12,
         "a": 0.05,
         "beta": 2.0,
-        "momentum_scale": 1.0,
         "toy": {"N": 16, "cap": 6, "beta": 1.0},
     },
     "output_dir": "results",
@@ -258,10 +255,7 @@ def _scattering_length(config: dict) -> float:
     if config.get("a_override") is not None:
         return float(config["a_override"])
     potential = _potential_from_config(config)
-    if potential.is_zero:
-        return 0.0
-    r_max = default_r_max(potential, config["scatter_r_max_factor"])
-    return solve_scattering(potential, r_max=r_max, tol=config["tol"]).a
+    return solve_scattering(potential, r_max=default_r_max(potential), tol=config["tol"]).a
 
 
 def cmd_scatter(config: dict, out_dir: Path) -> dict[str, str]:
@@ -269,9 +263,11 @@ def cmd_scatter(config: dict, out_dir: Path) -> dict[str, str]:
     tol = float(config["tol"])
     N = int(config["N"])
     ell = float(config["ell"])
+    if N < 1:
+        raise ValueError("particle number must be >= 1")
     if not (0.0 < ell < 0.5):
         raise ValueError("ell must lie in (0, 1/2) so the ball fits the torus")
-    r_max = default_r_max(potential, float(config["scatter_r_max_factor"]))
+    r_max = default_r_max(potential)
     sol = solve_scattering(potential, r_max=r_max, tol=tol)
     a_functional = energy_functional(sol)
     neumann = solve_neumann(potential, R=N * ell, tol=tol)
@@ -352,18 +348,16 @@ def cmd_rho(config: dict, out_dir: Path) -> dict[str, str]:
 def cmd_oracle(config: dict, out_dir: Path) -> dict[str, str]:
     oracle_cfg = config["oracle"]
     shells = [int(s) for s in oracle_cfg["shells"]]
-    scale = float(oracle_cfg["momentum_scale"])
     report = adjudicate_variants(
         a=float(oracle_cfg["a"]),
         beta=float(oracle_cfg["beta"]),
         shells=shells,
         cap=int(oracle_cfg["cap"]),
-        momentum_scale=scale,
     )
     files = {"adjudication": _write_json(out_dir / "adjudication.json",
                                          dataclasses.asdict(report), config)}
 
-    modes = shell_modes(shells, momentum_scale=scale)
+    modes = shell_modes(shells, momentum_scale=1.0)
     eps = mode_coefficients([m.p_sq for m in modes], float(oracle_cfg["a"])).eps.tolist()
     sandwich = partition_product_check(eps, int(oracle_cfg["cap"]),
                                        beta=float(oracle_cfg["beta"]))

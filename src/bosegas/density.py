@@ -11,7 +11,8 @@ eigenvalue is available as a diagnostic in closed form.
 
 The builders take the coefficient columns the caller evaluated once, at
 the ``p_sq`` of ``lattice.shell_table(cutoff)``; this module only does the
-models' arithmetic, and ``cli`` renders them.
+models' arithmetic, and ``cli`` renders them.  Traces, depletions, distances
+and pairing norms are exactly rounded per-mode sums (``lattice.mode_sum``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bogoliubov import ModeCoefficients, Variant
 from .errors import ModelValidityError
-from .lattice import shell_table
+from .lattice import mode_sum, shell_table
 
 __all__ = [
     "SecondOrderDM1",
@@ -52,7 +53,7 @@ class SecondOrderDM1:
     excited_weights: np.ndarray
 
     def trace(self) -> float:
-        return _mode_sum([self.condensate_weight], self.multiplicity, self.excited_weights)
+        return mode_sum([self.condensate_weight], self.multiplicity, self.excited_weights)
 
 
 @dataclass(frozen=True)
@@ -66,21 +67,6 @@ class SecondOrderDM2(SecondOrderDM1):
     """
 
     pairing: np.ndarray
-
-
-def _mode_sum(extra: list[float], multiplicity: np.ndarray, *columns: np.ndarray) -> float:
-    """Exactly rounded sum of ``extra`` and of each column entry once per mode.
-
-    Veltkamp's split writes every entry exactly as hi + lo, each of at most
-    26 significant bits; their products with a multiplicity below 2**26 are
-    exact, so ``math.fsum`` rounds the exact per-mode sum once.
-    """
-    parts = list(extra)
-    for values in columns:
-        c = 134217729.0 * values
-        hi = c - (c - values)
-        parts += (multiplicity * hi).tolist() + (multiplicity * (values - hi)).tolist()
-    return math.fsum(parts)
 
 
 def _model(kind, coefficients: ModeCoefficients, variant: Variant, N: int, cutoff: int,
@@ -98,7 +84,7 @@ def _model(kind, coefficients: ModeCoefficients, variant: Variant, N: int, cutof
         raise ValueError(f"coefficients of {coefficients.p_sq.size} shells given for the "
                          f"{p_sq.size} shells up to |n|^2 = {cutoff}")
     weights = factor * coefficients.occupation(variant)
-    depletion = _mode_sum([], multiplicity, weights)
+    depletion = mode_sum([], multiplicity, weights)
     if depletion >= N:
         raise ModelValidityError(
             f"second-order model invalid at this N: {depletion_name} {depletion:g} >= N = {N}"
@@ -139,7 +125,7 @@ def dm_trace_norm_diff(x, y) -> float:
     gaps = [np.abs(x.excited_weights - y.excited_weights)]
     if isinstance(x, SecondOrderDM2):
         gaps.append(np.abs(x.pairing - y.pairing))
-    return _mode_sum([abs(x.condensate_weight - y.condensate_weight)], x.multiplicity, *gaps)
+    return mode_sum([abs(x.condensate_weight - y.condensate_weight)], x.multiplicity, *gaps)
 
 
 def dm2_min_eigenvalue(dm: SecondOrderDM2) -> float:
@@ -155,7 +141,7 @@ def dm2_min_eigenvalue(dm: SecondOrderDM2) -> float:
     which equals it for the positive w00 of a valid model and, unlike the
     difference, loses no digits when sum c^2 is small against w00^2.
     """
-    c_sq = _mode_sum([], dm.multiplicity, dm.pairing * dm.pairing)
+    c_sq = mode_sum([], dm.multiplicity, dm.pairing * dm.pairing)
     w00 = dm.condensate_weight
     # + 0.0 makes the free gas's -0.0 a 0.0
     arrow_min = -2.0 * c_sq / (w00 + math.sqrt(w00 * w00 + 4.0 * c_sq)) + 0.0

@@ -20,8 +20,10 @@ Gibbs states are built one connected component of H at a time; the
 components come from min-label propagation over H's entries, and
 expectations look the entries of rho up by their sorted (row, col) keys.
 ``_Blocks`` lays out and diagonalizes the blocks of any labelling of the
-states, as the toy oracle's momentum sectors.
-The module needs numpy only.
+states, as the toy oracle's momentum sectors.  Two module constants bound
+the work: a basis holds at most ``STATE_LIMIT`` states and a dense block at
+most ``DENSE_LIMIT``; a basis over chosen momenta is refused as soon as its
+join counts a sector above the latter.  The module needs numpy only.
 
 The Hamiltonians and Gibbs states here are real symmetric; hermiticity
 therefore means symmetry.  The exact quasi-free references the tests
@@ -59,8 +61,9 @@ __all__ = [
     "expect",
 ]
 
-DEFAULT_STATE_LIMIT = 200_000
-DEFAULT_DENSE_LIMIT = 6_000
+# the most states a basis may hold, and the most a dense block may
+STATE_LIMIT = 200_000
+DENSE_LIMIT = 6_000
 
 
 class FockBasis:
@@ -76,7 +79,6 @@ class FockBasis:
         self,
         modes: Sequence[Mode],
         cap: int,
-        state_limit: int = DEFAULT_STATE_LIMIT,
         momenta: np.ndarray | None = None,
     ):
         modes = tuple(modes)
@@ -84,7 +86,7 @@ class FockBasis:
         if len(triples) != len(modes):
             raise ValueError("duplicate modes in basis")
         if momenta is None:  # a basis over chosen momenta counts its states as it builds them
-            check_basis_size(len(modes), cap, state_limit)
+            check_basis_size(len(modes), cap)
 
         self.modes = modes
         self.cap = cap
@@ -94,8 +96,7 @@ class FockBasis:
         if momenta is None:
             states = np.concatenate([compositions(t, len(modes)) for t in range(cap + 1)])
         else:
-            states = _momentum_states(np.array([m.n for m in modes]), cap,
-                                      np.asarray(momenta), state_limit)
+            states = _momentum_states(np.array([m.n for m in modes]), cap, np.asarray(momenta))
         keys = self._packed(states)
         order = np.argsort(keys)
         self._occupations, self._keys = states[order], keys[order]
@@ -132,8 +133,8 @@ class FockBasis:
         return at
 
 
-def check_basis_size(n_modes: int, cap: int, state_limit: int = DEFAULT_STATE_LIMIT):
-    """Refuse a capped basis of more than ``state_limit`` states, or a negative cap.
+def check_basis_size(n_modes: int, cap: int):
+    """Refuse a capped basis of more than ``STATE_LIMIT`` states, or a negative cap.
 
     The count is C(cap + n_modes, n_modes); raises BasisSizeError above the
     limit and ValueError for a negative cap.
@@ -141,13 +142,11 @@ def check_basis_size(n_modes: int, cap: int, state_limit: int = DEFAULT_STATE_LI
     if cap < 0:
         raise ValueError("cap must be >= 0")
     full_count = comb(cap + n_modes, n_modes)
-    if full_count > state_limit:
-        raise BasisSizeError(full_count, state_limit)
+    if full_count > STATE_LIMIT:
+        raise BasisSizeError(full_count, STATE_LIMIT)
 
 
-def _momentum_states(
-    vectors: np.ndarray, cap: int, momenta: np.ndarray, state_limit: int
-) -> np.ndarray:
+def _momentum_states(vectors: np.ndarray, cap: int, momenta: np.ndarray) -> np.ndarray:
     """The capped occupation vectors of total momentum in ``momenta``, unordered.
 
     Meet in the middle: the capped states of each half of the modes
@@ -155,12 +154,13 @@ def _momentum_states(
     (momentum, total).  A first-half state of momentum Q and total t
     completes to P with the second-half states of momentum P - Q and total
     at most cap - t, one range of that order.  Refused before either half
-    is built if it holds more than ``state_limit`` states, and as soon as
-    more than ``state_limit`` states of the sectors are found.
+    is built if it holds more than ``STATE_LIMIT`` states, and after each
+    pass over the momenta as soon as more than ``STATE_LIMIT`` states of
+    the sectors are found, or one sector holds more than a dense block may.
     """
     half = len(vectors) // 2
     for parts in (half, len(vectors) - half):
-        check_basis_size(parts, cap, state_limit)
+        check_basis_size(parts, cap)
     head, tail = (np.concatenate([compositions(t, parts) for t in range(cap + 1)])
                   for parts in (half, len(vectors) - half))
     reach = cap * int(np.abs(vectors).max()) + int(np.abs(momenta).max(initial=0))
@@ -176,9 +176,11 @@ def _momentum_states(
         need = (wanted[start : start + step, None] - head_keys) * (cap + 1)
         lo = np.searchsorted(tail_keys, need)
         count = np.searchsorted(tail_keys, need + (cap - head_totals), side="right") - lo
-        found += int(count.sum())
-        if found > state_limit:
-            raise BasisSizeError(found, state_limit)
+        sectors = count.sum(axis=1)
+        found += int(sectors.sum())
+        if found > STATE_LIMIT:
+            raise BasisSizeError(found, STATE_LIMIT)
+        _check_block_size(int(sectors.max()))
         ranges.append((np.nonzero(count)[1], lo[count > 0], count[count > 0]))
     heads, lo, count = (np.concatenate(part) for part in zip(*ranges))
     first = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(found)
@@ -236,12 +238,9 @@ def composition_rank(occ: np.ndarray) -> np.ndarray:
 
 
 def build_basis(
-    modes: Sequence[Mode],
-    cap: int,
-    state_limit: int = DEFAULT_STATE_LIMIT,
-    momenta: np.ndarray | None = None,
+    modes: Sequence[Mode], cap: int, momenta: np.ndarray | None = None
 ) -> FockBasis:
-    return FockBasis(modes, cap, state_limit, momenta)
+    return FockBasis(modes, cap, momenta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,15 +579,13 @@ class GibbsState:
     ground_energy: float
 
 
-def gibbs(
-    H: HermitianOperator, beta: float, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> GibbsState:
+def gibbs(H: HermitianOperator, beta: float) -> GibbsState:
     """Thermal state of H, diagonalized one connected component at a time.
 
     The states that H connects, directly or through other states, form
     its blocks; for ``build_LN`` these are the total-momentum sectors, and
     a diagonal H has one block per state.  Blocks of equal size go through
-    one batched ``eigh``, and ``dense_limit`` caps the size of the largest
+    one batched ``eigh``, and ``DENSE_LIMIT`` caps the size of the largest
     block.  Energies are shifted by the global ground energy before
     exponentiation, which leaves all weight ratios invariant and cannot
     overflow; Z refers to the shifted convention and is the exactly
@@ -599,7 +596,7 @@ def gibbs(
         raise ValueError("beta must be positive")
     dim = len(H.basis)
     h = H.matrix
-    blocks = _Blocks(_components(dim, h.rows, h.cols), dense_limit)
+    blocks = _Blocks(_components(dim, h.rows, h.cols))
     groups = list(blocks.eigh(h))
     e0 = float(min(energies.min() for energies, _ in groups))
     weights = [np.exp(-beta * (energies - e0)) for energies, _ in groups]
@@ -614,6 +611,13 @@ def gibbs(
     return GibbsState(rho=rho, Z=Z, beta=beta, ground_energy=e0)
 
 
+def _check_block_size(size: int):
+    """Refuse a block of more than ``DENSE_LIMIT`` states for dense diagonalization."""
+    if size > DENSE_LIMIT:
+        raise GuardError(f"dense eigendecomposition of a {size}-state block "
+                         f"exceeds the limit {DENSE_LIMIT}")
+
+
 class _Blocks:
     """The diagonal blocks of matrices over states grouped by ``labels``.
 
@@ -622,11 +626,9 @@ class _Blocks:
     buffer; ``members`` holds each stack's (k, s) states, in increasing s.
     """
 
-    def __init__(self, labels: np.ndarray, dense_limit: int = DEFAULT_DENSE_LIMIT):
+    def __init__(self, labels: np.ndarray):
         sizes = np.bincount(labels)
-        if int(sizes.max()) > dense_limit:
-            raise GuardError(f"dense eigendecomposition of a {int(sizes.max())}-state block "
-                             f"exceeds the limit {dense_limit}")
+        _check_block_size(int(sizes.max()))
         blocks = np.argsort(sizes, kind="stable")
         states = np.lexsort((labels, sizes[labels]))
         ordered = sizes[blocks]

@@ -2,10 +2,10 @@
 
 Excitation momenta on the unit torus form the integer lattice scaled by
 2*pi, with the zero mode removed.  Shells collect all modes of equal
-squared integer norm; lattice sums are accumulated shell by shell in a
-fixed order with exactly rounded summation, and carry an explicit tail
-bound obtained by comparing the beyond-cutoff sum with a displaced radial
-integral.
+squared integer norm.  Every sum over modes of a per-shell column goes
+through ``mode_sum``, which rounds the exact per-mode sum once; lattice
+sums carry an explicit tail bound obtained by comparing the beyond-cutoff
+sum with a displaced radial integral.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_shells",
     "modes_up_to",
     "shell_modes",
+    "mode_sum",
     "shell_sum",
     "tail_norm_bound",
 ]
@@ -35,10 +36,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Mode:
-    """A single excitation mode: integer triple ``n`` with momentum ``p = scale*n``."""
+    """A single excitation mode: integer triple ``n``, momentum scale*n of square ``p_sq``."""
 
     n: tuple[int, int, int]
-    p: tuple[float, float, float]
     p_sq: float
 
     def __post_init__(self):
@@ -55,9 +55,8 @@ class Mode:
 
 
 def _make_mode(n: tuple[int, int, int], scale: float) -> Mode:
-    p = (scale * n[0], scale * n[1], scale * n[2])
     norm_sq = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-    return Mode(n=n, p=p, p_sq=scale * scale * norm_sq)
+    return Mode(n=n, p_sq=scale * scale * norm_sq)
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,11 @@ def shell_modes(norm_sqs: Iterable[int], momentum_scale: float = TWO_PI) -> tupl
     """The modes of the shells |n|^2 in ``norm_sqs``, in shell order.
 
     Repeated norms count once; a norm no integer triple represents adds no
-    mode.
+    mode.  An empty list of norms is refused.
     """
     wanted = set(norm_sqs)
+    if not wanted:
+        raise ValueError("no shells given")
     return tuple(
         m
         for shell in enumerate_shells(max(wanted), momentum_scale)
@@ -182,12 +183,27 @@ def tail_norm_bound(cutoff_norm_sq: int, s: float) -> float:
     return exact + integral
 
 
+def mode_sum(extra: list[float], multiplicity: np.ndarray, *columns: np.ndarray) -> float:
+    """Exactly rounded sum of ``extra`` and of each column entry once per mode.
+
+    Veltkamp's split writes every entry exactly as hi + lo, each of at most
+    26 significant bits; their products with a multiplicity below 2**26 are
+    exact, so ``math.fsum`` rounds the exact per-mode sum once.
+    """
+    parts = list(extra)
+    for values in columns:
+        c = 134217729.0 * values
+        hi = c - (c - values)
+        parts += (multiplicity * hi).tolist() + (multiplicity * (values - hi)).tolist()
+    return math.fsum(parts)
+
+
 def shell_sum(values, max_norm_sq: int, tail_exponent: float) -> SumResult:
     """Compensated sum over the modes with |n|^2 <= cutoff of a per-shell column.
 
     ``values`` holds one summand per shell of ``shell_table(max_norm_sq)``,
-    whose r3 equal terms sum to r3 * value; the products are summed exactly
-    rounded in shell order.  ``tail_exponent`` s > 3/2 models the decay
+    counted once per mode of the shell; the sum is exactly rounded
+    (``mode_sum``).  ``tail_exponent`` s > 3/2 models the decay
     |f| <= C * |n|^(-2s) beyond the cutoff; C is estimated from the outermost
     shell, which presumes |f| * |n|^(2s) is non-increasing past the cutoff.
     """
@@ -195,7 +211,7 @@ def shell_sum(values, max_norm_sq: int, tail_exponent: float) -> SumResult:
         raise ValueError("tail exponent must exceed 3/2 for a summable tail")
     norm_sq, multiplicity, _ = shell_table(max_norm_sq)
     values = np.asarray(values, dtype=float)
-    value = math.fsum((multiplicity * values).tolist())
+    value = mode_sum([], multiplicity, values)
 
     c_tail = abs(float(values[-1])) * int(norm_sq[-1]) ** tail_exponent
     bound = c_tail * tail_norm_bound(max_norm_sq, tail_exponent)

@@ -48,6 +48,10 @@ the degree, and the scaling when the largest 1-norm of the stack exceeds
 what degree 13 covers, are chosen once per stack, from the bounds on the
 1-norm up to which each degree meets double-precision unit roundoff.
 
+The adjudication runs on the unit lattice (mode energy |n|^2), the moment
+bound of the partition sandwich takes mu = min(eps)/2, and the toy's v_hat
+and scattering solve are those of any potential: 0.0 for the free gas.
+
 Coefficient-convention candidates are assembled directly from the rotation
 angles nu and energies eps: both the occupation and the pairing candidate
 have the form "Bogoliubov weight times (1 + 2 n)", where n is the thermal
@@ -117,9 +121,7 @@ class PartitionSandwich:
     mu: float
 
 
-def partition_product_check(
-    eps: Sequence[float], cap: int, beta: float, mu: float | None = None
-) -> PartitionSandwich:
+def partition_product_check(eps: Sequence[float], cap: int, beta: float) -> PartitionSandwich:
     """Exact capped partition sum against product-formula bounds.
 
     ``eps`` holds one energy per mode.  brute is the exact sum of
@@ -129,15 +131,15 @@ def partition_product_check(
     mode at a time (z[t] += x_i z[t-1] for t = 1 .. cap).  The uncapped
     product overestimates it; the excess of states above the cap is bounded
     by the exponential moment bound exp(-beta*mu*cap) *
-    prod 1/(1 - e^{-beta(eps-mu)}) for any 0 < mu < min eps.  Violation of the sandwich is raised, not returned.
+    prod 1/(1 - e^{-beta(eps-mu)}), taken at mu = min(eps)/2.  Every eps
+    must be positive.  Violation of the sandwich is raised, not returned.
     """
     eps = np.asarray(eps, dtype=float)
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if mu is None:
-        mu = 0.5 * float(np.min(eps))
-    if not (0.0 < mu < float(np.min(eps))):
-        raise ValueError("mu must lie strictly between 0 and min eps")
+    if not np.all(eps > 0.0):
+        raise ValueError("every mode energy must be positive")
+    mu = 0.5 * float(np.min(eps))
     z = [1.0] + [0.0] * cap  # z[t]: summed weight of the states of total t, modes so far
     for e in eps.tolist():
         x = math.exp(-beta * e)
@@ -527,11 +529,11 @@ class AdjudicationReport:
     beta: float
     shells: tuple[int, ...]
     cap: int
-    momentum_scale: float
     number: dict
     pairing: dict
     theta_winner: str
     pairing_winner: str
+    momentum_scale: float = 1.0  # the oracle's lattice: mode energy |n|^2
 
 
 def _judge(value: float, candidates: dict) -> tuple[dict, str]:
@@ -561,16 +563,15 @@ def adjudicate_variants(
     beta: float,
     shells: Sequence[int],
     cap: int,
-    momentum_scale: float = 1.0,
 ) -> AdjudicationReport:
     """Run both rotation oracles and report the convention with smaller residual.
 
-    The experiment runs, by default, on the unit-scaled lattice (mode energy
-    |n|^2) so that the thermal occupations at order-one beta are resolvable
-    in double precision; the identities being adjudicated are algebraic in
+    The experiment runs on the unit-scaled lattice (mode energy |n|^2) so
+    that the thermal occupations at order-one beta are resolvable in double
+    precision; the identities being adjudicated are algebraic in
     (p^2, a, beta), so the verdict does not depend on that scale.
     """
-    modes = shell_modes(shells, momentum_scale)
+    modes = shell_modes(shells, momentum_scale=1.0)
     if not modes:
         raise ValueError("no modes in the requested shells")
     coefficients = mode_coefficients([m.p_sq for m in modes], a)
@@ -586,7 +587,6 @@ def adjudicate_variants(
         beta=beta,
         shells=tuple(sorted(set(shells))),
         cap=cap,
-        momentum_scale=momentum_scale,
         number=number_detail,
         pairing=pairing_detail,
         theta_winner=theta_winner,
@@ -677,11 +677,8 @@ def toy_gibbs_experiment(
     blocks = _Blocks(labels)
     orbit = orbit[held][labels]
 
-    if potential.is_zero:
-        v_hat = np.zeros_like  # the free gas: v_hat = 0 at every k
-    else:
-        v_hat = potential_fourier(potential)
-    a_model = _toy_scattering_length(potential)
+    v_hat = potential_fourier(potential)
+    a_model = solve_scattering(potential, r_max=default_r_max(potential)).a
 
     # per shell, the modes of its first mode's cubic orbit
     shape = [sorted(map(abs, m.n)) for m in modes]
@@ -758,10 +755,3 @@ def toy_gibbs_experiment(
         )
         runs.append((report, rows))
     return runs
-
-
-def _toy_scattering_length(potential: RadialPotential) -> float:
-    """Scattering length of ``potential``: the toy's model a; zero for a free gas."""
-    if potential.is_zero:
-        return 0.0
-    return solve_scattering(potential, r_max=default_r_max(potential)).a

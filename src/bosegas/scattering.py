@@ -436,16 +436,14 @@ def _integrate_radial(potential: RadialPotential, lam: float, tol: float) -> _Ra
 # zero-energy scattering
 # ---------------------------------------------------------------------------
 
-R_MAX_FACTOR = 20.0
-
-
-def default_r_max(potential: RadialPotential, factor: float = R_MAX_FACTOR) -> float:
-    """Outer radius of the scattering solve: ``factor`` support radii.
+def default_r_max(potential: RadialPotential) -> float:
+    """Outer radius of the scattering solve: twenty support radii.
 
     Past the support u is affine in closed form, so a does not depend on
-    this radius beyond roundoff; it sets the span of ``energy_functional``.
+    this radius beyond roundoff; it sets the span of ``energy_functional``,
+    which adds the analytic remainder a^2/r_max beyond it.
     """
-    return factor * potential.support_radius
+    return 20.0 * potential.support_radius
 
 
 def _profile(dense: _RadialSolution, r, length: float) -> np.ndarray:

@@ -33,8 +33,8 @@ from bosegas.fock import (
     pair_partners,
 )
 from bosegas.lattice import Mode, shell_modes
-from bosegas.oracles import GibbsReport, _toy_scattering_length
-from bosegas.scattering import RadialPotential, potential_fourier
+from bosegas.oracles import GibbsReport
+from bosegas.scattering import RadialPotential, default_r_max, potential_fourier, solve_scattering
 
 
 def number_operator(basis: FockBasis, mode: Mode) -> Triplets:
@@ -171,11 +171,8 @@ def toy_gibbs_single_n(
     if N < cap:
         raise ValueError("toy experiment needs N >= cap")
 
-    if potential.is_zero:
-        v_hat = np.zeros_like  # the free gas: v_hat = 0 at every k
-    else:
-        v_hat = potential_fourier(potential)
-    a_model = _toy_scattering_length(potential)
+    v_hat = potential_fourier(potential)
+    a_model = solve_scattering(potential, r_max=default_r_max(potential)).a
 
     state = gibbs(build_LN(basis, N, v_hat), beta)
 

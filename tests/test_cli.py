@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bosegas
 import bosegas.bogoliubov
 import bosegas.cli
+import bosegas.fock
 import bosegas.lattice
 import bosegas.scattering
 from bosegas.cli import main
@@ -222,10 +224,12 @@ def test_usage_error_exit_code(tmp_path):
     assert "unknown potential kind" in record["message"]
 
 
-@pytest.mark.parametrize("key", ["oracle.toy.enabled", "oracle.toy.coupling", "cutof_norm_sq"])
+@pytest.mark.parametrize("key", ["oracle.toy.enabled", "oracle.toy.coupling",
+                                 "scatter_r_max_factor", "oracle.momentum_scale",
+                                 "cutof_norm_sq"])
 def test_unknown_config_key_is_usage_error(tmp_path, key):
-    # the two removed toy knobs and a misspelling: ignoring any of them
-    # would run another configuration than the one asked for, unannounced
+    # four removed knobs and a misspelling: ignoring any of them would run
+    # another configuration than the one asked for, unannounced
     nested = 1.0
     for part in reversed(key.split(".")):
         nested = {part: nested}
@@ -268,13 +272,21 @@ def test_wrongly_typed_config_value_is_usage_error(tmp_path, assignment, key):
     ("oracle", "oracle.toy.beta=0"),
     ("coeffs", "a_override=-1"),
     ("rho", "a_override=-1"),
+    ("oracle", "oracle.shells=[]"),
+    ("scatter", "N=0"),
+    ("rho", "N=0"),
 ])
 def test_non_positive_beta_and_negative_length_are_usage_errors(tmp_path, command, assignment):
     # beta = 0 used to divide by zero in the Bose factor, with a traceback
-    # and no error record; a negative length read only "math domain error"
+    # and no error record; a negative length read only "math domain error";
+    # no shells read "max() arg is an empty sequence", and scatter at N = 0
+    # was a solver failure, "ball radius must exceed the potential support"
     key = assignment.split("=")[0]
-    message = ("scattering length must be non-negative" if key == "a_override"
-               else f"{key!r} takes a positive finite inverse temperature")
+    message = {
+        "a_override": "scattering length must be non-negative",
+        "oracle.shells": "no shells given",
+        "N": "particle number must be >= 1",
+    }.get(key, f"{key!r} takes a positive finite inverse temperature")
     out = tmp_path / "refused"
     assert main([command, "--output-dir", str(out), *FAST_SETS, "--set", assignment]) == 2
     record = json.loads((out / "error.json").read_text())
@@ -403,11 +415,74 @@ def test_toy_whose_half_basis_is_oversized_is_refused_with_count(tmp_path):
     assert not (out / "toy_gibbs.json").exists()
 
 
+def test_toy_with_an_oversized_sector_is_refused_after_one_join_pass(tmp_path, monkeypatch):
+    # 80 modes at toy cap 4: the sector P = 0 alone holds 7,617 states, more
+    # than one dense block may.  P = 0 is the first momentum the join looks
+    # for, so its first pass counts that sector and no other pass runs.
+    passes = []
+    searchsorted = np.searchsorted
+
+    def spy(*args, **kwargs):
+        if kwargs.get("side") == "right":  # the join's range ends, once per pass
+            passes.append(args)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(bosegas.fock.np, "searchsorted", spy)
+    out = tmp_path / "sector"
+    code = main([
+        "oracle", "--output-dir", str(out),
+        "--set", "oracle.cap=2", "--set", "oracle.shells=[1,2,3,4,5,6]",
+        "--set", "oracle.toy.cap=4",
+    ])
+    assert code == 3
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "GuardError"
+    assert "7617-state block" in record["message"]
+    assert len(passes) == 1
+    assert not (out / "toy_gibbs.json").exists()
+
+
+def test_every_config_leaf_is_read_by_some_command(tmp_path, monkeypatch):
+    # a knob no command reads changes no output; the potential table counts
+    # as one leaf, because its keys depend on its kind
+    seen = set()
+
+    class Recording(dict):
+        def __init__(self, table, prefix=""):
+            super().__init__({key: Recording(value, f"{prefix}{key}.")
+                              if isinstance(value, dict) and key != "potential" else value
+                              for key, value in table.items()})
+            self.prefix = prefix
+
+        def __getitem__(self, key):
+            seen.add(self.prefix + key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            seen.add(self.prefix + key)
+            return super().get(key, default)
+
+    load_config = bosegas.cli.load_config
+    monkeypatch.setattr(bosegas.cli, "load_config",
+                        lambda *args: Recording(load_config(*args)))
+    assert main(["all", "--output-dir", str(tmp_path), *FAST_SETS]) == 0
+
+    def leaves(table, prefix=""):
+        for key, value in table.items():
+            if isinstance(value, dict) and key != "potential":
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert sorted(set(leaves(bosegas.cli.DEFAULT_CONFIG)) - seen) == []
+
+
 def test_solver_failure_exit_code(tmp_path):
+    # N * ell = 0.4 puts the ball inside the potential's support radius 0.5
     out = tmp_path / "solver"
     code = main([
         "scatter", "--output-dir", str(out), *FAST_SETS,
-        "--set", "scatter_r_max_factor=0.5",
+        "--set", "N=1", "--set", "ell=0.4",
     ])
     assert code == 4
     record = json.loads((out / "error.json").read_text())

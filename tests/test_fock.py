@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 
+import bosegas.fock
 from bosegas.errors import BasisSizeError, GuardError
 from bosegas.fock import (
     GibbsState,
@@ -56,7 +57,7 @@ class TestBasis:
 
     def test_size_guard_reports_count(self):
         with pytest.raises(BasisSizeError) as err:
-            build_basis(SHELL1, 30, state_limit=10_000)
+            build_basis(SHELL1, 30)
         assert err.value.count == math.comb(36, 6)
 
     def test_state_accessor(self):
@@ -294,12 +295,13 @@ class TestGibbs:
         assert diag[vac] == pytest.approx(1.0)
         assert float(np.sum(diag)) == pytest.approx(1.0)
 
-    def test_dense_guard(self):
+    def test_dense_guard(self, monkeypatch):
+        monkeypatch.setattr(bosegas.fock, "DENSE_LIMIT", 10)
         basis = build_basis(SHELL1, 6)
         G = csr(build_quadratic_generator(basis, np.full(6, 0.1)))
         H = HermitianOperator(basis, triplets(csr(kinetic(basis)) + (G - G.T)))
         with pytest.raises(GuardError):
-            gibbs(H, beta=1.0, dense_limit=10)
+            gibbs(H, beta=1.0)
 
     def test_trace_one_past_the_old_whole_basis_limit(self):
         basis = build_basis(SHELL1, 12)

@@ -108,9 +108,10 @@ class TestPartitionSandwich:
         assert r2.brute < r1.brute
         assert r2.gap < r1.gap
 
-    def test_mu_validation(self):
-        with pytest.raises(ValueError):
-            partition_product_check([1.0, 1.0], 4, beta=1.0, mu=1.5)
+    def test_non_positive_energy_is_refused(self):
+        for eps in ([1.0, 0.0], [1.0, -0.5], [math.nan, 1.0]):
+            with pytest.raises(ValueError, match="every mode energy must be positive"):
+                partition_product_check(eps, 4, beta=1.0)
 
 
 @st.composite
@@ -450,14 +451,16 @@ class TestSectors:
         with pytest.raises(ValueError, match="outside the basis"):
             sector.rank(full.occupations()[~np.array(keep)][:1])
 
-    def test_the_size_guard_bounds_the_states_built(self):
+    def test_the_size_guard_bounds_the_states_built(self, monkeypatch):
         # shell 1 at cap 7: 141 states in one sector per orbit, 1,716 in all;
         # one counting pass finds them all
         modes = shell_modes([1])
         momenta, _ = bosegas.oracles._momentum_orbits(np.array([m.n for m in modes]), 7)
-        assert len(build_basis(modes, 7, state_limit=141, momenta=momenta)) == 141
+        monkeypatch.setattr(bosegas.fock, "STATE_LIMIT", 141)
+        assert len(build_basis(modes, 7, momenta=momenta)) == 141
+        monkeypatch.setattr(bosegas.fock, "STATE_LIMIT", 140)
         with pytest.raises(BasisSizeError, match="141 states counted") as err:
-            build_basis(modes, 7, state_limit=140, momenta=momenta)
+            build_basis(modes, 7, momenta=momenta)
         assert (err.value.count, err.value.limit) == (141, 140)
 
     def test_an_oversized_toy_is_refused_before_its_states_are_built(self, monkeypatch):

@@ -154,9 +154,9 @@ def per_mode_tail_norm_bound(cutoff, s):
 
 
 def per_mode_lattice_sum(f, cutoff, s=2.0):
-    """(value, tail bound): shell-ordered fsum over every mode's f(p_sq)."""
+    """(value, tail bound): one exactly rounded fsum over every mode's f(p_sq)."""
     shells = enumerate_shells(cutoff)
-    value = math.fsum(math.fsum(f(m.p_sq) for m in shell.members) for shell in shells)
+    value = math.fsum(f(m.p_sq) for shell in shells for m in shell.members)
     outer = shells[-1]
     c_tail = max(abs(f(m.p_sq)) for m in outer.members) * outer.norm_sq**s
     return value, c_tail * per_mode_tail_norm_bound(cutoff, s)
