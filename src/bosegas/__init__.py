@@ -10,6 +10,8 @@ coefficient conventions.
 
 __version__ = "0.1.0"
 
+# first: it loads numpy at one BLAS thread unless the caller chose a count
+from . import _blas  # noqa: F401
 from .bogoliubov import (
     ModeCoefficients,
     Variant,

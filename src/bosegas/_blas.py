@@ -1,4 +1,4 @@
-"""Pin numpy's bundled OpenBLAS to one thread for the duration of a block.
+"""Load numpy's bundled OpenBLAS at one thread, and pin it to one for a block.
 
 With more than one thread, OpenBLAS splits long dot products and the
 eigensolvers' inner products across threads, so the summation order, and
@@ -16,12 +16,20 @@ own OpenBLAS, a separate library with its own count that no result of
 this package passes through; it is left alone.  The library is looked up
 with ``RTLD_NOLOAD``, which finds a loaded library and never loads one.
 
-The worker threads are left alone: setting a count starts and stops no
-thread.  The worker numpy starts at its import busy-waits for about 0.1 s
-and then sleeps; that wait mostly falls inside numpy's own import.
-Stopping the workers on entry (``blas_thread_shutdown_``) would make the
-restore on exit start a new worker, which busy-waits for another 0.1 s
-after every block, and would make every entry wait for a thread to exit.
+OpenBLAS reads its thread count from the environment once, when the
+library loads, and at more than one thread it starts its workers there;
+each busy-waits for about 0.1 s of CPU before it sleeps, which a command
+run right after the import pays for.  Setting the count later starts and
+stops no thread, so it cannot end that wait, and stopping the workers on
+entry (``blas_thread_shutdown_``) would make the restore on exit start a
+new worker that busy-waits again.  So this module, which the package
+imports before anything that imports numpy, loads numpy itself with
+``OPENBLAS_NUM_THREADS=1`` when numpy is not loaded yet and the caller set
+none of ``_THREAD_VARIABLES``; no worker is started.  The variable is
+removed again right after, so child processes and libraries loaded later
+see the caller's environment.  A count the caller set, or a numpy the
+caller loaded first, is left as it is: ``single_thread`` is what pins the
+commands, whatever the count outside.
 """
 
 from __future__ import annotations
@@ -32,7 +40,18 @@ import functools
 import glob
 import importlib.util
 import os
+import sys
 from typing import Callable, Iterator
+
+# the variables OpenBLAS reads its thread count from at load, in its order
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_VARIABLES):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # (package, directory of its bundled libraries, library pattern, setter, getter)
 _OPENBLAS = (

@@ -53,7 +53,13 @@ from .errors import (
 # build_basis, enumerate_shells and modes_up_to are looked up here by name
 # by the benchmark's tracer
 from .fock import build_basis  # noqa: F401
-from .lattice import enumerate_shells, modes_up_to, shell_modes, shell_table  # noqa: F401
+from .lattice import (  # noqa: F401
+    enumerate_shells,
+    modes_up_to,
+    shell_modes,
+    shell_norms,
+    shell_table,
+)
 from .oracles import (
     adjudicate_variants,
     partition_product_check,
@@ -173,6 +179,10 @@ def load_config(path: str | None, sets: list[str], overrides: dict) -> dict:
         if not 0.0 < beta < math.inf:
             raise ValueError(f"config key {key!r} takes a positive finite inverse "
                              f"temperature, got {beta!r}")
+    try:
+        shell_norms(config["oracle"]["shells"])
+    except ValueError as exc:
+        raise ValueError(f"config key 'oracle.shells': {exc}") from None
     return config
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "shell_table",
     "enumerate_shells",
     "modes_up_to",
+    "shell_norms",
     "shell_modes",
     "mode_sum",
     "shell_sum",
@@ -119,15 +120,27 @@ def modes_up_to(max_norm_sq: int, momentum_scale: float = TWO_PI) -> tuple[Mode,
     return tuple(out)
 
 
-def shell_modes(norm_sqs: Iterable[int], momentum_scale: float = TWO_PI) -> tuple[Mode, ...]:
-    """The modes of the shells |n|^2 in ``norm_sqs``, in shell order.
+def shell_norms(norm_sqs: Iterable[int]) -> set[int]:
+    """The distinct shell norms |n|^2 of ``norm_sqs``.
 
-    Repeated norms count once; a norm no integer triple represents adds no
-    mode.  An empty list of norms is refused.
+    An empty list of norms is refused, and so is a norm below 1: |n|^2 = 0
+    is the condensate mode, no shell.
     """
     wanted = set(norm_sqs)
     if not wanted:
         raise ValueError("no shells given")
+    if min(wanted) < 1:
+        raise ValueError(f"shell norm |n|^2 = {min(wanted)} is below 1")
+    return wanted
+
+
+def shell_modes(norm_sqs: Iterable[int], momentum_scale: float = TWO_PI) -> tuple[Mode, ...]:
+    """The modes of the shells |n|^2 in ``norm_sqs``, in shell order.
+
+    Repeated norms count once; a norm no integer triple represents adds no
+    mode.  The norms are checked by ``shell_norms``.
+    """
+    wanted = shell_norms(norm_sqs)
     return tuple(
         m
         for shell in enumerate_shells(max(wanted), momentum_scale)

@@ -1,8 +1,16 @@
 """Fixtures shared by the whole suite."""
 
-import pytest
+import os
 
-from bosegas import _blas
+# before anything loads an OpenBLAS: numpy's and scipy's (a separate library
+# that the reference loops call through scipy.linalg) then both load at one
+# thread and start no worker.  Tests that start interpreters at another
+# count set it in the child's environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from bosegas import _blas  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -295,6 +295,23 @@ def test_non_positive_beta_and_negative_length_are_usage_errors(tmp_path, comman
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
+@pytest.mark.parametrize("command, shells, bad", [
+    ("oracle", "[0]", 0), ("oracle", "[-1]", -1), ("oracle", "[0,1]", 0), ("all", "[0]", 0),
+])
+def test_shell_norm_below_one_is_usage_error(tmp_path, command, shells, bad):
+    # [0] and [-1] used to read "max_norm_sq must be >= 1", naming neither
+    # the key nor the norm, and [0,1] ran with the 0 dropped; refused where
+    # the config is read, `all` writes no other command's files first
+    out = tmp_path / "refused"
+    assert main([command, "--output-dir", str(out), *FAST_SETS,
+                 "--set", f"oracle.shells={shells}"]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ValueError"
+    assert "'oracle.shells'" in record["message"]
+    assert f"|n|^2 = {bad} is below 1" in record["message"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
 def test_default_all_solves_the_scattering_problem_once(tmp_path):
     # scatter, coeffs, rho and the toy ask for the same zero-energy problem
     bosegas.scattering._solve_scattering.cache_clear()

@@ -37,6 +37,14 @@ def test_shell_modes_lists_the_requested_shells_in_order():
     assert shell_modes([2]) == enumerate_shells(2)[1].members
 
 
+@pytest.mark.parametrize("norms, bad", [([0], 0), ([-1], -1), ([0, 1], 0), ([2, -3, 0], -3)])
+def test_shell_modes_refuses_a_norm_below_one(norms, bad):
+    # the zero mode is the condensate, no shell; a 0 beside valid norms was
+    # dropped unannounced
+    with pytest.raises(ValueError, match=rf"shell norm \|n\|\^2 = {bad} is below 1"):
+        shell_modes(norms)
+
+
 def test_first_shell_is_the_six_unit_vectors():
     shells = enumerate_shells(1)
     assert len(shells) == 1
