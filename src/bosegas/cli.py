@@ -415,19 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bosegas",
         description="Bogoliubov coefficients, density-matrix models and Fock-space oracles",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("scatter", "coeffs", "rho", "oracle", "all"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON configuration file")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a config entry (dotted keys, JSON values)",
-        )
-        p.add_argument("--output-dir", default=None)
-        p.add_argument("--variant", choices=["A", "B", "both"], default=None)
+    parser.add_argument("command", choices=[*COMMANDS, "all"])
+    parser.add_argument("--config", default=None, help="JSON configuration file")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a config entry (dotted keys, JSON values)",
+    )
+    parser.add_argument("--output-dir", default=None)
+    parser.add_argument("--variant", choices=["A", "B", "both"], default=None)
     return parser
 
 

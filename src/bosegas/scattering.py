@@ -26,10 +26,11 @@ the Rayleigh quotient of the trial profile f = 1.  Only numpy is needed.
 
 From the ball solution the correlation kernels are obtained as radial
 Fourier transforms, each taken for a whole column of wave numbers at once.
-On [0, b] they use composite Simpson quadrature at two resolutions, so
-every transform carries its own error estimate; where k b <= 1 the rules
-are summed as their odd-moment series in k, beyond it through the sines
-at the nodes.  The part
+On [0, b] they use composite Boole quadrature (Romberg's second column:
+W. Romberg, *Kgl. Norske Vid. Selsk. Forh.* 28 (1955)) at two
+resolutions, so every transform carries its own error bound; where
+k b <= 1 the rules are summed as their odd-moment series in k, beyond it
+through the sines at the nodes.  The part
 over [b, R] is exact: in closed form from d/dr[G' sin(kr) - k G cos(kr)] =
 (G'' + k^2 G) sin(kr) with G'' = -kappa^2 u there, and below
 k (R - b) = 2 pi, where that form cancels, by a Gauss-Legendre rule whose
@@ -186,7 +187,7 @@ def zero_potential(support_radius: float = 0.5) -> RadialPotential:
 
 
 # ---------------------------------------------------------------------------
-# breakpoint pieces and their Simpson rules
+# breakpoint pieces and their quadrature rules
 # ---------------------------------------------------------------------------
 
 def _pieces(potential: RadialPotential, end: float | None = None):
@@ -207,18 +208,19 @@ def _pieces(potential: RadialPotential, end: float | None = None):
 
 
 # nodes per evaluation of a profile or of the energy density, and per
-# group of whole pieces whose Simpson rules are built together; this bounds
+# group of whole pieces whose rules are built together; this bounds
 # the memory of a transform's or of the energy integral's sampling
 _GROUP = 2**16
 
 
-def _simpson_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
-    """Composite Simpson rules with n[i] (even) intervals on [lo[i], hi[i]], concatenated.
+def _newton_cotes_nodes(lo, hi, n, cycle, end, panel, divisor):
+    """Composite closed Newton-Cotes rules with n[i] intervals on [lo[i], hi[i]], concatenated.
 
     Returns the nodes, the weights and each node's index within its piece.
     Node i of a piece is i * step + lo and its last node is hi, as
-    ``np.linspace`` makes them, and the weights are c * (step / 3), c = 1,
-    4, 2, ..., 4, 1: every bit equals that of the per-piece rules.
+    ``np.linspace`` makes them.  The weight of node i is
+    c * (panel * step / divisor), c = ``cycle[i % len(cycle)]``, or ``end``
+    at both ends of the piece; the cycle's length is a power of 2.
     """
     size = n + 1
     first = np.cumsum(size) - size
@@ -226,9 +228,22 @@ def _simpson_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
     step = (hi - lo) / n
     r = local * np.repeat(step, size) + np.repeat(lo, size)
     r[first + n] = hi
-    factor = np.where(local % 2 == 1, 4.0, 2.0)
-    factor[first] = factor[first + n] = 1.0
-    return r, factor * np.repeat(step / 3.0, size), local
+    factor = np.array(cycle)[local & (len(cycle) - 1)]  # i % len(cycle), without a division
+    factor[first] = factor[first + n] = end
+    return r, factor * np.repeat(panel * step / divisor, size), local
+
+
+def _simpson_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
+    """Composite Simpson rules, n[i] even: weights c * (step / 3), c = 1,
+    4, 2, ..., 4, 1; every bit equals that of the per-piece rules."""
+    return _newton_cotes_nodes(lo, hi, n, (2.0, 4.0), 1.0, 1.0, 3.0)
+
+
+def _boole_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
+    """Composite Boole rules, n[i] divisible by 4: weights c * (2 step / 45),
+    c = 7, 32, 12, 32, 14, ..., 32, 7, which are (16 S_h - S_2h) / 15 of
+    the Simpson rules at steps h and 2h (Romberg's second column)."""
+    return _newton_cotes_nodes(lo, hi, n, (14.0, 32.0, 12.0, 32.0), 7.0, 2.0, 45.0)
 
 
 def _groups(n: np.ndarray):
@@ -740,6 +755,7 @@ class _Exterior:
         half = 0.5 * (self.ends[1] - self.ends[0])
         self._nodes = self.ends[0] + half * (x + 1.0)
         self._weighted_g = half * w * (c_r * self._nodes + c_u * neumann.dense.u(self._nodes))
+        self.abs_integral = float(np.abs(self._weighted_g).sum())  # int_b^R |G| dr
 
     def _boundary(self, k, value, slope):
         """[G' sin(kr) - k G cos(kr)] between the ends for G = value, G' = slope,
@@ -766,55 +782,111 @@ class _Exterior:
         return float(self._weighted_g @ self._nodes**power)
 
 
-# terms of the odd-moment series of a transform's Simpson part, taken where
-# k r_end <= 1: the first term left out is below (k r_end)^22 / 23! < 4e-23
-# of the |G|-moment, far below the terms' rounding
+# terms of the odd-moment series of a transform's quadrature part, taken
+# where k r_end <= 1: the first term left out is below (k r_end)^22 / 23! <
+# 4e-23 of the |G|-moment, far below the rounding term
 _SERIES_TERMS = 11
+
+# Boole intervals per unit length in every transform (at least 64 per
+# piece); the resolution k_max = 0.6 / h is then 2,400 per unit length
+_POINTS_PER_UNIT = 4000.0
+
+_EPS = np.finfo(float).eps
+# rounding of one sum of products w G s, relative to sum |w G|: the two
+# products and the sine (within 1 ulp) per term, and the dot's additions,
+# which stayed within 1 eps at 2,001 terms and 2.5 eps at 130,000 in
+# trials with all-positive terms; 8 eps covers these and the factor
+# sinh(1) = 1.18 by which the moment series' terms can exceed the sines'
+_ROUNDING = 8.0 * _EPS
+
+
+def _boole_intervals(cuts: np.ndarray, points_per_unit: float,
+                     steps: np.ndarray | None = None) -> np.ndarray:
+    """Intervals of each piece's Boole rule: ``points_per_unit`` per unit
+    length, at least 64, and a multiple of 8, so that the rule at twice the
+    step on every second node is Boole's too.
+
+    ``steps`` are the step radii of a radial solution, whose steps halve
+    each piece d times at most.  Its profile is smooth within a step, not
+    across one: a kink inside a panel costs both rules alike, and their
+    difference does not show it.  So n is a multiple of 8 * 2^d, which puts
+    every step boundary on a panel boundary of both rules.
+    """
+    lo, hi = cuts[:-1], cuts[1:]
+    n = np.maximum(64, ((hi - lo) * points_per_unit).astype(int))
+    multiple = np.full(len(n), 8)
+    if steps is not None:
+        piece = np.searchsorted(cuts, steps[:-1], side="right") - 1
+        halvings = np.rint(np.log2((hi - lo)[piece] / np.diff(steps))).astype(int)
+        np.maximum.at(multiple, piece, 8 << halvings)
+    return n + (-n) % multiple
 
 
 class _RadialTransform:
     """Sine transforms (4 pi / k) int_0^R G(r) sin(kr) dr of a column of wave
-    numbers, each with an error estimate.
+    numbers, each with an error bound.
 
-    The composite Simpson rules of the pieces between the ``cuts`` form one
-    node set, where G is sampled once, at most 2^16 nodes per evaluation.
-    The half-resolution rule on every second node of each piece gives a
+    Each piece between the ``cuts`` gets a composite Boole rule of n
+    intervals (``_boole_intervals``: ``points_per_unit`` per unit length,
+    at least 64, a multiple of 8, and every step boundary of the radial
+    solution ``steps`` on a panel boundary); the rules form one node set,
+    where G is sampled once, at most 2^16 nodes per evaluation.  The Boole
+    rule at twice the step on every second node of each piece gives a
     second value, and the difference of the two estimates the quadrature
-    error.  Both rules are evaluated in one of two ways, split by k r_end,
-    r_end the last node:
+    error.  Both rules are kept as two rows of weights times G over the
+    whole node set (the coarse row 0 on the odd nodes) and evaluated in
+    one of two ways, split by k r_end, r_end the last node:
 
     * k r_end <= 1: by the odd-moment series
       4 pi sum_j (-1)^j k^(2j) M_(2j+1) / (2j+1)!, M_q = sum w G r^q, in
       ``_SERIES_TERMS`` terms, whose moments are computed once, on first
       use.  The first term left out, with the |G|-moment, is added to the
-      estimate.  The terms round by at most gamma sum |w G| sinh(k r) / k,
-      within sinh(1) = 1.18 of the sines' rounding.  k = 0 gives 4 pi M_1.
+      estimate.  k = 0 gives 4 pi M_1.
     * k r_end > 1: by the sines at the nodes, one wave number at a time.
 
     An optional ``exterior`` carries G exactly from the last cut on to R.
     A column with a wave number beyond the nodes' resolution, k above
     ``k_max`` = 0.6 / h, raises QuadratureError before anything is
     evaluated.
+
+    The estimate also bounds the rounding, all that is left where the two
+    rules agree bit for bit.  Every sum of products w G s, over the nodes
+    or over the exterior's, rounds by at most ``_ROUNDING`` sum |w G|;
+    |sin(kr) / k| <= min(1/k, R), the series' terms add up to at most
+    sinh(k r_end) / k <= 1.18 r_end there, and the rounded argument k r
+    moves a sine by at most eps/2 k R.  So the rounding is below
+    4 pi A (_ROUNDING min(1/k, R) + eps/2 R), A = sum |w G| plus
+    int_b^R |G| dr, R the transform's last radius.  The rounding of the
+    profile's own samples (of w = r - u, say) is not part of it.
     """
 
     def __init__(self, profile: Callable, cuts: np.ndarray, points_per_unit: float,
-                 exterior: _Exterior | None = None):
+                 exterior: _Exterior | None = None, steps: np.ndarray | None = None):
         lo, hi = cuts[:-1], cuts[1:]
-        n = np.maximum(64, ((hi - lo) * points_per_unit).astype(int))
-        n += (-n) % 4  # divisible by 4 so the coarse rule is Simpson too
-        self._r, self._w, local = _simpson_nodes(lo, hi, n)
-        self._coarse = np.flatnonzero(local % 2 == 0)
-        self._wc = _simpson_nodes(lo, hi, n // 2)[1]
+        n = _boole_intervals(cuts, points_per_unit, steps)
+        self._r, fine, local = _boole_nodes(lo, hi, n)
+        coarse = np.zeros_like(fine)
+        coarse[local % 2 == 0] = _boole_nodes(lo, hi, n // 2)[1]
         self._g = _sample(profile, self._r)
-        self._gc = self._g[self._coarse]
+        self._wg = np.stack((fine, coarse)) * self._g  # each rule's weights times G
+        self._abs_sum = float(np.abs(self._wg[0]).sum())  # A of the rounding bound
+        self._radius = self._r[-1]
+        if exterior is not None:
+            self._abs_sum += exterior.abs_integral
+            self._radius = exterior.ends[1]
         self.h = float(np.diff(self._r).max())
         self.k_max = 0.6 / self.h
         self._exterior = exterior
 
+    def _sums(self, s: np.ndarray) -> tuple[float, float]:
+        """sum w G s of the fine and of the coarse rule, one dot each: a
+        two-row matrix-vector product rounds worse than two dots."""
+        return float(self._wg[0] @ s), float(self._wg[1] @ s)
+
     def moments(self, powers: Sequence[int]) -> list[float]:
         out = []
         for q in powers:
-            value = float(self._w @ (self._g * self._r**q))
+            value = self._sums(self._r**q)[0]
             if self._exterior is not None:
                 value += self._exterior.moment(q)
             out.append(value)
@@ -825,15 +897,13 @@ class _RadialTransform:
         """((2, _SERIES_TERMS) coefficients of k^(2j), (-1)^j M_(2j+1) / (2j+1)!
         for the fine and the coarse rule; the first term left out as a
         coefficient of k^(2 _SERIES_TERMS), from the fine |G|-moment)."""
-        r_coarse = self._r[self._coarse]
-        fine, coarse = self._g * self._r, self._gc * r_coarse  # G r^(2j + 1)
+        r_sq = self._r * self._r
+        power = self._r.copy()  # r^(2j + 1)
         terms = np.empty((2, _SERIES_TERMS))
         for j in range(_SERIES_TERMS):
-            scale = (-1) ** j / math.factorial(2 * j + 1)
-            terms[:, j] = scale * (self._w @ fine), scale * (self._wc @ coarse)
-            fine *= self._r * self._r
-            coarse *= r_coarse * r_coarse
-        left_out = float(self._w @ np.abs(fine)) / math.factorial(2 * _SERIES_TERMS + 1)
+            terms[:, j] = (-1) ** j / math.factorial(2 * j + 1) * np.array(self._sums(power))
+            power *= r_sq
+        left_out = float(np.abs(self._wg[0]) @ power) / math.factorial(2 * _SERIES_TERMS + 1)
         return terms, left_out
 
     def __call__(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -857,9 +927,10 @@ class _RadialTransform:
             left_out[series] = _FOUR_PI * k_sq**_SERIES_TERMS * bound
         direct = np.flatnonzero(~series)
         for i in direct:
-            s = np.sin(k[i] * self._r)
-            rules[i] = self._w @ (self._g * s), self._wc @ (self._gc * s[self._coarse])
+            rules[i] = self._sums(np.sin(k[i] * self._r))
         rules[direct] *= (_FOUR_PI / k[direct])[:, None]
+        reach = self._radius / np.maximum(1.0, k * self._radius)  # min(1/k, R)
+        rounding = _FOUR_PI * self._abs_sum * (_ROUNDING * reach + 0.5 * _EPS * self._radius)
         values = rules[:, 0]
         if self._exterior is not None:
             # (4 pi / k) int_b^R G sin(kr) dr, whose limit at k = 0 is 4 pi int_b^R G r dr
@@ -867,7 +938,7 @@ class _RadialTransform:
                 self._exterior.sine(k), k, where=k > 0.0,
                 out=np.full(len(k), self._exterior.moment(1)),
             )
-        return values, np.abs(rules[:, 0] - rules[:, 1]) + left_out
+        return values, np.abs(rules[:, 0] - rules[:, 1]) + left_out + rounding
 
 
 def _radial_transform(
@@ -882,20 +953,20 @@ def _radial_transform(
     The function transformed is G/r.  With a ball solution, (c_r, c_u) =
     (1, -1) gives w = 1 - f and (0, 1) gives f on the ball; with times_v,
     (0, 1) gives V f and, without a ball solution, (1, 0) gives V.
-    Profiles with the factor V vanish past the support and are sampled ten
-    times finer, 40,000 Simpson intervals per unit length against 4,000; the
-    others run on exactly over the ball.  The transform is built once and
-    called on a column of wave numbers; it returns a column of values and one
-    of error estimates.
+    Every profile is sampled at ``_POINTS_PER_UNIT`` Boole intervals per
+    unit length of the support; profiles with the factor V vanish past it,
+    the others run on exactly over the ball.  The transform is built once
+    and called on a column of wave numbers; it returns a column of values
+    and one of error bounds.
     """
-    points_per_unit = 40000.0 if times_v else 4000.0
 
     def profile(r):
         g = c_r * r if neumann is None else c_r * r + c_u * neumann.dense.u(r)
         return g * potential(r) if times_v else g
 
     exterior = None if neumann is None or times_v else _Exterior(neumann, c_r, c_u)
-    return _RadialTransform(profile, _pieces(potential)[0], points_per_unit, exterior)
+    steps = None if neumann is None else neumann.dense._starts
+    return _RadialTransform(profile, _pieces(potential)[0], _POINTS_PER_UNIT, exterior, steps)
 
 
 def potential_fourier(potential: RadialPotential):
@@ -918,7 +989,7 @@ def eta_coefficients(neumann: NeumannSolution, N: int, p_sq: np.ndarray) -> np.n
     """Pair-correlation kernel eta_p = -w_hat(|p|/N)/N^2, one value per |p|^2.
 
     w = 1 - f is the ball solution's defect from 1, extended by zero; its
-    radial transform is taken on the whole column at once, by Simpson
+    radial transform is taken on the whole column at once, by Boole
     quadrature on the support (the moment series where k b <= 1) and
     exactly over the rest of the ball.  ``p_sq`` is typically the column of
     ``shell_table``.
