@@ -24,13 +24,19 @@ g(lambda) = u'(R) - u(R)/R, found by Brent's method (R. P. Brent,
 scipy's zeroin step for step) inside a bracket whose upper end comes from
 the Rayleigh quotient of the trial profile f = 1.  Only numpy is needed.
 
+Every radial integral over [0, b] uses one rule: composite Boole
+quadrature (Romberg's second column: W. Romberg, *Kgl. Norske Vid. Selsk.
+Forh.* 28 (1955)) on the breakpoint pieces, at one node density, with
+every Magnus step boundary of the solution on a panel boundary, and at
+two resolutions, so every integral carries its own error bound.  Past b
+each integral is exact.  The energy integral, which cross-checks a, adds
+a^2/b there; the Rayleigh bracket is 3 a_B / R^3, a_B = v_hat(0) / (8 pi)
+the Born length, which also bounds a from above.
+
 From the ball solution the correlation kernels are obtained as radial
 Fourier transforms, each taken for a whole column of wave numbers at once.
-On [0, b] they use composite Boole quadrature (Romberg's second column:
-W. Romberg, *Kgl. Norske Vid. Selsk. Forh.* 28 (1955)) at two
-resolutions, so every transform carries its own error bound; where
-k b <= 1 the rules are summed as their odd-moment series in k, beyond it
-through the sines at the nodes.  The part
+Where k b <= 1 the rules are summed as their odd-moment series in k,
+beyond it through the sines at the nodes.  The part
 over [b, R] is exact: in closed form from d/dr[G' sin(kr) - k G cos(kr)] =
 (G'' + k^2 G) sin(kr) with G'' = -kappa^2 u there, and below
 k (R - b) = 2 pi, where that form cancels, by a Gauss-Legendre rule whose
@@ -175,9 +181,19 @@ class RadialPotential:
         return self.max_value == 0.0
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Radii where the potential may be non-smooth (integration is split there)."""
+        """Radii where integration is split, the support radius last.
+
+        Each piece between them starts as one Magnus step.  They are the
+        radii where V may be non-smooth (the table's grid) and, for the
+        Gaussian, support i/n with n = ceil(support/width): a first step no
+        wider than the width cannot step over a narrow peak.
+        """
         if self.kind == "tabulated":
             return tuple(x for x in self.grid if 0.0 < x <= self.support_radius)
+        if self.kind == "gaussian_truncated":
+            _, width, support = self.params
+            n = max(1, math.ceil(support / width))
+            return tuple(support * i / n for i in range(1, n)) + (support,)
         return (self.support_radius,)
 
 
@@ -190,37 +206,33 @@ def zero_potential(support_radius: float = 0.5) -> RadialPotential:
 # breakpoint pieces and their quadrature rules
 # ---------------------------------------------------------------------------
 
-def _pieces(potential: RadialPotential, end: float | None = None):
-    """(cuts, lo_in, hi_in): the breakpoint pieces of [0, b], or of [0, end].
+def _pieces(potential: RadialPotential):
+    """(cuts, lo_in, hi_in): the breakpoint pieces of [0, b].
 
-    The cuts are 0, the breakpoints and, when given, ``end`` beyond the
-    support.  Breakpoints sit exactly on piece boundaries, so V is read one
-    piece at a time with r clipped into [lo_in, hi_in], the piece's ends
-    moved one ulp inwards: sampling the raw potential there would leak the
-    value from the neighbouring piece (e.g. the soft-sphere top at its own
-    support radius).
+    The cuts are 0 and the breakpoints.  Breakpoints sit exactly on piece
+    boundaries, so V is read one piece at a time with r clipped into
+    [lo_in, hi_in], the piece's ends moved one ulp inwards: sampling the
+    raw potential there would leak the value from the neighbouring piece
+    (e.g. the soft-sphere top at its own support radius).
     """
-    cuts = [0.0, *potential.breakpoints()]
-    if end is not None:
-        cuts.append(end)
-    cuts = np.array(cuts)
+    cuts = np.array([0.0, *potential.breakpoints()])
     return cuts, np.nextafter(cuts[:-1], cuts[1:]), np.nextafter(cuts[1:], cuts[:-1])
 
 
-# nodes per evaluation of a profile or of the energy density, and per
-# group of whole pieces whose rules are built together; this bounds
-# the memory of a transform's or of the energy integral's sampling
+# nodes per evaluation of a profile; this bounds the memory of a
+# transform's sampling
 _GROUP = 2**16
 
 
-def _newton_cotes_nodes(lo, hi, n, cycle, end, panel, divisor):
-    """Composite closed Newton-Cotes rules with n[i] intervals on [lo[i], hi[i]], concatenated.
+def _boole_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
+    """Composite Boole rules with n[i] intervals on [lo[i], hi[i]], n[i]
+    divisible by 4, concatenated.
 
     Returns the nodes, the weights and each node's index within its piece.
     Node i of a piece is i * step + lo and its last node is hi, as
-    ``np.linspace`` makes them.  The weight of node i is
-    c * (panel * step / divisor), c = ``cycle[i % len(cycle)]``, or ``end``
-    at both ends of the piece; the cycle's length is a power of 2.
+    ``np.linspace`` makes them.  The weights are c * (2 step / 45),
+    c = 7, 32, 12, 32, 14, ..., 32, 7, which are (16 S_h - S_2h) / 15 of
+    the Simpson rules at steps h and 2h (Romberg's second column).
     """
     size = n + 1
     first = np.cumsum(size) - size
@@ -228,34 +240,9 @@ def _newton_cotes_nodes(lo, hi, n, cycle, end, panel, divisor):
     step = (hi - lo) / n
     r = local * np.repeat(step, size) + np.repeat(lo, size)
     r[first + n] = hi
-    factor = np.array(cycle)[local & (len(cycle) - 1)]  # i % len(cycle), without a division
-    factor[first] = factor[first + n] = end
-    return r, factor * np.repeat(panel * step / divisor, size), local
-
-
-def _simpson_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
-    """Composite Simpson rules, n[i] even: weights c * (step / 3), c = 1,
-    4, 2, ..., 4, 1; every bit equals that of the per-piece rules."""
-    return _newton_cotes_nodes(lo, hi, n, (2.0, 4.0), 1.0, 1.0, 3.0)
-
-
-def _boole_nodes(lo: np.ndarray, hi: np.ndarray, n: np.ndarray):
-    """Composite Boole rules, n[i] divisible by 4: weights c * (2 step / 45),
-    c = 7, 32, 12, 32, 14, ..., 32, 7, which are (16 S_h - S_2h) / 15 of
-    the Simpson rules at steps h and 2h (Romberg's second column)."""
-    return _newton_cotes_nodes(lo, hi, n, (14.0, 32.0, 12.0, 32.0), 7.0, 2.0, 45.0)
-
-
-def _groups(n: np.ndarray):
-    """Slices of runs of consecutive pieces, n[i] intervals each, with at
-    most _GROUP nodes together; a longer piece is a run alone."""
-    start = total = 0
-    for i, size in enumerate((n + 1).tolist()):
-        if total + size > _GROUP and i > start:
-            yield slice(start, i)
-            start, total = i, 0
-        total += size
-    yield slice(start, len(n))
+    factor = np.array((14.0, 32.0, 12.0, 32.0))[local & 3]  # local % 4, without a division
+    factor[first] = factor[first + n] = 7.0
+    return r, factor * np.repeat(2.0 * step / 45.0, size), local
 
 
 def _sample(f: Callable, *nodes: np.ndarray) -> np.ndarray:
@@ -455,8 +442,7 @@ def default_r_max(potential: RadialPotential) -> float:
     """Outer radius of the scattering solve: twenty support radii.
 
     Past the support u is affine in closed form, so a does not depend on
-    this radius beyond roundoff; it sets the span of ``energy_functional``,
-    which adds the analytic remainder a^2/r_max beyond it.
+    this radius beyond roundoff, and ``energy_functional`` not at all.
     """
     return 20.0 * potential.support_radius
 
@@ -497,6 +483,9 @@ def solve_scattering(
     breakpoints, so discontinuous potentials such as the soft sphere lose
     no accuracy).  Outside the support u is affine,
     u = c (r - a), in closed form; the solution is rescaled so c = 1.
+    For a non-zero V, 0 < a <= a_B holds, a_B = v_hat(0) / (8 pi) the Born
+    length; an a outside it, beyond the quadrature bound of v_hat(0) and
+    the propagation's estimate, raises SolverError.
     Equal (potential, r_max, tol) share one solve per process.
     """
     return _solve_scattering(potential, float(r_max), float(tol))
@@ -522,6 +511,15 @@ def _solve_scattering(potential: RadialPotential, r_max: float, tol: float) -> S
             raise SolverError(f"negative scattering length {a:g} from the solver")
         a = 0.0
     dense.scale = 1.0 / c
+    if not potential.is_zero:
+        # error_estimate bounds u and u' relative to their largest values,
+        # at most max(b, 1) with u' = 1 past b, so a = b - u(b) moves by at
+        # most (1 + b) max(b, 1) times it
+        b = potential.support_radius
+        born, bound = _born_length(potential)
+        if not 0.0 < a <= born + bound + dense.error_estimate * (1.0 + b) * max(b, 1.0):
+            raise SolverError(f"scattering length a = {a!r} outside (0, a_B = {born!r}]: "
+                              "the Magnus steps did not resolve V")
 
     sample = np.linspace(potential.support_radius, r_max, 17)
     affine_err = float(np.max(np.abs(dense.u(sample) - (sample - a))))
@@ -533,36 +531,27 @@ def _solve_scattering(potential: RadialPotential, r_max: float, tol: float) -> S
 def energy_functional(sol: ScatteringSolution) -> float:
     """Scattering length via the radial energy integral, cross-checking the ODE route.
 
-    Evaluates int_0^{r_max} [ (u' - u/r)^2 + V u^2 / 2 ] dr plus a^2/r_max,
-    the analytic remainder of the affine tail; the integral alone converges
-    to ``a`` from below at rate 1/r_max.
-
-    Each breakpoint piece of [0, r_max] gets a composite Simpson rule of at
-    least 512 intervals; the rules are built for groups of whole pieces and
-    sampled in evaluations of at most 2^16 nodes, and each piece's dot is
-    kept apart until one exactly rounded sum.
+    Evaluates int_0^inf [ (u' - u/r)^2 + V u^2 / 2 ] dr.  Past the support
+    b, V = 0 and u = u(b) + u'(b) (r - b), so the integrand is (a/r)^2 with
+    a = b u'(b) - u(b), and that part is a^2/b in closed form; read at b,
+    it does not depend on r_max.  The part over [0, b] is the zeroth moment
+    of a radial transform of the energy density built on the solution's
+    step radii, so every Magnus step boundary lies on a panel boundary of
+    its Boole rules.
     """
-    cuts, lo_in, hi_in = _pieces(sol.potential, sol.r_max)
-    lo, hi = cuts[:-1], cuts[1:]
-    support = max(sol.potential.support_radius, 1e-6)
-    n = np.maximum(512, 2 * (64.0 * (hi - lo) / support).astype(int))
+    b = sol.potential.support_radius
 
-    def density(r, v_lo, v_hi):
+    def density(r):
         u, du = sol.dense.state(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             defect = du - u / r
         defect[r == 0.0] = 0.0  # u ~ u'(0) r near the origin, the defect vanishes
-        return defect * defect + 0.5 * sol.potential(np.clip(r, v_lo, v_hi)) * u * u
+        return defect * defect + 0.5 * sol.potential(r) * u * u
 
-    pieces = []
-    for group in _groups(n):
-        size = n[group] + 1
-        r, w, _ = _simpson_nodes(lo[group], hi[group], n[group])
-        integrand = _sample(density, r, np.repeat(lo_in[group], size),
-                            np.repeat(hi_in[group], size))
-        ends = np.cumsum(size)[:-1]
-        pieces += [float(wp @ gp) for wp, gp in zip(np.split(w, ends), np.split(integrand, ends))]
-    return math.fsum(pieces) + sol.a * sol.a / sol.r_max
+    inner = _RadialTransform(density, _pieces(sol.potential)[0], _POINTS_PER_UNIT,
+                             steps=sol.dense._starts).moments([0])[0]
+    u, du = sol.dense.state(b)[:, 0].tolist()
+    return inner + (b * du - u) ** 2 / b
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +581,21 @@ def _interior_nodes(dense: _RadialSolution, R: float, lam: float) -> int:
     return int(np.count_nonzero(sign[1:] != sign[:-1]))
 
 
+def _born_length(potential: RadialPotential) -> tuple[float, float]:
+    """(a_B, bound): the Born length a_B = v_hat(0) / (8 pi) = int_0^b V r^2 dr / 2,
+    the upper bound of the scattering length of a non-negative V, and the
+    quadrature bound of v_hat(0) divided by 8 pi."""
+    values, bounds = _v_transform(potential)(np.zeros(1))
+    return float(values[0]) / (2.0 * _FOUR_PI), float(bounds[0]) / (2.0 * _FOUR_PI)
+
+
 def _rayleigh_bound(potential: RadialPotential, R: float) -> float:
-    """Rayleigh quotient (3/R^3) int_0^b (V/2) r^2 dr of the trial profile f = 1.
+    """Rayleigh quotient (3/R^3) int_0^b (V/2) r^2 dr = 3 a_B / R^3 of the trial profile f = 1.
 
     f = 1 meets the reflecting condition f'(R) = 0, so the quotient bounds
-    the ground eigenvalue from above.  Simpson's rule on every breakpoint
-    piece at once (V clipped into the piece) is exact for the soft-sphere
-    and tabulated kinds.
+    the ground eigenvalue from above.
     """
-    cuts, lo_in, hi_in = _pieces(potential)
-    lo, hi = cuts[:-1, None], cuts[1:, None]
-    t, w, _ = _simpson_nodes(np.zeros(1), np.ones(1), np.array([16]))
-    r = np.clip(lo + (hi - lo) * t, lo_in[:, None], hi_in[:, None])
-    per_piece = (potential(r) * r * r * w).sum(axis=1) * (hi - lo)[:, 0]
-    return 1.5 * math.fsum(per_piece) / R**3
+    return 3.0 * _born_length(potential)[0] / R**3
 
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12,
@@ -969,10 +959,16 @@ def _radial_transform(
     return _RadialTransform(profile, _pieces(potential)[0], _POINTS_PER_UNIT, exterior, steps)
 
 
+@functools.lru_cache(maxsize=8)
+def _v_transform(potential: RadialPotential) -> _RadialTransform:
+    """The transform of V, built once per potential: a_B and ``potential_fourier`` read it."""
+    return _radial_transform(potential, 1.0, times_v=True)
+
+
 def potential_fourier(potential: RadialPotential):
     """Radial Fourier transform of the bare potential as a callable of k: a
     column of wave numbers gives a column of values, a single k a float."""
-    transform = _radial_transform(potential, 1.0, times_v=True)
+    transform = _v_transform(potential)
 
     def v_hat(k):
         values = transform(np.abs(np.atleast_1d(np.asarray(k, dtype=float))))[0]

@@ -3,16 +3,19 @@
 The package propagates the radial equation by Magnus transfer matrices
 only across the support of V and continues it in closed form beyond; it
 finds the ball eigenvalue by its own port of Brent's method and takes the
-exterior part of every ball transform exactly; its quadrature rules are
-built for all breakpoint pieces at once, and its transforms use Boole's
-rule at one node density.  The references below are the earlier paths:
-DOP853 over the whole domain (split at the breakpoints, held by a general
-segment evaluator), 80 steps of bisection on the monotone shooting
-predicate, composite Simpson quadrature over the whole ball, one Simpson
-or Boole rule and one energy-integral term per piece, the two-density
-Simpson transform, and ``scipy.optimize.brentq``.
+exterior part of every ball transform and of the energy integral exactly;
+its quadrature rules are built for all breakpoint pieces at once, and
+every radial integral uses Boole's rule at one node density.  The
+references below are the earlier paths: DOP853 over the whole domain
+(split at the breakpoints, held by a general segment evaluator), 80 steps
+of bisection on the monotone shooting predicate, composite Simpson
+quadrature over the whole ball, one Simpson or Boole rule and one
+energy-integral term per piece over [0, r_max], the vectorized Simpson
+build, the two-density Simpson transform, and ``scipy.optimize.brentq``.
 """
 
+import contextlib
+import json
 import math
 
 import mpmath
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import bosegas.scattering as scattering
-from bosegas.errors import BracketFailure, KernelError, QuadratureError
+from bosegas.cli import main
+from bosegas.errors import BracketFailure, KernelError, QuadratureError, SolverError
 from bosegas.lattice import shell_table
 from bosegas.scattering import (
     _GROUP,
@@ -33,6 +37,7 @@ from bosegas.scattering import (
     _SERIES_TERMS as SERIES_TERMS,
     RadialPotential,
     _boole_nodes,
+    _born_length,
     _boundary_defect,
     _Exterior,
     _integrate_radial,
@@ -41,7 +46,6 @@ from bosegas.scattering import (
     _radial_transform,
     _RadialTransform,
     _sample,
-    _simpson_nodes,
     energy_functional,
     eta_coefficients,
     solve_neumann,
@@ -51,6 +55,8 @@ from bosegas.scattering import (
 )
 
 SOFT = RadialPotential.soft_sphere(100.0, 0.5)
+# a Gaussian far narrower than its support, whose a_B is 0.0062666
+NARROW = RadialPotential.gaussian_truncated(1e4, 0.01, 1.0)
 FOUR_PI = 4.0 * math.pi
 EPS = np.finfo(float).eps
 
@@ -107,6 +113,22 @@ def simpson_rule(lo, hi, n_intervals):
     w[2:-1:2] = 2.0
     w *= (hi - lo) / n_intervals / 3.0
     return r, w
+
+
+def simpson_nodes(lo, hi, n):
+    """Composite Simpson rules with n[i] intervals on [lo[i], hi[i]], n[i]
+    even, concatenated and built for all pieces at once as ``_boole_nodes``
+    builds Boole's: the nodes, the weights c * (step / 3), c = 1, 4, 2, ...,
+    4, 1, and each node's index within its piece."""
+    size = n + 1
+    first = np.cumsum(size) - size
+    local = np.arange(int(size.sum())) - np.repeat(first, size)
+    step = (hi - lo) / n
+    r = local * np.repeat(step, size) + np.repeat(lo, size)
+    r[first + n] = hi
+    factor = np.array((2.0, 4.0))[local & 1]
+    factor[first] = factor[first + n] = 1.0
+    return r, factor * np.repeat(step / 3.0, size), local
 
 
 def boole_rule(lo, hi, n_intervals):
@@ -435,9 +457,9 @@ class SimpsonTransform:
         lo, hi = cuts[:-1], cuts[1:]
         n = np.maximum(64, ((hi - lo) * points_per_unit).astype(int))
         n += (-n) % 4
-        self._r, self._w, local = _simpson_nodes(lo, hi, n)
+        self._r, self._w, local = simpson_nodes(lo, hi, n)
         self._coarse = np.flatnonzero(local % 2 == 0)
-        self._wc = _simpson_nodes(lo, hi, n // 2)[1]
+        self._wc = simpson_nodes(lo, hi, n // 2)[1]
         self._g = _sample(profile, self._r)
         self._gc = self._g[self._coarse]
         self.h = float(np.diff(self._r).max())
@@ -578,7 +600,7 @@ def test_simpson_build_is_the_per_piece_rules_bit_for_bit(start, widths, data):
     cuts = start + np.concatenate(([0.0], np.cumsum(widths)))
     assume(np.all(np.diff(cuts) > 0.0))
     halves = data.draw(st.lists(st.integers(1, 400), min_size=len(widths), max_size=len(widths)))
-    assert_build_is_the_per_piece_rules(_simpson_nodes, simpson_rule, cuts, 2 * np.array(halves))
+    assert_build_is_the_per_piece_rules(simpson_nodes, simpson_rule, cuts, 2 * np.array(halves))
 
 
 @settings(max_examples=100, deadline=None)
@@ -592,9 +614,56 @@ def test_boole_build_is_the_per_piece_rules_bit_for_bit(start, widths, data):
     assert_build_is_the_per_piece_rules(_boole_nodes, boole_rule, cuts, 4 * np.array(quarters))
 
 
+@contextlib.contextmanager
+def built_transforms():
+    """A context in which every ``_RadialTransform`` built is appended to the list it yields."""
+    built = []
+
+    class Recording(_RadialTransform):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scattering, "_RadialTransform", Recording)
+        yield built
+
+
+@example(potential=NARROW, r_factor=20.0)
+@settings(max_examples=30, deadline=None)
+@given(potential=potentials(max_points=200), r_factor=st.floats(2.0, 20.0))
+def test_energy_functional_matches_the_ode_route_within_its_estimates(potential, r_factor):
+    # both routes read the same solution, and the energy integral is
+    # stationary at the exact one: they differ by the error of a, at most
+    # (1 + b) max(b, 1) times the solution's error_estimate (u <= b and
+    # u' <= 1 on the support, and a = b - u(b) with u'(b) = 1), plus the
+    # error of the integral over [0, b], its rules' fine-minus-coarse
+    # difference and their rounding
+    b = potential.support_radius
+    sol = solve_scattering(potential, r_max=r_factor * b)
+    with built_transforms() as built:
+        value = energy_functional(sol)
+    (transform,) = built
+    fine, coarse = transform._sums(np.ones_like(transform._r))
+    bound = (abs(fine - coarse) + _ROUNDING * transform._abs_sum
+             + sol.dense.error_estimate * (1.0 + b) * max(b, 1.0))
+    assert abs(value - sol.a) <= bound
+
+
+@pytest.mark.parametrize("potential", [SOFT, NARROW, RadialPotential.tabulated(
+    [0.0, 0.1, 0.3], [80.0, 40.0, 10.0])])
+def test_energy_functional_does_not_depend_on_r_max(potential):
+    # the exterior is in closed form from the state at b, so r_max sets
+    # nothing the integral reads
+    b = potential.support_radius
+    near, far = (energy_functional(solve_scattering(potential, r_max=f * b)) for f in (2, 20))
+    assert near == far
+
+
 def ref_energy_functional(sol):
     """The energy integral piece by piece: one Simpson rule, u and u' and a
-    one-sided V per breakpoint piece of [0, r_max]."""
+    one-sided V per breakpoint piece of [0, r_max], plus the remainder
+    a^2/r_max of the affine tail."""
     segs = [0.0, *sol.potential.breakpoints(), sol.r_max]
     pieces = []
     for lo, hi in zip(segs[:-1], segs[1:]):
@@ -610,12 +679,12 @@ def ref_energy_functional(sol):
     return math.fsum(pieces) + sol.a * sol.a / sol.r_max
 
 
-@settings(max_examples=15, deadline=None)
-@given(potential=potentials(max_points=200), r_factor=st.floats(2.0, 20.0))
-def test_energy_functional_is_the_per_piece_loop_bit_for_bit(potential, r_factor):
-    # same nodes, weights, samples and per-piece dots, summed by fsum
-    sol = solve_scattering(potential, r_max=r_factor * potential.support_radius)
-    assert energy_functional(sol) == ref_energy_functional(sol)
+@pytest.mark.parametrize("potential", [SOFT, NARROW])
+def test_energy_functional_matches_the_simpson_reference(potential):
+    # Simpson at 512 intervals per piece over [0, r_max] misses the
+    # exterior's a^2/r^2 by 4e-10 of a; the closed form has no such error
+    sol = solve_scattering(potential, r_max=20.0 * potential.support_radius)
+    assert energy_functional(sol) == pytest.approx(ref_energy_functional(sol), rel=1e-9)
 
 
 # the 2,001-point tabulated soft sphere: 2,000 pieces, each short
@@ -649,9 +718,10 @@ def test_transform_samples_a_long_piece_in_bounded_slices():
     assert max(sizes) <= _GROUP and sum(sizes) == 200_001
 
 
-def energy_sample_sizes(potential, r_max):
-    """Sizes of the potential evaluations of ``energy_functional``, which
-    must equal the per-piece loop."""
+def test_energy_functional_samples_in_bounded_groups():
+    # the table's 2,000 pieces give 130,000 nodes; every evaluation of the
+    # potential, by the density and by the Magnus steps it reads u from,
+    # takes at most _GROUP of them
     sizes = []
 
     class Recording(RadialPotential):
@@ -659,26 +729,12 @@ def energy_sample_sizes(potential, r_max):
             sizes.append(np.size(r))
             return super().__call__(r)
 
-    recording = Recording(kind=potential.kind, support_radius=potential.support_radius,
-                          params=potential.params, grid=potential.grid,
-                          values=potential.values)
-    sol = solve_scattering(recording, r_max=r_max)
+    recording = Recording(kind=TABLE.kind, support_radius=TABLE.support_radius,
+                          grid=TABLE.grid, values=TABLE.values)
+    sol = solve_scattering(recording, r_max=10.0)
     sizes.clear()
-    value = energy_functional(sol)
-    recorded = list(sizes)
-    assert value == ref_energy_functional(sol)
-    return recorded
-
-
-def test_energy_functional_samples_in_bounded_groups():
-    sizes = energy_sample_sizes(TABLE, 10.0)
+    energy_functional(sol)
     assert max(sizes) <= _GROUP < sum(sizes)
-
-
-def test_energy_functional_samples_a_long_piece_in_bounded_slices():
-    # at r_max = 1,000 b the exterior piece alone has 127,873 nodes
-    sizes = energy_sample_sizes(SOFT, 1000.0 * SOFT.support_radius)
-    assert max(sizes) <= _GROUP < 127_873 < sum(sizes)
 
 
 @settings(max_examples=20, deadline=None)
@@ -778,6 +834,52 @@ def test_weak_gaussian_length_matches_30_digit_solution():
         u, du = exact(mpmath.mpf("0.5"))
         a = float(mpmath.mpf("0.5") - u / du)
     assert solve_scattering(potential, r_max=1.0, tol=1e-10).a == pytest.approx(a, rel=1e-9)
+
+
+@pytest.mark.parametrize("width", [0.01, 0.003])
+def test_narrow_gaussian_length_matches_full_domain(width):
+    # one breakpoint piece per width, each starting as one step: a single
+    # step over [0, 1] has its Gauss points far out on the tails of the
+    # width-0.01 peak, and read a = 0
+    potential = RadialPotential.gaussian_truncated(1e4, width, 1.0)
+    a = solve_scattering(potential, r_max=20.0, tol=1e-10).a
+    assert 0.0 < a <= _born_length(potential)[0]
+    assert a == pytest.approx(ref_scattering_length(potential, 20.0, 1e-12), rel=1e-9, abs=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(potential=potentials(max_points=200), r_factor=st.floats(2.0, 20.0))
+def test_no_valid_potential_is_refused(potential, r_factor):
+    # a non-negative V scatters with 0 < a < a_B; the solve raises if not
+    a = solve_scattering(potential, r_max=r_factor * potential.support_radius).a
+    assert 0.0 < a < _born_length(potential)[0]
+
+
+@pytest.fixture
+def unsplit_breakpoints(monkeypatch):
+    """Every potential split at its support radius only, as the Gaussian was
+    before its per-width pieces; no solve cached before or during it is kept."""
+    monkeypatch.setattr(RadialPotential, "breakpoints", lambda self: (self.support_radius,))
+    for cache in (scattering._solve_scattering, scattering._v_transform):
+        cache.cache_clear()
+    yield
+    for cache in (scattering._solve_scattering, scattering._v_transform):
+        cache.cache_clear()
+
+
+def test_unresolved_potential_is_refused(unsplit_breakpoints):
+    with pytest.raises(SolverError, match=r"a = 0\.0 outside \(0, a_B = 0\.00626657"):
+        solve_scattering(NARROW, r_max=20.0)
+
+
+def test_unresolved_potential_exits_as_a_solver_failure(unsplit_breakpoints, tmp_path):
+    spec = {"kind": "gaussian_truncated", "v0": 1e4, "width": 0.01, "support_radius": 1.0}
+    code = main(["scatter", "--output-dir", str(tmp_path), "--set",
+                 "potential=" + json.dumps(spec)])
+    assert code == 4
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "SolverError"
+    assert "a = 0.0 outside (0, a_B = 0.00626657" in record["message"]
 
 
 def test_tabulated_constant_potential_is_crossed_exactly():

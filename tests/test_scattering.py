@@ -153,13 +153,27 @@ class TestEnergyFunctional:
         assert abs(energy_functional(sol)) < 1e-10
 
     def test_tail_deficit_shrinks_at_rate_one_over_rmax(self):
+        # the energy density integrated out to r_max only, by Simpson's rule
+        # split at b, falls short of the functional by the a^2/r_max its
+        # closed-form exterior adds beyond r_max
+        def truncated(sol, n=16384):
+            b = SOFT.support_radius
+            total = 0.0
+            for lo, hi, v in ((0.0, b, SOFT.params[0]), (b, sol.r_max, 0.0)):
+                r = np.linspace(lo, hi, n + 1)
+                w = np.ones(n + 1)
+                w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+                u, du = sol.dense.state(r)
+                defect = du - np.divide(u, r, out=du.copy(), where=r > 0.0)
+                total += (hi - lo) / n / 3.0 * float(w @ (defect * defect + 0.5 * v * u * u))
+            return total
+
         near = solve_scattering(SOFT, r_max=10.0, tol=1e-10)
         far = solve_scattering(SOFT, r_max=20.0, tol=1e-10)
-        # the deficit of the integral alone, without the a^2/r_max tail
-        d_near = near.a - (energy_functional(near) - near.a**2 / 10.0)
-        d_far = far.a - (energy_functional(far) - far.a**2 / 20.0)
-        assert d_near == pytest.approx(near.a**2 / 10.0, rel=1e-4)
-        assert d_near / d_far == pytest.approx(2.0, rel=1e-3)
+        d_near = energy_functional(near) - truncated(near)
+        d_far = energy_functional(far) - truncated(far)
+        assert d_near == pytest.approx(near.a**2 / 10.0, rel=1e-9)
+        assert d_near / d_far == pytest.approx(2.0, rel=1e-9)
 
 
 class TestNeumann:
