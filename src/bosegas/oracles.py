@@ -11,36 +11,32 @@ sectors, the v_hat transform and the observables built once for all the
 particle numbers of one call.  The reports are plain dataclasses;
 ``cli`` renders them.
 
-The rotated expectations exploit that the pair generator conserves, for
-every +-p pair, the occupation difference n_p - n_-p.  The capped basis
-therefore splits into sectors labelled by those differences, inside which
-everything is small and dense; the per-sector computation is exactly the
-restriction of the full capped-space computation, not an approximation.
-Pair i of the sector |d| holds 2 k_i + |d_i| quanta, so the sector states
-are the compositions of the budget B = (cap - sum |d|) // 2 into the pairs
-plus a slack slot, and a pair raise moves one unit from the slack slot to
-the pair; the labels |d| are the compositions of the cap with a slack slot.
-``fock.compositions`` and ``fock.composition_rank`` enumerate and rank both,
-as they do the Fock basis; states and raises are built once per budget.
-All sectors of one budget therefore have the same shape, and they pass
-through the computation as one (k, s, s) stack: one generator write, one
-``expm`` call, one orthogonality guard over all slices and batched matrix
-products for the traces.
-
-Pairs with exactly equal (nu, eps), as all pairs of one shell are, are
-interchangeable: the generator and the energy see a pair only through its
-own (k, d, nu, eps), and the cap only through totals, so permuting them
-maps the sector |d| to the sector pi|d| with the same spectrum (one solve
-per symmetry orbit, as in exact diagonalization; Sandvik, AIP Conf. Proc.
-1297, 135 (2010)).  Only the orbit representatives, the labels whose |d|
-is non-increasing inside every group of interchangeable pairs, are
-exponentiated.  A representative's number term counts once per label of
-its orbit.  The pairing sum over all sectors is the same for every pair
-of the target's group T, so a representative traces R_T, the raises of
-all of T, and the total is divided by |T|.  Z takes every sector, from
-its energies alone.  The terms are added in label order, as a loop over
-the sectors one at a time would add them; with no interchangeable pairs
-every orbit is one label and the sums are those of that loop.
+The rotated expectations exploit that pairs with exactly equal (nu, eps),
+as all pairs of one shell are, form one su(1,1) (Perelomov, Generalized
+Coherent States and Their Applications (1986)): for a group of m pairs,
+K_+ = sum_i a*_p_i a*_-p_i, K_- = K_+* and K_0 = (N_+ + m)/2.  The
+generator restricted to the group is nu (K_+ - K_-), the weights are
+e^{-beta eps N_+}, and the joint cap on N_+ is diagonal in every K_0, so
+the capped problem splits exactly into products of lowest-weight ladders
+(Holman & Biedenharn, Ann. Phys. 39, 1 (1966)), not an approximation.  A
+lowest-weight state at N_+ = e (K_- kills it) spans the ladder |e, k>
+with N_+ = e + 2k, on which K_+ raises k with amplitude
+sqrt((k + 1)(k + e + m)); there are lw(m, e) of them, the states at e
+less those at e - 2.  A sector is labelled by one e per group, the labels
+are the compositions of the cap with a slack slot, and its states are
+the compositions of the budget B = (cap - sum e) // 2 into the groups
+plus a slack slot; a raise moves one unit from the slack slot to the
+group.  It stands for prod lw(m, e) identical sectors, and the pairing
+trace takes K_+ of the target's group, divided by its m.  A group of one
+pair is one +-p pair's sector of n_p - n_-p = +-e.
+``fock.compositions`` and ``fock.composition_rank`` enumerate and rank
+labels and states, as they do the Fock basis; states and raises are built
+once per budget.  All sectors of one budget therefore have the same shape,
+and they pass through the computation as one (k, s, s) stack: one
+generator write, one ``expm`` call, one orthogonality guard over all
+slices and batched matrix products for the traces.  Z takes every
+sector, from its energies alone.  The terms are added in label order, as
+a loop over the sectors one at a time would add them.
 
 ``expm`` is scaling and squaring with diagonal Pade approximants (Higham,
 SIAM J. Matrix Anal. Appl. 26 (2005)) in numpy, batched over the stack:
@@ -175,64 +171,80 @@ def partition_product_check(eps: Sequence[float], cap: int, beta: float) -> Part
 
 
 # ---------------------------------------------------------------------------
-# pair-difference sectors
+# su(1,1) ladder sectors
 # ---------------------------------------------------------------------------
 
-def _sectors(n_pairs: int, cap: int):
-    """The sectors grouped by pair budget, in increasing budget.
+def _lowest_weights(m: int, e: int) -> int:
+    """Lowest-weight states of the su(1,1) of m pairs at N_+ = e.
 
-    Yields (positions, abs_d, multiplicity, pattern) per budget: the
-    positions of its labels in the lex order of all labels, the labels |d|
-    (one row each), their multiplicities 2^(nonzero entries) and the
+    K_+ is injective, so they number the states at e (the compositions of
+    e into 2m modes) less those at e - 2.
+    """
+    def states(total):
+        return math.comb(total + 2 * m - 1, 2 * m - 1) if total >= 0 else 0
+
+    return states(e) - states(e - 2)
+
+
+def _sectors(sizes: Sequence[int], cap: int):
+    """The ladder sectors grouped by pair budget, in increasing budget.
+
+    ``sizes`` holds the number of pairs of each group.  Yields (positions,
+    lowest, multiplicity, pattern) per budget: the positions of its labels
+    in the lex order of all labels, the labels e (one lowest-weight N_+ per
+    group, one row each), their multiplicities prod_g lw(m_g, e_g) and the
     pattern all of them share.
     """
-    labels = compositions(cap, n_pairs + 1)
-    abs_d = labels[:, :-1]
+    labels = compositions(cap, len(sizes) + 1)
+    lowest = labels[:, :-1]
     budgets = labels[:, -1] // 2
-    multiplicity = 2 ** np.count_nonzero(abs_d, axis=1)
+    table = np.array([[_lowest_weights(m, e) for e in range(cap + 1)] for m in sizes],
+                     dtype=np.int64)
+    multiplicity = table[np.arange(len(sizes)), lowest].prod(axis=1)
     # not np.unique: its first flag-free call imports numpy.ma, ~10 ms
     for budget in sorted(set(budgets.tolist())):
         positions = np.flatnonzero(budgets == budget)
-        pattern = _sector_pattern(budget, n_pairs)
-        yield positions, abs_d[positions], multiplicity[positions], pattern
+        pattern = _sector_pattern(budget, len(sizes))
+        yield positions, lowest[positions], multiplicity[positions], pattern
 
 
-def _sector_pattern(budget: int, n_pairs: int):
-    """Pair numbers k and pair raises of every sector with pair budget ``budget``.
+def _sector_pattern(budget: int, n_groups: int):
+    """Ladder steps k and raises of every sector with pair budget ``budget``.
 
-    The states are the compositions of the budget into the pairs plus a
-    slack slot; raising pair i moves one unit from the slack slot to slot
-    i, and the composition rank locates the target.  Returns the pair
-    numbers (one row per state) and the raises as (pair, target, source)
-    arrays in (source, pair) order.
+    The states are the compositions of the budget into the groups plus a
+    slack slot; raising group g moves one unit from the slack slot to slot
+    g, and the composition rank locates the target.  Returns the ladder
+    steps (one row per state) and the raises as (group, target, source)
+    arrays in (source, group) order.
     """
-    comps = compositions(budget, n_pairs + 1)
-    has_slack = np.repeat(comps[:, -1:] > 0, n_pairs, axis=1)
-    source, pair = np.nonzero(has_slack)
+    comps = compositions(budget, n_groups + 1)
+    has_slack = np.repeat(comps[:, -1:] > 0, n_groups, axis=1)
+    source, group = np.nonzero(has_slack)
     moved = comps[source]
-    moved[np.arange(len(source)), pair] += 1
+    moved[np.arange(len(source)), group] += 1
     moved[:, -1] -= 1
-    return comps[:, :-1], pair, composition_rank(moved), source
+    return comps[:, :-1], group, composition_rank(moved), source
 
 
-def _sector_diagonals(abs_d, kvecs, eps_pairs: np.ndarray):
+def _sector_diagonals(lowest, kvecs, eps_groups: np.ndarray):
     """Diagonals of N_+ and of the energy in every sector of one budget, one row per label."""
-    occ = (2 * kvecs + np.asarray(abs_d, dtype=np.int64)[:, None, :]).astype(float)
-    return occ.sum(axis=2), occ @ eps_pairs
+    occ = (2 * kvecs + np.asarray(lowest, dtype=np.int64)[:, None, :]).astype(float)
+    return occ.sum(axis=2), occ @ eps_groups
 
 
-def _sector_matrices(abs_d, pattern, nu_pairs: np.ndarray):
-    """Generators and raise amplitudes of the sectors ``abs_d`` of one budget.
+def _sector_matrices(lowest, pattern, nu_groups: np.ndarray, sizes: np.ndarray):
+    """Generators and raise amplitudes of the sectors ``lowest`` of one budget.
 
-    ``abs_d`` holds one label per row, all of the budget of ``pattern``;
-    both results have one slice per label.
+    ``lowest`` holds one label per row, all of the budget of ``pattern``;
+    both results have one slice per label.  Group g's raise from ladder
+    step k has amplitude sqrt((k + 1) (k + e_g + m_g)).
     """
-    kvecs, pair, target, source = pattern
-    d = np.asarray(abs_d, dtype=np.int64)
-    k = kvecs[source, pair]
-    amp = np.sqrt((k + 1) * (k + d[:, pair] + 1))
-    value = nu_pairs[pair] * amp
-    G = np.zeros((len(d), len(kvecs), len(kvecs)))
+    kvecs, group, target, source = pattern
+    e = np.asarray(lowest, dtype=np.int64)
+    k = kvecs[source, group]
+    amp = np.sqrt((k + 1) * (k + e[:, group] + sizes[group]))
+    value = nu_groups[group] * amp
+    G = np.zeros((len(e), len(kvecs), len(kvecs)))
     G[:, target, source] += value
     G[:, source, target] -= value
     return G, amp
@@ -244,28 +256,6 @@ def _pair_groups(nu_pairs: np.ndarray, eps_pairs: np.ndarray) -> list[list[int]]
     for pi, key in enumerate(zip(nu_pairs.tolist(), eps_pairs.tolist())):
         groups.setdefault(key, []).append(pi)
     return list(groups.values())
-
-
-def _orbit_representatives(abs_d: np.ndarray, groups: list[list[int]]):
-    """The rows of ``abs_d`` that represent their orbit, and the orbit sizes.
-
-    A label represents its orbit when its |d| is non-increasing inside
-    every group; its orbit size is the product over the groups of
-    m! / prod (run length)!.
-    """
-    rep = np.ones(len(abs_d), dtype=bool)
-    orbit = np.ones(len(abs_d), dtype=np.int64)
-    for members in groups:
-        values = abs_d[:, members]
-        rep &= (values[:, :-1] >= values[:, 1:]).all(axis=1)
-        # on a non-increasing row, run is the position of entry i inside
-        # its run of equal entries, and every partial orbit is an integer
-        run = np.ones_like(orbit)
-        for i in range(1, len(members)):
-            run = np.where(values[:, i] == values[:, i - 1], run + 1, 1)
-            orbit = orbit * (i + 1) // run
-    rows = np.flatnonzero(rep)
-    return rows, orbit[rows]
 
 
 # (degree m, largest 1-norm at which the degree's backward error stays
@@ -372,12 +362,12 @@ def _pair_arrays(modes: Sequence[Mode], nu, eps):
 def _rotated_expectations(
     modes: Sequence[Mode], cap: int, nu, eps, beta: float, mode: Mode
 ) -> tuple[RotatedExpectation, RotatedExpectation]:
-    """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one sector pass.
+    """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one ladder pass.
 
-    The capped basis over ``modes`` is never built: the sectors enumerate
-    it.  The live orbit representatives of one pair budget go through one
-    stacked exponential, and each stands for its whole orbit; Z takes every
-    sector from its energies alone.  The terms are added in label order.
+    The capped basis over ``modes`` is never built: the ladder sectors
+    enumerate it.  The live sectors of one pair budget go through one
+    stacked exponential; Z takes every sector from its energies alone.
+    The terms are added in label order.
     """
     pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(modes, nu, eps)
     _rotation_guard(nu, eps, beta, cap)
@@ -386,36 +376,34 @@ def _rotated_expectations(
         pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
     )
     groups = _pair_groups(nu_pairs, eps_pairs)
-    target_group = next(members for members in groups if target_pair in members)
+    target_group = next(g for g, members in enumerate(groups) if target_pair in members)
+    sizes = np.array([len(members) for members in groups])
+    first = [members[0] for members in groups]
+    nu_groups, eps_groups = nu_pairs[first], eps_pairs[first]
 
     # the number, pairing and Z term of every label: multiplicity times the
-    # sector's Z; for a representative, multiplicity times orbit size times
-    # its number and R_T trace; 0 for the other labels and for those whose
-    # weights all underflow
-    terms = np.zeros((3, math.comb(cap + len(pairs), len(pairs))))
-    for positions, abs_d, multiplicity, pattern in _sectors(len(pairs), cap):
-        nplus, energy = _sector_diagonals(abs_d, pattern[0], eps_pairs)
+    # sector's N_+ trace, K_+ trace of the target group and Z; 0 for the
+    # number and pairing of the sectors whose weights all underflow
+    terms = np.zeros((3, math.comb(cap + len(groups), len(groups))))
+    for positions, lowest, multiplicity, pattern in _sectors(sizes, cap):
+        nplus, energy = _sector_diagonals(lowest, pattern[0], eps_groups)
         weights = np.exp(-beta * energy)
         terms[2, positions] = multiplicity * weights.sum(axis=1)
-        reps, orbit = _orbit_representatives(abs_d, groups)
-        live = weights[reps].any(axis=1)
+        live = weights.any(axis=1)
         if not live.any():
             continue
-        reps, orbit = reps[live], orbit[live]
-        G, amp = _sector_matrices(abs_d[reps], pattern, nu_pairs)
+        G, amp = _sector_matrices(lowest[live], pattern, nu_groups, sizes)
         U = _orthogonal_expms(G)
-        _, pair, target, source = pattern
-        # R_T U: a single pair's R has one entry per target row, so each
-        # pair of the group adds one row gather of U
-        RU = np.zeros_like(U)
-        for t in target_group:
-            mine = pair == t
-            RU[:, target[mine]] += amp[:, mine, None] * U[:, source[mine]]
-        # the diagonals of U^T diag(nplus) U and of U^T R_T U
-        number_diag = (U * U).transpose(0, 2, 1) @ nplus[reps][:, :, None]
-        pair_diag = np.einsum("kij,kij->kj", U, RU)[:, :, None]
-        rows = weights[reps][:, None, :]
-        terms[:2, positions[reps]] = (multiplicity[reps] * orbit) * np.array(
+        _, group, target, source = pattern
+        # K_+ U: K_+ has one entry per target row, so it is one row gather of U
+        mine = group == target_group
+        KU = np.zeros_like(U)
+        KU[:, target[mine]] += amp[:, mine, None] * U[:, source[mine]]
+        # the diagonals of U^T diag(nplus) U and of U^T K_+ U
+        number_diag = (U * U).transpose(0, 2, 1) @ nplus[live][:, :, None]
+        pair_diag = np.einsum("kij,kij->kj", U, KU)[:, :, None]
+        rows = weights[live][:, None, :]
+        terms[:2, positions[live]] = multiplicity[live] * np.array(
             [(rows @ number_diag)[:, 0, 0], (rows @ pair_diag)[:, 0, 0]]
         )
 
@@ -440,7 +428,7 @@ def _rotated_expectations(
     j = mode_pos
     half_sinh2 = 0.5 * math.sinh(2.0 * nu[j])
     pairing = RotatedExpectation(
-        value=pair_sum / len(target_group) / z_sum,
+        value=pair_sum / len(groups[target_group]) / z_sum,
         candidates={
             key: float(half_sinh2 * (1.0 + 2.0 * occ[j])) for key, occ in occs.items()
         },
@@ -454,9 +442,10 @@ def rotated_number_expectation(
 ) -> RotatedExpectation:
     """tr(e^{-G} N_+ e^{G} rho_D) on the capped basis, G the pair-rotation generator.
 
-    The trace is assembled sector by sector (see module docstring); each
-    sector block is exponentiated exactly, so the only deviation from the
-    analytic formulas is the cap itself.  Alongside the exact value the two
+    The trace is assembled over the su(1,1) ladder sectors of the groups of
+    interchangeable pairs (see module docstring); each sector block is
+    exponentiated exactly, so the only deviation from the analytic
+    formulas is the cap itself.  Alongside the exact value the two
     coefficient-convention candidates sum(sinh^2 nu (1+2n) + n) are
     returned, with the uncapped thermal occupations.
     """
@@ -468,9 +457,11 @@ def pairing_expectation(
 ) -> RotatedExpectation:
     """tr(e^{-G} a*_p a*_{-p} e^{G} rho_D) for the pair containing ``mode``.
 
-    The conjugation direction matches the generator convention used for the
-    number expectation.  Candidates are sinh(2 nu_p)/2 * (1 + 2 n) with the
-    per-convention occupation proxies.
+    Every pair of the group of ``mode``'s pair has the same value, so it is
+    the trace of the group's K_+ over the ladder sectors, divided by the
+    group's size.  The conjugation direction matches the generator
+    convention used for the number expectation.  Candidates are
+    sinh(2 nu_p)/2 * (1 + 2 n) with the per-convention occupation proxies.
     """
     return _rotated_expectations(basis.modes, basis.cap, nu, eps, beta, mode)[1]
 

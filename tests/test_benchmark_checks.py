@@ -1,12 +1,13 @@
-"""The benchmark's own output checks pass on this tree.
+"""The benchmark's own output checks pass on this tree, on every case it runs.
 
 ``perfbench/checks.py`` compares every op's outputs with the values
 recorded in ``perfbench/reference.json`` (1e-9 relative, 1e-6 downstream
 of a solver) and requires each payload's keys to match exactly.  A payload
 that drifts past those tolerances or gains a key fails every benchmark op,
-yet ``tests/digests.json`` can simply be re-recorded.  So one case of each
-workload runs here through ``cli.main`` and is checked as the benchmark
-checks it; the perfbench files are only read.
+yet ``tests/digests.json`` can simply be re-recorded.  So every case of
+every workload runs here through ``cli.main`` and is checked as the
+benchmark checks it: the first case of each workload, then the others.
+The perfbench files are only read.
 """
 
 import importlib.util
@@ -26,13 +27,30 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["bundle", "lattice", "oracle"])
-def test_first_case_passes_the_benchmark_checks(workload, tmp_path):
-    checks, workloads = load("checks"), load("workloads")
-    spec = workloads.WORKLOADS[workload]
-    case = spec["cases"][0]
-    out = tmp_path / workloads.OUT
-    codes = [main([str(out) if arg == workloads.OUT else arg for arg in argv])
+CHECKS, WORKLOADS = load("checks"), load("workloads")
+LATER_CASES = [
+    pytest.param(workload, index, id=f"{workload}-{case['id']}")
+    for workload, spec in WORKLOADS.WORKLOADS.items()
+    for index, case in enumerate(spec["cases"])
+    if index > 0
+]
+
+
+def assert_case_passes(workload, index, tmp_path):
+    spec = WORKLOADS.WORKLOADS[workload]
+    case = spec["cases"][index]
+    out = tmp_path / WORKLOADS.OUT
+    codes = [main([str(out) if arg == WORKLOADS.OUT else arg for arg in argv])
              for argv in case["argvs"]]
-    reference = checks.load_reference()[workload][case["id"]]
-    assert checks.check_op(spec, out, codes, reference) == []
+    reference = CHECKS.load_reference()[workload][case["id"]]
+    assert CHECKS.check_op(spec, out, codes, reference) == []
+
+
+@pytest.mark.parametrize("workload", list(WORKLOADS.WORKLOADS))
+def test_first_case_passes_the_benchmark_checks(workload, tmp_path):
+    assert_case_passes(workload, 0, tmp_path)
+
+
+@pytest.mark.parametrize("workload, index", LATER_CASES)
+def test_later_cases_pass_the_benchmark_checks(workload, index, tmp_path):
+    assert_case_passes(workload, index, tmp_path)

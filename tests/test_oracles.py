@@ -16,6 +16,7 @@ from bosegas.fock import (
     expect,
     gibbs,
     ladder,
+    pair_partners,
 )
 from bosegas.lattice import enumerate_shells, shell_modes
 from bosegas.oracles import (
@@ -156,6 +157,41 @@ class TestRotatedExpectations:
         p_dense = float(np.trace(U.T @ P @ U @ rho))
         pres = pairing_expectation(basis, nu, eps, beta, pair_mode)
         assert pres.value == pytest.approx(p_dense, abs=1e-13)
+
+    def test_ladder_route_matches_dense_conjugation_over_two_groups(self):
+        # shells 1 and 2: groups of 3 and 6 interchangeable pairs, 1,330 states at cap 3
+        a, beta = 0.05, 2.0
+        basis = build_basis(UNIT_SHELLS12, 3)
+        c = mode_coefficients([m.p_sq for m in UNIT_SHELLS12], a)
+        G = csr(build_quadratic_generator(basis, c.nu)).toarray()
+        U = expm(G)
+        rho = csr(gibbs(build_D(basis, c.eps), beta).rho).toarray()
+        n_dense = float(np.trace(U.T @ csr(total_number(basis)).toarray() @ U @ rho))
+        res = rotated_number_expectation(basis, c.nu, c.eps, beta)
+        assert res.value == pytest.approx(n_dense, abs=1e-13)
+
+        for shell in (1, 2):
+            probe = next(m for m in UNIT_SHELLS12 if m.norm_sq == shell)
+            neg = next(m for m in UNIT_SHELLS12 if m.n == probe.negated())
+            P = (csr(ladder(basis, probe, "create")) @ csr(ladder(basis, neg, "create"))).toarray()
+            p_dense = float(np.trace(U.T @ P @ U @ rho))
+            pres = pairing_expectation(basis, c.nu, c.eps, beta, probe)
+            assert pres.value == pytest.approx(p_dense, abs=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lowest_weights_span_the_kernel_of_the_pair_lowering(self, m):
+        # K_- = sum_i a_{p_i} a_{-p_i} over m pairs of shell 1; its kernel at
+        # N_+ = e holds the lowest-weight states of the su(1,1) ladders
+        modes = [UNIT_SHELL1[k] for pair in pair_partners(UNIT_SHELL1)[:m] for k in pair]
+        basis = build_basis(modes, 6)
+        # the generator at unit coefficient is K_+ - K_-
+        lowering = -csr(build_quadratic_generator(basis, np.ones(2 * m))).toarray()
+        totals = basis.totals
+        for e in range(7):
+            block = lowering[np.ix_(totals == e - 2, totals == e)]
+            rank = np.linalg.matrix_rank(block) if block.size else 0
+            kernel = int(np.count_nonzero(totals == e)) - rank
+            assert bosegas.oracles._lowest_weights(m, e) == kernel
 
     def test_sector_route_with_heterogeneous_pairs(self):
         # two +-pairs from different shells, distinct nu and eps per pair

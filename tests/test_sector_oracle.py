@@ -11,15 +11,17 @@ order over the pair numbers k with sum k <= B is the lexicographic order of
 the compositions of B with a slack slot, and likewise for the sector
 labels, so every state order is unchanged.
 
-The package now exponentiates one sector per orbit of interchangeable
-pairs (equal nu and eps), stacks the representatives of one pair budget
-and exponentiates the stack in one call; Z still takes every sector.
-``reference_sums`` is the loop over every sector, ``reference_orbit_sums``
-the same loop over the representatives only, with the orbit weights.
-With ``scipy.linalg.expm``, which runs its per-slice code on every slice of
-a stack, in place of the package's exponential, the package must agree
-with the orbit loop bit for bit, and with the loop over every sector bit
-for bit in Z, and in all three sums when no two pairs are interchangeable.
+The package now splits the capped problem into su(1,1) ladders, one
+effective pair per group of interchangeable pairs (equal nu and eps), and
+exponentiates the ladder sectors of one pair budget in one call; a group
+of one pair is exactly one +-p pair's |d| sector.  ``reference_sums`` is
+the loop over every per-pair sector, ``reference_orbit_sums`` the loop
+over one sector per orbit of interchangeable pairs, with the orbit
+weights, which the package ran before the ladders.  With
+``scipy.linalg.expm``, which runs its per-slice code on every slice of a
+stack, in place of the package's exponential, the package must agree with
+both loops bit for bit when no two pairs are interchangeable, and within
+the rounding of the two decompositions when some are.
 
 The package's own ``oracles.expm`` is a batched numpy Pade exponential;
 ``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
@@ -260,10 +262,12 @@ def test_sectors_bit_equal_reference(case):
     n_pairs, cap, nu_pairs, eps_pairs = case
     ref = list(_iter_sectors(n_pairs, cap))
     seen = np.zeros(len(ref), dtype=bool)
-    for positions, abs_d, multiplicity, pattern in oracles._sectors(n_pairs, cap):
+    # every pair a group of its own: the ladders are the |d| sectors
+    sizes = np.ones(n_pairs, dtype=np.int64)
+    for positions, abs_d, multiplicity, pattern in oracles._sectors(sizes, cap):
         stack = (
             *oracles._sector_diagonals(abs_d, pattern[0], np.array(eps_pairs)),
-            *oracles._sector_matrices(abs_d, pattern, np.array(nu_pairs)),
+            *oracles._sector_matrices(abs_d, pattern, np.array(nu_pairs), sizes),
         )
         _, pair, target, source = pattern
         for k, position in enumerate(positions.tolist()):
@@ -285,6 +289,16 @@ def test_sectors_bit_equal_reference(case):
             raises = list(zip(pair.tolist(), target.tolist(), source.tolist(), amp.tolist()))
             assert raises == ref_raises
     assert seen.all()
+
+
+@pytest.mark.parametrize("sizes, cap", [([1], 9), ([3], 14), ([2, 1], 8), ([3, 6], 4), ([1, 2, 3], 5)])
+def test_ladder_sectors_count_the_capped_basis(sizes, cap):
+    """Each ladder sector stands for prod_g lw(m_g, e_g) copies: together, every capped state."""
+    states = 0
+    for _, _, multiplicity, pattern in oracles._sectors(sizes, cap):
+        states += int(multiplicity.sum()) * len(pattern[0])
+    modes = 2 * sum(sizes)
+    assert states == math.comb(cap + modes, modes)
 
 
 @st.composite
@@ -317,20 +331,59 @@ def reference_rotation(modes, cap, nu, eps, beta, mode, sums=reference_sums):
     )
 
 
+EPS = np.finfo(float).eps
+
+
+def assert_rotations_near(number, pairing, sums, modes, cap, eps, beta):
+    """The package's values and Z within the rounding of two decompositions of one trace.
+
+    Fixed before measuring.  The terms: each value is a weighted mean of
+    diagonal entries of U^T M U with |M| <= cap, so a few ulps of cap, and
+    the two sums add at most one term per per-pair label in different
+    orders, each within (n - 1) eps / 2 of the sum of the magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.
+    (2002), sec. 4.2): (16 + labels) eps cap.  The weights: a ladder's
+    energy is eps_g N_+^g, a pair sector's the n-term dot product
+    sum_i eps_i n_i, each within n eps E of the exact E <= cap max(eps),
+    so e^{-beta E} moves by at most (2 n + 2) beta E eps relative, plus
+    its own rounding.  A relative change delta of every weight moves Z by
+    delta Z and a weighted mean of values up to cap by 2 delta cap.
+    """
+    number_sum, pair_sum, z_sum = sums
+    n_pairs = len(modes) // 2
+    labels = math.comb(cap + n_pairs, n_pairs)
+    weight = (2 * n_pairs + 2) * beta * cap * max(eps) * EPS + 2 * EPS
+    terms = (16 + labels) * EPS
+    for value in (number, pairing):
+        assert abs(value.Z - z_sum) <= (weight + terms) * z_sum
+    assert abs(number.value - number_sum / z_sum) <= (terms + 2 * weight) * cap
+    assert abs(pairing.value - pair_sum / z_sum) <= (terms + 2 * weight) * cap
+
+
 def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
+    """The package with scipy's exponential against both reference loops.
+
+    Bit for bit when every group of interchangeable pairs holds one pair,
+    else within ``assert_rotations_near``'s bound of each loop; the loops
+    share their Z bit for bit.
+    """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "expm", expm)
         number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
     case = (modes, cap, nu, eps, beta, mode)
-    number_sum, pair_sum, z_sum = reference_rotation(*case, sums=reference_orbit_sums)
-    assert number.Z == z_sum and pairing.Z == z_sum
-    assert number.value == number_sum / z_sum
-    assert pairing.value == pair_sum / z_sum
+    orbit_sums = reference_rotation(*case, sums=reference_orbit_sums)
     every_label = reference_rotation(*case)
-    assert every_label[2] == z_sum
+    assert every_label[2] == orbit_sums[2]
     pairs = oracles.pair_partners(modes)
     if len({(nu[i], eps[i]) for i, _ in pairs}) == len(pairs):
-        assert every_label == (number_sum, pair_sum, z_sum)
+        number_sum, pair_sum, z_sum = orbit_sums
+        assert number.Z == z_sum and pairing.Z == z_sum
+        assert number.value == number_sum / z_sum
+        assert pairing.value == pair_sum / z_sum
+        assert every_label == orbit_sums
+    else:
+        for sums in (every_label, orbit_sums):
+            assert_rotations_near(number, pairing, sums, modes, cap, eps, beta)
 
 
 @given(case=rotation_cases())
@@ -341,7 +394,7 @@ def test_rotated_expectations_bit_equal_reference(case):
 
 
 def workload_rotation(beta=2.0):
-    """Shell 1 at cap 14 and a = 0.045 on the unit lattice: 680 sectors.
+    """Shell 1 at cap 14 and a = 0.045 on the unit lattice: 680 pair sectors, 15 ladders.
 
     At beta = 2 the configuration of the ``oracle`` workload in
     perfbench/workloads.py, past the caps the property draws.
@@ -353,27 +406,24 @@ def workload_rotation(beta=2.0):
     return modes, 14, nu, eps, beta, modes[0]
 
 
-# at beta = 60 every weight of the sectors with sum |d| >= 7 underflows
-# (eps = 1.80), so part of most pair budgets stays out of the sums
+# at beta = 60 every weight of the sectors with sum |d| >= 7 (the ladders
+# with e >= 7) underflows (eps = 1.80), so part of most pair budgets stays
+# out of the sums; shell 1's three pairs are one group, so the package is
+# held to the rounding bound of the two decompositions
 @pytest.mark.parametrize("beta", [2.0, 60.0])
 def test_rotated_expectations_bit_equal_reference_at_cap_14(beta):
     assert_rotations_bit_equal(*workload_rotation(beta))
 
 
-EPS = np.finfo(float).eps
-
-
 @pytest.mark.parametrize("beta", [2.0, 60.0])
 def test_rotated_expectations_with_the_numpy_exponential_at_cap_14(beta):
-    # fixed before measuring: each value is a weighted mean of diagonal
-    # entries of U^T M U with |M| <= cap, so a few ulps of cap; Z does not
-    # depend on U at all
-    modes, cap, nu, eps, beta, mode = workload_rotation(beta)
-    number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
-    number_sum, pair_sum, z_sum = reference_rotation(modes, cap, nu, eps, beta, mode)
-    assert number.Z == z_sum and pairing.Z == z_sum
-    assert abs(number.value - number_sum / z_sum) <= 16 * EPS * cap
-    assert abs(pairing.value - pair_sum / z_sum) <= 16 * EPS * cap
+    # shell 1's three pairs are one group: the ladders against the loop
+    # over every sector, at the bound of both decompositions
+    case = workload_rotation(beta)
+    number, pairing = oracles._rotated_expectations(*case)
+    modes, cap, _, eps, beta, _ = case
+    sums = reference_rotation(*case)
+    assert_rotations_near(number, pairing, sums, modes, cap, eps, beta)
 
 
 def sector_dimensions(n_pairs, cap):
@@ -416,24 +466,16 @@ def shell_rotation_cases(draw):
 
 
 def assert_rotations_near_every_sector(modes, cap, nu, eps, beta, mode):
-    """The numpy exponential over the orbits against the loop over every sector.
+    """The numpy exponential over the ladders against the loop over every sector.
 
-    The bound is the cap-14 test's 16 eps cap for the terms, plus the
-    rounding of the two sums in different orders: each adds at most one
-    term per label, every term is at most cap times its sector's share of
-    Z, and a recursive sum of n terms is within (n - 1) eps / 2 of the sum
-    of their magnitudes (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed. (2002), sec. 4.2).  Where the orbits merge many
-    sectors the loop's own order dominates: 4 pairs of energy 1 and nu = 0
-    at cap 9 (715 labels) put the loop 5.0e-14 from the exactly rounded
-    sum of its terms and the orbit sum 2.7e-15.
+    The bound is ``assert_rotations_near``'s.  Where a group holds many
+    pairs the loop's own summation order dominates: 4 pairs of energy 1 and
+    nu = 0 at cap 9 (715 labels) put the loop 5.0e-14 from the exactly
+    rounded sum of its terms.
     """
     number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
-    number_sum, pair_sum, z_sum = reference_rotation(modes, cap, nu, eps, beta, mode)
-    labels = math.comb(cap + len(modes) // 2, len(modes) // 2)
-    assert number.Z == z_sum and pairing.Z == z_sum
-    assert abs(number.value - number_sum / z_sum) <= (16 + labels) * EPS * cap
-    assert abs(pairing.value - pair_sum / z_sum) <= (16 + labels) * EPS * cap
+    sums = reference_rotation(modes, cap, nu, eps, beta, mode)
+    assert_rotations_near(number, pairing, sums, modes, cap, eps, beta)
 
 
 @given(case=shell_rotation_cases())
@@ -457,9 +499,13 @@ def test_rotated_expectations_over_two_shells_at_beta_60(target_shell):
     assert_rotations_bit_equal(modes, 12, nu, eps, 60.0, mode)
 
 
-@pytest.mark.parametrize("cap, slices, cubes", [(12, 102, 1_535_376), (14, 147, 5_422_209)])
-def test_one_exponential_per_orbit(monkeypatch, cap, slices, cubes):
-    """Shell 1's three pairs are interchangeable: 455 sectors at cap 12, 680 at cap 14."""
+@pytest.mark.parametrize("cap, calls, slices, cubes", [(12, 7, 13, 1_225), (14, 8, 15, 2_080)])
+def test_one_exponential_per_ladder_budget(monkeypatch, cap, calls, slices, cubes):
+    """Shell 1's three pairs are one group: one ladder per lowest weight e <= cap.
+
+    Ladder e has (cap - e) // 2 + 1 states, and the ladders of one pair
+    budget share one call: at cap 14 slices of 8, 7, 7, 6, 6, ... 1, 1 states.
+    """
     shapes = []
     exact = oracles.expm
 
@@ -470,6 +516,7 @@ def test_one_exponential_per_orbit(monkeypatch, cap, slices, cubes):
     monkeypatch.setattr(oracles, "expm", counting)
     modes, _, nu, eps, beta, mode = workload_rotation()
     oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
+    assert len(shapes) == calls
     assert sum(k for k, _, _ in shapes) == slices
     assert sum(k * s**3 for k, s, _ in shapes) == cubes
 
