@@ -27,7 +27,6 @@ in the output directory whenever one is known.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import dataclasses
 import functools
@@ -410,29 +409,53 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bosegas",
-        description="Bogoliubov coefficients, density-matrix models and Fock-space oracles",
-    )
-    parser.add_argument("command", choices=[*COMMANDS, "all"])
-    parser.add_argument("--config", default=None, help="JSON configuration file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config entry (dotted keys, JSON values)",
-    )
-    parser.add_argument("--output-dir", default=None)
-    parser.add_argument("--variant", choices=["A", "B", "both"], default=None)
-    return parser
+USAGE = (f"usage: bosegas {{{','.join([*COMMANDS, 'all'])}}} [--config FILE] "
+         "[--set KEY=VALUE ...]\n                [--output-dir DIR] [--variant {A,B,both}]")
+# the options, each taking a value; --output-dir is filed under output_dir
+_OPTIONS = ("--config", "--set", "--output-dir", "--variant")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of every ``main`` call in this process; parsing leaves it unchanged."""
-    return build_parser()
+def _usage_error(message: str):
+    print(f"{USAGE}\nbosegas: error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_EXIT)
+
+
+def parse_args(argv: list[str]) -> dict:
+    """The command and options of ``argv``, by name; ``--set`` collects a list.
+
+    An option takes its value as the next word or after ``=``, and options
+    may come in any order around the command.  ``-h``/``--help`` prints the
+    usage line and exits 0; anything else prints it with the error and
+    exits with the usage status.  Options are not abbreviated.
+    """
+    args = {"command": None, "config": None, "set": [], "output_dir": None, "variant": None}
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            print(USAGE)
+            raise SystemExit(0)
+        option, joined, value = word.partition("=")
+        if option in _OPTIONS:
+            if not joined:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    _usage_error(f"argument {option}: expected one argument")
+            key = option[2:].replace("-", "_")
+            if key == "set":
+                args["set"].append(value)
+            else:
+                args[key] = value
+        elif word.startswith("-") or args["command"] is not None:
+            _usage_error(f"unrecognized arguments: {word}")
+        elif word not in (*COMMANDS, "all"):
+            _usage_error(f"argument command: invalid choice: {word!r}")
+        else:
+            args["command"] = word
+    if args["variant"] not in (None, "A", "B", "both"):
+        _usage_error(f"argument --variant: invalid choice: {args['variant']!r}")
+    if args["command"] is None:
+        _usage_error("the following arguments are required: command")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -442,17 +465,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None, blas_threads: int | str) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
-    out_dir = None if args.output_dir is None else Path(args.output_dir)
+    out_dir = None if args["output_dir"] is None else Path(args["output_dir"])
     try:
         config = load_config(
-            args.config,
-            args.set,
-            {"output_dir": args.output_dir, "variant": args.variant},
+            args["config"],
+            args["set"],
+            {"output_dir": args["output_dir"], "variant": args["variant"]},
         )
         out_dir = Path(config["output_dir"])
-        names = tuple(COMMANDS) if args.command == "all" else (args.command,)
+        names = tuple(COMMANDS) if args["command"] == "all" else (args["command"],)
         files = {}
         stage_seconds = {}
         for name in names:

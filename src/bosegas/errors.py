@@ -26,12 +26,13 @@ class ModelValidityError(BosegasError):
 
 
 class BasisSizeError(BosegasError):
-    """The requested occupation basis exceeds the configured state limit."""
+    """The requested occupation basis, or another array the cap sizes, exceeds the state limit."""
 
-    def __init__(self, count: int, limit: int):
+    def __init__(self, count: int, limit: int, what: str = "occupation basis",
+                 unit: str = "states"):
         self.count = count
         self.limit = limit
-        super().__init__(f"occupation basis exceeds the limit {limit}: {count} states counted")
+        super().__init__(f"{what} exceeds the limit {limit}: {count} {unit} counted")
 
 
 class GuardError(BosegasError):

@@ -16,27 +16,21 @@ as all pairs of one shell are, form one su(1,1) (Perelomov, Generalized
 Coherent States and Their Applications (1986)): for a group of m pairs,
 K_+ = sum_i a*_p_i a*_-p_i, K_- = K_+* and K_0 = (N_+ + m)/2.  The
 generator restricted to the group is nu (K_+ - K_-), the weights are
-e^{-beta eps N_+}, and the joint cap on N_+ is diagonal in every K_0, so
-the capped problem splits exactly into products of lowest-weight ladders
-(Holman & Biedenharn, Ann. Phys. 39, 1 (1966)), not an approximation.  A
+e^{-beta eps N_+}, and the cap on the group's N_+ is diagonal in K_0, so
+the capped group splits exactly into lowest-weight ladders (Holman &
+Biedenharn, Ann. Phys. 39, 1 (1966)), not an approximation.  A
 lowest-weight state at N_+ = e (K_- kills it) spans the ladder |e, k>
-with N_+ = e + 2k, on which K_+ raises k with amplitude
+with N_+ = e + 2k <= cap, on which K_+ raises k with amplitude
 sqrt((k + 1)(k + e + m)); there are lw(m, e) of them, the states at e
-less those at e - 2.  A sector is labelled by one e per group, the labels
-are the compositions of the cap with a slack slot, and its states are
-the compositions of the budget B = (cap - sum e) // 2 into the groups
-plus a slack slot; a raise moves one unit from the slack slot to the
-group.  It stands for prod lw(m, e) identical sectors, and the pairing
-trace takes K_+ of the target's group, divided by its m.  A group of one
-pair is one +-p pair's sector of n_p - n_-p = +-e.
-``fock.compositions`` and ``fock.composition_rank`` enumerate and rank
-labels and states, as they do the Fock basis; states and raises are built
-once per budget.  All sectors of one budget therefore have the same shape,
-and they pass through the computation as one (k, s, s) stack: one
-generator write, one ``expm`` call, one orthogonality guard over all
-slices and batched matrix products for the traces.  Z takes every
-sector, from its energies alone.  The terms are added in label order, as
-a loop over the sectors one at a time would add them.
+less those at e - 2.  The cap bounds N_+ of each group on its own, so the
+capped state is a product over the groups, and with one group it is the
+joint cap.  A group's cap + 1 ladders are padded to the length of ladder 0
+and go through the computation as one (cap + 1, s, s) stack: one
+generator write, one ``expm`` call, one orthogonality guard and two
+``einsum`` diagonals; the padding has no raise and no weight.  Z is the
+product of the groups' Z, N_+ the sum of their means, and the pairing the
+target group's K_+ mean divided by its m.  A cap whose stack would hold
+more than ``fock.STATE_LIMIT`` entries is refused (cap 92 and above).
 
 ``expm`` is scaling and squaring with diagonal Pade approximants (Higham,
 SIAM J. Matrix Anal. Appl. 26 (2005)) in numpy, batched over the stack:
@@ -45,8 +39,10 @@ what degree 13 covers, are chosen once per stack, from the bounds on the
 1-norm up to which each degree meets double-precision unit roundoff.
 
 The adjudication runs on the unit lattice (mode energy |n|^2), the moment
-bound of the partition sandwich takes mu = min(eps)/2, and the toy's v_hat
-and scattering solve are those of any potential: 0.0 for the free gas.
+bound of the partition sandwich takes mu = min(eps)/2 (the sandwich keeps
+the joint cap: it sums every mode's states at total <= cap), and the
+toy's v_hat and scattering solve are those of any potential: 0.0 for the
+free gas.
 
 Coefficient-convention candidates are assembled directly from the rotation
 angles nu and energies eps: both the occupation and the pairing candidate
@@ -64,17 +60,15 @@ from typing import Sequence
 import numpy as np
 
 from .bogoliubov import Variant, bose_occupation, mode_coefficients
-from .errors import GuardError
+from .errors import BasisSizeError, GuardError
 # gibbs, expect and ladder are looked up here by name by the benchmark's tracer
 from .fock import (  # noqa: F401
+    STATE_LIMIT,
     FockBasis,
     _Blocks,
     _Letters,
     build_basis,
     build_LN,
-    check_basis_size,
-    composition_rank,
-    compositions,
     expect,
     gibbs,
     ladder,
@@ -171,7 +165,7 @@ def partition_product_check(eps: Sequence[float], cap: int, beta: float) -> Part
 
 
 # ---------------------------------------------------------------------------
-# su(1,1) ladder sectors
+# su(1,1) ladders
 # ---------------------------------------------------------------------------
 
 def _lowest_weights(m: int, e: int) -> int:
@@ -186,68 +180,39 @@ def _lowest_weights(m: int, e: int) -> int:
     return states(e) - states(e - 2)
 
 
-def _sectors(sizes: Sequence[int], cap: int):
-    """The ladder sectors grouped by pair budget, in increasing budget.
+def _check_stack_size(cap: int):
+    """Refuse a negative cap, or one whose padded stack holds more than ``STATE_LIMIT`` entries."""
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
+    entries = (cap + 1) * (cap // 2 + 1) ** 2
+    if entries > STATE_LIMIT:
+        raise BasisSizeError(entries, STATE_LIMIT, "one shell's padded su(1,1) ladder stack",
+                             "entries")
 
-    ``sizes`` holds the number of pairs of each group.  Yields (positions,
-    lowest, multiplicity, pattern) per budget: the positions of its labels
-    in the lex order of all labels, the labels e (one lowest-weight N_+ per
-    group, one row each), their multiplicities prod_g lw(m_g, e_g) and the
-    pattern all of them share.
+
+def _group_traces(m: int, nu: float, eps: float, beta: float, cap: int):
+    """The N_+ and K_+ traces and Z of one group of m interchangeable pairs at N_+ <= cap.
+
+    Ladder e = 0 .. cap holds the steps k <= (cap - e) // 2 at N_+ = e + 2k;
+    every ladder is padded to cap // 2 + 1 steps, with no raise and no
+    weight on the padding, and the stack is exponentiated in one call.
     """
-    labels = compositions(cap, len(sizes) + 1)
-    lowest = labels[:, :-1]
-    budgets = labels[:, -1] // 2
-    table = np.array([[_lowest_weights(m, e) for e in range(cap + 1)] for m in sizes],
-                     dtype=np.int64)
-    multiplicity = table[np.arange(len(sizes)), lowest].prod(axis=1)
-    # not np.unique: its first flag-free call imports numpy.ma, ~10 ms
-    for budget in sorted(set(budgets.tolist())):
-        positions = np.flatnonzero(budgets == budget)
-        pattern = _sector_pattern(budget, len(sizes))
-        yield positions, lowest[positions], multiplicity[positions], pattern
-
-
-def _sector_pattern(budget: int, n_groups: int):
-    """Ladder steps k and raises of every sector with pair budget ``budget``.
-
-    The states are the compositions of the budget into the groups plus a
-    slack slot; raising group g moves one unit from the slack slot to slot
-    g, and the composition rank locates the target.  Returns the ladder
-    steps (one row per state) and the raises as (group, target, source)
-    arrays in (source, group) order.
-    """
-    comps = compositions(budget, n_groups + 1)
-    has_slack = np.repeat(comps[:, -1:] > 0, n_groups, axis=1)
-    source, group = np.nonzero(has_slack)
-    moved = comps[source]
-    moved[np.arange(len(source)), group] += 1
-    moved[:, -1] -= 1
-    return comps[:, :-1], group, composition_rank(moved), source
-
-
-def _sector_diagonals(lowest, kvecs, eps_groups: np.ndarray):
-    """Diagonals of N_+ and of the energy in every sector of one budget, one row per label."""
-    occ = (2 * kvecs + np.asarray(lowest, dtype=np.int64)[:, None, :]).astype(float)
-    return occ.sum(axis=2), occ @ eps_groups
-
-
-def _sector_matrices(lowest, pattern, nu_groups: np.ndarray, sizes: np.ndarray):
-    """Generators and raise amplitudes of the sectors ``lowest`` of one budget.
-
-    ``lowest`` holds one label per row, all of the budget of ``pattern``;
-    both results have one slice per label.  Group g's raise from ladder
-    step k has amplitude sqrt((k + 1) (k + e_g + m_g)).
-    """
-    kvecs, group, target, source = pattern
-    e = np.asarray(lowest, dtype=np.int64)
-    k = kvecs[source, group]
-    amp = np.sqrt((k + 1) * (k + e[:, group] + sizes[group]))
-    value = nu_groups[group] * amp
-    G = np.zeros((len(e), len(kvecs), len(kvecs)))
-    G[:, target, source] += value
-    G[:, source, target] -= value
-    return G, amp
+    e = np.arange(cap + 1)[:, None]
+    k = np.arange(cap // 2 + 1)
+    nplus = (e + 2 * k).astype(float)
+    inside = nplus <= cap
+    weights = np.where(inside, np.exp(-beta * (nplus * eps)), 0.0)
+    # the raise from step k to k + 1 of ladder e
+    amp = np.where(inside[:, 1:], np.sqrt((k[:-1] + 1) * (k[:-1] + e + m)), 0.0)
+    G = np.zeros((cap + 1, len(k), len(k)))
+    G[:, k[1:], k[:-1]] = nu * amp
+    G[:, k[:-1], k[1:]] = -nu * amp
+    U = _orthogonal_expms(G)
+    # the diagonals of U^T diag(N_+) U and of U^T K_+ U, one row per ladder
+    number = np.einsum("ekj,ek,ekj->ej", U, nplus, U)
+    pairing = np.einsum("ekj,ek,ekj->ej", U[:, 1:], amp, U[:, :-1])
+    lowest = np.array([_lowest_weights(m, i) for i in range(cap + 1)], dtype=float)
+    return [float(lowest @ (weights * diag).sum(axis=1)) for diag in (number, pairing, 1.0)]
 
 
 def _pair_groups(nu_pairs: np.ndarray, eps_pairs: np.ndarray) -> list[list[int]]:
@@ -325,7 +290,10 @@ def _orthogonal_expms(G: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RotatedExpectation:
-    """Exact capped rotated-ensemble value with the convention candidates."""
+    """Exact capped rotated-ensemble value with the convention candidates.
+
+    ``Z`` is the product of the groups' capped partition sums.
+    """
 
     value: float
     candidates: dict
@@ -362,13 +330,14 @@ def _pair_arrays(modes: Sequence[Mode], nu, eps):
 def _rotated_expectations(
     modes: Sequence[Mode], cap: int, nu, eps, beta: float, mode: Mode
 ) -> tuple[RotatedExpectation, RotatedExpectation]:
-    """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) in one ladder pass.
+    """The N_+ and a*_p a*_-p expectations (p the pair of ``mode``) over the groups' ladders.
 
-    The capped basis over ``modes`` is never built: the ladder sectors
-    enumerate it.  The live sectors of one pair budget go through one
-    stacked exponential; Z takes every sector from its energies alone.
-    The terms are added in label order.
+    N_+ of every group of interchangeable pairs is capped at ``cap`` on its
+    own, so the state is a product over the groups: Z is the product of
+    theirs, N_+ the sum of their means, and the pairing the mean of the
+    target group's K_+ over its size.  No basis is built.
     """
+    _check_stack_size(cap)
     pairs, nu_pairs, eps_pairs, nu, eps = _pair_arrays(modes, nu, eps)
     _rotation_guard(nu, eps, beta, cap)
     mode_pos = [m.n for m in modes].index(mode.n)
@@ -376,63 +345,33 @@ def _rotated_expectations(
         pi for pi, (i, j) in enumerate(pairs) if mode_pos in (i, j)
     )
     groups = _pair_groups(nu_pairs, eps_pairs)
-    target_group = next(g for g, members in enumerate(groups) if target_pair in members)
-    sizes = np.array([len(members) for members in groups])
-    first = [members[0] for members in groups]
-    nu_groups, eps_groups = nu_pairs[first], eps_pairs[first]
-
-    # the number, pairing and Z term of every label: multiplicity times the
-    # sector's N_+ trace, K_+ trace of the target group and Z; 0 for the
-    # number and pairing of the sectors whose weights all underflow
-    terms = np.zeros((3, math.comb(cap + len(groups), len(groups))))
-    for positions, lowest, multiplicity, pattern in _sectors(sizes, cap):
-        nplus, energy = _sector_diagonals(lowest, pattern[0], eps_groups)
-        weights = np.exp(-beta * energy)
-        terms[2, positions] = multiplicity * weights.sum(axis=1)
-        live = weights.any(axis=1)
-        if not live.any():
-            continue
-        G, amp = _sector_matrices(lowest[live], pattern, nu_groups, sizes)
-        U = _orthogonal_expms(G)
-        _, group, target, source = pattern
-        # K_+ U: K_+ has one entry per target row, so it is one row gather of U
-        mine = group == target_group
-        KU = np.zeros_like(U)
-        KU[:, target[mine]] += amp[:, mine, None] * U[:, source[mine]]
-        # the diagonals of U^T diag(nplus) U and of U^T K_+ U
-        number_diag = (U * U).transpose(0, 2, 1) @ nplus[live][:, :, None]
-        pair_diag = np.einsum("kij,kij->kj", U, KU)[:, :, None]
-        rows = weights[live][:, None, :]
-        terms[:2, positions[live]] = multiplicity[live] * np.array(
-            [(rows @ number_diag)[:, 0, 0], (rows @ pair_diag)[:, 0, 0]]
-        )
-
-    # added one label at a time in label order, as a loop over the sectors would
-    number_sum = pair_sum = z_sum = 0.0
-    for number, pairing, z in zip(*terms.tolist()):
-        number_sum += number
-        pair_sum += pairing
-        z_sum += z
+    traces = [_group_traces(len(members), nu_pairs[members[0]], eps_pairs[members[0]], beta, cap)
+              for members in groups]
+    target = next(g for g, members in enumerate(groups) if target_pair in members)
+    z = math.prod(z_g for _, _, z_g in traces)
+    number_value = sum(number / z_g for number, _, z_g in traces)
+    pair_sum, z_target = traces[target][1:]
+    pair_value = pair_sum / len(groups[target]) / z_target
 
     sinh_sq = np.sinh(nu) ** 2
     occs = _convention_occupations(eps, beta)
     number = RotatedExpectation(
-        value=number_sum / z_sum,
+        value=number_value,
         candidates={
             key: float(np.sum(sinh_sq * (1.0 + 2.0 * occ) + occ))
             for key, occ in occs.items()
         },
-        Z=z_sum,
+        Z=z,
     )
 
     j = mode_pos
     half_sinh2 = 0.5 * math.sinh(2.0 * nu[j])
     pairing = RotatedExpectation(
-        value=pair_sum / len(groups[target_group]) / z_sum,
+        value=pair_value,
         candidates={
             key: float(half_sinh2 * (1.0 + 2.0 * occ[j])) for key, occ in occs.items()
         },
-        Z=z_sum,
+        Z=z,
     )
     return number, pairing
 
@@ -440,14 +379,16 @@ def _rotated_expectations(
 def rotated_number_expectation(
     basis: FockBasis, nu, eps, beta: float
 ) -> RotatedExpectation:
-    """tr(e^{-G} N_+ e^{G} rho_D) on the capped basis, G the pair-rotation generator.
+    """tr(e^{-G} N_+ e^{G} rho_D) with N_+ of each group capped, G the pair-rotation generator.
 
-    The trace is assembled over the su(1,1) ladder sectors of the groups of
-    interchangeable pairs (see module docstring); each sector block is
-    exponentiated exactly, so the only deviation from the analytic
-    formulas is the cap itself.  Alongside the exact value the two
-    coefficient-convention candidates sum(sinh^2 nu (1+2n) + n) are
-    returned, with the uncapped thermal occupations.
+    The basis supplies the modes and the cap, which bounds N_+ of every
+    group of interchangeable pairs (one shell) on its own; with one group
+    that is the basis's own cap.  The trace is assembled over each group's
+    su(1,1) ladders (see module docstring), exponentiated exactly, so the
+    only deviation from the analytic formulas is the cap itself.  Alongside
+    the exact value the two coefficient-convention candidates
+    sum(sinh^2 nu (1+2n) + n) are returned, with the uncapped thermal
+    occupations.
     """
     return _rotated_expectations(basis.modes, basis.cap, nu, eps, beta, basis.modes[0])[0]
 
@@ -458,9 +399,10 @@ def pairing_expectation(
     """tr(e^{-G} a*_p a*_{-p} e^{G} rho_D) for the pair containing ``mode``.
 
     Every pair of the group of ``mode``'s pair has the same value, so it is
-    the trace of the group's K_+ over the ladder sectors, divided by the
-    group's size.  The conjugation direction matches the generator
-    convention used for the number expectation.  Candidates are
+    the trace of the group's K_+ over its ladders, divided by the group's
+    size; the cap bounds N_+ of each group, as for the number.  The
+    conjugation direction matches the generator convention used for the
+    number expectation.  Candidates are
     sinh(2 nu_p)/2 * (1 + 2 n) with the per-convention occupation proxies.
     """
     return _rotated_expectations(basis.modes, basis.cap, nu, eps, beta, mode)[1]
@@ -514,7 +456,10 @@ def squeezing_truncation_bound(nus: Sequence[float], cap: int) -> float:
 
 @dataclass(frozen=True)
 class AdjudicationReport:
-    """Which coefficient convention the capped rotation oracle agrees with."""
+    """Which coefficient convention the capped rotation oracle agrees with.
+
+    ``cap`` bounds N_+ of each shell's pairs on its own.
+    """
 
     a: float
     beta: float
@@ -567,8 +512,6 @@ def adjudicate_variants(
         raise ValueError("no modes in the requested shells")
     coefficients = mode_coefficients([m.p_sq for m in modes], a)
     eps, nu = coefficients.eps, coefficients.nu
-    check_basis_size(len(modes), cap)
-
     rot, pair = _rotated_expectations(modes, cap, nu, eps, beta, modes[0])
     number_detail, theta_winner = _judge(rot.value, rot.candidates)
     pairing_detail, pairing_winner = _judge(pair.value, pair.candidates)

@@ -138,6 +138,28 @@ def test_recurrence_partition_sum_matches_enumeration(case):
     assert abs(brute - reference) <= 2e-15 * reference
 
 
+def dense_rotation_per_group(modes, nu, eps, beta, cap, probe):
+    """The rotated N_+ and the pairing of ``probe``'s pair, each group conjugated densely.
+
+    A group is the modes of exactly equal (nu, eps); each is conjugated by
+    ``scipy.linalg.expm`` of its generator on its own capped basis, so N_+
+    is the sum of the groups' values and the pairing is the probe group's.
+    """
+    keys = list(zip(np.asarray(nu).tolist(), np.asarray(eps).tolist()))
+    number, pairing = 0.0, None
+    for key in dict.fromkeys(keys):
+        group = [j for j, other in enumerate(keys) if other == key]
+        basis = build_basis([modes[j] for j in group], cap)
+        U = expm(csr(build_quadratic_generator(basis, np.asarray(nu)[group])).toarray())
+        rho = csr(gibbs(build_D(basis, np.asarray(eps)[group]), beta).rho).toarray()
+        number += float(np.trace(U.T @ csr(total_number(basis)).toarray() @ U @ rho))
+        if probe in basis.modes:
+            neg = next(m for m in basis.modes if m.n == probe.negated())
+            P = (csr(ladder(basis, probe, "create")) @ csr(ladder(basis, neg, "create"))).toarray()
+            pairing = float(np.trace(U.T @ P @ U @ rho))
+    return number, pairing
+
+
 class TestRotatedExpectations:
     def test_sector_route_matches_dense_conjugation(self):
         a, beta = 0.05, 2.0
@@ -159,22 +181,16 @@ class TestRotatedExpectations:
         assert pres.value == pytest.approx(p_dense, abs=1e-13)
 
     def test_ladder_route_matches_dense_conjugation_over_two_groups(self):
-        # shells 1 and 2: groups of 3 and 6 interchangeable pairs, 1,330 states at cap 3
+        # shells 1 and 2: groups of 3 and 6 interchangeable pairs, each capped
+        # at 3 on its own (84 and 455 states)
         a, beta = 0.05, 2.0
-        basis = build_basis(UNIT_SHELLS12, 3)
         c = mode_coefficients([m.p_sq for m in UNIT_SHELLS12], a)
-        G = csr(build_quadratic_generator(basis, c.nu)).toarray()
-        U = expm(G)
-        rho = csr(gibbs(build_D(basis, c.eps), beta).rho).toarray()
-        n_dense = float(np.trace(U.T @ csr(total_number(basis)).toarray() @ U @ rho))
-        res = rotated_number_expectation(basis, c.nu, c.eps, beta)
-        assert res.value == pytest.approx(n_dense, abs=1e-13)
-
         for shell in (1, 2):
             probe = next(m for m in UNIT_SHELLS12 if m.norm_sq == shell)
-            neg = next(m for m in UNIT_SHELLS12 if m.n == probe.negated())
-            P = (csr(ladder(basis, probe, "create")) @ csr(ladder(basis, neg, "create"))).toarray()
-            p_dense = float(np.trace(U.T @ P @ U @ rho))
+            n_dense, p_dense = dense_rotation_per_group(UNIT_SHELLS12, c.nu, c.eps, beta, 3, probe)
+            basis = build_basis(UNIT_SHELLS12, 3)
+            res = rotated_number_expectation(basis, c.nu, c.eps, beta)
+            assert res.value == pytest.approx(n_dense, abs=1e-13)
             pres = pairing_expectation(basis, c.nu, c.eps, beta, probe)
             assert pres.value == pytest.approx(p_dense, abs=1e-13)
 
@@ -194,7 +210,8 @@ class TestRotatedExpectations:
             assert bosegas.oracles._lowest_weights(m, e) == kernel
 
     def test_sector_route_with_heterogeneous_pairs(self):
-        # two +-pairs from different shells, distinct nu and eps per pair
+        # two +-pairs from different shells, distinct nu and eps per pair:
+        # two groups of one pair, each capped at 6 on its own
         modes = [
             m
             for s in enumerate_shells(2, momentum_scale=1.0)
@@ -204,18 +221,11 @@ class TestRotatedExpectations:
         nu = np.array([-0.25 if m.norm_sq == 1 else -0.1 for m in modes])
         eps = np.array([1.3 if m.norm_sq == 1 else 2.1 for m in modes])
         beta = 0.8
+        probe = next(m for m in modes if m.norm_sq == 2)
+        dense, dense_pair = dense_rotation_per_group(modes, nu, eps, beta, 6, probe)
         basis = build_basis(modes, 6)
-        G = csr(build_quadratic_generator(basis, nu)).toarray()
-        U = expm(G)
-        rho = csr(gibbs(build_D(basis, eps), beta).rho).toarray()
-        dense = float(np.trace(U.T @ csr(total_number(basis)).toarray() @ U @ rho))
         res = rotated_number_expectation(basis, nu, eps, beta)
         assert res.value == pytest.approx(dense, abs=1e-13)
-
-        probe = next(m for m in modes if m.norm_sq == 2)
-        neg = next(m for m in modes if m.n == probe.negated())
-        P = (csr(ladder(basis, probe, "create")) @ csr(ladder(basis, neg, "create"))).toarray()
-        dense_pair = float(np.trace(U.T @ P @ U @ rho))
         pres = pairing_expectation(basis, nu, eps, beta, probe)
         assert pres.value == pytest.approx(dense_pair, abs=1e-13)
 
@@ -315,6 +325,17 @@ class TestAdjudication:
         assert rep.theta_winner == "B"
         assert rep.pairing_winner == "B"
         assert rep.number["residual_ratio"] > 10.0
+
+    @pytest.mark.parametrize("shells, cap", [([1, 2], 10), ([1, 2, 3], 12)])
+    def test_several_shells_certify_b_at_a_cap_per_shell(self, shells, cap):
+        # each shell's N_+ capped on its own: the adjudication stays one
+        # padded ladder stack per shell, where a joint basis would hold
+        # 13,123,110 states at shells 1-2 and cap 10
+        rep = adjudicate_variants(a=0.05, beta=2.0, shells=shells, cap=cap)
+        assert rep.theta_winner == "B"
+        assert rep.pairing_winner == "B"
+        assert rep.number["residual_ratio"] > 10.0
+        assert rep.pairing["residual_ratio"] > 10.0
 
     def test_under_resolved_configuration_never_certifies_the_wrong_winner(self):
         # cap 6 shared over the 18 modes of shells {1,2} leaves truncation

@@ -1,27 +1,28 @@
-"""The tuple enumerators as the reference for the shared capped-composition primitive.
+"""The tuple enumerators and the sector loops as the references of the capped oracles.
 
 ``bosegas.fock.compositions`` enumerates capped compositions as one array
 and ``bosegas.fock.composition_rank`` ranks them in closed form; the Fock
-basis and the adjudication sectors of ``bosegas.oracles`` both use them.
-The functions below are what the package used before: a recursive tuple
-generator for the basis, and for the sectors two recursive generators, a
-per-sector tuple-to-position dict, a loop that moves one pair number at
-a time by tuple slicing, and one exponential per sector.  Lexicographic
-order over the pair numbers k with sum k <= B is the lexicographic order of
-the compositions of B with a slack slot, and likewise for the sector
-labels, so every state order is unchanged.
+basis uses them.  The functions below are what the package used before: a
+recursive tuple generator for the basis, and for the rotated expectations
+two recursive generators, a per-sector tuple-to-position dict, a loop that
+moves one pair number at a time by tuple slicing, and one exponential per
+sector.  Lexicographic order over the pair numbers k with sum k <= B is
+the lexicographic order of the compositions of B with a slack slot, and
+likewise for the sector labels, so every state order is unchanged.
 
-The package now splits the capped problem into su(1,1) ladders, one
-effective pair per group of interchangeable pairs (equal nu and eps), and
-exponentiates the ladder sectors of one pair budget in one call; a group
-of one pair is exactly one +-p pair's |d| sector.  ``reference_sums`` is
-the loop over every per-pair sector, ``reference_orbit_sums`` the loop
-over one sector per orbit of interchangeable pairs, with the orbit
-weights, which the package ran before the ladders.  With
-``scipy.linalg.expm``, which runs its per-slice code on every slice of a
-stack, in place of the package's exponential, the package must agree with
-both loops bit for bit when no two pairs are interchangeable, and within
-the rounding of the two decompositions when some are.
+Three loops sum the rotated expectations of pairs under one joint cap on
+N_+: ``reference_sums`` over every per-pair sector, ``reference_orbit_sums``
+over one sector per orbit of interchangeable pairs (equal nu and eps), with
+the orbit weights, and ``reference_ladder_sums`` over the su(1,1) ladder
+sectors of the groups of interchangeable pairs, stacked per pair budget,
+which the package ran before it capped each group on its own.  The package
+now caps N_+ of every group separately and exponentiates all ladders of a
+group as one padded stack; with one group the two caps are the same.
+``reference_rotation`` runs a joint loop on each group alone and combines
+the groups as the package does: Z the product, N_+ the sum of the groups'
+means, the pairing the target group's.  The package agrees with it within
+the rounding of the two decompositions, with ``scipy.linalg.expm`` in place
+of its exponential and with its own.
 
 The package's own ``oracles.expm`` is a batched numpy Pade exponential;
 ``scipy.linalg.expm`` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31
@@ -139,9 +140,9 @@ def _sector_matrices(sector: _Sector, nu_pairs, eps_pairs, cap: int):
 
 
 def _orthogonal_expm(G: np.ndarray) -> np.ndarray:
-    """Exponential of an anti-symmetric block, orthogonality checked a posteriori."""
+    """Exponential of an anti-symmetric block or stack, orthogonality checked a posteriori."""
     U = expm(G)
-    defect = float(np.max(np.abs(U.T @ U - np.eye(U.shape[0]))))
+    defect = float(np.max(np.abs(np.swapaxes(U, -1, -2) @ U - np.eye(U.shape[-1]))))
     if defect > 1e-10:
         raise GuardError(f"generator exponential lost orthogonality ({defect:.3e})")
     return U
@@ -225,6 +226,113 @@ def reference_orbit_sums(n_pairs, cap, nu_pairs, eps_pairs, beta, target_pair):
     return number_sum, pair_sum / len(target_group), z_sum
 
 
+def _ladder_sectors(sizes, cap: int):
+    """The ladder sectors grouped by pair budget, in increasing budget.
+
+    ``sizes`` holds the number of pairs of each group.  Yields (positions,
+    lowest, multiplicity, pattern) per budget: the positions of its labels
+    in the lex order of all labels, the labels e (one lowest-weight N_+ per
+    group, one row each), their multiplicities prod_g lw(m_g, e_g) and the
+    pattern all of them share.
+    """
+    labels = compositions(cap, len(sizes) + 1)
+    lowest = labels[:, :-1]
+    budgets = labels[:, -1] // 2
+    table = np.array([[oracles._lowest_weights(m, e) for e in range(cap + 1)] for m in sizes],
+                     dtype=np.int64)
+    multiplicity = table[np.arange(len(sizes)), lowest].prod(axis=1)
+    for budget in sorted(set(budgets.tolist())):
+        positions = np.flatnonzero(budgets == budget)
+        pattern = _ladder_pattern(budget, len(sizes))
+        yield positions, lowest[positions], multiplicity[positions], pattern
+
+
+def _ladder_pattern(budget: int, n_groups: int):
+    """Ladder steps k and raises of every sector with pair budget ``budget``.
+
+    The states are the compositions of the budget into the groups plus a
+    slack slot; raising group g moves one unit from the slack slot to slot
+    g, and the composition rank locates the target.  Returns the ladder
+    steps (one row per state) and the raises as (group, target, source)
+    arrays in (source, group) order.
+    """
+    comps = compositions(budget, n_groups + 1)
+    has_slack = np.repeat(comps[:, -1:] > 0, n_groups, axis=1)
+    source, group = np.nonzero(has_slack)
+    moved = comps[source]
+    moved[np.arange(len(source)), group] += 1
+    moved[:, -1] -= 1
+    return comps[:, :-1], group, composition_rank(moved), source
+
+
+def _ladder_diagonals(lowest, kvecs, eps_groups: np.ndarray):
+    """Diagonals of N_+ and of the energy in every sector of one budget, one row per label."""
+    occ = (2 * kvecs + np.asarray(lowest, dtype=np.int64)[:, None, :]).astype(float)
+    return occ.sum(axis=2), occ @ eps_groups
+
+
+def _ladder_matrices(lowest, pattern, nu_groups: np.ndarray, sizes: np.ndarray):
+    """Generators and raise amplitudes of the sectors ``lowest`` of one budget.
+
+    ``lowest`` holds one label per row, all of the budget of ``pattern``;
+    both results have one slice per label.  Group g's raise from ladder
+    step k has amplitude sqrt((k + 1) (k + e_g + m_g)).
+    """
+    kvecs, group, target, source = pattern
+    e = np.asarray(lowest, dtype=np.int64)
+    k = kvecs[source, group]
+    amp = np.sqrt((k + 1) * (k + e[:, group] + sizes[group]))
+    value = nu_groups[group] * amp
+    G = np.zeros((len(e), len(kvecs), len(kvecs)))
+    G[:, target, source] += value
+    G[:, source, target] -= value
+    return G, amp
+
+
+def reference_ladder_sums(n_pairs, cap, nu_pairs, eps_pairs, beta, target_pair):
+    """The ladder sectors under the joint cap: number, pairing and Z sums.
+
+    A sector is labelled by one lowest weight e per group of interchangeable
+    pairs, has budget B = (cap - sum e) // 2 and stands for prod lw(m, e)
+    identical ones; the sectors of one budget go through one stacked
+    exponential.  The pairing traces the target group's K_+ and is divided
+    by the group's size.  Z takes every sector from its energies alone, and
+    the terms are added in label order.
+    """
+    groups = oracles._pair_groups(np.array(nu_pairs, dtype=float), np.array(eps_pairs, dtype=float))
+    target_group = next(g for g, members in enumerate(groups) if target_pair in members)
+    sizes = np.array([len(members) for members in groups])
+    first = [members[0] for members in groups]
+    nu_groups = np.array(nu_pairs, dtype=float)[first]
+    eps_groups = np.array(eps_pairs, dtype=float)[first]
+    terms = np.zeros((3, math.comb(cap + len(groups), len(groups))))
+    for positions, lowest, multiplicity, pattern in _ladder_sectors(sizes, cap):
+        nplus, energy = _ladder_diagonals(lowest, pattern[0], eps_groups)
+        weights = np.exp(-beta * energy)
+        terms[2, positions] = multiplicity * weights.sum(axis=1)
+        live = weights.any(axis=1)
+        if not live.any():
+            continue
+        G, amp = _ladder_matrices(lowest[live], pattern, nu_groups, sizes)
+        U = _orthogonal_expm(G)
+        _, group, target, source = pattern
+        mine = group == target_group
+        KU = np.zeros_like(U)
+        KU[:, target[mine]] += amp[:, mine, None] * U[:, source[mine]]
+        number_diag = (U * U).transpose(0, 2, 1) @ nplus[live][:, :, None]
+        pair_diag = np.einsum("kij,kij->kj", U, KU)[:, :, None]
+        rows = weights[live][:, None, :]
+        terms[:2, positions[live]] = multiplicity[live] * np.array(
+            [(rows @ number_diag)[:, 0, 0], (rows @ pair_diag)[:, 0, 0]]
+        )
+    number_sum = pair_sum = z_sum = 0.0
+    for number, pairing, z in zip(*terms.tolist()):
+        number_sum += number
+        pair_sum += pairing
+        z_sum += z
+    return number_sum, pair_sum / len(groups[target_group]), z_sum
+
+
 def assert_bits_equal(new, ref):
     new, ref = np.asarray(new), np.asarray(ref)
     assert new.shape == ref.shape
@@ -264,10 +372,10 @@ def test_sectors_bit_equal_reference(case):
     seen = np.zeros(len(ref), dtype=bool)
     # every pair a group of its own: the ladders are the |d| sectors
     sizes = np.ones(n_pairs, dtype=np.int64)
-    for positions, abs_d, multiplicity, pattern in oracles._sectors(sizes, cap):
+    for positions, abs_d, multiplicity, pattern in _ladder_sectors(sizes, cap):
         stack = (
-            *oracles._sector_diagonals(abs_d, pattern[0], np.array(eps_pairs)),
-            *oracles._sector_matrices(abs_d, pattern, np.array(nu_pairs), sizes),
+            *_ladder_diagonals(abs_d, pattern[0], np.array(eps_pairs)),
+            *_ladder_matrices(abs_d, pattern, np.array(nu_pairs), sizes),
         )
         _, pair, target, source = pattern
         for k, position in enumerate(positions.tolist()):
@@ -295,7 +403,7 @@ def test_sectors_bit_equal_reference(case):
 def test_ladder_sectors_count_the_capped_basis(sizes, cap):
     """Each ladder sector stands for prod_g lw(m_g, e_g) copies: together, every capped state."""
     states = 0
-    for _, _, multiplicity, pattern in oracles._sectors(sizes, cap):
+    for _, _, multiplicity, pattern in _ladder_sectors(sizes, cap):
         states += int(multiplicity.sum()) * len(pattern[0])
     modes = 2 * sum(sizes)
     assert states == math.comb(cap + modes, modes)
@@ -316,26 +424,44 @@ def rotation_cases(draw):
     return build_basis(modes, cap), nu, eps, beta, mode
 
 
-def reference_rotation(modes, cap, nu, eps, beta, mode, sums=reference_sums):
-    """A reference loop's number, pairing and Z sums for ``_rotated_expectations``."""
+def rotation_groups(modes, nu, eps, mode):
+    """Per group of interchangeable pairs: its (nu, eps), its size, and the position
+    in it of the pair of ``mode`` if it holds that pair, else None."""
     pairs = oracles.pair_partners(modes)
     position = [m.n for m in modes].index(mode.n)
-    target_pair = next(pi for pi, pair in enumerate(pairs) if position in pair)
-    return sums(
-        len(pairs),
-        cap,
-        [nu[i] for i, _ in pairs],
-        [eps[i] for i, _ in pairs],
-        beta,
-        target_pair,
-    )
+    groups, target = {}, None
+    for pair in pairs:
+        key = (nu[pair[0]], eps[pair[0]])
+        members = groups.setdefault(key, [])
+        if position in pair:
+            target = (key, len(members))
+        members.append(pair)
+    return [(key, len(members), target[1] if key == target[0] else None)
+            for key, members in groups.items()]
+
+
+def reference_rotation(modes, cap, nu, eps, beta, mode, sums=reference_sums):
+    """The number and pairing values and Z of a joint-cap loop run on each group alone.
+
+    Combined as the package combines its groups: Z is the product of the
+    groups' Z, N_+ the sum of their means and the pairing the target
+    group's mean.  With one group it is the joint loop itself.
+    """
+    number, z, pairing = 0.0, 1.0, None
+    for (nu_g, eps_g), m, target in rotation_groups(modes, nu, eps, mode):
+        number_sum, pair_sum, z_sum = sums(m, cap, [nu_g] * m, [eps_g] * m, beta, target or 0)
+        number += number_sum / z_sum
+        z *= z_sum
+        if target is not None:
+            pairing = pair_sum / z_sum
+    return number, pairing, z
 
 
 EPS = np.finfo(float).eps
 
 
-def assert_rotations_near(number, pairing, sums, modes, cap, eps, beta):
-    """The package's values and Z within the rounding of two decompositions of one trace.
+def rounding_bounds(m, cap, eps, beta):
+    """The relative bound on Z and the absolute bound on a value of one group of m pairs.
 
     Fixed before measuring.  The terms: each value is a weighted mean of
     diagonal entries of U^T M U with |M| <= cap, so a few ulps of cap, and
@@ -343,54 +469,69 @@ def assert_rotations_near(number, pairing, sums, modes, cap, eps, beta):
     orders, each within (n - 1) eps / 2 of the sum of the magnitudes
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.
     (2002), sec. 4.2): (16 + labels) eps cap.  The weights: a ladder's
-    energy is eps_g N_+^g, a pair sector's the n-term dot product
-    sum_i eps_i n_i, each within n eps E of the exact E <= cap max(eps),
-    so e^{-beta E} moves by at most (2 n + 2) beta E eps relative, plus
-    its own rounding.  A relative change delta of every weight moves Z by
+    energy is eps N_+, a pair sector's the m-term dot product
+    sum_i eps n_i, each within m eps E of the exact E <= cap eps, so
+    e^{-beta E} moves by at most (2 m + 2) beta E eps relative, plus its
+    own rounding.  A relative change delta of every weight moves Z by
     delta Z and a weighted mean of values up to cap by 2 delta cap.
     """
-    number_sum, pair_sum, z_sum = sums
-    n_pairs = len(modes) // 2
-    labels = math.comb(cap + n_pairs, n_pairs)
-    weight = (2 * n_pairs + 2) * beta * cap * max(eps) * EPS + 2 * EPS
+    labels = math.comb(cap + m, m)
+    weight = (2 * m + 2) * beta * cap * eps * EPS + 2 * EPS
     terms = (16 + labels) * EPS
+    return weight + terms, (terms + 2 * weight) * cap
+
+
+def assert_rotations_near(number, pairing, reference, modes, cap, nu, eps, beta, mode):
+    """The package's values and Z within the rounding of two decompositions of one trace.
+
+    Per group ``rounding_bounds``; combining g groups adds their Z bounds
+    and g - 1 roundings of the product, and their value bounds and the
+    rounding of a sum of g means of at most cap each, g^2 eps cap.
+    """
+    number_value, pair_value, z = reference
+    groups = rotation_groups(modes, nu, eps, mode)
+    bounds = [rounding_bounds(m, cap, eps_g, beta) for (_, eps_g), m, _ in groups]
+    z_bound = sum(z_g for z_g, _ in bounds) + len(groups) * EPS
+    number_bound = sum(value for _, value in bounds) + len(groups) ** 2 * EPS * cap
+    pair_bound = next(value for (_, value), (_, _, t) in zip(bounds, groups) if t is not None)
     for value in (number, pairing):
-        assert abs(value.Z - z_sum) <= (weight + terms) * z_sum
-    assert abs(number.value - number_sum / z_sum) <= (terms + 2 * weight) * cap
-    assert abs(pairing.value - pair_sum / z_sum) <= (terms + 2 * weight) * cap
+        assert abs(value.Z - z) <= z_bound * z
+    assert abs(number.value - number_value) <= number_bound
+    assert abs(pairing.value - pair_value) <= pair_bound
 
 
-def assert_rotations_bit_equal(modes, cap, nu, eps, beta, mode):
-    """The package with scipy's exponential against both reference loops.
+JOINT_LOOPS = (reference_sums, reference_orbit_sums, reference_ladder_sums)
 
-    Bit for bit when every group of interchangeable pairs holds one pair,
-    else within ``assert_rotations_near``'s bound of each loop; the loops
-    share their Z bit for bit.
+
+def assert_rotations_match_references(modes, cap, nu, eps, beta, mode):
+    """The package with scipy's exponential against every joint loop, per group.
+
+    Within ``assert_rotations_near``'s bound of each loop; the per-pair and
+    per-orbit loops share their Z bit for bit.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracles, "expm", expm)
         number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
     case = (modes, cap, nu, eps, beta, mode)
-    orbit_sums = reference_rotation(*case, sums=reference_orbit_sums)
-    every_label = reference_rotation(*case)
-    assert every_label[2] == orbit_sums[2]
-    pairs = oracles.pair_partners(modes)
-    if len({(nu[i], eps[i]) for i, _ in pairs}) == len(pairs):
-        number_sum, pair_sum, z_sum = orbit_sums
-        assert number.Z == z_sum and pairing.Z == z_sum
-        assert number.value == number_sum / z_sum
-        assert pairing.value == pair_sum / z_sum
-        assert every_label == orbit_sums
-    else:
-        for sums in (every_label, orbit_sums):
-            assert_rotations_near(number, pairing, sums, modes, cap, eps, beta)
+    references = [reference_rotation(*case, sums=sums) for sums in JOINT_LOOPS]
+    assert references[0][2] == references[1][2]
+    for reference in references:
+        assert_rotations_near(number, pairing, reference, *case)
 
 
 @given(case=rotation_cases())
 @settings(max_examples=15, deadline=None)
 def test_rotated_expectations_bit_equal_reference(case):
+    # pairs of their own (nu, eps): one group each, so mostly several groups
     basis, nu, eps, beta, mode = case
-    assert_rotations_bit_equal(basis.modes, basis.cap, nu, eps, beta, mode)
+    assert_rotations_match_references(basis.modes, basis.cap, nu, eps, beta, mode)
+
+
+def unit_rotation(shells, cap, beta, a=0.045):
+    """The shells' modes on the unit lattice, their coefficients at ``a``, the first mode the target."""
+    modes = shell_modes(shells, momentum_scale=1.0)
+    c = mode_coefficients([m.p_sq for m in modes], a)
+    return modes, cap, c.nu.tolist(), c.eps.tolist(), beta, modes[0]
 
 
 def workload_rotation(beta=2.0):
@@ -399,31 +540,44 @@ def workload_rotation(beta=2.0):
     At beta = 2 the configuration of the ``oracle`` workload in
     perfbench/workloads.py, past the caps the property draws.
     """
-    modes = shell_modes([1], momentum_scale=1.0)
-    a = 0.045
-    c = mode_coefficients([m.p_sq for m in modes], a)
-    nu, eps = c.nu.tolist(), c.eps.tolist()
-    return modes, 14, nu, eps, beta, modes[0]
+    return unit_rotation([1], 14, beta)
 
 
 # at beta = 60 every weight of the sectors with sum |d| >= 7 (the ladders
 # with e >= 7) underflows (eps = 1.80), so part of most pair budgets stays
-# out of the sums; shell 1's three pairs are one group, so the package is
-# held to the rounding bound of the two decompositions
+# out of the sums; shell 1's three pairs are one group, whose cap is the joint cap
 @pytest.mark.parametrize("beta", [2.0, 60.0])
 def test_rotated_expectations_bit_equal_reference_at_cap_14(beta):
-    assert_rotations_bit_equal(*workload_rotation(beta))
+    assert_rotations_match_references(*workload_rotation(beta))
 
 
 @pytest.mark.parametrize("beta", [2.0, 60.0])
 def test_rotated_expectations_with_the_numpy_exponential_at_cap_14(beta):
-    # shell 1's three pairs are one group: the ladders against the loop
-    # over every sector, at the bound of both decompositions
-    case = workload_rotation(beta)
-    number, pairing = oracles._rotated_expectations(*case)
-    modes, cap, _, eps, beta, _ = case
-    sums = reference_rotation(*case)
-    assert_rotations_near(number, pairing, sums, modes, cap, eps, beta)
+    # the padded ladder stack against the loop over every sector, at the
+    # bound of both decompositions
+    assert_rotations_near_every_sector(*workload_rotation(beta))
+
+
+@st.composite
+def one_group_cases(draw):
+    """1-3 +-p pairs of shell 1 with one (nu, eps): one group, cap 8-14, beta 0.5-60."""
+    pairs = draw(st.lists(st.sampled_from(PAIRS_BY_SHELL[1]), min_size=1, max_size=3, unique=True))
+    modes = [m for pair in pairs for m in pair]
+    nu = [draw(st.floats(-0.3, 0.3))] * len(modes)
+    eps = [draw(st.floats(0.5, 5.0))] * len(modes)
+    cap = draw(st.integers(min_value=8, max_value=14))
+    beta = draw(st.floats(0.5, 60.0))
+    return modes, cap, nu, eps, beta, draw(st.sampled_from(modes))
+
+
+@given(case=one_group_cases())
+@settings(max_examples=20, deadline=None)
+def test_one_group_matches_the_joint_references(case):
+    """With one group the package's cap is the joint cap: every joint loop is its reference."""
+    modes, _, nu, eps, _, mode = case
+    assert len(rotation_groups(modes, nu, eps, mode)) == 1
+    assert_rotations_near_every_sector(*case)
+    assert_rotations_match_references(*case)
 
 
 def sector_dimensions(n_pairs, cap):
@@ -441,9 +595,10 @@ MAX_SHELL_STATES = 16000
 def shell_rotation_cases(draw):
     """1-3 +-p pairs of shell 1 and 0-3 of shell 2, one (nu, eps) per shell, a target in either.
 
-    The pairs of one shell are interchangeable, so most orbits hold several
-    sectors.  The cap is 8-12, and past 8 at most the largest cap with
-    16,000 sector states, which bounds the loop over every sector.
+    The pairs of one shell are interchangeable, so there are one or two
+    groups, and most orbits hold several sectors.  The cap is 8-12, and
+    past 8 at most the largest cap with 16,000 sector states over all the
+    pairs, which bounds the loop over every sector.
     """
     shells = [
         draw(st.lists(st.sampled_from(PAIRS_BY_SHELL[1]), min_size=1, max_size=3, unique=True)),
@@ -466,23 +621,23 @@ def shell_rotation_cases(draw):
 
 
 def assert_rotations_near_every_sector(modes, cap, nu, eps, beta, mode):
-    """The numpy exponential over the ladders against the loop over every sector.
+    """The numpy exponential over the padded ladder stacks against the loop over every sector.
 
-    The bound is ``assert_rotations_near``'s.  Where a group holds many
-    pairs the loop's own summation order dominates: 4 pairs of energy 1 and
-    nu = 0 at cap 9 (715 labels) put the loop 5.0e-14 from the exactly
-    rounded sum of its terms.
+    Per group, at ``assert_rotations_near``'s bound.  Where a group holds
+    many pairs the loop's own summation order dominates: 4 pairs of energy
+    1 and nu = 0 at cap 9 (715 labels) put the loop 5.0e-14 from the
+    exactly rounded sum of its terms.
     """
     number, pairing = oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
-    sums = reference_rotation(modes, cap, nu, eps, beta, mode)
-    assert_rotations_near(number, pairing, sums, modes, cap, eps, beta)
+    reference = reference_rotation(modes, cap, nu, eps, beta, mode)
+    assert_rotations_near(number, pairing, reference, modes, cap, nu, eps, beta, mode)
 
 
 @given(case=shell_rotation_cases())
 @settings(max_examples=15, deadline=None)
 def test_rotated_expectations_over_interchangeable_pairs(case):
     assert_rotations_near_every_sector(*case)
-    assert_rotations_bit_equal(*case)
+    assert_rotations_match_references(*case)
 
 
 # at beta = 60 every weight with energy above 12.4 underflows: shell 1
@@ -496,29 +651,30 @@ def test_rotated_expectations_over_two_shells_at_beta_60(target_shell):
     nu, eps = c.nu.tolist(), c.eps.tolist()
     mode = PAIRS_BY_SHELL[target_shell][0][1]
     assert_rotations_near_every_sector(modes, 12, nu, eps, 60.0, mode)
-    assert_rotations_bit_equal(modes, 12, nu, eps, 60.0, mode)
+    assert_rotations_match_references(modes, 12, nu, eps, 60.0, mode)
 
 
-@pytest.mark.parametrize("cap, calls, slices, cubes", [(12, 7, 13, 1_225), (14, 8, 15, 2_080)])
-def test_one_exponential_per_ladder_budget(monkeypatch, cap, calls, slices, cubes):
-    """Shell 1's three pairs are one group: one ladder per lowest weight e <= cap.
+@pytest.mark.parametrize("shells, cap, shapes", [
+    pytest.param([1], 12, [(13, 7, 7)], id="cap12"),
+    pytest.param([1], 14, [(15, 8, 8)], id="cap14"),
+    pytest.param([1, 2], 10, [(11, 6, 6)] * 2, id="shells12-cap10"),
+])
+def test_one_exponential_per_group(monkeypatch, shells, cap, shapes):
+    """One (cap + 1, cap // 2 + 1, cap // 2 + 1) stack per group of interchangeable pairs.
 
-    Ladder e has (cap - e) // 2 + 1 states, and the ladders of one pair
-    budget share one call: at cap 14 slices of 8, 7, 7, 6, 6, ... 1, 1 states.
+    Ladder e <= cap has (cap - e) // 2 + 1 states and is padded to the
+    length of ladder 0; a shell's pairs are one group.
     """
-    shapes = []
+    seen = []
     exact = oracles.expm
 
     def counting(G):
-        shapes.append(G.shape)
+        seen.append(G.shape)
         return exact(G)
 
     monkeypatch.setattr(oracles, "expm", counting)
-    modes, _, nu, eps, beta, mode = workload_rotation()
-    oracles._rotated_expectations(modes, cap, nu, eps, beta, mode)
-    assert len(shapes) == calls
-    assert sum(k for k, _, _ in shapes) == slices
-    assert sum(k * s**3 for k, s, _ in shapes) == cubes
+    oracles._rotated_expectations(*unit_rotation(shells, cap, 2.0))
+    assert seen == shapes
 
 
 @st.composite
